@@ -11,7 +11,6 @@ from .errors import (
     NonHermitianError,
     NotAxialError,
     PflabError,
-    ScientificFailure,
     SolverError,
 )
 from .fock import (

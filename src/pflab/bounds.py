@@ -39,15 +39,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GapTooSmallError, PflabError
-from .fock import FockBasis, spin_tensor
+from .fock import PAULI, FockBasis, annihilation_matrix
 from .model import (
     ModelConfig,
     assemble_hamiltonian,
     build_basis,
-    build_vector_potential,
+    build_operators,
     coupling_bound,
     field_amplitudes,
-    _free_boson_diagonals,
 )
 from .quadrature import PolarGrid
 from .spectra import (
@@ -81,15 +80,8 @@ def default_energy_curve(config: ModelConfig, cache: Optional[dict] = None,
     """
     q_max = config.p_norm + config.quadrature.r_max
     if "method" not in solver_opts:
-        dim = (2 if config.with_spin else 1) * _basis_size(config)
-        solver_opts["method"] = "lanczos" if dim > 600 else "auto"
+        solver_opts["method"] = "lanczos" if build_basis(config).dimension > 600 else "auto"
     return sweep_energy_curve(config, q_max=q_max, cache=cache, **solver_opts)
-
-
-def _basis_size(config: ModelConfig) -> int:
-    from .fock import _count_occupations
-
-    return _count_occupations(len(config.mode_set), config.N_max, config.n_max)
 
 
 @dataclass
@@ -102,14 +94,13 @@ class PhotonIntegral:
     grid_spacing: float
 
 
-def photon_number_integral(config: ModelConfig, energy_curve,
-                           denominator_floor: float = DENOMINATOR_FLOOR) -> PhotonIntegral:
-    """Theta(p) on the dedicated radial-angular grid.
+def _resolvent_integral(config: ModelConfig, energy_curve, numerator,
+                        denominator_floor: float, what: str) -> tuple[float, float, float]:
+    """int numerator(|k|, E(p)) / (E(p-k) + omega(k) - E(p))^2 * phi_hat^2/omega dk
+    on the dedicated polar grid; returns (integral, E(p), minimum denominator).
 
-    Depends on p only through |p| (and through E, itself radial), so equal
-    momentum magnitudes give bitwise-equal values.  Raises when the
-    denominator E(p-k) + omega(k) - E(p) dips below ``denominator_floor``
-    anywhere on the grid: the gap hypothesis has no numerical room left.
+    Raises when the denominator dips below ``denominator_floor`` anywhere on
+    the grid: the gap hypothesis has no numerical room left.
     """
     q = config.quadrature
     grid = PolarGrid.build(q.r_max, q.n_radial, q.n_angular)
@@ -123,14 +114,28 @@ def photon_number_integral(config: ModelConfig, energy_curve,
     min_denom = float(denom.min())
     if min_denom < denominator_floor:
         raise GapTooSmallError(
-            f"gap too small for the photon-number integral: minimum denominator "
+            f"gap too small for the {what}: minimum denominator "
             f"{min_denom:.3e} < floor {denominator_floor:.0e}"
         )
     phi2 = np.asarray(config.form_factor.phi_hat(grid.r))[:, None] ** 2
-    integrand = (0.25 * R * R + 6.0 * Ep) / (denom * denom) * phi2 / omega
-    value = 2.0 * grid.integrate(lambda r, u: integrand)
+    integrand = numerator(R, Ep) / (denom * denom) * phi2 / omega
+    return grid.integrate(lambda r, u: integrand), Ep, min_denom
+
+
+def photon_number_integral(config: ModelConfig, energy_curve,
+                           denominator_floor: float = DENOMINATOR_FLOOR) -> PhotonIntegral:
+    """Theta(p) on the dedicated radial-angular grid.
+
+    Depends on p only through |p| (and through E, itself radial), so equal
+    momentum magnitudes give bitwise-equal values.  Raises when the
+    denominator E(p-k) + omega(k) - E(p) dips below ``denominator_floor``
+    anywhere on the grid.
+    """
+    integral, Ep, min_denom = _resolvent_integral(
+        config, energy_curve, lambda R, Ep: 0.25 * R * R + 6.0 * Ep,
+        denominator_floor, "photon-number integral")
     return PhotonIntegral(
-        value=value,
+        value=2.0 * integral,
         min_denominator=min_denom,
         energy_at_p=Ep,
         grid_spacing=float(getattr(energy_curve, "spacing", 0.0)),
@@ -181,9 +186,8 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, mode_index: int,
     returned residual is the truncation diagnostic.  Raises when the shifted
     operator is not safely positive (gap violation at this mode).
     """
-    from .fock import annihilation_matrix  # local import to keep module deps flat
-
-    basis = basis if basis is not None else build_basis(config)
+    ops = build_operators(config, basis)
+    basis = ops.basis
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi)
     if norm == 0.0:
@@ -193,23 +197,19 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, mode_index: int,
     omega_m = float(config.dispersion.omega(float(np.linalg.norm(k))))
 
     g, h = field_amplitudes(config)
-    _, pf = _free_boson_diagonals(config, basis)
-    A = build_vector_potential(config, basis)
+    p = np.asarray(config.p, dtype=float)
     rhs_vec = np.zeros_like(psi)
     for mu in range(3):
         if g[mode_index, mu] != 0.0:
-            x_diag = spin_tensor(
-                0, sp.diags((config.p[mu] - pf[:, mu]).astype(complex), format="csr"),
-                basis)
-            D_mu = x_diag - config.e * A[mu]
-            rhs_vec += g[mode_index, mu] * (D_mu @ psi)
+            D_psi = (p[mu] - ops.pf[:, mu]) * psi - config.e * (ops.A[mu] @ psi)
+            rhs_vec += g[mode_index, mu] * D_psi
         if config.with_spin and h[mode_index, mu] != 0.0:
-            sigma_mu = spin_tensor(mu + 1, sp.identity(basis.boson_dimension,
-                                                       dtype=complex, format="csr"), basis)
-            rhs_vec += 0.5j * h[mode_index, mu] * (sigma_mu @ psi)
+            # sigma_mu (x) 1 in the spin-major ordering
+            sigma_psi = (PAULI[mu + 1] @ psi.reshape(2, -1)).ravel()
+            rhs_vec += 0.5j * h[mode_index, mu] * sigma_psi
     rhs_vec *= config.e
 
-    H_shift = assemble_hamiltonian(config.at(p=tuple(np.asarray(config.p) - k)), basis)
+    H_shift = ops.hamiltonian(p - k, config.e)
     bottom = solve_lowest(H_shift, 1, method="auto").ground_energy
     if bottom + omega_m - energy < denominator_floor:
         raise GapTooSmallError(
@@ -412,27 +412,11 @@ def spinless_uniqueness_check(config: ModelConfig, energy_curve=None,
     cache = {} if cache is None else cache
     if energy_curve is None:
         energy_curve = default_energy_curve(config, cache=cache, **solver_opts)
-    q = config.quadrature
-    grid = PolarGrid.build(q.r_max, q.n_radial, q.n_angular)
-    p = config.p_norm
-    Ep = float(energy_curve(p))
-    R = grid.r[:, None]
-    U = grid.u[None, :]
-    shifted = np.sqrt(np.maximum(p * p - 2.0 * p * R * U + R * R, 0.0))
-    omega = np.asarray(config.dispersion.omega(grid.r))[:, None]
-    denom = np.asarray(energy_curve(shifted)) + omega - Ep
-    if float(denom.min()) < denominator_floor:
-        raise GapTooSmallError(
-            f"gap too small for the uniqueness integral: minimum denominator "
-            f"{float(denom.min()):.3e}"
-        )
-    phi2 = np.asarray(config.form_factor.phi_hat(grid.r))[:, None] ** 2
-    integrand = Ep / (denom * denom) * phi2 / omega
-    J = grid.integrate(lambda r, u: integrand)
+    J, _, _ = _resolvent_integral(config, energy_curve, lambda R, Ep: Ep,
+                                  denominator_floor, "uniqueness integral")
     limit = math.inf if J <= 0.0 else 1.0 / (2.0 * J)
     holds = config.e**2 <= limit
-    basis = build_basis(config)
-    H = assemble_hamiltonian(config, basis)
+    H = assemble_hamiltonian(config)
     result = solve_lowest(H, n_eig=min(6, H.shape[0] - 1), **solver_opts)
     try:
         cluster = detect_ground_cluster(result)

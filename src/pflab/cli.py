@@ -23,7 +23,6 @@ from .errors import (
     IndeterminateDegeneracy,
     NotAxialError,
     PflabError,
-    ScientificFailure,
     SolverError,
 )
 from .fock import number_operator
@@ -457,9 +456,6 @@ def main(argv=None) -> int:
     except (ConfigError, NotAxialError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ScientificFailure as err:
-        print(f"failure: {err}", file=sys.stderr)
-        return EXIT_SCIENTIFIC
     except (SolverError, GapTooSmallError, IndeterminateDegeneracy, DomainError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

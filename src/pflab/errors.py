@@ -54,7 +54,3 @@ class IndeterminateDegeneracy(PflabError):
     def __init__(self, message, eigenvalues=None):
         super().__init__(message)
         self.eigenvalues = eigenvalues
-
-
-class ScientificFailure(PflabError):
-    """A checked hypothesis held but the predicted conclusion failed."""

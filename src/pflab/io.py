@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .fock import DIMENSION_CAP, Mode, ModeSet, axial_mode_set
+from .fock import DIMENSION_CAP, Mode, ModeSet, axial_mode_set, explicit_mode_set
 from .model import Dispersion, FormFactor, ModelConfig, PHI_HAT_ZERO
 from .quadrature import QuadratureSpec
 
@@ -113,14 +113,12 @@ def _mode_set_from_dict(obj: dict, path: str) -> ModeSet:
         points = obj["points"]
         if not isinstance(points, list) or not points:
             raise ConfigError(f"{path}.points: expected a nonempty list")
-        modes = []
+        pairs = []
         for i, pt in enumerate(points):
             _check_fields(pt, f"{path}.points[{i}]", {"k": None, "weight": None}, {})
-            k = _vector3(pt["k"], f"{path}.points[{i}].k")
-            w = _number(pt["weight"], f"{path}.points[{i}].weight")
-            for j in (1, 2):
-                modes.append(Mode(k=k, weight=w, polarization_index=j))
-        return ModeSet(modes=tuple(modes), axial=False, axis=None)
+            pairs.append((_vector3(pt["k"], f"{path}.points[{i}].k"),
+                          _number(pt["weight"], f"{path}.points[{i}].weight")))
+        return explicit_mode_set(pairs)
     if kind == "modes":
         # canonical re-serialized form: explicit mode list with axial metadata
         _check_fields(obj, path, {"kind": None, "modes": None, "axial": None},

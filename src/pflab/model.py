@@ -8,12 +8,18 @@ spin (x) truncated-Fock space is
 
 with A, B the transverse vector potential and magnetic field at the
 electron position, built from the mode set with per-mode amplitude
-phi_hat(k) / sqrt(2 omega(k)) * sqrt(V_m).  The free part is
-H0(p) = (1/2)(p - P_f)^2 + H_f and the interaction part is assembled
-termwise so that H(p) = H0(p) + H_int holds entrywise, not just to
-rounding.  The cross term is symmetrized, (1/2){(p-P_f).A + A.(p-P_f)},
-which agrees with the unsymmetrized ordering because k.e_j(k) = 0 for
-every mode.
+phi_hat(k) / sqrt(2 omega(k)) * sqrt(V_m).  Expanding the square with the
+cross term symmetrized (equal to the unsymmetrized one, as k.e_j(k) = 0) gives
+
+    H(p, e) = [H_f + P_f^2/2] + |p|^2/2 - p.P_f
+              + e (-p.A + C - sigma.B/2) + (e^2/2) A^2,
+    C = (1/2) sum_mu (P_f^mu A^mu + A^mu P_f^mu).
+
+Only the coefficients depend on p and e, so ``build_operators`` builds the
+operators of one truncated model once, each exactly Hermitian, and
+``ModelOperators.hamiltonian`` forms H(p, e) as their sum with real
+coefficients, exactly Hermitian again.  H is formed as H0(p) (first line)
+plus H_int (second line), so H(p) = H0(p) + H_int holds entrywise.
 """
 
 from __future__ import annotations
@@ -243,101 +249,118 @@ def field_amplitudes(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
-def _boson_field_operators(config: ModelConfig, basis: FockBasis):
-    """(A_mu, B_mu) on the boson factor, each a 3-tuple of Hermitian CSR."""
+def _boson_fields(config: ModelConfig, basis: FockBasis):
+    """(A_mu, B_mu) on the boson factor, each a 3-tuple of CSR, from one pass
+    over the ladder triplets.
+
+    Two states coupled by a_m differ by one photon in mode m alone, so no
+    entry sums two modes, and a field and its adjoint share no entry: A and B
+    are exactly Hermitian.
+    """
     g, h = field_amplitudes(config)
-    dim = basis.boson_dimension
-    A = [sp.csr_matrix((dim, dim), dtype=complex) for _ in range(3)]
-    B = [sp.csr_matrix((dim, dim), dtype=complex) for _ in range(3)]
-    for m in range(len(config.mode_set)):
-        a = basis.boson_annihilation(m)
-        plus = (a + adjoint(a)).tocsr()
-        minus = (1j * (adjoint(a) - a)).tocsr()
-        for mu in range(3):
-            if g[m, mu] != 0.0:
-                A[mu] = A[mu] + g[m, mu] * plus
-            if h[m, mu] != 0.0:
-                B[mu] = B[mu] + h[m, mu] * minus
-    return tuple(A), tuple(B)
+    ladders = [basis.boson_annihilation(m).tocoo() for m in range(len(config.mode_set))]
+    mode = np.concatenate([np.full(a.nnz, m) for m, a in enumerate(ladders)])
+    index = (np.concatenate([a.row for a in ladders]), np.concatenate([a.col for a in ladders]))
+    root_n = np.concatenate([a.data.real for a in ladders])
+    shape = (basis.boson_dimension,) * 2
+
+    def field(amplitude: np.ndarray, phase: complex) -> sp.csr_matrix:
+        # phase * sum_m amplitude_m a_m plus its adjoint; the sum drops zeros
+        lowering = sp.csr_matrix((phase * amplitude[mode] * root_n, index), shape=shape,
+                                 dtype=complex)
+        return lowering + adjoint(lowering)
+
+    A = tuple(field(g[:, mu], 1.0) for mu in range(3))
+    B = tuple(field(h[:, mu], -1j) for mu in range(3))
+    return A, B
 
 
 def build_vector_potential(config: ModelConfig, basis: Optional[FockBasis] = None):
     """The three Cartesian components of the vector potential on the full basis."""
     basis = _check_basis(config, basis)
-    A, _ = _boson_field_operators(config, basis)
+    A, _ = _boson_fields(config, basis)
     return tuple(spin_tensor(0, op, basis) for op in A)
 
 
 def build_magnetic_field(config: ModelConfig, basis: Optional[FockBasis] = None):
     """The three Cartesian components of the magnetic field on the full basis."""
     basis = _check_basis(config, basis)
-    _, B = _boson_field_operators(config, basis)
+    _, B = _boson_fields(config, basis)
     return tuple(spin_tensor(0, op, basis) for op in B)
 
 
-def _free_boson_diagonals(config: ModelConfig, basis: FockBasis):
-    ms = config.mode_set
-    occ = basis.occupation_array()
-    kpts = np.array(ms.k_points)
-    omega_pts = config.dispersion.omega(np.linalg.norm(kpts, axis=1))
-    omega_modes = np.asarray(omega_pts, dtype=float)[ms.k_point_index]
-    hf = occ @ omega_modes
-    pf = occ @ ms.k_array()
-    return hf, pf
+@dataclass(frozen=True, eq=False)
+class ModelOperators:
+    """The p- and e-independent operators of one truncated model, on the full
+    basis: the diagonals ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f (one
+    column per component), and ``A``, ``C`` = (1/2) sum_mu {P_f^mu, A^mu},
+    ``sigma_B`` (zero without spin) and ``A2`` = A.A, each exactly Hermitian."""
+
+    basis: FockBasis
+    free_diag: np.ndarray
+    pf: np.ndarray
+    A: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+    C: sp.csr_matrix
+    sigma_B: sp.csr_matrix
+    A2: sp.csr_matrix
+
+    def free(self, p) -> sp.csr_matrix:
+        """Noninteracting part H_f + P_f^2/2 + |p|^2/2 - p.P_f (diagonal)."""
+        p = np.asarray(p, dtype=float)
+        diag = self.free_diag + 0.5 * (p @ p) - self.pf @ p
+        return sp.diags(diag.astype(complex), format="csr")
+
+    def interaction(self, p, e: float) -> sp.csr_matrix:
+        """Interaction part e (-p.A + C - sigma.B/2) + (e^2/2) A^2."""
+        if e == 0.0:
+            return sp.csr_matrix(self.C.shape, dtype=complex)
+        out = e * self.C - (0.5 * e) * self.sigma_B + (0.5 * e * e) * self.A2
+        for mu in range(3):
+            if p[mu] != 0.0 and self.A[mu].nnz:
+                out = out - (e * p[mu]) * self.A[mu]
+        return out
+
+    def hamiltonian(self, p, e: float) -> sp.csr_matrix:
+        """H(p, e) = H0(p) + H_int(p, e), exactly Hermitian."""
+        return self.free(p) + self.interaction(p, e)
+
+
+def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:
+    """The operator set of ``config``'s truncated model; ``config.p`` and
+    ``config.e`` are not used, so one set serves every momentum and coupling."""
+    basis = _check_basis(config, basis)
+    A_b, B_b = _boson_fields(config, basis)
+    A = tuple(spin_tensor(0, op, basis) for op in A_b)
+    sigma_B = sp.csr_matrix(A[0].shape, dtype=complex)
+    if basis.with_spin:
+        sigma_B = sum(spin_tensor(mu + 1, op, basis) for mu, op in enumerate(B_b))
+    karr = config.mode_set.k_array()
+    occ = np.tile(basis.occupation_array(), (2 if basis.with_spin else 1, 1))
+    omega = np.asarray(config.dispersion.omega(np.linalg.norm(karr, axis=1)), dtype=float)
+    pf = occ @ karr
+    # X A + A X for diagonal X is exactly Hermitian entry by entry; the
+    # sparse product A A is closed once here, on the boson factor
+    C = 0.5 * sum(op.multiply(x[:, None]) + op.multiply(x[None, :]) for op, x in zip(A, pf.T))
+    A2 = spin_tensor(0, hermitize(sum(op @ op for op in A_b)), basis)
+    return ModelOperators(basis, occ @ omega + 0.5 * np.sum(pf * pf, axis=1), pf, A, C,
+                          sigma_B, A2)
 
 
 def free_hamiltonian(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:
     """Noninteracting Hamiltonian (1/2)(p - P_f)^2 + H_f (diagonal)."""
-    basis = _check_basis(config, basis)
-    hf, pf = _free_boson_diagonals(config, basis)
-    x = np.asarray(config.p, dtype=float)[None, :] - pf
-    diag = 0.5 * np.sum(x * x, axis=1) + hf
-    return spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis)
-
-
-def _symmetric_product(diag: np.ndarray, A: sp.csr_matrix) -> sp.csr_matrix:
-    """X A + A X for diagonal X, bitwise Hermitian for Hermitian A."""
-    return (A.multiply(diag[:, None]) + A.multiply(diag[None, :])).tocsr()
+    return build_operators(config, basis).free(config.p)
 
 
 def interaction_part(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:
-    """Interaction Hamiltonian -e (p-P_f).A + (e^2/2) A^2 - (e/2) sigma.B.
-
-    Assembled termwise from the expanded square with the symmetrized cross
-    term; each piece is Hermitian-closed exactly, so the identity
-    H(p) = H0(p) + H_int holds entrywise on the truncated space.
-    """
-    basis = _check_basis(config, basis)
-    e = config.e
-    dim = basis.dimension
-    if e == 0.0:
-        return sp.csr_matrix((dim, dim), dtype=complex)
-    A, B = _boson_field_operators(config, basis)
-    _, pf = _free_boson_diagonals(config, basis)
-    h_b = sp.csr_matrix((basis.boson_dimension, basis.boson_dimension), dtype=complex)
-    for mu in range(3):
-        if A[mu].nnz == 0:
-            continue
-        x = np.asarray(config.p[mu] - pf[:, mu], dtype=complex)
-        h_b = h_b + (-0.5 * e) * _symmetric_product(x, A[mu])
-        h_b = h_b + (0.5 * e * e) * hermitize(A[mu] @ A[mu])
-    out = spin_tensor(0, h_b, basis)
-    if config.with_spin:
-        for mu in range(3):
-            if B[mu].nnz:
-                out = out + (-0.5 * e) * spin_tensor(mu + 1, B[mu], basis)
-    return hermitize(out)
+    """Interaction Hamiltonian -e (p-P_f).A + (e^2/2) A^2 - (e/2) sigma.B."""
+    return build_operators(config, basis).interaction(config.p, config.e)
 
 
 def assemble_hamiltonian(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:
-    """Full fibered Hamiltonian H(p) = H0(p) + H_int on the truncated basis.
-
-    Exactly Hermitian after assembly (conjugate-transpose closure is
-    enforced piecewise, with a final exact symmetrization).
-    """
-    basis = _check_basis(config, basis)
-    H = free_hamiltonian(config, basis) + interaction_part(config, basis)
-    return hermitize(H)
+    """Full fibered Hamiltonian H(p) = H0(p) + H_int on the truncated basis,
+    exactly Hermitian.  A loop over p or e should call ``build_operators``
+    once and ``ModelOperators.hamiltonian`` per point instead."""
+    return build_operators(config, basis).hamiltonian(config.p, config.e)
 
 
 # -- scalar diagnostics ------------------------------------------------------

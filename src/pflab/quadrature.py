@@ -41,13 +41,6 @@ class QuadratureSpec:
             raise ValueError("invalid quadrature specification")
 
 
-def radial_integral(f: Callable[[np.ndarray], np.ndarray], r_max: float, n: int) -> float:
-    """integral over R^3 of a rotation-invariant f(|k|): 4*pi * int r^2 f(r) dr."""
-    r, w = gauss_legendre(0.0, r_max, n)
-    vals = np.asarray(f(r), dtype=float)
-    return float(4.0 * np.pi * np.sum(w * r * r * vals))
-
-
 @dataclass(frozen=True)
 class PolarGrid:
     """Product grid in (r, u=cos angle) with azimuthal symmetry factored out."""

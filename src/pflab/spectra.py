@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     SolverError,
 )
 from .fock import hermiticity_defect
-from .model import ModelConfig, assemble_hamiltonian, build_basis
+from .model import ModelConfig, build_operators
 
 DENSE_CUTOFF = 2000
 DEFAULT_SEED = 7
@@ -68,9 +69,6 @@ class GroundCluster:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def apply_projector(self, x: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.conj().T @ x)
-
 
 def _as_operator(H) -> sp.csr_matrix:
     if sp.issparse(H):
@@ -79,11 +77,10 @@ def _as_operator(H) -> sp.csr_matrix:
 
 
 def _dense_lowest(H: sp.csr_matrix, n_eig: int) -> SpectralResult:
-    vals, vecs = np.linalg.eigh(H.toarray())
-    vals = vals[:n_eig]
-    vecs = vecs[:, :n_eig]
+    # LAPACK computes only the lowest n_eig pairs, not the full spectrum
+    vals, vecs = sla.eigh(H.toarray(), subset_by_index=[0, n_eig - 1])
     resid = np.linalg.norm(H @ vecs - vecs * vals[None, :], axis=0)
-    return SpectralResult(vals.copy(), vecs.copy(), resid, "dense")
+    return SpectralResult(vals, vecs, resid, "dense")
 
 
 def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, tol: float, seed: int,
@@ -206,6 +203,7 @@ def solve_lowest(H, n_eig: int, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SE
     ``method``: "dense", "lanczos", or "auto" (dense up to dimension 2000).
     Convergence means residual <= tol * max(1, ||H||) per pair.  Rejects
     non-Hermitian input (the assembly pipeline closes operators exactly).
+    A LAPACK failure is raised as SolverError, like a Lanczos stall.
     """
     H = _as_operator(H)
     n = H.shape[0]
@@ -223,9 +221,12 @@ def solve_lowest(H, n_eig: int, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SE
         )
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
-        return _dense_lowest(H, n_eig)
-    return _lanczos_lowest(H, n_eig, tol, seed, max_restarts)
+    try:
+        if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
+            return _dense_lowest(H, n_eig)
+        return _lanczos_lowest(H, n_eig, tol, seed, max_restarts)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
 
 
 def detect_ground_cluster(result: SpectralResult, eps_deg: float = EPS_DEG,
@@ -281,10 +282,12 @@ def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]],
     """E(p) and ground degeneracy across a list of momenta on a shared basis.
 
     Results are cached by (configuration, solver settings); pass the same
-    dict across calls to reuse solves.  Solver failures propagate annotated
-    with their p; indeterminate clustering is recorded per row instead.
+    dict across calls to reuse solves.  The model's operators are built once,
+    at the first point the cache misses, and each H(p) is formed from them.
+    Solver failures propagate annotated with their p; indeterminate
+    clustering is recorded per row instead.
     """
-    basis = build_basis(config)
+    ops = None
     rows = []
     for p in p_values:
         pt = tuple(float(x) for x in p)
@@ -293,7 +296,9 @@ def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]],
         if cache is not None and key in cache:
             rows.append(cache[key])
             continue
-        H = assemble_hamiltonian(cfg_p, basis)
+        if ops is None:
+            ops = build_operators(config)
+        H = ops.hamiltonian(pt, config.e)
         try:
             result = solve_lowest(H, n_eig=min(n_eig, H.shape[0] - 1), tol=tol,
                                   seed=seed, method=method)

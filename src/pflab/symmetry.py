@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .errors import NotAxialError, PflabError
 from .fock import FockBasis, adjoint, hermitize, spin_tensor
-from .model import ModelConfig, assemble_hamiltonian, build_basis, rotation_matrix
+from .model import ModelConfig, build_operators, rotation_matrix
 from .spectra import DEFAULT_SEED, DEFAULT_TOL, EPS_DEG, solve_lowest
 
 COMMUTATOR_TOL = 1e-10
@@ -333,8 +333,8 @@ def rotation_invariance_check(config: ModelConfig, rotations,
     Rotations that are not symmetries of the mode set are rejected: the
     truncated model cannot realize them exactly.
     """
-    basis = build_basis(config)
-    E_ref = solve_lowest(assemble_hamiltonian(config, basis), n_eig,
+    ops = build_operators(config)
+    E_ref = solve_lowest(ops.hamiltonian(config.p, config.e), n_eig,
                          tol=tol, seed=seed, method=method).ground_energy
     discrepancies = []
     for R in rotations:
@@ -345,7 +345,7 @@ def rotation_invariance_check(config: ModelConfig, rotations,
                 "the discrete symmetry group of the k-points"
             )
         p_rot = tuple(R @ np.asarray(config.p, dtype=float))
-        E_rot = solve_lowest(assemble_hamiltonian(config.at(p=p_rot), basis),
+        E_rot = solve_lowest(ops.hamiltonian(p_rot, config.e),
                              n_eig, tol=tol, seed=seed, method=method).ground_energy
         discrepancies.append(abs(E_rot - E_ref))
     return RotationCheck(discrepancies=discrepancies,

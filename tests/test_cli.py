@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pflab import spectra
 from pflab.cli import main
 from pflab.io import load_config, read_eigenvectors, write_eigenvectors
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+SRC_DIR = Path(__file__).parent.parent / "src"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden_spectrum"
 
 
@@ -138,6 +143,31 @@ def test_sweep_free_theory_gap_is_photon_mass(tmp_path, capsys):
 def test_sweep_bad_grid_spec(tmp_path, capsys):
     assert run("sweep", "--config", CONFIG_DIR / "desk_e000.json",
                "--out", tmp_path, "--p-grid", "axis=w;from=0;to=1;steps=3") == 2
+
+
+def test_sweep_at_one_blas_thread(tmp_path):
+    # a full dense eigh failed to converge at q = 0.29167 of this sweep's
+    # energy curve when OpenBLAS ran on one thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pflab.cli", "sweep",
+         "--config", str(CONFIG_DIR / "desk_e010.json"), "--out", str(tmp_path),
+         "--p-grid", "axis=z;from=-0.5;to=0.5;steps=11"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 12
+
+
+def test_lapack_failure_exits_numerical(tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectra.sla, "eigh", no_convergence)
+    assert run("spectrum", "--config", CONFIG_DIR / "desk_e010.json",
+               "--out", tmp_path) == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 # -- bounds -----------------------------------------------------------------------

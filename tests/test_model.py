@@ -13,6 +13,7 @@ from pflab.model import (
     assemble_hamiltonian,
     build_basis,
     build_magnetic_field,
+    build_operators,
     build_vector_potential,
     check_dispersion_axioms,
     coupling_bound,
@@ -214,6 +215,43 @@ def test_assembly_matches_oracle_on_desk_model(desk_ms):
     H = assemble_hamiltonian(cfg).toarray()
     H_oracle = dense_hamiltonian(cfg)
     assert np.max(np.abs(H - H_oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("with_spin", [True, False])
+@pytest.mark.parametrize("mode_set", ["tiny_ms", "pair_ms"])
+def test_assembly_matches_oracle_off_axis(mode_set, with_spin, request):
+    # p_x, p_y != 0 exercise the -e p.A term through A_x and A_y
+    cfg = make_config(request.getfixturevalue(mode_set), e=0.3, p=(0.1, -0.2, 0.3),
+                      with_spin=with_spin)
+    H = assemble_hamiltonian(cfg).toarray()
+    assert np.max(np.abs(H - dense_hamiltonian(cfg))) < 1e-12
+
+
+def test_spectrum_invariant_under_charge_reversal(pair_ms):
+    # U = (-1)^N_f flips A and B and keeps P_f, so U H(p, e) U = H(p, -e)
+    cfg = make_config(pair_ms, e=0.3, p=(0.1, -0.2, 0.3))
+    basis = build_basis(cfg)
+    H = assemble_hamiltonian(cfg, basis).toarray()
+    H_rev = assemble_hamiltonian(cfg.at(e=-0.3), basis).toarray()
+    parity = np.tile((-1.0) ** basis.occupation_array().sum(axis=1), 2)
+    assert np.max(np.abs(parity[:, None] * H * parity[None, :] - H_rev)) < 1e-14
+    evs = np.linalg.eigvalsh(H)
+    assert np.max(np.abs(evs - np.linalg.eigvalsh(H_rev))) < 1e-12
+
+
+def test_operator_set_is_exactly_hermitian(desk_ms):
+    ops = build_operators(make_config(desk_ms, e=0.2))
+    for op in (*ops.A, ops.C, ops.sigma_B, ops.A2):
+        assert hermiticity_defect(op) == 0.0
+
+
+def test_one_operator_set_serves_every_point(pair_ms):
+    cfg = make_config(pair_ms, e=0.3, p=(0.0, 0.0, 0.2))
+    ops = build_operators(cfg)
+    for p, e in (((0.1, -0.2, 0.3), 0.3), ((0.0, 0.0, -0.5), 0.15), ((0.4, 0.0, 0.0), 0.0)):
+        direct = assemble_hamiltonian(cfg.at(p=p, e=e), ops.basis)
+        diff = ops.hamiltonian(p, e) - direct
+        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 def test_interaction_zero_at_e_zero(desk_ms):
