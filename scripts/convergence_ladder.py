@@ -20,8 +20,8 @@ import numpy as np
 
 from pflab import bounds
 from pflab.fock import axial_mode_set, number_operator
-from pflab.model import Dispersion, FormFactor, ModelConfig, assemble_hamiltonian, build_basis
-from pflab.spectra import detect_ground_cluster, solve_lowest
+from pflab.model import Dispersion, FormFactor, ModelConfig, build_operators
+from pflab.spectra import detect_ground_cluster, solve_model
 
 SHELL_LADDER = ([0.0, 1.7, 3.4], [0.0, 1.1, 2.2, 3.4], [0.0, 0.6, 1.2, 2.2, 3.4])
 
@@ -36,14 +36,12 @@ def desk_config(edges, e, p, N_max=2, n_max=2):
 
 
 def bound_ratio(cfg, cache):
-    basis = build_basis(cfg)
-    method = "lanczos" if basis.dimension > 600 else "auto"
-    cluster = detect_ground_cluster(
-        solve_lowest(assemble_hamiltonian(cfg, basis), 6, method=method))
+    ops = build_operators(cfg)
+    cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, 6))
     integral = bounds.photon_number_integral(
         cfg, bounds.default_energy_curve(cfg, cache=cache))
-    chk = bounds.photon_number_check(cluster, cfg, number_operator(basis), integral)
-    return basis.dimension, chk
+    chk = bounds.photon_number_check(cluster, cfg, number_operator(ops.basis), integral)
+    return ops.basis.dimension, chk
 
 
 def main():

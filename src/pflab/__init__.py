@@ -11,6 +11,7 @@ from .errors import (
     NonHermitianError,
     NotAxialError,
     PflabError,
+    ResourceError,
     SolverError,
 )
 from .fock import (
@@ -53,10 +54,12 @@ from .spectra import (
     RadialEnergyCurve,
     SpectralResult,
     axial_k_grid,
+    choose_method,
     detect_ground_cluster,
     energy_sweep,
     gap_estimate,
     solve_lowest,
+    solve_model,
     sweep_energy_curve,
 )
 

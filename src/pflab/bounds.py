@@ -42,19 +42,18 @@ from .errors import GapTooSmallError, PflabError
 from .fock import PAULI, FockBasis, annihilation_matrix
 from .model import (
     ModelConfig,
-    assemble_hamiltonian,
-    build_basis,
+    ModelOperators,
     build_operators,
     coupling_bound,
     field_amplitudes,
 )
 from .quadrature import PolarGrid
 from .spectra import (
-    DENSE_CUTOFF,
     GroundCluster,
     RadialEnergyCurve,
+    choose_method,
     detect_ground_cluster,
-    solve_lowest,
+    solve_model,
     sweep_energy_curve,
 )
 
@@ -71,16 +70,8 @@ def vacuum_projector(basis: FockBasis) -> sp.csr_matrix:
 
 def default_energy_curve(config: ModelConfig, cache: Optional[dict] = None,
                          **solver_opts) -> RadialEnergyCurve:
-    """Energy curve covering every |p - k| reachable by the shared quadrature.
-
-    Only the ground energy is needed per grid point, so larger problems go
-    straight to the Lanczos path (dense factorization time would dominate
-    the sweep otherwise).  The choice depends only on the dimension, keeping
-    runs reproducible.
-    """
+    """Energy curve covering every |p - k| reachable by the shared quadrature."""
     q_max = config.p_norm + config.quadrature.r_max
-    if "method" not in solver_opts:
-        solver_opts["method"] = "lanczos" if build_basis(config).dimension > 600 else "auto"
     return sweep_energy_curve(config, q_max=q_max, cache=cache, **solver_opts)
 
 
@@ -178,15 +169,18 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig,
 
 def pull_through_residual(psi: np.ndarray, config: ModelConfig, mode_index: int,
                           energy: float, basis: Optional[FockBasis] = None,
-                          denominator_floor: float = DENOMINATOR_FLOOR) -> float:
+                          denominator_floor: float = DENOMINATOR_FLOOR,
+                          ops: Optional[ModelOperators] = None) -> float:
     """|| a_m Psi - RHS_m || / ||Psi|| for the pull-through identity at one mode.
 
     RHS_m solves the shifted linear system (H(p - k_m) + omega_m - E) x = e *
     { ... } Psi.  The identity is exact only on the untruncated space, so the
     returned residual is the truncation diagnostic.  Raises when the shifted
-    operator is not safely positive (gap violation at this mode).
+    operator is not safely positive (gap violation at this mode).  A loop
+    over modes should pass one operator set of ``config`` as ``ops``.
     """
-    ops = build_operators(config, basis)
+    if ops is None:
+        ops = build_operators(config, basis)
     basis = ops.basis
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi)
@@ -209,16 +203,16 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, mode_index: int,
             rhs_vec += 0.5j * h[mode_index, mu] * sigma_psi
     rhs_vec *= config.e
 
-    H_shift = ops.hamiltonian(p - k, config.e)
-    bottom = solve_lowest(H_shift, 1, method="auto").ground_energy
+    bottom = solve_model(ops, p - k, config.e, 1).ground_energy
     if bottom + omega_m - energy < denominator_floor:
         raise GapTooSmallError(
             f"shifted resolvent at mode {mode_index} is nearly singular: "
             f"E(p-k) + omega - E(p) = {bottom + omega_m - energy:.3e}"
         )
-    shifted = (H_shift + (omega_m - energy) * sp.identity(basis.dimension, dtype=complex,
-                                                          format="csr")).tocsr()
-    if basis.dimension <= DENSE_CUTOFF:
+    shifted = (ops.hamiltonian(p - k, config.e)
+               + (omega_m - energy) * sp.identity(basis.dimension, dtype=complex,
+                                                  format="csr")).tocsr()
+    if choose_method(basis.dimension, 1) == "dense":
         x = np.linalg.solve(shifted.toarray(), rhs_vec)
     else:
         x = spla.spsolve(shifted.tocsc(), rhs_vec)
@@ -416,8 +410,9 @@ def spinless_uniqueness_check(config: ModelConfig, energy_curve=None,
                                   denominator_floor, "uniqueness integral")
     limit = math.inf if J <= 0.0 else 1.0 / (2.0 * J)
     holds = config.e**2 <= limit
-    H = assemble_hamiltonian(config)
-    result = solve_lowest(H, n_eig=min(6, H.shape[0] - 1), **solver_opts)
+    ops = build_operators(config)
+    result = solve_model(ops, config.p, config.e, n_eig=min(6, ops.basis.dimension - 1),
+                         **solver_opts)
     try:
         cluster = detect_ground_cluster(result)
         count: Optional[int] = cluster.count

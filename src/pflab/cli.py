@@ -2,13 +2,15 @@
 and angular-momentum sector analysis, all driven by a JSON config.
 
 Exit status: 0 success, 1 scientific failure (a checked hypothesis held but
-the predicted conclusion failed), 2 usage or config error, 3 numerical
+the predicted conclusion failed), 2 usage or config error (including a
+dense solve too large for physical memory), 3 numerical
 failure (non-convergence, gap too small, indeterminate degeneracy).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from .errors import (
     IndeterminateDegeneracy,
     NotAxialError,
     PflabError,
+    ResourceError,
     SolverError,
 )
 from .fock import number_operator
@@ -38,8 +41,7 @@ from .io import (
 )
 from .model import (
     PHI_HAT_ZERO,
-    assemble_hamiltonian,
-    build_basis,
+    build_operators,
     check_dispersion_axioms,
     coupling_bound,
     form_factor_decay_integrals,
@@ -50,7 +52,7 @@ from .spectra import (
     detect_ground_cluster,
     energy_sweep,
     gap_estimate,
-    solve_lowest,
+    solve_model,
     sweep_energy_curve,
 )
 
@@ -154,14 +156,15 @@ def cmd_model_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = load_config(args.config, force_allow_massless=args.override_massless)
-    basis = build_basis(config)
-    H = assemble_hamiltonian(config, basis)
+    ops = build_operators(config)
+    basis = ops.basis
     if args.n_eig >= basis.dimension:
         raise ConfigError(
             f"n_eig = {args.n_eig} must be smaller than the basis dimension "
             f"{basis.dimension}; lower n-eig or enlarge the cutoffs"
         )
-    result = solve_lowest(H, args.n_eig, seed=args.seed, method=_solver_method(args))
+    result = solve_model(ops, config.p, config.e, args.n_eig, seed=args.seed,
+                         method=_solver_method(args))
     cluster = detect_ground_cluster(result)
     print(f"dimension   : {basis.dimension}")
     print(f"E(p)        : {result.ground_energy!r}")
@@ -180,6 +183,7 @@ def cmd_spectrum(args) -> int:
         "eigenvalues": result.eigenvalues,
         "residual_norms": result.residual_norms,
         "method": result.method,
+        "sectors": [dataclasses.asdict(s) for s in result.sectors] or None,
         "degeneracy": cluster.count,
         "cluster_width": cluster.cluster_width,
         "gap_above": cluster.gap_above,
@@ -253,10 +257,10 @@ def cmd_bounds(args) -> int:
             return EXIT_SCIENTIFIC
         return EXIT_OK
 
-    basis = build_basis(config)
-    H = assemble_hamiltonian(config, basis)
-    result = solve_lowest(H, min(6, basis.dimension - 1), seed=args.seed,
-                          method=_solver_method(args))
+    ops = build_operators(config)
+    basis = ops.basis
+    result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1),
+                         seed=args.seed, method=_solver_method(args))
     cluster = detect_ground_cluster(result)
     curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed)
     integral = bounds_mod.photon_number_integral(config, curve)
@@ -265,7 +269,7 @@ def cmd_bounds(args) -> int:
     overlap = bounds_mod.vacuum_overlap(cluster, basis, config.e, integral)
     upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
     residuals = [bounds_mod.pull_through_residual(cluster.basis[:, 0], config, m,
-                                                  cluster.energy, basis)
+                                                  cluster.energy, ops=ops)
                  for m in range(len(config.mode_set))]
     gram = bounds_mod.vacuum_gram(cluster, basis) if cluster.count == 2 else None
     threshold = bounds_mod.coupling_threshold(
@@ -347,11 +351,12 @@ def cmd_sectors(args) -> int:
             "carry no orbital angular momentum, which is what makes the "
             "truncated rotation symmetry exact"
         )
-    basis = build_basis(config)
-    H = assemble_hamiltonian(config, basis)
-    result = solve_lowest(H, min(6, basis.dimension - 1), seed=args.seed,
-                          method=_solver_method(args))
+    ops = build_operators(config)
+    basis = ops.basis
+    result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1),
+                         seed=args.seed, method=_solver_method(args))
     cluster = detect_ground_cluster(result)
+    H = ops.hamiltonian(config.p, config.e)
     jz = symmetry_mod.total_jz(basis, config.p)
     decomp = symmetry_mod.sector_decompose(H, jz, basis, config.p)
 
@@ -453,7 +458,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotAxialError, FileNotFoundError) as err:
+    except (ConfigError, NotAxialError, ResourceError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, GapTooSmallError, IndeterminateDegeneracy, DomainError) as err:

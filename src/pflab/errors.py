@@ -13,6 +13,11 @@ class DimensionCapError(PflabError):
     """Requested basis would exceed the hard dimension cap."""
 
 
+class ResourceError(PflabError):
+    """A computation would need more memory than the machine has; refused
+    before allocating."""
+
+
 class BasisMismatchError(PflabError):
     """Operators or vectors built on different bases were combined."""
 

@@ -20,18 +20,25 @@ operators of one truncated model once, each exactly Hermitian, and
 ``ModelOperators.hamiltonian`` forms H(p, e) as their sum with real
 coefficients, exactly Hermitian again.  H is formed as H0(p) (first line)
 plus H_int (second line), so H(p) = H0(p) + H_int holds entrywise.
+
+For p = t u on the axis u of an axial mode set, H(p) commutes with the
+angular momentum J_axis.  ``ModelOperators.sectors`` rotates the
+p-independent operators once into the circular-polarization frame, where
+J_axis is diagonal, and keeps one block per J_axis eigenvalue, so that
+``Sector.hamiltonian(t, e)`` is the same real combination on one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BasisMismatchError, ConfigError
+from .errors import BasisMismatchError, ConfigError, PflabError
 from .fock import (
     FockBasis,
     ModeSet,
@@ -45,6 +52,8 @@ from .quadrature import QuadratureSpec, gauss_legendre
 
 #: Normalization of the form factor at k = 0, fixed by int phi(x) dx = 1.
 PHI_HAT_ZERO = (2.0 * math.pi) ** (-1.5)
+#: Largest entry a rotated operator may have between two J_axis sectors.
+SECTOR_LEAK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -290,6 +299,57 @@ def build_magnetic_field(config: ModelConfig, basis: Optional[FockBasis] = None)
 
 
 @dataclass(frozen=True, eq=False)
+class Sector:
+    """One J_axis eigenspace of an axial model, in the circular-polarization
+    frame.  ``to_linear``'s columns are the sector's states in the linear
+    basis.  Every block of H(p, e) has the sparsity ``indptr``/``indices``,
+    which includes the diagonal (at positions ``diagonal``); the blocks of
+    u.A, C, sigma.B and A^2 are kept as (positions, values) on it."""
+
+    label: float
+    to_linear: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+    free_diag: np.ndarray
+    pf_axis: np.ndarray
+    A_axis: tuple[np.ndarray, np.ndarray]
+    C: tuple[np.ndarray, np.ndarray]
+    sigma_B: tuple[np.ndarray, np.ndarray]
+    A2: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.free_diag)
+
+    def hamiltonian(self, t: float, e: float) -> sp.csr_matrix:
+        """The block of H(t u, e).  Each entry and its mirror image sum the
+        same terms in the same order, so the block is exactly Hermitian."""
+        data = np.zeros(len(self.indices), dtype=complex)
+        for coef, (pos, vals) in ((e, self.C), (-0.5 * e, self.sigma_B),
+                                  (0.5 * e * e, self.A2), (-e * t, self.A_axis)):
+            data[pos] += coef * vals
+        data[self.diagonal] += self.free_diag + 0.5 * t * t - t * self.pf_axis
+        n = self.dimension
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+
+
+def _sector(label: float, to_linear: sp.csr_matrix, free_diag: np.ndarray,
+            pf_axis: np.ndarray, blocks: list[sp.csr_matrix]) -> Sector:
+    """A Sector whose operator ``blocks`` are placed on their union sparsity."""
+    n = len(free_diag)
+    coos = [block.tocoo() for block in blocks]
+    keys = [coo.row.astype(np.int64) * n + coo.col for coo in coos]
+    diagonal_keys = np.arange(n, dtype=np.int64) * (n + 1)
+    union = np.unique(np.concatenate([diagonal_keys, *keys]))
+    rows, cols = np.divmod(union, n)
+    terms = [(np.searchsorted(union, key), coo.data) for coo, key in zip(coos, keys)]
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    return Sector(label, to_linear, indptr, cols.astype(np.int32),
+                  np.searchsorted(union, diagonal_keys), free_diag, pf_axis, *terms)
+
+
+@dataclass(frozen=True, eq=False)
 class ModelOperators:
     """The p- and e-independent operators of one truncated model, on the full
     basis: the diagonals ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f (one
@@ -323,6 +383,58 @@ class ModelOperators:
     def hamiltonian(self, p, e: float) -> sp.csr_matrix:
         """H(p, e) = H0(p) + H_int(p, e), exactly Hermitian."""
         return self.free(p) + self.interaction(p, e)
+
+    def axis_coordinate(self, p) -> Optional[float]:
+        """t with p = t u on the mode axis u, or None when H(p) has no sector
+        split: the mode set is not axial, n_max < N_max (the circular basis
+        change would leave the truncation), or p is off the axis."""
+        basis = self.basis
+        if not basis.mode_set.axial or basis.n_max < basis.N_max:
+            return None
+        u = np.asarray(basis.mode_set.axis, dtype=float)
+        p = np.asarray(p, dtype=float)
+        t = float(p @ u)
+        if np.linalg.norm(p - t * u) > 1e-14 * max(1.0, abs(t)):
+            return None
+        return t
+
+    @cached_property
+    def sectors(self) -> tuple[Sector, ...]:
+        """The model's J_axis sectors, ascending in label, built at first use.
+
+        The helicity rotation W is built once, and A_axis, C, sigma.B and A^2
+        are each rotated once, sector by sector, as hermitize(W+ O W); the
+        diagonals are the same in both frames, as they depend only on the
+        photon count per k-point.  W+ O W is computed on every row of a
+        sector's columns, and an entry above ``SECTOR_LEAK_TOL`` outside the
+        sector is refused.
+        """
+        # symmetry imports this module, so its functions load at first use
+        from .symmetry import circular_labels, helicity_rotation
+
+        basis = self.basis
+        u = np.asarray(basis.mode_set.axis, dtype=float)
+        W = helicity_rotation(basis).tocsc()
+        W_adj = adjoint(W)
+        labels = circular_labels(basis)
+        A_axis = sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0)
+        pf_axis = self.pf @ u
+        out = []
+        for z in np.unique(labels):
+            idx = np.flatnonzero(labels == z)
+            W_z = W[:, idx]
+            blocks = []
+            for op in (A_axis, self.C, self.sigma_B, self.A2):
+                columns = (W_adj @ (op @ W_z)).tocsr()
+                coo = columns.tocoo()
+                leak = np.abs(coo.data[labels[coo.row] != z])
+                if leak.size and leak.max() > SECTOR_LEAK_TOL:
+                    raise PflabError(f"rotated operator couples angular-momentum sector "
+                                     f"{z:+g} to others (max entry {leak.max():.3e})")
+                blocks.append(hermitize(columns[idx]))
+            out.append(_sector(float(z), W_z.tocsr(), self.free_diag[idx], pf_axis[idx],
+                               blocks))
+        return tuple(out)
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:

@@ -5,12 +5,19 @@ E_c(p) = inf_k { E(p-k) + omega(k) }.
 The iterative path is a Lanczos process with full reorthogonalization,
 thick restarts, and locking (deflation) of converged pairs, which resolves
 degenerate clusters one copy at a time.  A dense eigensolver handles small
-problems and doubles as the cross-check oracle.  All randomness comes from
-one seeded generator, so identical inputs give bit-identical results.
+problems and doubles as the cross-check oracle; ``choose_method`` picks
+between the two.  A diagonal matrix is solved from its sorted diagonal.
+All randomness comes from one seeded generator, so identical inputs give
+bit-identical results.
+
+``solve_model`` is the entry point for a model's H(p, e): on an axial model
+with p on the axis it solves each angular-momentum sector separately and
+merges the sectors' lowest pairs (see ``ModelOperators.sectors``).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,26 +29,46 @@ from .errors import (
     DomainError,
     IndeterminateDegeneracy,
     NonHermitianError,
+    ResourceError,
     SolverError,
 )
 from .fock import hermiticity_defect
-from .model import ModelConfig, build_operators
+from .model import ModelConfig, ModelOperators, build_operators
 
-DENSE_CUTOFF = 2000
 DEFAULT_SEED = 7
+# choose_method: dense up to DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig, and
+# never above DENSE_MAX_DIM
+DENSE_BASE_DIM = 130
+DENSE_DIM_PER_PAIR = 170
+DENSE_MAX_DIM = 1000
 DEFAULT_TOL = 1e-11
 EPS_DEG = 1e-8
 EPS_SEP = 1e-5
 
 
+@dataclass(frozen=True)
+class SectorSolve:
+    """How one angular-momentum sector of a ``solve_model`` call was solved."""
+
+    label: float
+    dimension: int
+    pairs: int
+    method: str
+
+
 @dataclass
 class SpectralResult:
-    """Converged lowest eigenpairs, ascending."""
+    """Converged lowest eigenpairs, ascending.
+
+    ``sectors`` is empty for a full-space solve; for a sector solve
+    (``method`` "sectors") it records each sector's final solve.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_norms: np.ndarray
     method: str
+    sectors: tuple[SectorSolve, ...] = ()
 
     @property
     def ground_energy(self) -> float:
@@ -76,11 +103,60 @@ def _as_operator(H) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(H))
 
 
+def choose_method(dim: int, n_eig: int) -> str:
+    """"dense" or "lanczos" for the lowest ``n_eig`` pairs of a sparse
+    Hermitian matrix of dimension ``dim``.
+
+    A dense solve costs the same for any number of pairs, a Lanczos solve
+    about one restart cycle per pair, so the crossover grows with n_eig.
+    ``scripts/solver_crossover.py`` measures it at one BLAS thread near
+    dimension 300, 450 and 1100 for 1, 2 and 6 pairs.  Above DENSE_MAX_DIM
+    Lanczos is used whatever the pairs: the dense array and LAPACK's copy of
+    it would outweigh the Krylov block in peak memory.
+    """
+    cutoff = min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig)
+    return "dense" if dim <= cutoff else "lanczos"
+
+
+def _dense(H: sp.csr_matrix) -> np.ndarray:
+    """``H.toarray()``, refused before allocating when a dense solve of H (the
+    array and LAPACK's copy of it, 2 x 16 n^2 bytes) would not fit in the
+    machine's physical memory."""
+    n = H.shape[0]
+    need = 2 * 16 * n * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ResourceError(
+            f"a dense solve at dimension {n} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory; "
+            "use the Lanczos path or lower the cutoffs"
+        )
+    return H.toarray()
+
+
 def _dense_lowest(H: sp.csr_matrix, n_eig: int) -> SpectralResult:
     # LAPACK computes only the lowest n_eig pairs, not the full spectrum
-    vals, vecs = sla.eigh(H.toarray(), subset_by_index=[0, n_eig - 1])
+    try:
+        vals, vecs = sla.eigh(_dense(H), subset_by_index=[0, n_eig - 1])
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"LAPACK failed on the dimension-{H.shape[0]} problem: "
+                          f"{err}") from err
     resid = np.linalg.norm(H @ vecs - vecs * vals[None, :], axis=0)
     return SpectralResult(vals, vecs, resid, "dense")
+
+
+def _diagonal_lowest(H: sp.csr_matrix, n_eig: int) -> Optional[SpectralResult]:
+    """The lowest pairs of a matrix with no nonzero off-diagonal entry, read
+    from its diagonal (stable order, unit vectors, zero residuals); None for
+    any other matrix."""
+    coo = H.tocoo()
+    if np.any(coo.data[coo.row != coo.col]):
+        return None
+    diag = H.diagonal().real
+    order = np.argsort(diag, kind="stable")[:n_eig]
+    vecs = np.zeros((H.shape[0], n_eig), dtype=complex)
+    vecs[order, np.arange(n_eig)] = 1.0
+    return SpectralResult(diag[order], vecs, np.zeros(n_eig), "diagonal")
 
 
 def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, tol: float, seed: int,
@@ -142,11 +218,11 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, tol: float, seed: int,
             if j > 0:
                 w = w - betas[j - 1] * V[:, j - 1]
             # full reorthogonalization, twice, against the Krylov block and
-            # the locked pairs
+            # the locked pairs; (w* X)* = X+ w without copying X conjugated
             for _ in range(2):
-                w = w - V[:, :j + 1] @ (V[:, :j + 1].conj().T @ w)
+                w = w - V[:, :j + 1] @ (w.conj() @ V[:, :j + 1]).conj()
                 if L.shape[1]:
-                    w = w - L @ (L.conj().T @ w)
+                    w = w - L @ (w.conj() @ L).conj()
             steps = j + 1
             beta = np.linalg.norm(w)
             if beta <= 1e-13 * max(1.0, norm_est):
@@ -196,24 +272,30 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, tol: float, seed: int,
     return SpectralResult(vals, vecs, resid, "lanczos")
 
 
-def solve_lowest(H, n_eig: int, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                 method: str = "auto", max_restarts: int = 200) -> SpectralResult:
-    """Lowest ``n_eig`` eigenpairs of a Hermitian matrix.
-
-    ``method``: "dense", "lanczos", or "auto" (dense up to dimension 2000).
-    Convergence means residual <= tol * max(1, ||H||) per pair.  Rejects
-    non-Hermitian input (the assembly pipeline closes operators exactly).
-    A LAPACK failure is raised as SolverError, like a Lanczos stall.
-    """
-    H = _as_operator(H)
-    n = H.shape[0]
-    if H.shape[0] != H.shape[1]:
-        raise NonHermitianError(f"matrix is not square: {H.shape}")
+def _check_n_eig(n_eig: int, n: int) -> None:
     if not (1 <= n_eig < n):
         raise ValueError(
             f"n_eig must satisfy 1 <= n_eig < dimension; got n_eig={n_eig} "
             f"for dimension {n}"
         )
+
+
+def solve_lowest(H, n_eig: int, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+                 method: str = "auto", max_restarts: int = 200) -> SpectralResult:
+    """Lowest ``n_eig`` eigenpairs of a Hermitian matrix.
+
+    ``method``: "dense", "lanczos", or "auto": a diagonal matrix is read off
+    its diagonal (method "diagonal"), any other goes where ``choose_method``
+    sends it.  Convergence means residual <= tol * max(1, ||H||) per pair.
+    Rejects non-Hermitian input (the assembly pipeline closes operators
+    exactly).  A LAPACK failure is raised as SolverError, like a Lanczos
+    stall; a dense solve too large for physical memory as ResourceError.
+    """
+    H = _as_operator(H)
+    n = H.shape[0]
+    if H.shape[0] != H.shape[1]:
+        raise NonHermitianError(f"matrix is not square: {H.shape}")
+    _check_n_eig(n_eig, n)
     if hermiticity_defect(H) != 0.0:
         raise NonHermitianError(
             f"matrix is not exactly Hermitian (defect {hermiticity_defect(H):.3e}); "
@@ -221,12 +303,70 @@ def solve_lowest(H, n_eig: int, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SE
         )
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "auto":
+        diagonal = _diagonal_lowest(H, n_eig)
+        if diagonal is not None:
+            return diagonal
+        method = choose_method(n, n_eig)
+    if method == "dense":
+        return _dense_lowest(H, n_eig)
     try:
-        if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
-            return _dense_lowest(H, n_eig)
         return _lanczos_lowest(H, n_eig, tol, seed, max_restarts)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
+
+
+def solve_model(ops: ModelOperators, p, e: float, n_eig: int, tol: float = DEFAULT_TOL,
+                seed: int = DEFAULT_SEED, method: str = "auto",
+                max_restarts: int = 200) -> SpectralResult:
+    """Lowest ``n_eig`` eigenpairs of H(p, e) built from ``ops``, in the
+    linear basis of ``assemble_hamiltonian``.
+
+    When e != 0 and p lies on the axis of an axial model with n_max >= N_max
+    (``ModelOperators.axis_coordinate``), H(p) commutes with J_axis and each
+    sector block goes to ``solve_lowest`` on its own.  Each sector starts at
+    one pair (two when n_eig > 1) and is re-solved with twice as many, up to
+    n_eig, until it is exhausted or its highest computed eigenvalue is at or
+    above the n_eig-th lowest of all sectors' values; no sector can then
+    hold one of the n_eig lowest eigenvalues that was not computed.  A
+    sector needing all of its pairs (never more than n_eig) is solved whole
+    and densely.  Eigenvectors are mapped back to the linear basis and the
+    residuals are those of the sector blocks.  Any other model or momentum,
+    and e = 0 (H is then diagonal), is solved in the full space.
+    """
+    t = ops.axis_coordinate(p)
+    if e == 0.0 or t is None:
+        return solve_lowest(ops.hamiltonian(p, e), n_eig, tol=tol, seed=seed,
+                            method=method, max_restarts=max_restarts)
+    _check_n_eig(n_eig, ops.basis.dimension)
+    blocks = [sector.hamiltonian(t, e) for sector in ops.sectors]
+    pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
+    results: list[Optional[SpectralResult]] = [None] * len(blocks)
+    while True:
+        for i, block in enumerate(blocks):
+            if results[i] is None:
+                if pairs[i] < block.shape[0]:
+                    results[i] = solve_lowest(block, pairs[i], tol=tol, seed=seed,
+                                              method=method, max_restarts=max_restarts)
+                else:
+                    results[i] = _dense_lowest(block, pairs[i])
+        values = np.sort(np.concatenate([r.eigenvalues for r in results]))
+        bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
+        grow = [i for i, r in enumerate(results)
+                if pairs[i] < blocks[i].shape[0] and r.eigenvalues[-1] < bar]
+        if not grow:
+            break
+        for i in grow:
+            pairs[i] = min(blocks[i].shape[0], n_eig, 2 * pairs[i])
+            results[i] = None
+    vals = np.concatenate([r.eigenvalues for r in results])
+    order = np.argsort(vals, kind="stable")[:n_eig]
+    vecs = np.column_stack([sector.to_linear @ r.eigenvectors
+                            for sector, r in zip(ops.sectors, results)])
+    resid = np.concatenate([r.residual_norms for r in results])
+    solves = tuple(SectorSolve(sector.label, sector.dimension, len(r.eigenvalues), r.method)
+                   for sector, r in zip(ops.sectors, results))
+    return SpectralResult(vals[order], vecs[:, order], resid[order], "sectors", solves)
 
 
 def detect_ground_cluster(result: SpectralResult, eps_deg: float = EPS_DEG,
@@ -283,9 +423,9 @@ def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]],
 
     Results are cached by (configuration, solver settings); pass the same
     dict across calls to reuse solves.  The model's operators are built once,
-    at the first point the cache misses, and each H(p) is formed from them.
-    Solver failures propagate annotated with their p; indeterminate
-    clustering is recorded per row instead.
+    at the first point the cache misses, and each point is solved from them
+    by ``solve_model``.  Solver failures propagate annotated with their p;
+    indeterminate clustering is recorded per row instead.
     """
     ops = None
     rows = []
@@ -298,10 +438,10 @@ def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]],
             continue
         if ops is None:
             ops = build_operators(config)
-        H = ops.hamiltonian(pt, config.e)
         try:
-            result = solve_lowest(H, n_eig=min(n_eig, H.shape[0] - 1), tol=tol,
-                                  seed=seed, method=method)
+            result = solve_model(ops, pt, config.e,
+                                 n_eig=min(n_eig, ops.basis.dimension - 1), tol=tol,
+                                 seed=seed, method=method)
         except SolverError as err:
             raise SolverError(f"solve failed at p={pt}: {err}",
                               residuals=err.residuals) from err

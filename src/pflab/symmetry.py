@@ -13,7 +13,9 @@ per-k-point change to circular combinations (|1> +/- i|2>)/sqrt(2)
 diagonalizes it.  That basis change is unitary on the truncated space only
 when the per-mode cutoff does not bite (n_max >= N_max), which sector
 analysis therefore requires.  Hamiltonians are assembled in the linear
-basis and conjugated.
+basis and conjugated: ``sector_decompose`` does so for one H and checks
+the result, and ``ModelOperators.sectors`` does so once per operator set
+for the sector solves of ``spectra.solve_model``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import scipy.sparse as sp
 from .errors import NotAxialError, PflabError
 from .fock import FockBasis, adjoint, hermitize, spin_tensor
 from .model import ModelConfig, build_operators, rotation_matrix
-from .spectra import DEFAULT_SEED, DEFAULT_TOL, EPS_DEG, solve_lowest
+from .spectra import DEFAULT_SEED, DEFAULT_TOL, EPS_DEG, solve_lowest, solve_model
 
 COMMUTATOR_TOL = 1e-10
 
@@ -117,14 +119,39 @@ def _spin_frame(u: np.ndarray) -> np.ndarray:
     ], dtype=complex)
 
 
+def _circular_amplitudes(n_total: int) -> list[np.ndarray]:
+    """Per k-point basis change at each photon count n <= n_total: entry
+    [m, c] of table n is the amplitude of the linear state with n - m
+    photons in polarization 1 and m in 2 in the circular state with n - c
+    photons in (+) and c in (-)."""
+    phase = (1.0, 1j, -1.0, -1j)                       # i^a
+    tables = []
+    for n in range(n_total + 1):
+        M = np.zeros((n + 1, n + 1), dtype=complex)
+        for c in range(n + 1):
+            # (c1 + i c2)^(n-c) (c1 - i c2)^c |0> / sqrt((n-c)! c! 2^n)
+            for a in range(n - c + 1):
+                for b in range(c + 1):
+                    M[a + b, c] += (math.comb(n - c, a) * math.comb(c, b)
+                                    * phase[a % 4] * phase[(3 * b) % 4])
+            for m in range(n + 1):
+                M[m, c] *= math.sqrt(math.factorial(n - m) * math.factorial(m)
+                                     / (math.factorial(n - c) * math.factorial(c) * 2**n))
+        tables.append(M)
+    return tables
+
+
 def helicity_rotation(basis: FockBasis, p=None) -> sp.csr_matrix:
     """Unitary from the circular-polarization occupation labels to the linear basis.
 
     Column ``rank(c)`` is the state with c[(kp,1)] photons in the circular
-    (+) combination and c[(kp,2)] photons in the circular (-) combination at
-    each k-point, expanded in the linear-polarization basis; the spin factor
-    is rotated to eigenstates of u . sigma.  Requires n_max >= N_max so the
-    per-k-point mode mixing stays inside the truncation.
+    (+) combination (|1> + i|2>)/sqrt(2) and c[(kp,2)] photons in the (-)
+    combination at each k-point, expanded in the linear-polarization basis;
+    the spin factor is rotated to eigenstates of u . sigma.  The change
+    keeps the photon count of every k-point, so W is block diagonal over
+    those counts, and each block is a product over k-points of one small
+    table.  Requires n_max >= N_max so the per-k-point mode mixing stays
+    inside the truncation.
     """
     u = _axis_direction(basis, p)
     if basis.n_max < basis.N_max:
@@ -133,29 +160,26 @@ def helicity_rotation(basis: FockBasis, p=None) -> sp.csr_matrix:
             f"(got n_max={basis.n_max} < N_max={basis.N_max}): the per-mode "
             "cutoff would clip the rotated states"
         )
-    pairs = _kpoint_mode_indices(basis)
-    dim_b = basis.boson_dimension
-    b_ops = {}
-    for i1, i2 in pairs:
-        c1 = adjoint(basis.boson_annihilation(i1))
-        c2 = adjoint(basis.boson_annihilation(i2))
-        b_ops[i1] = ((c1 + 1j * c2) / math.sqrt(2.0)).tocsr()
-        b_ops[i2] = ((c1 - 1j * c2) / math.sqrt(2.0)).tocsr()
+    pairs = np.array(_kpoint_mode_indices(basis))
+    occ = basis.occupation_array()
+    minus = occ[:, pairs[:, 1]]
+    counts = occ[:, pairs[:, 0]] + minus
+    tables = _circular_amplitudes(basis.N_max)
+    group = np.unique(counts, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(group, kind="stable")
     rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.boson_states):
-        vec = np.zeros(dim_b, dtype=complex)
-        vec[0] = 1.0                      # graded order starts at the vacuum
-        norm2 = 1.0
-        for mode_index, n in enumerate(occ):
-            for _ in range(n):
-                vec = b_ops[mode_index] @ vec
-            norm2 *= math.factorial(n)
-        vec /= math.sqrt(norm2)
-        nz = np.flatnonzero(vec)
-        rows.extend(nz.tolist())
-        cols.extend([col] * len(nz))
-        vals.extend(vec[nz].tolist())
-    Wb = sp.csr_matrix((vals, (rows, cols)), shape=(dim_b, dim_b))
+    for idx in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        block = np.ones((len(idx), len(idx)), dtype=complex)
+        for kp in np.flatnonzero(counts[idx[0]]):
+            m = minus[idx, kp]
+            block = block * tables[counts[idx[0], kp]][m[:, None], m[None, :]]
+        r, c = np.nonzero(block)
+        rows.append(idx[r])
+        cols.append(idx[c])
+        vals.append(block[r, c])
+    dim_b = basis.boson_dimension
+    Wb = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(dim_b, dim_b))
     spin = _spin_frame(u) if basis.with_spin else None
     W = sp.kron(sp.csr_matrix(spin), Wb, format="csr") if basis.with_spin else Wb
     defect = abs((adjoint(W) @ W - sp.identity(basis.dimension, dtype=complex,
@@ -334,8 +358,8 @@ def rotation_invariance_check(config: ModelConfig, rotations,
     truncated model cannot realize them exactly.
     """
     ops = build_operators(config)
-    E_ref = solve_lowest(ops.hamiltonian(config.p, config.e), n_eig,
-                         tol=tol, seed=seed, method=method).ground_energy
+    E_ref = solve_model(ops, config.p, config.e, n_eig,
+                        tol=tol, seed=seed, method=method).ground_energy
     discrepancies = []
     for R in rotations:
         R = np.asarray(R, dtype=float)
@@ -345,8 +369,8 @@ def rotation_invariance_check(config: ModelConfig, rotations,
                 "the discrete symmetry group of the k-points"
             )
         p_rot = tuple(R @ np.asarray(config.p, dtype=float))
-        E_rot = solve_lowest(ops.hamiltonian(p_rot, config.e),
-                             n_eig, tol=tol, seed=seed, method=method).ground_energy
+        E_rot = solve_model(ops, p_rot, config.e,
+                            n_eig, tol=tol, seed=seed, method=method).ground_energy
         discrepancies.append(abs(E_rot - E_ref))
     return RotationCheck(discrepancies=discrepancies,
                          max_discrepancy=max(discrepancies) if discrepancies else 0.0)

@@ -170,6 +170,23 @@ def test_lapack_failure_exits_numerical(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_spectrum_records_sector_solves(tmp_path):
+    assert run("spectrum", "--config", CONFIG_DIR / "desk_e010.json",
+               "--out", tmp_path) == 0
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert data["method"] == "sectors"
+    assert [s["label"] for s in data["sectors"]] == [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
+    assert sum(s["dimension"] for s in data["sectors"]) == data["dimension"]
+    assert all(s["pairs"] >= 2 and s["method"] == "dense" for s in data["sectors"])
+
+
+def test_oversize_dense_solve_exits_usage(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectra.os, "sysconf", lambda name: 1)   # one byte
+    assert run("spectrum", "--config", CONFIG_DIR / "desk_e010.json",
+               "--out", tmp_path, "--dense") == 2
+    assert "GiB" in capsys.readouterr().err
+
+
 # -- bounds -----------------------------------------------------------------------
 
 
