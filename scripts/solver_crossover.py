@@ -8,8 +8,12 @@ rungs of the cutoff ladder, and on the full matrices of dimensions 306
 (desk_e010) and 1938 (N_max = 3), for 1, 2 and 6 pairs.  Each time is the
 best of several runs (one run above dimension 1000).  Prints one row per
 (dimension, pairs) with the faster method and the one ``choose_method``
-picks, and, per pair count, the largest dimension up to which dense was
-faster at every measured size; ``--json PATH`` also writes them.
+picks.  Then, per pair count, it prints the range of cutoffs c ("dense up
+to dimension c") that lose the least time over the measured rows, where a
+row sent to its slower method loses the difference of the two times, the
+rows that such a cutoff still sends to the slower method, and whether
+``choose_method``'s cutoff lies in the range.  ``--json PATH`` also writes
+them.
 
     python3 scripts/solver_crossover.py [--json PATH]
 """
@@ -30,7 +34,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from pflab.io import load_config  # noqa: E402
 from pflab.model import build_operators  # noqa: E402
-from pflab.spectra import choose_method, solve_lowest  # noqa: E402
+from pflab.spectra import (  # noqa: E402
+    DENSE_BASE_DIM,
+    DENSE_DIM_PER_PAIR,
+    DENSE_MAX_DIM,
+    choose_method,
+    solve_lowest,
+)
 
 MODELS = (("desk", "configs/desk_e010.json"), ("rung3", "perfbench/configs/rung3.json"),
           ("rung4", "perfbench/configs/rung4.json"))
@@ -54,25 +64,42 @@ def matrices():
         config = load_config(ROOT / path)
         ops = build_operators(config)
         t = ops.axis_coordinate(config.p)
+        split = ops.sectors
         seen = set()
-        for sector in ops.sectors:
-            if sector.dimension not in seen:
-                seen.add(sector.dimension)
-                yield f"{name} sector {sector.label:+.1f}", sector.hamiltonian(t, config.e)
+        for label, block in zip(split.labels, split.blocks(t, config.e)):
+            if block.shape[0] not in seen:
+                seen.add(block.shape[0])
+                yield f"{name} sector {label:+.1f}", block
         if name in FULL:
             yield f"{name} full", ops.hamiltonian(config.p, config.e)
 
 
-def crossovers(rows) -> dict[int, int]:
-    """Per pair count: the largest dimension below which dense always won."""
+def lost_time(rows, cutoff: int) -> float:
+    """Seconds lost over ``rows`` by sending dimensions <= cutoff to dense and
+    the others to Lanczos, against always picking the faster method."""
+    return sum(abs(r["dense_s"] - r["lanczos_s"]) for r in rows
+               if (r["dim"] <= cutoff) != (r["faster"] == "dense"))
+
+
+def crossovers(rows) -> dict[int, dict]:
+    """Per pair count: the cutoffs [lowest, below) that lose the least time
+    (the loss is constant between measured dimensions), that loss, the rows
+    such a cutoff sends to the slower method, and choose_method's cutoff."""
     out = {}
     for k in PAIRS:
-        last = 0
-        for row in sorted((r for r in rows if r["pairs"] == k), key=lambda r: r["dim"]):
-            if row["dense_s"] > row["lanczos_s"]:
-                break
-            last = row["dim"]
-        out[k] = last
+        mine = [r for r in rows if r["pairs"] == k]
+        dims = sorted({r["dim"] for r in mine})
+        lowest = min([0, *dims], key=lambda c: lost_time(mine, c))
+        slower = [r for r in mine if (r["dim"] <= lowest) != (r["faster"] == "dense")]
+        out[k] = {
+            "lowest": lowest,
+            "below": min((d for d in dims if d > lowest), default=None),
+            "lost_s": lost_time(mine, lowest),
+            "slower_rows": [(r["source"], r["dim"],
+                             max(r["dense_s"], r["lanczos_s"]) / min(r["dense_s"], r["lanczos_s"]))
+                            for r in slower],
+            "choose_method": min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * k),
+        }
     return out
 
 
@@ -96,13 +123,18 @@ def main() -> int:
             print(f"{source:<22} {row['dim']:>5} {k:>5} {row['dense_s']:>9.4f} "
                   f"{row['lanczos_s']:>9.4f}  {row['faster']:<8} {row['chosen']}")
     cross = crossovers(rows)
-    print("\ndense faster at every measured dimension up to:")
-    for k, dim in cross.items():
-        print(f"  {k} pair(s): {dim}")
+    print("\ncutoffs losing the least time, and choose_method's cutoff:")
+    for k, c in cross.items():
+        inside = c["lowest"] <= c["choose_method"] and (c["below"] is None
+                                                        or c["choose_method"] < c["below"])
+        print(f"  {k} pair(s): [{c['lowest']}, {c['below']}) loses {c['lost_s']:.4f} s; "
+              f"choose_method {c['choose_method']} {'inside' if inside else 'OUTSIDE'}")
+        for source, dim, ratio in c["slower_rows"]:
+            print(f"      slower method picked: {source} (dim {dim}), {ratio:.2f}x")
     if args.json:
         Path(args.json).write_text(json.dumps(
             {"blas_threads": 1, "rows": rows,
-             "dense_faster_up_to": {str(k): v for k, v in cross.items()}}, indent=2) + "\n")
+             "least_loss_cutoffs": {str(k): v for k, v in cross.items()}}, indent=2) + "\n")
     return 0
 
 

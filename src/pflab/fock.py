@@ -409,16 +409,8 @@ def adjoint(op: sp.spmatrix) -> sp.csr_matrix:
 
 def hermiticity_defect(op: sp.spmatrix) -> float:
     """max |A - A+| over entries; 0.0 for an exactly Hermitian matrix."""
-    op = op.tocsr()
-    op_adj = adjoint(op)
-    if (op.has_canonical_format and np.array_equal(op.indptr, op_adj.indptr)
-            and np.array_equal(op.indices, op_adj.indices)):
-        # same sparsity as the adjoint: compare the stored entries directly
-        return float(np.abs(op.data - op_adj.data).max()) if op.nnz else 0.0
-    diff = (op - op_adj).tocoo()
-    if diff.nnz == 0:
-        return 0.0
-    return float(np.abs(diff.data).max())
+    diff = op.tocsr() - adjoint(op)
+    return float(np.abs(diff.data).max(initial=0.0))
 
 
 def hermitize(op: sp.spmatrix) -> sp.csr_matrix:

@@ -24,8 +24,9 @@ plus H_int (second line), so H(p) = H0(p) + H_int holds entrywise.
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
 angular momentum J_axis.  ``ModelOperators.sectors`` rotates the
 p-independent operators once into the circular-polarization frame, where
-J_axis is diagonal, and keeps one block per J_axis eigenvalue, so that
-``Sector.hamiltonian(t, e)`` is the same real combination on one block.
+J_axis is diagonal, with one block per J_axis eigenvalue, so that each
+block of H(t u, e) is a slice of the same real combination
+(``SectorSplit.blocks``).
 """
 
 from __future__ import annotations
@@ -299,74 +300,24 @@ def build_magnetic_field(config: ModelConfig, basis: Optional[FockBasis] = None)
 
 
 @dataclass(frozen=True, eq=False)
-class Sector:
-    """One J_axis eigenspace of an axial model, in the circular-polarization
-    frame.  ``to_linear``'s columns are the sector's states in the linear
-    basis.  Every block of H(p, e) has the sparsity ``indptr``/``indices``,
-    which includes the diagonal (at positions ``diagonal``); the blocks of
-    u.A, C, sigma.B and A^2 are kept as (positions, values) on it."""
+class HamiltonianTerms:
+    """The p- and e-independent terms of H(p, e) on one basis: the diagonals
+    ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f (one column per component
+    of p), and ``A`` (one operator per component of p), ``C`` =
+    (1/2) sum_mu {P_f^mu, A^mu}, ``sigma_B`` (zero without spin) and ``A2`` =
+    A.A, each exactly Hermitian.  A sum of exactly Hermitian matrices with
+    real coefficients is exactly Hermitian, so H(p, e) needs no closure."""
 
-    label: float
-    to_linear: sp.csr_matrix
-    indptr: np.ndarray
-    indices: np.ndarray
-    diagonal: np.ndarray
-    free_diag: np.ndarray
-    pf_axis: np.ndarray
-    A_axis: tuple[np.ndarray, np.ndarray]
-    C: tuple[np.ndarray, np.ndarray]
-    sigma_B: tuple[np.ndarray, np.ndarray]
-    A2: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.free_diag)
-
-    def hamiltonian(self, t: float, e: float) -> sp.csr_matrix:
-        """The block of H(t u, e).  Each entry and its mirror image sum the
-        same terms in the same order, so the block is exactly Hermitian."""
-        data = np.zeros(len(self.indices), dtype=complex)
-        for coef, (pos, vals) in ((e, self.C), (-0.5 * e, self.sigma_B),
-                                  (0.5 * e * e, self.A2), (-e * t, self.A_axis)):
-            data[pos] += coef * vals
-        data[self.diagonal] += self.free_diag + 0.5 * t * t - t * self.pf_axis
-        n = self.dimension
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
-
-
-def _sector(label: float, to_linear: sp.csr_matrix, free_diag: np.ndarray,
-            pf_axis: np.ndarray, blocks: list[sp.csr_matrix]) -> Sector:
-    """A Sector whose operator ``blocks`` are placed on their union sparsity."""
-    n = len(free_diag)
-    coos = [block.tocoo() for block in blocks]
-    keys = [coo.row.astype(np.int64) * n + coo.col for coo in coos]
-    diagonal_keys = np.arange(n, dtype=np.int64) * (n + 1)
-    union = np.unique(np.concatenate([diagonal_keys, *keys]))
-    rows, cols = np.divmod(union, n)
-    terms = [(np.searchsorted(union, key), coo.data) for coo, key in zip(coos, keys)]
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-    return Sector(label, to_linear, indptr, cols.astype(np.int32),
-                  np.searchsorted(union, diagonal_keys), free_diag, pf_axis, *terms)
-
-
-@dataclass(frozen=True, eq=False)
-class ModelOperators:
-    """The p- and e-independent operators of one truncated model, on the full
-    basis: the diagonals ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f (one
-    column per component), and ``A``, ``C`` = (1/2) sum_mu {P_f^mu, A^mu},
-    ``sigma_B`` (zero without spin) and ``A2`` = A.A, each exactly Hermitian."""
-
-    basis: FockBasis
     free_diag: np.ndarray
     pf: np.ndarray
-    A: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+    A: tuple[sp.csr_matrix, ...]
     C: sp.csr_matrix
     sigma_B: sp.csr_matrix
     A2: sp.csr_matrix
 
     def free(self, p) -> sp.csr_matrix:
         """Noninteracting part H_f + P_f^2/2 + |p|^2/2 - p.P_f (diagonal)."""
-        p = np.asarray(p, dtype=float)
+        p = np.atleast_1d(np.asarray(p, dtype=float))
         diag = self.free_diag + 0.5 * (p @ p) - self.pf @ p
         return sp.diags(diag.astype(complex), format="csr")
 
@@ -374,15 +325,43 @@ class ModelOperators:
         """Interaction part e (-p.A + C - sigma.B/2) + (e^2/2) A^2."""
         if e == 0.0:
             return sp.csr_matrix(self.C.shape, dtype=complex)
+        p = np.atleast_1d(np.asarray(p, dtype=float))
         out = e * self.C - (0.5 * e) * self.sigma_B + (0.5 * e * e) * self.A2
-        for mu in range(3):
-            if p[mu] != 0.0 and self.A[mu].nnz:
-                out = out - (e * p[mu]) * self.A[mu]
+        for p_mu, op in zip(p, self.A):
+            if p_mu != 0.0 and op.nnz:
+                out = out - (e * p_mu) * op
         return out
 
     def hamiltonian(self, p, e: float) -> sp.csr_matrix:
         """H(p, e) = H0(p) + H_int(p, e), exactly Hermitian."""
         return self.free(p) + self.interaction(p, e)
+
+
+@dataclass(frozen=True, eq=False)
+class SectorSplit(HamiltonianTerms):
+    """The terms of H of an axial model with mode axis u, in the
+    circular-polarization frame, on the states ordered by J_axis eigenvalue:
+    every term is block diagonal, sector i spanning ``starts[i]`` to
+    ``starts[i + 1]`` with eigenvalue ``labels[i]``.  Momentum has the one
+    coordinate t of p = t u: ``pf`` is the column u.P_f and ``A`` is (u.A,).
+    ``to_linear[i]``'s columns are sector i's states in the linear basis."""
+
+    labels: tuple[float, ...]
+    starts: tuple[int, ...]
+    to_linear: tuple[sp.csr_matrix, ...]
+
+    def blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
+        """The sector blocks of H(t u, e), ascending in label.  Each is an
+        index slice of one real combination, so it is exactly Hermitian."""
+        H = self.hamiltonian(t, e)
+        return [H[a:b, a:b] for a, b in zip(self.starts[:-1], self.starts[1:])]
+
+
+@dataclass(frozen=True, eq=False)
+class ModelOperators(HamiltonianTerms):
+    """The terms of H(p, e) of one truncated model, on the full basis."""
+
+    basis: FockBasis
 
     def axis_coordinate(self, p) -> Optional[float]:
         """t with p = t u on the mode axis u, or None when H(p) has no sector
@@ -399,10 +378,10 @@ class ModelOperators:
         return t
 
     @cached_property
-    def sectors(self) -> tuple[Sector, ...]:
+    def sectors(self) -> SectorSplit:
         """The model's J_axis sectors, ascending in label, built at first use.
 
-        The helicity rotation W is built once, and A_axis, C, sigma.B and A^2
+        The helicity rotation W is built once, and u.A, C, sigma.B and A^2
         are each rotated once, sector by sector, as hermitize(W+ O W); the
         diagonals are the same in both frames, as they depend only on the
         photon count per k-point.  W+ O W is computed on every row of a
@@ -418,23 +397,30 @@ class ModelOperators:
         W_adj = adjoint(W)
         labels = circular_labels(basis)
         A_axis = sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0)
-        pf_axis = self.pf @ u
-        out = []
-        for z in np.unique(labels):
+        terms = (A_axis, self.C, self.sigma_B, self.A2)
+        blocks: list[list[sp.csr_matrix]] = [[] for _ in terms]
+        to_linear = []
+        values = np.unique(labels)
+        for z in values:
             idx = np.flatnonzero(labels == z)
             W_z = W[:, idx]
-            blocks = []
-            for op in (A_axis, self.C, self.sigma_B, self.A2):
+            for op, out in zip(terms, blocks):
                 columns = (W_adj @ (op @ W_z)).tocsr()
                 coo = columns.tocoo()
                 leak = np.abs(coo.data[labels[coo.row] != z])
                 if leak.size and leak.max() > SECTOR_LEAK_TOL:
                     raise PflabError(f"rotated operator couples angular-momentum sector "
                                      f"{z:+g} to others (max entry {leak.max():.3e})")
-                blocks.append(hermitize(columns[idx]))
-            out.append(_sector(float(z), W_z.tocsr(), self.free_diag[idx], pf_axis[idx],
-                               blocks))
-        return tuple(out)
+                out.append(hermitize(columns[idx]))
+            to_linear.append(W_z.tocsr())
+        order = np.argsort(labels, kind="stable")
+        sizes = [W_z.shape[1] for W_z in to_linear]
+        A_z, C_z, sigma_B_z, A2_z = (sp.block_diag(out, format="csr") for out in blocks)
+        return SectorSplit(free_diag=self.free_diag[order], pf=(self.pf @ u)[order, None],
+                           A=(A_z,), C=C_z, sigma_B=sigma_B_z, A2=A2_z,
+                           labels=tuple(float(z) for z in values),
+                           starts=tuple(int(x) for x in np.cumsum([0, *sizes])),
+                           to_linear=tuple(to_linear))
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:
@@ -454,8 +440,8 @@ def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> M
     # sparse product A A is closed once here, on the boson factor
     C = 0.5 * sum(op.multiply(x[:, None]) + op.multiply(x[None, :]) for op, x in zip(A, pf.T))
     A2 = spin_tensor(0, hermitize(sum(op @ op for op in A_b)), basis)
-    return ModelOperators(basis, occ @ omega + 0.5 * np.sum(pf * pf, axis=1), pf, A, C,
-                          sigma_B, A2)
+    return ModelOperators(free_diag=occ @ omega + 0.5 * np.sum(pf * pf, axis=1), pf=pf, A=A,
+                          C=C, sigma_B=sigma_B, A2=A2, basis=basis)
 
 
 def free_hamiltonian(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:

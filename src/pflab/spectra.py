@@ -107,12 +107,19 @@ def choose_method(dim: int, n_eig: int) -> str:
     """"dense" or "lanczos" for the lowest ``n_eig`` pairs of a sparse
     Hermitian matrix of dimension ``dim``.
 
-    A dense solve costs the same for any number of pairs, a Lanczos solve
-    about one restart cycle per pair, so the crossover grows with n_eig.
-    ``scripts/solver_crossover.py`` measures it at one BLAS thread near
-    dimension 300, 450 and 1100 for 1, 2 and 6 pairs.  Above DENSE_MAX_DIM
-    Lanczos is used whatever the pairs: the dense array and LAPACK's copy of
-    it would outweigh the Krylov block in peak memory.
+    A dense solve costs about the same for any number of pairs, a Lanczos
+    solve about one restart cycle per pair, so the crossover grows with
+    n_eig.  ``scripts/solver_crossover.py`` times both at one BLAS thread on
+    the sector blocks and full matrices of the desk model and the N_max = 3
+    and 4 rungs.  The cutoffs that lose the least time over its rows lie in
+    [156, 306) for 1 pair and in [450, 1116) for 2 and 6 pairs; the cutoffs
+    here (300, 470 and 1000) lie in each range.  Between dimensions 300 and
+    450 the Lanczos time depends on the matrix, so no cutoff wins every row:
+    at 1 pair the rung4 block of 330 goes to Lanczos (about 1.3x slower than
+    dense), and at 2 pairs the desk matrix of 306 goes to dense (2.0-2.4x
+    slower than Lanczos).  Above DENSE_MAX_DIM Lanczos is used whatever the
+    pairs: the dense array and LAPACK's copy of it would outweigh the Krylov
+    block in peak memory.
     """
     cutoff = min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig)
     return "dense" if dim <= cutoff else "lanczos"
@@ -272,11 +279,13 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, tol: float, seed: int,
     return SpectralResult(vals, vecs, resid, "lanczos")
 
 
-def _check_n_eig(n_eig: int, n: int) -> None:
-    if not (1 <= n_eig < n):
+def _check_n_eig(n_eig: int, n: int, method: str = "auto") -> None:
+    # a dense solve can return the whole spectrum; the others need n_eig < n
+    top = n if method == "dense" else n - 1
+    if not (1 <= n_eig <= top):
         raise ValueError(
-            f"n_eig must satisfy 1 <= n_eig < dimension; got n_eig={n_eig} "
-            f"for dimension {n}"
+            f"n_eig must satisfy 1 <= n_eig < dimension (<= with method dense); "
+            f"got n_eig={n_eig} for dimension {n} and method {method!r}"
         )
 
 
@@ -287,15 +296,16 @@ def solve_lowest(H, n_eig: int, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SE
     ``method``: "dense", "lanczos", or "auto": a diagonal matrix is read off
     its diagonal (method "diagonal"), any other goes where ``choose_method``
     sends it.  Convergence means residual <= tol * max(1, ||H||) per pair.
-    Rejects non-Hermitian input (the assembly pipeline closes operators
-    exactly).  A LAPACK failure is raised as SolverError, like a Lanczos
-    stall; a dense solve too large for physical memory as ResourceError.
+    ``n_eig`` may equal the dimension only with method "dense".  Rejects
+    non-Hermitian input (the assembly pipeline closes operators exactly).
+    A LAPACK failure is raised as SolverError, like a Lanczos stall; a dense
+    solve too large for physical memory as ResourceError.
     """
     H = _as_operator(H)
     n = H.shape[0]
     if H.shape[0] != H.shape[1]:
         raise NonHermitianError(f"matrix is not square: {H.shape}")
-    _check_n_eig(n_eig, n)
+    _check_n_eig(n_eig, n, method)
     if hermiticity_defect(H) != 0.0:
         raise NonHermitianError(
             f"matrix is not exactly Hermitian (defect {hermiticity_defect(H):.3e}); "
@@ -329,8 +339,9 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, tol: float = DEFAU
     n_eig, until it is exhausted or its highest computed eigenvalue is at or
     above the n_eig-th lowest of all sectors' values; no sector can then
     hold one of the n_eig lowest eigenvalues that was not computed.  A
-    sector needing all of its pairs (never more than n_eig) is solved whole
-    and densely.  Eigenvectors are mapped back to the linear basis and the
+    sector needing all of its pairs (never more than n_eig) is solved with
+    method "dense" whatever ``method`` is, as only a dense solve returns a
+    whole spectrum.  Eigenvectors are mapped back to the linear basis and the
     residuals are those of the sector blocks.  Any other model or momentum,
     and e = 0 (H is then diagonal), is solved in the full space.
     """
@@ -339,17 +350,17 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, tol: float = DEFAU
         return solve_lowest(ops.hamiltonian(p, e), n_eig, tol=tol, seed=seed,
                             method=method, max_restarts=max_restarts)
     _check_n_eig(n_eig, ops.basis.dimension)
-    blocks = [sector.hamiltonian(t, e) for sector in ops.sectors]
+    split = ops.sectors
+    blocks = split.blocks(t, e)
     pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
     results: list[Optional[SpectralResult]] = [None] * len(blocks)
     while True:
         for i, block in enumerate(blocks):
             if results[i] is None:
-                if pairs[i] < block.shape[0]:
-                    results[i] = solve_lowest(block, pairs[i], tol=tol, seed=seed,
-                                              method=method, max_restarts=max_restarts)
-                else:
-                    results[i] = _dense_lowest(block, pairs[i])
+                exhausted = pairs[i] == block.shape[0]
+                results[i] = solve_lowest(block, pairs[i], tol=tol, seed=seed,
+                                          method="dense" if exhausted else method,
+                                          max_restarts=max_restarts)
         values = np.sort(np.concatenate([r.eigenvalues for r in results]))
         bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
         grow = [i for i, r in enumerate(results)
@@ -361,11 +372,10 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, tol: float = DEFAU
             results[i] = None
     vals = np.concatenate([r.eigenvalues for r in results])
     order = np.argsort(vals, kind="stable")[:n_eig]
-    vecs = np.column_stack([sector.to_linear @ r.eigenvectors
-                            for sector, r in zip(ops.sectors, results)])
+    vecs = np.column_stack([W @ r.eigenvectors for W, r in zip(split.to_linear, results)])
     resid = np.concatenate([r.residual_norms for r in results])
-    solves = tuple(SectorSolve(sector.label, sector.dimension, len(r.eigenvalues), r.method)
-                   for sector, r in zip(ops.sectors, results))
+    solves = tuple(SectorSolve(label, block.shape[0], len(r.eigenvalues), r.method)
+                   for label, block, r in zip(split.labels, blocks, results))
     return SpectralResult(vals[order], vecs[:, order], resid[order], "sectors", solves)
 
 

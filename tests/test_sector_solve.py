@@ -82,10 +82,11 @@ def test_sector_solve_splits_the_ground_pair(sector_cases):
     # the two-fold ground doublet is one simple minimum in each of +-1/2
     _, ops, _, got, _ = sector_cases["desk +0.4"]
     cluster = detect_ground_cluster(got)
+    split = ops.sectors
     labels = []
     for v in cluster.basis.T:
-        weights = [np.linalg.norm(s.to_linear.conj().T @ v) for s in ops.sectors]
-        labels.append(ops.sectors[int(np.argmax(weights))].label)
+        weights = [np.linalg.norm(W.conj().T @ v) for W in split.to_linear]
+        labels.append(split.labels[int(np.argmax(weights))])
         assert max(weights) == pytest.approx(1.0, abs=1e-12)
     assert sorted(labels) == [-0.5, 0.5]
 
@@ -94,8 +95,9 @@ def test_sector_solve_splits_the_ground_pair(sector_cases):
 def test_sector_energies_agree_with_sector_decompose(sector_cases, name):
     cfg, ops, H, _, _ = sector_cases[name]
     t = ops.axis_coordinate(cfg.p)
-    ours = {s.label: solve_lowest(s.hamiltonian(t, cfg.e), 1).ground_energy
-            for s in ops.sectors}
+    split = ops.sectors
+    ours = {z: solve_lowest(block, 1).ground_energy
+            for z, block in zip(split.labels, split.blocks(t, cfg.e))}
     decomp = sector_decompose(H, total_jz(ops.basis, cfg.p), ops.basis, cfg.p)
     oracle = ground_sector_labels(decomp, require_half_pair=False).sector_energies
     # sector_decompose measures J along p, the sector path along the mode axis
@@ -115,16 +117,27 @@ def test_sector_solve_is_bitwise_reproducible(shipped_configs):
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
-def test_sector_solve_exhausts_small_sectors(tiny_ms):
+def test_sector_solve_exhausts_small_sectors(tiny_ms, monkeypatch):
     # n_eig = dim - 1 forces every sector to give up all of its pairs
     cfg = make_config(tiny_ms, e=0.3, p=(0.0, 0.0, 0.2))
     ops = build_operators(cfg)
     n = ops.basis.dimension - 1
-    got = solve_model(ops, cfg.p, cfg.e, n)
+    calls = []
+
+    def recorded(H, n_eig, **kwargs):
+        calls.append((H.shape[0], n_eig, kwargs["method"]))
+        return solve_lowest(H, n_eig, **kwargs)
+
+    # every block, exhausted or not, goes through the public solve_lowest
+    monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
+    got = solve_model(ops, cfg.p, cfg.e, n, method="lanczos")
     want = solve_lowest(assemble_hamiltonian(cfg), n, method="dense")
     assert got.method == "sectors"
     assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-12
-    assert any(s.pairs == s.dimension for s in got.sectors)
+    exhausted = [s for s in got.sectors if s.pairs == s.dimension]
+    assert exhausted and all(s.method == "dense" for s in exhausted)
+    assert sorted((s.dimension, s.pairs, "dense") for s in exhausted) == \
+        sorted(c for c in calls if c[0] == c[1])
 
 
 def test_lapack_failure_in_an_exhausted_sector_is_a_solver_error(tiny_ms, monkeypatch):
@@ -214,3 +227,13 @@ def test_dense_memory_guard_refuses_before_allocating(monkeypatch):
     H = sp.identity(10**6, dtype=complex, format="csr")
     with pytest.raises(ResourceError, match="GiB"):
         solve_lowest(H, 1, method="dense")
+
+
+def test_only_a_dense_solve_returns_the_whole_spectrum():
+    H = sp.csr_matrix(np.array([[2.0, 1.0j], [-1.0j, 2.0]]))
+    res = solve_lowest(H, 2, method="dense")
+    assert res.method == "dense"
+    assert np.allclose(res.eigenvalues, [1.0, 3.0], atol=1e-14)
+    for method in ("auto", "lanczos"):
+        with pytest.raises(ValueError, match="n_eig"):
+            solve_lowest(H, 2, method=method)
