@@ -20,8 +20,8 @@ import numpy as np
 
 from pflab import bounds
 from pflab.fock import axial_mode_set, number_operator
-from pflab.model import Dispersion, FormFactor, ModelConfig, build_operators
-from pflab.spectra import detect_ground_cluster, solve_model
+from pflab.model import Dispersion, FormFactor, ModelConfig
+from pflab.spectra import detect_ground_cluster, model_operators, solve_model
 
 SHELL_LADDER = ([0.0, 1.7, 3.4], [0.0, 1.1, 2.2, 3.4], [0.0, 0.6, 1.2, 2.2, 3.4])
 
@@ -36,7 +36,7 @@ def desk_config(edges, e, p, N_max=2, n_max=2):
 
 
 def bound_ratio(cfg, cache):
-    ops = build_operators(cfg)
+    ops = model_operators(cfg, cache)
     cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, 6))
     integral = bounds.photon_number_integral(
         cfg, bounds.default_energy_curve(cfg, cache=cache))

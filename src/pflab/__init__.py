@@ -58,6 +58,7 @@ from .spectra import (
     detect_ground_cluster,
     energy_sweep,
     gap_estimate,
+    model_operators,
     solve_lowest,
     solve_model,
     sweep_energy_curve,

@@ -49,15 +49,18 @@ from .model import (
 )
 from .quadrature import PolarGrid
 from .spectra import (
+    DEFAULT_SEED,
     GroundCluster,
     RadialEnergyCurve,
-    choose_method,
     detect_ground_cluster,
+    model_operators,
     solve_model,
     sweep_energy_curve,
 )
 
 DENOMINATOR_FLOOR = 1e-6
+#: Relative excess of <N_f> over e^2 Theta(p) that the number check tolerates.
+PHOTON_NUMBER_SLACK = 0.10
 
 
 def vacuum_projector(basis: FockBasis) -> sp.csr_matrix:
@@ -69,10 +72,10 @@ def vacuum_projector(basis: FockBasis) -> sp.csr_matrix:
 
 
 def default_energy_curve(config: ModelConfig, cache: Optional[dict] = None,
-                         **solver_opts) -> RadialEnergyCurve:
+                         seed: int = DEFAULT_SEED) -> RadialEnergyCurve:
     """Energy curve covering every |p - k| reachable by the shared quadrature."""
     q_max = config.p_norm + config.quadrature.r_max
-    return sweep_energy_curve(config, q_max=q_max, cache=cache, **solver_opts)
+    return sweep_energy_curve(config, q_max=q_max, cache=cache, seed=seed)
 
 
 @dataclass
@@ -86,11 +89,11 @@ class PhotonIntegral:
 
 
 def _resolvent_integral(config: ModelConfig, energy_curve, numerator,
-                        denominator_floor: float, what: str) -> tuple[float, float, float]:
+                        what: str) -> tuple[float, float, float]:
     """int numerator(|k|, E(p)) / (E(p-k) + omega(k) - E(p))^2 * phi_hat^2/omega dk
     on the dedicated polar grid; returns (integral, E(p), minimum denominator).
 
-    Raises when the denominator dips below ``denominator_floor`` anywhere on
+    Raises when the denominator dips below ``DENOMINATOR_FLOOR`` anywhere on
     the grid: the gap hypothesis has no numerical room left.
     """
     q = config.quadrature
@@ -103,28 +106,27 @@ def _resolvent_integral(config: ModelConfig, energy_curve, numerator,
     omega = np.asarray(config.dispersion.omega(grid.r))[:, None]
     denom = np.asarray(energy_curve(shifted)) + omega - Ep
     min_denom = float(denom.min())
-    if min_denom < denominator_floor:
+    if min_denom < DENOMINATOR_FLOOR:
         raise GapTooSmallError(
             f"gap too small for the {what}: minimum denominator "
-            f"{min_denom:.3e} < floor {denominator_floor:.0e}"
+            f"{min_denom:.3e} < floor {DENOMINATOR_FLOOR:.0e}"
         )
     phi2 = np.asarray(config.form_factor.phi_hat(grid.r))[:, None] ** 2
     integrand = numerator(R, Ep) / (denom * denom) * phi2 / omega
     return grid.integrate(lambda r, u: integrand), Ep, min_denom
 
 
-def photon_number_integral(config: ModelConfig, energy_curve,
-                           denominator_floor: float = DENOMINATOR_FLOOR) -> PhotonIntegral:
+def photon_number_integral(config: ModelConfig, energy_curve) -> PhotonIntegral:
     """Theta(p) on the dedicated radial-angular grid.
 
     Depends on p only through |p| (and through E, itself radial), so equal
     momentum magnitudes give bitwise-equal values.  Raises when the
-    denominator E(p-k) + omega(k) - E(p) dips below ``denominator_floor``
+    denominator E(p-k) + omega(k) - E(p) dips below ``DENOMINATOR_FLOOR``
     anywhere on the grid.
     """
     integral, Ep, min_denom = _resolvent_integral(
         config, energy_curve, lambda R, Ep: 0.25 * R * R + 6.0 * Ep,
-        denominator_floor, "photon-number integral")
+        "photon-number integral")
     return PhotonIntegral(
         value=2.0 * integral,
         min_denominator=min_denom,
@@ -144,10 +146,10 @@ class PhotonNumberCheck:
     passed: bool
 
 
-def photon_number_check(cluster: GroundCluster, config: ModelConfig,
-                        number_op: sp.csr_matrix, integral: PhotonIntegral,
-                        slack: float = 0.10) -> PhotonNumberCheck:
-    """Check <N_f> <= e^2 Theta(p) (1 + slack) over the whole ground subspace.
+def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: sp.csr_matrix,
+                        integral: PhotonIntegral) -> PhotonNumberCheck:
+    """Check <N_f> <= e^2 Theta(p) (1 + PHOTON_NUMBER_SLACK) over the whole
+    ground subspace.
 
     The left side maximizes the number expectation over all unit vectors in
     the cluster (largest eigenvalue of the projected number operator), so it
@@ -162,20 +164,20 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig,
     bound = config.e**2 * integral.value
     ratio = nf_max / bound if bound > 0.0 else (0.0 if nf_max == 0.0 else math.inf)
     return PhotonNumberCheck(
-        nf_max=nf_max, bound=bound, ratio=ratio, slack=slack,
-        passed=nf_max <= bound * (1.0 + slack),
+        nf_max=nf_max, bound=bound, ratio=ratio, slack=PHOTON_NUMBER_SLACK,
+        passed=nf_max <= bound * (1.0 + PHOTON_NUMBER_SLACK),
     )
 
 
 def pull_through_residual(psi: np.ndarray, config: ModelConfig, mode_index: int,
                           energy: float, basis: Optional[FockBasis] = None,
-                          denominator_floor: float = DENOMINATOR_FLOOR,
                           ops: Optional[ModelOperators] = None) -> float:
     """|| a_m Psi - RHS_m || / ||Psi|| for the pull-through identity at one mode.
 
-    RHS_m solves the shifted linear system (H(p - k_m) + omega_m - E) x = e *
-    { ... } Psi.  The identity is exact only on the untruncated space, so the
-    returned residual is the truncation diagnostic.  Raises when the shifted
+    RHS_m solves, by sparse LU, the shifted linear system
+    (H(p - k_m) + omega_m - E) x = e * { ... } Psi.  The identity is exact
+    only on the untruncated space, so the returned residual is the
+    truncation diagnostic.  Raises when the shifted
     operator is not safely positive (gap violation at this mode).  A loop
     over modes should pass one operator set of ``config`` as ``ops``.
     """
@@ -204,7 +206,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, mode_index: int,
     rhs_vec *= config.e
 
     bottom = solve_model(ops, p - k, config.e, 1).ground_energy
-    if bottom + omega_m - energy < denominator_floor:
+    if bottom + omega_m - energy < DENOMINATOR_FLOOR:
         raise GapTooSmallError(
             f"shifted resolvent at mode {mode_index} is nearly singular: "
             f"E(p-k) + omega - E(p) = {bottom + omega_m - energy:.3e}"
@@ -212,10 +214,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, mode_index: int,
     shifted = (ops.hamiltonian(p - k, config.e)
                + (omega_m - energy) * sp.identity(basis.dimension, dtype=complex,
                                                   format="csr")).tocsr()
-    if choose_method(basis.dimension, 1) == "dense":
-        x = np.linalg.solve(shifted.toarray(), rhs_vec)
-    else:
-        x = spla.spsolve(shifted.tocsc(), rhs_vec)
+    x = spla.spsolve(shifted.tocsc(), rhs_vec)
     a_psi = annihilation_matrix(mode_index, basis) @ psi
     return float(np.linalg.norm(a_psi - x) / norm)
 
@@ -321,13 +320,15 @@ class CouplingThreshold:
 
 
 def coupling_threshold(config: ModelConfig, e_values=None, refine_steps: int = 8,
-                       cache: Optional[dict] = None, **solver_opts) -> CouplingThreshold:
+                       cache: Optional[dict] = None,
+                       seed: int = DEFAULT_SEED) -> CouplingThreshold:
     """Largest e with e < 1/sqrt(3 Theta(p, e)) and c0(e) < 1.
 
     Theta depends on e through the interpolated energy curve of the model at
-    that coupling, so each probe re-solves the sweep.  The relative-bound
-    condition c0(e) < 1 stands in for the implicit self-adjointness
-    threshold.  Returns 0 with a warning when no grid point is admissible.
+    that coupling, so each probe re-solves the sweep, from the one operator
+    set of the model kept in ``cache``.  The relative-bound condition
+    c0(e) < 1 stands in for the implicit self-adjointness threshold.
+    Returns 0 with a warning when no grid point is admissible.
     """
     if e_values is None:
         e_values = np.linspace(0.0, 0.5, 11)
@@ -340,7 +341,7 @@ def coupling_threshold(config: ModelConfig, e_values=None, refine_steps: int = 8
             return False, "relative-bound"
         if e == 0.0:
             return True, ""
-        curve = default_energy_curve(probe, cache=cache, **solver_opts)
+        curve = default_energy_curve(probe, cache=cache, seed=seed)
         try:
             theta = photon_number_integral(probe, curve).value
         except GapTooSmallError:
@@ -392,8 +393,7 @@ class SpinlessUniqueness:
 
 def spinless_uniqueness_check(config: ModelConfig, energy_curve=None,
                               cache: Optional[dict] = None,
-                              denominator_floor: float = DENOMINATOR_FLOOR,
-                              **solver_opts) -> SpinlessUniqueness:
+                              seed: int = DEFAULT_SEED) -> SpinlessUniqueness:
     """Spinless models: e^2 <= 1 / (2 J(p)) forces a unique ground state,
     with J(p) = int E(p) / (E(p-k)+omega(k)-E(p))^2 * phi_hat^2/omega dk.
 
@@ -405,14 +405,14 @@ def spinless_uniqueness_check(config: ModelConfig, energy_curve=None,
         raise PflabError("spinless uniqueness check requires with_spin = false")
     cache = {} if cache is None else cache
     if energy_curve is None:
-        energy_curve = default_energy_curve(config, cache=cache, **solver_opts)
+        energy_curve = default_energy_curve(config, cache=cache, seed=seed)
     J, _, _ = _resolvent_integral(config, energy_curve, lambda R, Ep: Ep,
-                                  denominator_floor, "uniqueness integral")
+                                  "uniqueness integral")
     limit = math.inf if J <= 0.0 else 1.0 / (2.0 * J)
     holds = config.e**2 <= limit
-    ops = build_operators(config)
+    ops = model_operators(config, cache)
     result = solve_model(ops, config.p, config.e, n_eig=min(6, ops.basis.dimension - 1),
-                         **solver_opts)
+                         seed=seed)
     try:
         cluster = detect_ground_cluster(result)
         count: Optional[int] = cluster.count

@@ -52,6 +52,7 @@ from .spectra import (
     detect_ground_cluster,
     energy_sweep,
     gap_estimate,
+    model_operators,
     solve_model,
     sweep_energy_curve,
 )
@@ -89,6 +90,13 @@ def _parse_p_grid(spec: str) -> list[tuple[float, float, float]]:
         raise ConfigError("p-grid: steps must be >= 1")
     ts = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
     return [tuple(t * np.asarray(axis)) for t in ts]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _out_dir(args) -> Path:
@@ -257,7 +265,7 @@ def cmd_bounds(args) -> int:
             return EXIT_SCIENTIFIC
         return EXIT_OK
 
-    ops = build_operators(config)
+    ops = model_operators(config, cache)
     basis = ops.basis
     result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1),
                          seed=args.seed, method=_solver_method(args))
@@ -351,7 +359,8 @@ def cmd_sectors(args) -> int:
             "carry no orbital angular momentum, which is what makes the "
             "truncated rotation symmetry exact"
         )
-    ops = build_operators(config)
+    cache: dict = {}
+    ops = model_operators(config, cache)
     basis = ops.basis
     result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1),
                          seed=args.seed, method=_solver_method(args))
@@ -362,7 +371,6 @@ def cmd_sectors(args) -> int:
 
     gate = False
     if config.with_spin and config.e != 0.0:
-        cache: dict = {}
         curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed)
         integral = bounds_mod.photon_number_integral(config, curve)
         upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
@@ -426,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="lowest eigenpairs and ground degeneracy")
     common(sp)
-    sp.add_argument("--n-eig", type=int, default=6)
+    sp.add_argument("--n-eig", type=_positive_int, default=6)
     sp.add_argument("--dump-vectors", action="store_true",
                     help="write eigenvectors.bin (little-endian interleaved doubles)")
     sp.set_defaults(func=cmd_spectrum)
@@ -435,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--p-grid", required=True,
                     help="e.g. 'axis=z;from=0;to=0.6;steps=13'")
-    sp.add_argument("--n-eig", type=int, default=6)
+    sp.add_argument("--n-eig", type=_positive_int, default=6)
     sp.add_argument("--k-max", type=float, default=3.0,
                     help="half-width of the gap search grid")
-    sp.add_argument("--k-steps", type=int, default=61)
+    sp.add_argument("--k-steps", type=_positive_int, default=61)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("bounds", help="pull-through diagnostics and thresholds")

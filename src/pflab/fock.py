@@ -23,6 +23,8 @@ import scipy.sparse as sp
 from .errors import BasisMismatchError, DimensionCapError, NotAxialError
 
 DIMENSION_CAP = 500_000
+#: Relative tolerance on k-points and weights in ``ModeSet.is_symmetric_under``.
+SYMMETRY_TOL = 1e-10
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -50,10 +52,6 @@ class Mode:
             raise ValueError(f"mode weight must be positive, got {self.weight}")
         if self.polarization_index not in (1, 2):
             raise ValueError(f"polarization index must be 1 or 2, got {self.polarization_index}")
-
-    @property
-    def k_norm(self) -> float:
-        return float(np.linalg.norm(self.k))
 
 
 @dataclass(frozen=True)
@@ -128,18 +126,22 @@ class ModeSet:
             pts[m.k] = m.weight
         return float(sum(pts.values()))
 
-    def is_reflection_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when the k-points map onto themselves under k -> -k with equal weights."""
-        table = {}
-        for k in self.k_points:
-            w = next(m.weight for m in self.modes if m.k == k)
-            table[k] = w
-        for k, w in table.items():
-            neg = tuple(-np.asarray(k))
-            match = [kk for kk in table if np.allclose(kk, neg, atol=tol)]
-            if not match or abs(table[match[0]] - w) > tol * max(1.0, w):
+    def is_symmetric_under(self, R) -> bool:
+        """True when the linear map R carries the k-points onto themselves
+        with equal weights, both to ``SYMMETRY_TOL`` relative."""
+        R = np.asarray(R, dtype=float)
+        weights = {k: next(m.weight for m in self.modes if m.k == k) for k in self.k_points}
+        for k, w in weights.items():
+            kr = R @ np.asarray(k)
+            hits = [kk for kk in weights if np.linalg.norm(np.asarray(kk) - kr)
+                    <= SYMMETRY_TOL * max(1.0, np.linalg.norm(kr))]
+            if not hits or abs(weights[hits[0]] - w) > SYMMETRY_TOL * max(1.0, w):
                 return False
         return True
+
+    def is_reflection_symmetric(self) -> bool:
+        """True when the k-points map onto themselves under k -> -k with equal weights."""
+        return self.is_symmetric_under(-np.eye(3))
 
 
 def axial_mode_set(

@@ -51,6 +51,13 @@ def _integer(obj, path: str) -> int:
     return obj
 
 
+def _count(obj, path: str, least: int) -> int:
+    value = _integer(obj, path)
+    if value < least:
+        raise ConfigError(f"{path}: must be >= {least}, got {value}")
+    return value
+
+
 def _boolean(obj, path: str) -> bool:
     if not isinstance(obj, bool):
         raise ConfigError(f"{path}: expected a boolean")
@@ -151,24 +158,32 @@ def config_from_dict(obj: dict, force_allow_massless: bool = False) -> ModelConf
         _check_fields(q, "config.quadrature", {},
                       {"r_max": None, "n_radial": None, "n_angular": None,
                        "sweep_points": None})
-        quad = QuadratureSpec(
-            r_max=_number(q.get("r_max", quad.r_max), "config.quadrature.r_max"),
-            n_radial=_integer(q.get("n_radial", quad.n_radial), "config.quadrature.n_radial"),
-            n_angular=_integer(q.get("n_angular", quad.n_angular),
-                               "config.quadrature.n_angular"),
-            sweep_points=_integer(q.get("sweep_points", quad.sweep_points),
-                                  "config.quadrature.sweep_points"),
-        )
+        try:
+            quad = QuadratureSpec(
+                r_max=_number(q.get("r_max", quad.r_max), "config.quadrature.r_max"),
+                n_radial=_integer(q.get("n_radial", quad.n_radial),
+                                  "config.quadrature.n_radial"),
+                n_angular=_integer(q.get("n_angular", quad.n_angular),
+                                   "config.quadrature.n_angular"),
+                sweep_points=_integer(q.get("sweep_points", quad.sweep_points),
+                                      "config.quadrature.sweep_points"),
+            )
+        except ValueError as err:
+            raise ConfigError(f"config.quadrature: {err}") from err
     allow_massless = _boolean(obj.get("allow_massless", False), "config.allow_massless")
+    try:
+        mode_set = _mode_set_from_dict(obj["mode_set"], "config.mode_set")
+    except ValueError as err:
+        raise ConfigError(f"config.mode_set: {err}") from err
     return ModelConfig(
         dispersion=_dispersion_from_dict(obj["dispersion"], "config.dispersion"),
         form_factor=_form_factor_from_dict(obj["form_factor"], "config.form_factor"),
         e=_number(obj["e"], "config.e"),
         p=_vector3(obj["p"], "config.p"),
         with_spin=_boolean(obj["with_spin"], "config.with_spin"),
-        mode_set=_mode_set_from_dict(obj["mode_set"], "config.mode_set"),
-        N_max=_integer(obj["N_max"], "config.N_max"),
-        n_max=_integer(obj["n_max"], "config.n_max"),
+        mode_set=mode_set,
+        N_max=_count(obj["N_max"], "config.N_max", 0),
+        n_max=_count(obj["n_max"], "config.n_max", 1),
         allow_massless=allow_massless or force_allow_massless,
         dimension_cap=_integer(obj.get("dimension_cap", DIMENSION_CAP),
                                "config.dimension_cap"),

@@ -55,6 +55,8 @@ from .quadrature import QuadratureSpec, gauss_legendre
 PHI_HAT_ZERO = (2.0 * math.pi) ** (-1.5)
 #: Largest entry a rotated operator may have between two J_axis sectors.
 SECTOR_LEAK_TOL = 1e-10
+#: Largest |k| at which ``check_dispersion_axioms`` samples the dispersion.
+AXIOM_K_MAX = 6.0
 
 
 @dataclass(frozen=True)
@@ -464,6 +466,16 @@ def assemble_hamiltonian(config: ModelConfig, basis: Optional[FockBasis] = None)
 # -- scalar diagnostics ------------------------------------------------------
 
 
+def _radial_grid(config: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, phi_hat^2, 4 pi w r^2) on the Gauss-Legendre radial grid of
+    ``config.quadrature``, for rotation-invariant integrals over k."""
+    q = config.quadrature
+    r, w = gauss_legendre(0.0, q.r_max, q.n_radial)
+    omega = np.asarray(config.dispersion.omega(r), dtype=float)
+    phi2 = np.asarray(config.form_factor.phi_hat(r), dtype=float) ** 2
+    return omega, phi2, 4.0 * np.pi * w * r * r
+
+
 def coupling_bound(config: ModelConfig) -> float:
     """Relative-bound diagnostic c0(e) for the interaction against H0 + 1.
 
@@ -476,13 +488,9 @@ def coupling_bound(config: ModelConfig) -> float:
     certified bound.  Returns +inf when the quadrature diverges (omega
     reaching 0 inside the grid).
     """
-    q = config.quadrature
-    r, w = gauss_legendre(0.0, q.r_max, q.n_radial)
-    omega = np.asarray(config.dispersion.omega(r), dtype=float)
+    omega, phi2, shell = _radial_grid(config)
     if np.any(omega <= 0.0):
         return math.inf
-    phi2 = np.asarray(config.form_factor.phi_hat(r), dtype=float) ** 2
-    shell = 4.0 * np.pi * w * r * r
     i1 = float(np.sum(shell * (omega**-2 + omega) * phi2))
     i2 = float(np.sum(shell * (omega**-2 + 1.0) * phi2))
     e = abs(config.e)
@@ -491,11 +499,7 @@ def coupling_bound(config: ModelConfig) -> float:
 
 def form_factor_decay_integrals(config: ModelConfig) -> dict[str, float]:
     """The four ultraviolet/infrared decay integrals int omega^s phi_hat^2 dk, s in {-2,-1,0,1}."""
-    q = config.quadrature
-    r, w = gauss_legendre(0.0, q.r_max, q.n_radial)
-    omega = np.asarray(config.dispersion.omega(r), dtype=float)
-    phi2 = np.asarray(config.form_factor.phi_hat(r), dtype=float) ** 2
-    shell = 4.0 * np.pi * w * r * r
+    omega, phi2, shell = _radial_grid(config)
     out = {}
     for s, name in ((-2, "omega^-2"), (-1, "omega^-1"), (0, "1"), (1, "omega")):
         if np.any(omega <= 0.0) and s < 0:
@@ -551,8 +555,9 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
 
 
 def check_dispersion_axioms(dispersion: Dispersion, sample_count: int = 200,
-                            rng_seed: int = 0, k_max: float = 6.0) -> DispersionAxioms:
-    """Sample the gap, subadditivity, and isotropy requirements on random k.
+                            rng_seed: int = 0) -> DispersionAxioms:
+    """Sample the gap, subadditivity, and isotropy requirements on random k
+    with |k| up to ``AXIOM_K_MAX``.
 
     Violations are reported through the margins, never raised.  The custom
     dispersion is sampled inside its table only.
@@ -560,6 +565,7 @@ def check_dispersion_axioms(dispersion: Dispersion, sample_count: int = 200,
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(rng_seed)
+    k_max = AXIOM_K_MAX
     if dispersion.kind == "custom":
         k_max = min(k_max, dispersion.samples[-1][0] / 2.0)
     ks = rng.uniform(-k_max / math.sqrt(3.0), k_max / math.sqrt(3.0), size=(sample_count, 3))

@@ -37,8 +37,11 @@ class QuadratureSpec:
     sweep_points: int = 25
 
     def __post_init__(self):
-        if self.r_max <= 0 or self.n_radial < 2 or self.n_angular < 2 or self.sweep_points < 3:
-            raise ValueError("invalid quadrature specification")
+        if not self.r_max > 0:
+            raise ValueError(f"r_max must be > 0, got {self.r_max}")
+        for name, least in (("n_radial", 2), ("n_angular", 2), ("sweep_points", 3)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ bit-identical results.
 ``solve_model`` is the entry point for a model's H(p, e): on an axial model
 with p on the axis it solves each angular-momentum sector separately and
 merges the sectors' lowest pairs (see ``ModelOperators.sectors``).
+``model_operators`` keeps one operator set per model in a caller's cache.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ DENSE_BASE_DIM = 130
 DENSE_DIM_PER_PAIR = 170
 DENSE_MAX_DIM = 1000
 DEFAULT_TOL = 1e-11
+MAX_RESTARTS = 200
 EPS_DEG = 1e-8
 EPS_SEP = 1e-5
 
@@ -166,8 +168,7 @@ def _diagonal_lowest(H: sp.csr_matrix, n_eig: int) -> Optional[SpectralResult]:
     return SpectralResult(diag[order], vecs, np.zeros(n_eig), "diagonal")
 
 
-def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, tol: float, seed: int,
-                    max_restarts: int) -> SpectralResult:
+def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int) -> SpectralResult:
     # One converged pair is locked per restart cycle: always the bottom Ritz
     # pair of the operator deflated by everything locked so far.  A Krylov
     # space built from a single vector carries at most one copy of a
@@ -194,9 +195,9 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, tol: float, seed: int,
     stalls = 0
     cycles = 0
     while len(locked_vals) < n_eig:
-        if cycles >= max_restarts:
+        if cycles >= MAX_RESTARTS:
             raise SolverError(
-                f"Lanczos did not converge {n_eig} pairs within {max_restarts} "
+                f"Lanczos did not converge {n_eig} pairs within {MAX_RESTARTS} "
                 f"restarts (locked {len(locked_vals)})",
                 residuals=[last_residual],
             )
@@ -259,7 +260,7 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, tol: float, seed: int,
         lam = np.vdot(candidate, Hx).real
         res = float(np.linalg.norm(Hx - lam * candidate))
         last_residual = res
-        if res <= tol * max(1.0, norm_est):
+        if res <= DEFAULT_TOL * max(1.0, norm_est):
             locked_vals.append(lam)
             locked_cols.append(candidate)
             start = fresh_vector()
@@ -289,13 +290,13 @@ def _check_n_eig(n_eig: int, n: int, method: str = "auto") -> None:
         )
 
 
-def solve_lowest(H, n_eig: int, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                 method: str = "auto", max_restarts: int = 200) -> SpectralResult:
+def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto") -> SpectralResult:
     """Lowest ``n_eig`` eigenpairs of a Hermitian matrix.
 
     ``method``: "dense", "lanczos", or "auto": a diagonal matrix is read off
     its diagonal (method "diagonal"), any other goes where ``choose_method``
-    sends it.  Convergence means residual <= tol * max(1, ||H||) per pair.
+    sends it.  Lanczos converges a pair at residual <= DEFAULT_TOL * max(1,
+    ||H||) and gives up after MAX_RESTARTS restart cycles.
     ``n_eig`` may equal the dimension only with method "dense".  Rejects
     non-Hermitian input (the assembly pipeline closes operators exactly).
     A LAPACK failure is raised as SolverError, like a Lanczos stall; a dense
@@ -321,14 +322,13 @@ def solve_lowest(H, n_eig: int, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SE
     if method == "dense":
         return _dense_lowest(H, n_eig)
     try:
-        return _lanczos_lowest(H, n_eig, tol, seed, max_restarts)
+        return _lanczos_lowest(H, n_eig, seed)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
 
 
-def solve_model(ops: ModelOperators, p, e: float, n_eig: int, tol: float = DEFAULT_TOL,
-                seed: int = DEFAULT_SEED, method: str = "auto",
-                max_restarts: int = 200) -> SpectralResult:
+def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAULT_SEED,
+                method: str = "auto") -> SpectralResult:
     """Lowest ``n_eig`` eigenpairs of H(p, e) built from ``ops``, in the
     linear basis of ``assemble_hamiltonian``.
 
@@ -347,8 +347,7 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, tol: float = DEFAU
     """
     t = ops.axis_coordinate(p)
     if e == 0.0 or t is None:
-        return solve_lowest(ops.hamiltonian(p, e), n_eig, tol=tol, seed=seed,
-                            method=method, max_restarts=max_restarts)
+        return solve_lowest(ops.hamiltonian(p, e), n_eig, seed=seed, method=method)
     _check_n_eig(n_eig, ops.basis.dimension)
     split = ops.sectors
     blocks = split.blocks(t, e)
@@ -358,9 +357,8 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, tol: float = DEFAU
         for i, block in enumerate(blocks):
             if results[i] is None:
                 exhausted = pairs[i] == block.shape[0]
-                results[i] = solve_lowest(block, pairs[i], tol=tol, seed=seed,
-                                          method="dense" if exhausted else method,
-                                          max_restarts=max_restarts)
+                results[i] = solve_lowest(block, pairs[i], seed=seed,
+                                          method="dense" if exhausted else method)
         values = np.sort(np.concatenate([r.eigenvalues for r in results]))
         bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
         grow = [i for i, r in enumerate(results)
@@ -425,46 +423,53 @@ class SweepRow:
     note: str = ""
 
 
+def _cached_model(config: ModelConfig, cache: dict) -> tuple[ModelOperators, dict]:
+    # one entry per model, its operator set and the sweep rows solved from it:
+    # the set depends on neither p nor e
+    key = config.at(p=(0.0, 0.0, 0.0), e=0.0)
+    if key not in cache:
+        cache[key] = (build_operators(config), {})
+    return cache[key]
+
+
+def model_operators(config: ModelConfig, cache: dict) -> ModelOperators:
+    """The operator set of ``config``'s model, built at the first call with
+    this ``cache`` and shared through it, at any p and e, with every later
+    call and with ``energy_sweep``."""
+    return _cached_model(config, cache)[0]
+
+
 def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]],
-                 n_eig: int = 6, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                 method: str = "auto", eps_deg: float = EPS_DEG, eps_sep: float = EPS_SEP,
+                 n_eig: int = 6, seed: int = DEFAULT_SEED, method: str = "auto",
                  cache: Optional[dict] = None) -> list[SweepRow]:
     """E(p) and ground degeneracy across a list of momenta on a shared basis.
 
-    Results are cached by (configuration, solver settings); pass the same
-    dict across calls to reuse solves.  The model's operators are built once,
-    at the first point the cache misses, and each point is solved from them
-    by ``solve_model``.  Solver failures propagate annotated with their p;
-    indeterminate clustering is recorded per row instead.
+    Each point is solved by ``solve_model`` from the model's operator set
+    (``model_operators``).  The set and the rows are kept in ``cache``, one
+    entry per model; pass the same dict across calls to reuse both.  Solver
+    failures propagate annotated with their p; indeterminate clustering is
+    recorded per row instead.
     """
-    ops = None
+    ops, solved = _cached_model(config, {} if cache is None else cache)
     rows = []
     for p in p_values:
         pt = tuple(float(x) for x in p)
-        cfg_p = config.at(p=pt)
-        key = (cfg_p, n_eig, tol, seed, method)
-        if cache is not None and key in cache:
-            rows.append(cache[key])
-            continue
-        if ops is None:
-            ops = build_operators(config)
-        try:
-            result = solve_model(ops, pt, config.e,
-                                 n_eig=min(n_eig, ops.basis.dimension - 1), tol=tol,
-                                 seed=seed, method=method)
-        except SolverError as err:
-            raise SolverError(f"solve failed at p={pt}: {err}",
-                              residuals=err.residuals) from err
-        try:
-            cluster = detect_ground_cluster(result, eps_deg, eps_sep)
-            row = SweepRow(pt, result.ground_energy, cluster.count,
-                           cluster.cluster_width, cluster.gap_above)
-        except IndeterminateDegeneracy as err:
-            row = SweepRow(pt, result.ground_energy, None, None, None,
-                           note=f"indeterminate degeneracy: {err}")
-        if cache is not None:
-            cache[key] = row
-        rows.append(row)
+        key = (pt, config.e, n_eig, seed, method)
+        if key not in solved:
+            try:
+                result = solve_model(ops, pt, config.e, n_eig=min(n_eig, ops.basis.dimension - 1),
+                                     seed=seed, method=method)
+            except SolverError as err:
+                raise SolverError(f"solve failed at p={pt}: {err}",
+                                  residuals=err.residuals) from err
+            try:
+                cluster = detect_ground_cluster(result)
+                solved[key] = SweepRow(pt, result.ground_energy, cluster.count,
+                                       cluster.cluster_width, cluster.gap_above)
+            except IndeterminateDegeneracy as err:
+                solved[key] = SweepRow(pt, result.ground_energy, None, None, None,
+                                       note=f"indeterminate degeneracy: {err}")
+        rows.append(solved[key])
     return rows
 
 
@@ -509,30 +514,24 @@ class RadialEnergyCurve:
         return out if out.ndim else float(out)
 
 
-def sweep_energy_curve(config: ModelConfig, q_max: float,
-                       n_points: Optional[int] = None,
-                       cache: Optional[dict] = None,
-                       n_eig: int = 1, tol: float = DEFAULT_TOL,
+def sweep_energy_curve(config: ModelConfig, q_max: float, cache: Optional[dict] = None,
                        seed: int = DEFAULT_SEED, method: str = "auto") -> RadialEnergyCurve:
-    """Tabulate E(q) along the symmetry axis and wrap it as a radial curve.
+    """Tabulate the ground energy E(q) at ``config.quadrature.sweep_points``
+    points along the symmetry axis and wrap it as a radial curve.
 
     At e = 0 the curve is filled analytically: the ground state is the
     vacuum on any basis, so E(q) = q^2/2 exactly and solving would only add
     noise.  Otherwise each grid point is an eigensolve of the configured
     model, so the curve reflects the truncation being studied.
     """
+    q = np.linspace(0.0, q_max, config.quadrature.sweep_points)
+    spacing = float(q[1] - q[0])
     if config.e == 0.0:
-        n_points = n_points or config.quadrature.sweep_points
-        q = np.linspace(0.0, q_max, n_points)
-        return RadialEnergyCurve(q=q, values=0.5 * q * q,
-                                 spacing=float(q[1] - q[0]))
+        return RadialEnergyCurve(q=q, values=0.5 * q * q, spacing=spacing)
     axis = np.asarray(config.mode_set.axis if config.mode_set.axial else (0.0, 0.0, 1.0))
-    n_points = n_points or config.quadrature.sweep_points
-    q = np.linspace(0.0, q_max, n_points)
-    rows = energy_sweep(config, [tuple(qi * axis) for qi in q], n_eig=n_eig,
-                        tol=tol, seed=seed, method=method, cache=cache)
-    values = np.array([r.energy for r in rows])
-    return RadialEnergyCurve(q=q, values=values, spacing=float(q[1] - q[0]))
+    rows = energy_sweep(config, [tuple(qi * axis) for qi in q], n_eig=1, seed=seed,
+                        method=method, cache=cache)
+    return RadialEnergyCurve(q=q, values=np.array([r.energy for r in rows]), spacing=spacing)
 
 
 @dataclass

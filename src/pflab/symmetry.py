@@ -28,8 +28,8 @@ import scipy.sparse as sp
 
 from .errors import NotAxialError, PflabError
 from .fock import FockBasis, adjoint, hermitize, spin_tensor
-from .model import ModelConfig, build_operators, rotation_matrix
-from .spectra import DEFAULT_SEED, DEFAULT_TOL, EPS_DEG, solve_lowest, solve_model
+from .model import ModelConfig, build_operators
+from .spectra import DEFAULT_SEED, EPS_DEG, solve_lowest, solve_model
 
 COMMUTATOR_TOL = 1e-10
 
@@ -217,31 +217,29 @@ class SectorDecomposition:
     labels: tuple[float, ...]
     blocks: dict[float, np.ndarray]
     hamiltonian_blocks: dict[float, sp.csr_matrix]
-    jz_matrix: sp.csr_matrix
-    rotation: sp.csr_matrix
     rotated_hamiltonian: sp.csr_matrix
     commutator_max: float
 
 
 def sector_decompose(H: sp.spmatrix, jz: sp.spmatrix, basis: FockBasis,
-                     p=None, tol: float = COMMUTATOR_TOL) -> SectorDecomposition:
+                     p=None) -> SectorDecomposition:
     """Split H into blocks over the eigenspaces of the axial angular momentum.
 
-    Verifies [H, J] = 0 to ``tol`` entrywise first, then conjugates H into
-    the circular-polarization basis where J is diagonal with half-integer
-    entries, and partitions indices by that diagonal.
+    Verifies [H, J] = 0 to ``COMMUTATOR_TOL`` entrywise first, then
+    conjugates H into the circular-polarization basis where J is diagonal
+    with half-integer entries, and partitions indices by that diagonal.
     """
     H = H.tocsr()
     jz = jz.tocsr()
     comm = (H @ jz - jz @ H).tocoo()
     comm_max = float(np.abs(comm.data).max()) if comm.nnz else 0.0
-    if comm_max > tol:
+    if comm_max > COMMUTATOR_TOL:
         order = np.argsort(-np.abs(comm.data))[:3]
         worst = ", ".join(
             f"({comm.row[i]},{comm.col[i]})={comm.data[i]:.3e}" for i in order)
         raise PflabError(
             f"H does not commute with the angular momentum (max entry "
-            f"{comm_max:.3e} > {tol:.0e}); worst entries: {worst}"
+            f"{comm_max:.3e} > {COMMUTATOR_TOL:.0e}); worst entries: {worst}"
         )
     W = helicity_rotation(basis, p)
     # W+ H W is Hermitian in exact arithmetic; close it exactly so the
@@ -255,7 +253,7 @@ def sector_decompose(H: sp.spmatrix, jz: sp.spmatrix, basis: FockBasis,
             diag[r] = v.real
         else:
             off_max = max(off_max, abs(v))
-    if off_max > tol:
+    if off_max > COMMUTATOR_TOL:
         raise PflabError(
             f"rotated angular momentum is not diagonal (off-diagonal max {off_max:.3e})"
         )
@@ -274,8 +272,7 @@ def sector_decompose(H: sp.spmatrix, jz: sp.spmatrix, basis: FockBasis,
         ham_blocks[z] = H_rot[idx][:, idx].tocsr()
     return SectorDecomposition(
         labels=labels, blocks=blocks, hamiltonian_blocks=ham_blocks,
-        jz_matrix=jz, rotation=W, rotated_hamiltonian=H_rot,
-        commutator_max=comm_max,
+        rotated_hamiltonian=H_rot, commutator_max=comm_max,
     )
 
 
@@ -290,15 +287,14 @@ class SectorAnalysis:
     message: str
 
 
-def ground_sector_labels(decomp: SectorDecomposition, eps_deg: float = EPS_DEG,
-                         tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+def ground_sector_labels(decomp: SectorDecomposition, seed: int = DEFAULT_SEED,
                          method: str = "auto",
                          require_half_pair: bool = True) -> SectorAnalysis:
     """Labels of the sectors achieving the minimum sector-wise ground energy.
 
     With ``require_half_pair`` the expected two winners must be exactly
     {+1/2, -1/2}; any other outcome (a different pair, or three or more
-    sectors tied within ``eps_deg``) is reported as a structured failure
+    sectors tied within ``EPS_DEG``) is reported as a structured failure
     rather than an exception, since it falsifies the expectation only for
     this configuration.
     """
@@ -309,12 +305,11 @@ def ground_sector_labels(decomp: SectorDecomposition, eps_deg: float = EPS_DEG,
         if block.shape[0] == 1:
             energies[z] = float(block.toarray()[0, 0].real)
         else:
-            energies[z] = solve_lowest(block, 1, tol=tol, seed=seed,
-                                       method=method).ground_energy
+            energies[z] = solve_lowest(block, 1, seed=seed, method=method).ground_energy
     e_min = min(energies.values())
     scale = max(1.0, abs(e_min))
     winners = tuple(sorted(z for z, ez in energies.items()
-                           if ez - e_min <= eps_deg * scale))
+                           if ez - e_min <= EPS_DEG * scale))
     ok = True
     message = ""
     if require_half_pair:
@@ -337,56 +332,24 @@ class RotationCheck:
     max_discrepancy: float
 
 
-def _mode_set_closed_under(mode_set, R: np.ndarray, tol: float = 1e-10) -> bool:
-    weights = {k: next(m.weight for m in mode_set.modes if m.k == k)
-               for k in mode_set.k_points}
-    for k in mode_set.k_points:
-        kr = R @ np.asarray(k)
-        hits = [kk for kk in mode_set.k_points
-                if np.linalg.norm(np.asarray(kk) - kr) <= tol * max(1.0, np.linalg.norm(kr))]
-        if not hits or abs(weights[hits[0]] - weights[k]) > tol * max(1.0, weights[k]):
-            return False
-    return True
-
-
-def rotation_invariance_check(config: ModelConfig, rotations,
-                              n_eig: int = 2, tol: float = DEFAULT_TOL,
-                              seed: int = DEFAULT_SEED, method: str = "auto") -> RotationCheck:
+def rotation_invariance_check(config: ModelConfig, rotations) -> RotationCheck:
     """max |E(p) - E(Rp)| over rotations R that map the mode set onto itself.
 
     Rotations that are not symmetries of the mode set are rejected: the
     truncated model cannot realize them exactly.
     """
     ops = build_operators(config)
-    E_ref = solve_model(ops, config.p, config.e, n_eig,
-                        tol=tol, seed=seed, method=method).ground_energy
+    E_ref = solve_model(ops, config.p, config.e, 2).ground_energy
     discrepancies = []
     for R in rotations:
         R = np.asarray(R, dtype=float)
-        if not _mode_set_closed_under(config.mode_set, R):
+        if not config.mode_set.is_symmetric_under(R):
             raise PflabError(
                 "rotation is not a symmetry of the mode set; choose R from "
                 "the discrete symmetry group of the k-points"
             )
         p_rot = tuple(R @ np.asarray(config.p, dtype=float))
-        E_rot = solve_model(ops, p_rot, config.e,
-                            n_eig, tol=tol, seed=seed, method=method).ground_energy
+        E_rot = solve_model(ops, p_rot, config.e, 2).ground_energy
         discrepancies.append(abs(E_rot - E_ref))
     return RotationCheck(discrepancies=discrepancies,
                          max_discrepancy=max(discrepancies) if discrepancies else 0.0)
-
-
-__all__ = [
-    "COMMUTATOR_TOL",
-    "RotationCheck",
-    "SectorAnalysis",
-    "SectorDecomposition",
-    "circular_labels",
-    "ground_sector_labels",
-    "helicity_operator",
-    "helicity_rotation",
-    "rotation_invariance_check",
-    "rotation_matrix",
-    "sector_decompose",
-    "total_jz",
-]

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pflab import spectra
+from pflab import spectra, symmetry
 from pflab.cli import main
 from pflab.io import load_config, read_eigenvectors, write_eigenvectors
+from pflab.model import ModelOperators
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -221,6 +222,67 @@ def test_bounds_spinless_path(tmp_path, capsys):
     assert report["spinless"] is True
     assert report["degeneracy"] == 1
     assert report["gap_above"] > 0.0
+
+
+def test_bounds_builds_one_operator_set(tmp_path, monkeypatch):
+    # the cluster, the energy curve, the pull-through residuals and every
+    # coupling-threshold probe share one operator set and one sector split
+    built, rotated = [], []
+    init = ModelOperators.__init__
+    rotation = symmetry.helicity_rotation
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_rotation(*args, **kwargs):
+        rotated.append(1)
+        return rotation(*args, **kwargs)
+
+    monkeypatch.setattr(ModelOperators, "__init__", counted_init)
+    monkeypatch.setattr(symmetry, "helicity_rotation", counted_rotation)
+    cfg = write_config(tmp_path, quadrature=fast_quadrature(),
+                       mode_set={"kind": "axial", "shell_edges": [0.0, 1.7, 3.4]})
+    assert run("bounds", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert (len(built), len(rotated)) == (1, 1)
+
+
+# -- invalid input ----------------------------------------------------------------
+
+
+def exit_status(*argv):
+    try:
+        return run(*argv)
+    except SystemExit as err:       # argparse rejects bad arguments with exit 2
+        return err.code
+
+
+SPECTRUM = ("spectrum",)
+INVALID_INPUTS = {
+    "n_radial": ({"quadrature": {"n_radial": 1}}, SPECTRUM, "config.quadrature: n_radial"),
+    "N_max": ({"N_max": -1}, SPECTRUM, "config.N_max"),
+    "n_max": ({"n_max": 0}, SPECTRUM, "config.n_max"),
+    "shell_edges": ({"mode_set": {"kind": "axial", "shell_edges": [0.0, 1.2, 1.2]}}, SPECTRUM,
+                    "config.mode_set: shell_edges"),
+    "duplicate_point": ({"mode_set": {"kind": "explicit", "points": [
+        {"k": [0.0, 0.0, 1.0], "weight": 0.5}, {"k": [0.0, 0.0, 1.0], "weight": 0.5}]}},
+        SPECTRUM, "config.mode_set: duplicate mode"),
+    "negative_weight": ({"mode_set": {"kind": "explicit", "points": [
+        {"k": [0.0, 0.0, 1.0], "weight": -0.5}]}}, SPECTRUM, "config.mode_set: mode weight"),
+    "n_eig": ({}, ("spectrum", "--n-eig", "0"), "argument --n-eig: must be >= 1"),
+    "k_steps": ({}, ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2", "--k-steps", "0"),
+                "argument --k-steps: must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("overrides, command, message", INVALID_INPUTS.values(),
+                         ids=INVALID_INPUTS.keys())
+def test_invalid_input_exits_usage(tmp_path, capsys, overrides, command, message):
+    # each is refused at load or argument parsing, naming the field
+    cfg = write_config(tmp_path, **overrides)
+    assert exit_status(command[0], "--config", cfg, "--out", tmp_path / "o",
+                       *command[1:]) == 2
+    assert message in capsys.readouterr().err
 
 
 # -- sectors ----------------------------------------------------------------------
