@@ -99,6 +99,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _pair_count(text: str) -> int:
+    # the ground cluster is certified against the next eigenvalue above it
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 2 to certify a ground cluster, got {value}")
+    return value
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -434,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="lowest eigenpairs and ground degeneracy")
     common(sp)
-    sp.add_argument("--n-eig", type=_positive_int, default=6)
+    sp.add_argument("--n-eig", type=_pair_count, default=6)
     sp.add_argument("--dump-vectors", action="store_true",
                     help="write eigenvectors.bin (little-endian interleaved doubles)")
     sp.set_defaults(func=cmd_spectrum)
@@ -443,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--p-grid", required=True,
                     help="e.g. 'axis=z;from=0;to=0.6;steps=13'")
-    sp.add_argument("--n-eig", type=_positive_int, default=6)
+    sp.add_argument("--n-eig", type=_pair_count, default=6)
     sp.add_argument("--k-max", type=float, default=3.0,
                     help="half-width of the gap search grid")
     sp.add_argument("--k-steps", type=_positive_int, default=61)

@@ -255,7 +255,7 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))           # numpy 2 reprs np.float64 as np.float64(x)
     return str(x)
 
 

@@ -26,7 +26,8 @@ angular momentum J_axis.  ``ModelOperators.sectors`` rotates the
 p-independent operators once into the circular-polarization frame, where
 J_axis is diagonal, with one block per J_axis eigenvalue, so that each
 block of H(t u, e) is a slice of the same real combination
-(``SectorSplit.blocks``).
+(``SectorSplit.blocks``).  Only the sectors with eigenvalue >= 0 are
+rotated: a mirror reflection maps sector z onto -z.
 """
 
 from __future__ import annotations
@@ -339,24 +340,64 @@ class HamiltonianTerms:
         return self.free(p) + self.interaction(p, e)
 
 
-@dataclass(frozen=True, eq=False)
-class SectorSplit(HamiltonianTerms):
-    """The terms of H of an axial model with mode axis u, in the
-    circular-polarization frame, on the states ordered by J_axis eigenvalue:
-    every term is block diagonal, sector i spanning ``starts[i]`` to
-    ``starts[i + 1]`` with eigenvalue ``labels[i]``.  Momentum has the one
-    coordinate t of p = t u: ``pf`` is the column u.P_f and ``A`` is (u.A,).
-    ``to_linear[i]``'s columns are sector i's states in the linear basis."""
+def _diagonal_blocks(H: sp.csr_matrix, starts) -> list[sp.csr_matrix]:
+    """The diagonal blocks of H between consecutive ``starts``, counted from
+    ``starts[0]``, which is H's first row."""
+    base = starts[0]
+    return [H[a - base:b - base, a - base:b - base] for a, b in zip(starts[:-1], starts[1:])]
 
+
+@dataclass(frozen=True, eq=False)
+class SectorSplit:
+    """The J_axis sectors of an axial model with mode axis u, in the
+    circular-polarization frame: sector i has eigenvalue ``labels[i]``
+    (ascending, symmetric about 0) and spans ``starts[i]`` to
+    ``starts[i + 1]`` of the states ordered by label, and ``to_linear[i]``'s
+    columns are its states in the linear basis.  ``mirror`` is the
+    reflection U of ``symmetry.mirror_operator``, which maps sector z onto
+    sector -z.  The terms of H are kept block diagonal in two halves:
+    ``lower`` on the sectors with label < 0 and ``upper`` on those with
+    label >= 0, the ones ``spectra.solve_model`` solves.  Momentum has the
+    one coordinate t of p = t u: ``pf`` is the column u.P_f and ``A`` is
+    (u.A,)."""
+
+    lower: HamiltonianTerms
+    upper: HamiltonianTerms
     labels: tuple[float, ...]
     starts: tuple[int, ...]
     to_linear: tuple[sp.csr_matrix, ...]
+    mirror: sp.csr_matrix
+
+    @property
+    def first_upper(self) -> int:
+        """Index of the first sector with label >= 0."""
+        return sum(z < 0.0 for z in self.labels)
+
+    def upper_blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
+        """The blocks of H(t u, e) of the sectors with label >= 0, ascending."""
+        return _diagonal_blocks(self.upper.hamiltonian(t, e), self.starts[self.first_upper:])
 
     def blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
-        """The sector blocks of H(t u, e), ascending in label.  Each is an
+        """Every sector's block of H(t u, e), ascending in label.  Each is an
         index slice of one real combination, so it is exactly Hermitian."""
-        H = self.hamiltonian(t, e)
-        return [H[a:b, a:b] for a, b in zip(self.starts[:-1], self.starts[1:])]
+        lower = _diagonal_blocks(self.lower.hamiltonian(t, e),
+                                 self.starts[:self.first_upper + 1])
+        return lower + self.upper_blocks(t, e)
+
+
+def _phased_permutation(M: sp.spmatrix, z: float) -> sp.csr_matrix:
+    """M without its entries at or below ``SECTOR_LEAK_TOL``, refused unless
+    it is then square with one entry of modulus 1 in each row and column."""
+    M = M.tocsr()
+    M.data[np.abs(M.data) <= SECTOR_LEAK_TOL] = 0.0
+    M.eliminate_zeros()
+    n = M.shape[0]
+    if (M.shape[1] != n or np.any(np.diff(M.indptr) != 1)
+            or np.unique(M.indices).size != n
+            or np.abs(np.abs(M.data) - 1.0).max(initial=0.0) > SECTOR_LEAK_TOL):
+        raise PflabError(f"the mirror does not map angular-momentum sector {z:+g} onto "
+                         f"{-z:+g} by a phased permutation")
+    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,45 +425,76 @@ class ModelOperators(HamiltonianTerms):
         """The model's J_axis sectors, ascending in label, built at first use.
 
         The helicity rotation W is built once, and u.A, C, sigma.B and A^2
-        are each rotated once, sector by sector, as hermitize(W+ O W); the
-        diagonals are the same in both frames, as they depend only on the
-        photon count per k-point.  W+ O W is computed on every row of a
-        sector's columns, and an entry above ``SECTOR_LEAK_TOL`` outside the
-        sector is refused.
+        are each rotated once for each sector z >= 0, as hermitize(W_z+ O
+        W_z); the diagonals are the same in both frames, as they depend only
+        on the photon count per k-point.  W+ O W_z is computed on every row,
+        and an entry above ``SECTOR_LEAK_TOL`` outside sector z is refused.
+        Sector -z is a unitary copy of z: the mirror U commutes with every
+        term and M_z = W_-z+ U W_z is a phased permutation, so each term of
+        -z is hermitize(M_z T_z M_z+).  Both are checked, and a term that U
+        changes by more than ``SECTOR_LEAK_TOL``, or an M_z that is not a
+        phased permutation, is refused.
         """
         # symmetry imports this module, so its functions load at first use
-        from .symmetry import circular_labels, helicity_rotation
+        from .symmetry import circular_labels, helicity_rotation, mirror_operator
 
         basis = self.basis
         u = np.asarray(basis.mode_set.axis, dtype=float)
+        U = mirror_operator(basis)
+        U_adj = adjoint(U)
+        A_axis = sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0)
+        terms = (A_axis, self.C, self.sigma_B, self.A2)
+        pf = self.pf @ u
+        for op in (sp.diags(self.free_diag), sp.diags(pf), *terms):
+            change = abs(U @ op @ U_adj - op).max()
+            if change > SECTOR_LEAK_TOL:
+                raise PflabError(f"the mirror changes a term of H by up to {change:.3e}")
         W = helicity_rotation(basis).tocsc()
         W_adj = adjoint(W)
         labels = circular_labels(basis)
-        A_axis = sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0)
-        terms = (A_axis, self.C, self.sigma_B, self.A2)
-        blocks: list[list[sp.csr_matrix]] = [[] for _ in terms]
-        to_linear = []
         values = np.unique(labels)
-        for z in values:
+        if not np.array_equal(values, -values[::-1]):
+            raise PflabError(f"angular-momentum labels {values} are not symmetric about 0")
+        rotated: dict[float, list[sp.csr_matrix]] = {}
+        to_linear: dict[float, sp.csr_matrix] = {}
+        for z in values[values >= 0.0]:
             idx = np.flatnonzero(labels == z)
             W_z = W[:, idx]
-            for op, out in zip(terms, blocks):
+            rotated[z] = []
+            for op in terms:
                 columns = (W_adj @ (op @ W_z)).tocsr()
                 coo = columns.tocoo()
                 leak = np.abs(coo.data[labels[coo.row] != z])
                 if leak.size and leak.max() > SECTOR_LEAK_TOL:
                     raise PflabError(f"rotated operator couples angular-momentum sector "
                                      f"{z:+g} to others (max entry {leak.max():.3e})")
-                out.append(hermitize(columns[idx]))
-            to_linear.append(W_z.tocsr())
+                rotated[z].append(hermitize(columns[idx]))
+            to_linear[z] = W_z.tocsr()
+            if z > 0.0:
+                idx_m = np.flatnonzero(labels == -z)
+                M = _phased_permutation(W_adj[idx_m] @ (U @ W_z), z)
+                M_adj = adjoint(M)
+                rotated[-z] = [hermitize(M @ T @ M_adj) for T in rotated[z]]
+                to_linear[-z] = W[:, idx_m].tocsr()
         order = np.argsort(labels, kind="stable")
-        sizes = [W_z.shape[1] for W_z in to_linear]
-        A_z, C_z, sigma_B_z, A2_z = (sp.block_diag(out, format="csr") for out in blocks)
-        return SectorSplit(free_diag=self.free_diag[order], pf=(self.pf @ u)[order, None],
-                           A=(A_z,), C=C_z, sigma_B=sigma_B_z, A2=A2_z,
+        sizes = [to_linear[z].shape[1] for z in values]
+        starts = np.cumsum([0, *sizes])
+        first = int(np.sum(values < 0.0))
+
+        def half(zs, a: int, b: int) -> HamiltonianTerms:
+            # a spinless model without photons has no sector below 0
+            A_z, C_z, sigma_B_z, A2_z = (
+                sp.block_diag([rotated[z][i] for z in zs], format="csr") if len(zs)
+                else sp.csr_matrix((0, 0), dtype=complex) for i in range(len(terms)))
+            return HamiltonianTerms(free_diag=self.free_diag[order][a:b],
+                                    pf=pf[order][a:b, None], A=(A_z,), C=C_z,
+                                    sigma_B=sigma_B_z, A2=A2_z)
+
+        return SectorSplit(lower=half(values[:first], 0, starts[first]),
+                           upper=half(values[first:], starts[first], starts[-1]),
                            labels=tuple(float(z) for z in values),
-                           starts=tuple(int(x) for x in np.cumsum([0, *sizes])),
-                           to_linear=tuple(to_linear))
+                           starts=tuple(int(x) for x in starts),
+                           to_linear=tuple(to_linear[z] for z in values), mirror=U)
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:

@@ -50,12 +50,16 @@ EPS_SEP = 1e-5
 
 @dataclass(frozen=True)
 class SectorSolve:
-    """How one angular-momentum sector of a ``solve_model`` call was solved."""
+    """How one angular-momentum sector of a ``solve_model`` call was solved.
+    ``mirror_of`` is None for a solved sector; a sector obtained through the
+    mirror names its source's label and copies its dimension, pairs and
+    method."""
 
     label: float
     dimension: int
     pairs: int
     method: str
+    mirror_of: Optional[float] = None
 
 
 @dataclass
@@ -334,23 +338,28 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
 
     When e != 0 and p lies on the axis of an axial model with n_max >= N_max
     (``ModelOperators.axis_coordinate``), H(p) commutes with J_axis and each
-    sector block goes to ``solve_lowest`` on its own.  Each sector starts at
-    one pair (two when n_eig > 1) and is re-solved with twice as many, up to
-    n_eig, until it is exhausted or its highest computed eigenvalue is at or
-    above the n_eig-th lowest of all sectors' values; no sector can then
-    hold one of the n_eig lowest eigenvalues that was not computed.  A
-    sector needing all of its pairs (never more than n_eig) is solved with
-    method "dense" whatever ``method`` is, as only a dense solve returns a
-    whole spectrum.  Eigenvectors are mapped back to the linear basis and the
-    residuals are those of the sector blocks.  Any other model or momentum,
-    and e = 0 (H is then diagonal), is solved in the full space.
+    sector block with label >= 0 goes to ``solve_lowest`` on its own.  The
+    mirror U maps sector z onto -z, so the pairs of sector -z are (lambda,
+    U W_z x) for the pairs (lambda, x) of z, with z's residuals, and each
+    value of a sector z > 0 counts twice in the merge.  Each solved sector
+    starts at one pair (two when n_eig > 1) and is re-solved with twice as
+    many, up to n_eig, until it is exhausted or its highest computed
+    eigenvalue is at or above the n_eig-th lowest of all sectors' values; no
+    sector can then hold one of the n_eig lowest eigenvalues that was not
+    computed.  A sector needing all of its pairs (never more than n_eig) is
+    solved with method "dense" whatever ``method`` is, as only a dense solve
+    returns a whole spectrum.  Eigenvectors are mapped back to the linear
+    basis and the residuals are those of the sector blocks.  Any other model
+    or momentum, and e = 0 (H is then diagonal), is solved in the full space.
     """
     t = ops.axis_coordinate(p)
     if e == 0.0 or t is None:
         return solve_lowest(ops.hamiltonian(p, e), n_eig, seed=seed, method=method)
     _check_n_eig(n_eig, ops.basis.dimension)
     split = ops.sectors
-    blocks = split.blocks(t, e)
+    first = split.first_upper
+    blocks = split.upper_blocks(t, e)
+    copies = [1 if z == 0.0 else 2 for z in split.labels[first:]]
     pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
     results: list[Optional[SpectralResult]] = [None] * len(blocks)
     while True:
@@ -359,7 +368,8 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
                 exhausted = pairs[i] == block.shape[0]
                 results[i] = solve_lowest(block, pairs[i], seed=seed,
                                           method="dense" if exhausted else method)
-        values = np.sort(np.concatenate([r.eigenvalues for r in results]))
+        values = np.sort(np.concatenate([np.tile(r.eigenvalues, c)
+                                         for r, c in zip(results, copies)]))
         bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
         grow = [i for i, r in enumerate(results)
                 if pairs[i] < blocks[i].shape[0] and r.eigenvalues[-1] < bar]
@@ -368,13 +378,21 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
         for i in grow:
             pairs[i] = min(blocks[i].shape[0], n_eig, 2 * pairs[i])
             results[i] = None
-    vals = np.concatenate([r.eigenvalues for r in results])
+    # sector i < first is the mirror image of sector len(labels) - 1 - i
+    n_sectors = len(split.labels)
+    source = [n_sectors - 1 - i if i < first else i for i in range(n_sectors)]
+    solved = [results[j - first] for j in source]
+    vecs = [split.to_linear[j] @ r.eigenvectors for j, r in zip(source, solved)]
+    vecs[:first] = [split.mirror @ v for v in vecs[:first]]
+    vals = np.concatenate([r.eigenvalues for r in solved])
     order = np.argsort(vals, kind="stable")[:n_eig]
-    vecs = np.column_stack([W @ r.eigenvectors for W, r in zip(split.to_linear, results)])
-    resid = np.concatenate([r.residual_norms for r in results])
-    solves = tuple(SectorSolve(label, block.shape[0], len(r.eigenvalues), r.method)
-                   for label, block, r in zip(split.labels, blocks, results))
-    return SpectralResult(vals[order], vecs[:, order], resid[order], "sectors", solves)
+    resid = np.concatenate([r.residual_norms for r in solved])
+    solves = tuple(SectorSolve(split.labels[i], blocks[j - first].shape[0],
+                               len(r.eigenvalues), r.method,
+                               split.labels[j] if i < first else None)
+                   for i, (j, r) in enumerate(zip(source, solved)))
+    return SpectralResult(vals[order], np.column_stack(vecs)[:, order], resid[order],
+                          "sectors", solves)
 
 
 def detect_ground_cluster(result: SpectralResult, eps_deg: float = EPS_DEG,

@@ -16,6 +16,11 @@ analysis therefore requires.  Hamiltonians are assembled in the linear
 basis and conjugated: ``sector_decompose`` does so for one H and checks
 the result, and ``ModelOperators.sectors`` does so once per operator set
 for the sector solves of ``spectra.solve_model``.
+
+The reflection through a plane containing the axis (``mirror_operator``)
+commutes with H(t u, e) and reverses J_axis, so it maps sector z onto
+sector -z: ``ModelOperators.sectors`` rotates only the sectors z >= 0 and
+obtains the others through it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import scipy.sparse as sp
 
 from .errors import NotAxialError, PflabError
 from .fock import FockBasis, adjoint, hermitize, spin_tensor
-from .model import ModelConfig, build_operators
+from .model import ModelConfig, build_operators, polarization_frame
 from .spectra import DEFAULT_SEED, EPS_DEG, solve_lowest, solve_model
 
 COMMUTATOR_TOL = 1e-10
@@ -101,6 +106,29 @@ def total_jz(basis: FockBasis, p=None) -> sp.csr_matrix:
             if u[mu] != 0.0:
                 J = J + 0.5 * u[mu] * spin_tensor(mu + 1, eye_b, basis)
     return J.tocsr()
+
+
+def mirror_operator(basis: FockBasis) -> sp.csr_matrix:
+    """The reflection through the plane of the mode axis u and the
+    polarization-1 vectors, in the linear basis: U = (n.sigma) (x) (-1)^N_2,
+    with N_2 the photon number in polarization-2 modes and n the line of
+    their polarization vectors, which the gauge of ``polarization_vectors``
+    makes common to every axial mode; U = (-1)^N_2 without spin.
+
+    The reflection fixes every on-axis k and e_1(k), and reverses e_2(k),
+    so it maps a_(k,2) to -a_(k,2).  sigma and B are axial vectors, so
+    sigma.B, A.A and u.A keep their form: U commutes with H(t u, e).  The
+    helicity changes sign, and so does u.sigma (u is orthogonal to n):
+    U J_axis U+ = -J_axis.
+    """
+    _axis_direction(basis)                  # refuses a mode set that is not axial
+    second = np.array([m.polarization_index == 2 for m in basis.mode_set.modes])
+    parity = (-1.0) ** basis.occupation_array()[:, second].sum(axis=1)
+    U = sp.diags(parity.astype(complex), format="csr")
+    if not basis.with_spin:
+        return U
+    n = polarization_frame(basis.mode_set)[second][0]
+    return sum(n[mu] * spin_tensor(mu + 1, U, basis) for mu in range(3) if n[mu] != 0.0).tocsr()
 
 
 def _spin_frame(u: np.ndarray) -> np.ndarray:

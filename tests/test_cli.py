@@ -146,6 +146,20 @@ def test_sweep_bad_grid_spec(tmp_path, capsys):
                "--out", tmp_path, "--p-grid", "axis=w;from=0;to=1;steps=3") == 2
 
 
+def test_sweep_csv_cells_are_numbers(tmp_path):
+    # the argmin_k columns once held numpy reprs such as np.float64(0.0)
+    assert run("sweep", "--config", CONFIG_DIR / "desk_e010.json", "--out", tmp_path,
+               "--p-grid", "axis=z;from=-0.2;to=0.2;steps=3") == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert "argmin_kz" in header
+    for line in lines[1:]:
+        cells = dict(zip(header, line.split(",")))
+        for column, cell in cells.items():
+            if column != "note" and cell:
+                float(cell)
+
+
 def test_sweep_at_one_blas_thread(tmp_path):
     # a full dense eigh failed to converge at q = 0.29167 of this sweep's
     # energy curve when OpenBLAS ran on one thread
@@ -283,6 +297,17 @@ def test_invalid_input_exits_usage(tmp_path, capsys, overrides, command, message
     assert exit_status(command[0], "--config", cfg, "--out", tmp_path / "o",
                        *command[1:]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("spectrum",),
+                                     ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2")])
+def test_single_eigenpair_is_a_usage_error(tmp_path, capsys, command):
+    # a ground cluster is certified against the eigenvalue above it
+    assert exit_status(command[0], "--config", CONFIG_DIR / "desk_e010.json",
+                       "--out", tmp_path, *command[1:], "--n-eig", "1") == 2
+    assert "argument --n-eig: must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # -- sectors ----------------------------------------------------------------------

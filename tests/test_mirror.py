@@ -1,0 +1,139 @@
+"""The mirror U = (n.sigma) (x) (-1)^N_2 that maps angular-momentum sector z
+onto -z, and the sector solve that uses it: only the sectors with label
+>= 0 are rotated and solved."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import pflab.spectra as spectra_mod
+from pflab import symmetry
+from pflab.errors import PflabError
+from pflab.fock import adjoint, axial_mode_set, spin_tensor
+from pflab.model import build_operators
+from pflab.spectra import solve_lowest, solve_model
+from pflab.symmetry import mirror_operator, total_jz
+
+from conftest import make_config
+
+TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
+
+
+def _models(shipped_configs):
+    desk = shipped_configs["desk_e010.json"]
+    tilted = axial_mode_set([0.0, 0.6, 1.2, 2.2], axis=TILTED_AXIS)
+    return {
+        "desk_e010": desk,
+        "desk_e010 spinless": desk.at(with_spin=False),
+        "desk_spinless_e020": shipped_configs["desk_spinless_e020.json"],
+        "tilted": make_config(tilted, e=0.2, p=tuple(0.3 * TILTED_AXIS)),
+        "tilted spinless": make_config(tilted, e=0.2, p=tuple(-0.3 * TILTED_AXIS),
+                                       with_spin=False),
+    }
+
+
+MODELS = ["desk_e010", "desk_e010 spinless", "desk_spinless_e020", "tilted",
+          "tilted spinless"]
+
+
+@pytest.fixture(scope="module")
+def models(shipped_configs):
+    out = {}
+    for name, cfg in _models(shipped_configs).items():
+        ops = build_operators(cfg)
+        out[name] = (cfg, ops, mirror_operator(ops.basis))
+    return out
+
+
+def _max_entry(op: sp.spmatrix) -> float:
+    return float(np.abs(op.tocsr().data).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_mirror_is_unitary(models, name):
+    _, ops, U = models[name]
+    eye = sp.identity(ops.basis.dimension, dtype=complex, format="csr")
+    assert _max_entry(adjoint(U) @ U - eye) < 1e-15
+    assert _max_entry(U @ adjoint(U) - eye) < 1e-15
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_mirror_reverses_the_angular_momentum(models, name):
+    cfg, ops, U = models[name]
+    J = total_jz(ops.basis, cfg.p)
+    assert _max_entry(J) > 0.5
+    assert _max_entry(U @ J @ adjoint(U) + J) < 1e-12
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_mirror_commutes_with_the_hamiltonian(models, name):
+    cfg, ops, U = models[name]
+    H = ops.hamiltonian(cfg.p, cfg.e)
+    assert _max_entry(U @ H @ adjoint(U) - H) < 1e-12
+
+
+def _wrong_mirrors():
+    def identity(basis):
+        return sp.identity(basis.dimension, dtype=complex, format="csr")
+
+    def without_spin_flip(basis):
+        # (-1)^N_2 alone: sigma.B changes sign in its polarization-2 part
+        second = np.array([m.polarization_index == 2 for m in basis.mode_set.modes])
+        parity = (-1.0) ** basis.occupation_array()[:, second].sum(axis=1)
+        return spin_tensor(0, sp.diags(parity.astype(complex), format="csr"), basis)
+
+    return {"identity": (identity, "phased permutation"),
+            "without spin flip": (without_spin_flip, "changes a term")}
+
+
+@pytest.mark.parametrize("wrong", _wrong_mirrors().values(), ids=_wrong_mirrors().keys())
+def test_wrong_mirror_is_refused_before_any_solve(shipped_configs, monkeypatch, wrong):
+    mirror, message = wrong
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(1)
+        return solve_lowest(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "mirror_operator", mirror)
+    monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
+    with pytest.raises(PflabError, match=message):
+        solve_model(ops, cfg.p, cfg.e, 6)
+    assert solves == []
+    with pytest.raises(PflabError, match=message):
+        ops.sectors
+
+
+def test_one_solve_per_nonnegative_sector(shipped_configs, monkeypatch):
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
+    split = ops.sectors
+    sizes = dict(zip(split.labels, np.diff(split.starts)))
+    calls = []
+
+    def recorded(H, n_eig, **kwargs):
+        calls.append(H.shape[0])
+        return solve_lowest(H, n_eig, **kwargs)
+
+    monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
+    got = solve_model(ops, cfg.p, cfg.e, 6)
+    assert sorted(calls) == sorted(sizes[z] for z in split.labels if z >= 0.0)
+    assert [s.mirror_of for s in got.sectors] == [2.5, 1.5, 0.5, None, None, None]
+
+
+def test_mirrored_pairs_are_eigenpairs_of_their_sector(models):
+    cfg, ops, U = models["desk_e010"]
+    H = ops.hamiltonian(cfg.p, cfg.e)
+    got = solve_model(ops, cfg.p, cfg.e, 6)
+    split = ops.sectors
+    resid = np.linalg.norm(H @ got.eigenvectors - got.eigenvectors * got.eigenvalues, axis=0)
+    assert resid.max() < 1e-10
+    # the ground doublet: one vector in -1/2, its mirror image in +1/2
+    minus, plus = (split.to_linear[split.labels.index(z)] for z in (-0.5, 0.5))
+    v0, v1 = got.eigenvectors[:, 0], got.eigenvectors[:, 1]
+    assert got.eigenvalues[0] == got.eigenvalues[1]
+    assert np.linalg.norm(minus.conj().T @ v0) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(plus.conj().T @ v1) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(U @ v1 - v0) < 1e-12

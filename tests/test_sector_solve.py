@@ -136,8 +136,16 @@ def test_sector_solve_exhausts_small_sectors(tiny_ms, monkeypatch):
     assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-12
     exhausted = [s for s in got.sectors if s.pairs == s.dimension]
     assert exhausted and all(s.method == "dense" for s in exhausted)
-    assert sorted((s.dimension, s.pairs, "dense") for s in exhausted) == \
-        sorted(c for c in calls if c[0] == c[1])
+    # only the sectors with label >= 0 are solved; each mirrored record
+    # copies its source's
+    assert sorted((s.dimension, s.pairs, "dense") for s in exhausted
+                  if s.mirror_of is None) == sorted(c for c in calls if c[0] == c[1])
+    by_label = {s.label: s for s in got.sectors}
+    for s in got.sectors:
+        if s.mirror_of is not None:
+            source = by_label[s.mirror_of]
+            assert (s.dimension, s.pairs, s.method) == \
+                (source.dimension, source.pairs, source.method)
 
 
 def test_lapack_failure_in_an_exhausted_sector_is_a_solver_error(tiny_ms, monkeypatch):
