@@ -66,7 +66,9 @@ def matrices():
         t = ops.axis_coordinate(config.p)
         split = ops.sectors
         seen = set()
-        for label, block in zip(split.labels, split.blocks(t, config.e)):
+        # sector -z is the mirror image of +z, with the same dimension
+        labels = split.labels[split.first_upper:]
+        for label, block in zip(labels, split.upper_blocks(t, config.e)):
             if block.shape[0] not in seen:
                 seen.add(block.shape[0])
                 yield f"{name} sector {label:+.1f}", block

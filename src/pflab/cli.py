@@ -101,7 +101,7 @@ def _positive_int(text: str) -> int:
 
 def _pair_count(text: str) -> int:
     # the ground cluster is certified against the next eigenvalue above it
-    value = _positive_int(text)
+    value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(
             f"must be >= 2 to certify a ground cluster, got {value}")
@@ -370,13 +370,15 @@ def cmd_sectors(args) -> int:
         )
     cache: dict = {}
     ops = model_operators(config, cache)
-    basis = ops.basis
-    result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1),
+    split = ops.sectors                 # refuses n_max < N_max before any solve
+    if ops.axis_coordinate(config.p) is None:
+        raise PflabError(
+            f"momentum {config.p} is not collinear with the mode axis "
+            f"{config.mode_set.axis}; the axial reduction does not apply"
+        )
+    result = solve_model(ops, config.p, config.e, min(6, ops.basis.dimension - 1),
                          seed=args.seed, method=_solver_method(args))
     cluster = detect_ground_cluster(result)
-    H = ops.hamiltonian(config.p, config.e)
-    jz = symmetry_mod.total_jz(basis, config.p)
-    decomp = symmetry_mod.sector_decompose(H, jz, basis, config.p)
 
     gate = False
     if config.with_spin and config.e != 0.0:
@@ -387,12 +389,11 @@ def cmd_sectors(args) -> int:
     elif config.with_spin:
         gate = True
     analysis = symmetry_mod.ground_sector_labels(
-        decomp, seed=args.seed, method=_solver_method(args),
-        require_half_pair=gate and config.with_spin)
+        result, require_half_pair=gate and config.with_spin)
 
-    print(f"commutator |[H, J]| : {decomp.commutator_max:.3g}")
+    print(f"sector leak         : {split.leak_max:.3g}")
     print("sector       dim   ground energy")
-    for z in decomp.labels:
+    for z in split.labels:
         print(f"  {z:+.1f}   {analysis.sector_dimensions[z]:7d}   "
               f"{analysis.sector_energies[z]!r}")
     print(f"winning sectors     : {analysis.winners}")
@@ -401,10 +402,10 @@ def cmd_sectors(args) -> int:
 
     out = _out_dir(args)
     write_json(out / "sector_report.json", jsonable({
-        "commutator_max": decomp.commutator_max,
-        "labels": list(decomp.labels),
-        "dimensions": {str(z): analysis.sector_dimensions[z] for z in decomp.labels},
-        "ground_energies": {str(z): analysis.sector_energies[z] for z in decomp.labels},
+        "sector_leak_max": split.leak_max,
+        "labels": list(split.labels),
+        "dimensions": {str(z): analysis.sector_dimensions[z] for z in split.labels},
+        "ground_energies": {str(z): analysis.sector_energies[z] for z in split.labels},
         "winners": list(analysis.winners),
         "hypothesis_gated": gate,
         "ok": analysis.ok,

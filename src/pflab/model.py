@@ -26,8 +26,9 @@ angular momentum J_axis.  ``ModelOperators.sectors`` rotates the
 p-independent operators once into the circular-polarization frame, where
 J_axis is diagonal, with one block per J_axis eigenvalue, so that each
 block of H(t u, e) is a slice of the same real combination
-(``SectorSplit.blocks``).  Only the sectors with eigenvalue >= 0 are
-rotated: a mirror reflection maps sector z onto -z.
+(``SectorSplit.upper_blocks``).  Only the sectors with eigenvalue >= 0 are
+rotated and kept: a mirror reflection maps sector z onto -z, which the
+split checks but does not store.
 """
 
 from __future__ import annotations
@@ -340,13 +341,6 @@ class HamiltonianTerms:
         return self.free(p) + self.interaction(p, e)
 
 
-def _diagonal_blocks(H: sp.csr_matrix, starts) -> list[sp.csr_matrix]:
-    """The diagonal blocks of H between consecutive ``starts``, counted from
-    ``starts[0]``, which is H's first row."""
-    base = starts[0]
-    return [H[a - base:b - base, a - base:b - base] for a, b in zip(starts[:-1], starts[1:])]
-
-
 @dataclass(frozen=True, eq=False)
 class SectorSplit:
     """The J_axis sectors of an axial model with mode axis u, in the
@@ -355,18 +349,18 @@ class SectorSplit:
     ``starts[i + 1]`` of the states ordered by label, and ``to_linear[i]``'s
     columns are its states in the linear basis.  ``mirror`` is the
     reflection U of ``symmetry.mirror_operator``, which maps sector z onto
-    sector -z.  The terms of H are kept block diagonal in two halves:
-    ``lower`` on the sectors with label < 0 and ``upper`` on those with
-    label >= 0, the ones ``spectra.solve_model`` solves.  Momentum has the
-    one coordinate t of p = t u: ``pf`` is the column u.P_f and ``A`` is
-    (u.A,)."""
+    sector -z.  ``upper`` holds the terms of H block diagonal on the
+    sectors with label >= 0, the ones ``spectra.solve_model`` solves.
+    Momentum has the one coordinate t of p = t u: ``pf`` is the column
+    u.P_f and ``A`` is (u.A,).  ``leak_max`` is the largest entry the
+    rotation left outside its sector, at most ``SECTOR_LEAK_TOL``."""
 
-    lower: HamiltonianTerms
     upper: HamiltonianTerms
     labels: tuple[float, ...]
     starts: tuple[int, ...]
     to_linear: tuple[sp.csr_matrix, ...]
     mirror: sp.csr_matrix
+    leak_max: float
 
     @property
     def first_upper(self) -> int:
@@ -374,20 +368,18 @@ class SectorSplit:
         return sum(z < 0.0 for z in self.labels)
 
     def upper_blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
-        """The blocks of H(t u, e) of the sectors with label >= 0, ascending."""
-        return _diagonal_blocks(self.upper.hamiltonian(t, e), self.starts[self.first_upper:])
-
-    def blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
-        """Every sector's block of H(t u, e), ascending in label.  Each is an
-        index slice of one real combination, so it is exactly Hermitian."""
-        lower = _diagonal_blocks(self.lower.hamiltonian(t, e),
-                                 self.starts[:self.first_upper + 1])
-        return lower + self.upper_blocks(t, e)
+        """The blocks of H(t u, e) of the sectors with label >= 0, ascending.
+        Each is an index slice of one real combination, so it is exactly
+        Hermitian."""
+        H = self.upper.hamiltonian(t, e)
+        starts = self.starts[self.first_upper:]
+        base = starts[0]
+        return [H[a - base:b - base, a - base:b - base] for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _phased_permutation(M: sp.spmatrix, z: float) -> sp.csr_matrix:
-    """M without its entries at or below ``SECTOR_LEAK_TOL``, refused unless
-    it is then square with one entry of modulus 1 in each row and column."""
+def _check_phased_permutation(M: sp.spmatrix, z: float) -> None:
+    """Refuse M unless, without its entries at or below ``SECTOR_LEAK_TOL``,
+    it is square with one entry of modulus 1 in each row and column."""
     M = M.tocsr()
     M.data[np.abs(M.data) <= SECTOR_LEAK_TOL] = 0.0
     M.eliminate_zeros()
@@ -397,7 +389,6 @@ def _phased_permutation(M: sp.spmatrix, z: float) -> sp.csr_matrix:
             or np.abs(np.abs(M.data) - 1.0).max(initial=0.0) > SECTOR_LEAK_TOL):
         raise PflabError(f"the mirror does not map angular-momentum sector {z:+g} onto "
                          f"{-z:+g} by a phased permutation")
-    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,11 +420,11 @@ class ModelOperators(HamiltonianTerms):
         W_z); the diagonals are the same in both frames, as they depend only
         on the photon count per k-point.  W+ O W_z is computed on every row,
         and an entry above ``SECTOR_LEAK_TOL`` outside sector z is refused.
-        Sector -z is a unitary copy of z: the mirror U commutes with every
-        term and M_z = W_-z+ U W_z is a phased permutation, so each term of
-        -z is hermitize(M_z T_z M_z+).  Both are checked, and a term that U
-        changes by more than ``SECTOR_LEAK_TOL``, or an M_z that is not a
-        phased permutation, is refused.
+        Sector -z is a unitary copy of z, which is not rotated: the mirror U
+        commutes with every term and M_z = W_-z+ U W_z is a phased
+        permutation.  Both are checked, and a term that U changes by more
+        than ``SECTOR_LEAK_TOL``, or an M_z that is not a phased
+        permutation, is refused.
         """
         # symmetry imports this module, so its functions load at first use
         from .symmetry import circular_labels, helicity_rotation, mirror_operator
@@ -455,46 +446,37 @@ class ModelOperators(HamiltonianTerms):
         values = np.unique(labels)
         if not np.array_equal(values, -values[::-1]):
             raise PflabError(f"angular-momentum labels {values} are not symmetric about 0")
-        rotated: dict[float, list[sp.csr_matrix]] = {}
-        to_linear: dict[float, sp.csr_matrix] = {}
-        for z in values[values >= 0.0]:
+        upper = values[values >= 0.0]
+        rotated = []
+        leak_max = 0.0
+        for z in upper:
             idx = np.flatnonzero(labels == z)
             W_z = W[:, idx]
-            rotated[z] = []
+            blocks = []
             for op in terms:
                 columns = (W_adj @ (op @ W_z)).tocsr()
                 coo = columns.tocoo()
-                leak = np.abs(coo.data[labels[coo.row] != z])
-                if leak.size and leak.max() > SECTOR_LEAK_TOL:
+                leak = float(np.abs(coo.data[labels[coo.row] != z]).max(initial=0.0))
+                if leak > SECTOR_LEAK_TOL:
                     raise PflabError(f"rotated operator couples angular-momentum sector "
-                                     f"{z:+g} to others (max entry {leak.max():.3e})")
-                rotated[z].append(hermitize(columns[idx]))
-            to_linear[z] = W_z.tocsr()
+                                     f"{z:+g} to others (max entry {leak:.3e})")
+                leak_max = max(leak_max, leak)
+                blocks.append(hermitize(columns[idx]))
+            rotated.append(blocks)
             if z > 0.0:
-                idx_m = np.flatnonzero(labels == -z)
-                M = _phased_permutation(W_adj[idx_m] @ (U @ W_z), z)
-                M_adj = adjoint(M)
-                rotated[-z] = [hermitize(M @ T @ M_adj) for T in rotated[z]]
-                to_linear[-z] = W[:, idx_m].tocsr()
+                _check_phased_permutation(W_adj[np.flatnonzero(labels == -z)] @ (U @ W_z), z)
         order = np.argsort(labels, kind="stable")
-        sizes = [to_linear[z].shape[1] for z in values]
-        starts = np.cumsum([0, *sizes])
-        first = int(np.sum(values < 0.0))
-
-        def half(zs, a: int, b: int) -> HamiltonianTerms:
-            # a spinless model without photons has no sector below 0
-            A_z, C_z, sigma_B_z, A2_z = (
-                sp.block_diag([rotated[z][i] for z in zs], format="csr") if len(zs)
-                else sp.csr_matrix((0, 0), dtype=complex) for i in range(len(terms)))
-            return HamiltonianTerms(free_diag=self.free_diag[order][a:b],
-                                    pf=pf[order][a:b, None], A=(A_z,), C=C_z,
-                                    sigma_B=sigma_B_z, A2=A2_z)
-
-        return SectorSplit(lower=half(values[:first], 0, starts[first]),
-                           upper=half(values[first:], starts[first], starts[-1]),
-                           labels=tuple(float(z) for z in values),
-                           starts=tuple(int(x) for x in starts),
-                           to_linear=tuple(to_linear[z] for z in values), mirror=U)
+        to_linear = [W[:, np.flatnonzero(labels == z)].tocsr() for z in values]
+        starts = np.cumsum([0, *(W_z.shape[1] for W_z in to_linear)])
+        offset = starts[len(values) - len(upper)]
+        A_z, C_z, sigma_B_z, A2_z = (sp.block_diag([blocks[i] for blocks in rotated],
+                                                   format="csr") for i in range(len(terms)))
+        return SectorSplit(
+            upper=HamiltonianTerms(free_diag=self.free_diag[order][offset:],
+                                   pf=pf[order][offset:, None], A=(A_z,), C=C_z,
+                                   sigma_B=sigma_B_z, A2=A2_z),
+            labels=tuple(float(z) for z in values), starts=tuple(int(x) for x in starts),
+            to_linear=tuple(to_linear), mirror=U, leak_max=leak_max)
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:

@@ -12,7 +12,9 @@ bit-identical results.
 
 ``solve_model`` is the entry point for a model's H(p, e): on an axial model
 with p on the axis it solves each angular-momentum sector separately and
-merges the sectors' lowest pairs (see ``ModelOperators.sectors``).
+merges the sectors' lowest pairs (see ``ModelOperators.sectors``); its
+``SpectralResult.sectors`` then records each sector's ground energy, which
+``symmetry.ground_sector_labels`` reads.
 ``model_operators`` keeps one operator set per model in a caller's cache.
 """
 
@@ -51,14 +53,16 @@ EPS_SEP = 1e-5
 @dataclass(frozen=True)
 class SectorSolve:
     """How one angular-momentum sector of a ``solve_model`` call was solved.
+    ``ground_energy`` is the lowest eigenvalue of the sector's final solve.
     ``mirror_of`` is None for a solved sector; a sector obtained through the
-    mirror names its source's label and copies its dimension, pairs and
-    method."""
+    mirror names its source's label and copies its dimension, pairs, method
+    and ground energy."""
 
     label: float
     dimension: int
     pairs: int
     method: str
+    ground_energy: float
     mirror_of: Optional[float] = None
 
 
@@ -336,9 +340,10 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     """Lowest ``n_eig`` eigenpairs of H(p, e) built from ``ops``, in the
     linear basis of ``assemble_hamiltonian``.
 
-    When e != 0 and p lies on the axis of an axial model with n_max >= N_max
+    When p lies on the axis of an axial model with n_max >= N_max
     (``ModelOperators.axis_coordinate``), H(p) commutes with J_axis and each
-    sector block with label >= 0 goes to ``solve_lowest`` on its own.  The
+    sector block with label >= 0 goes to ``solve_lowest`` on its own (at
+    e = 0 each block is diagonal and is read off its diagonal).  The
     mirror U maps sector z onto -z, so the pairs of sector -z are (lambda,
     U W_z x) for the pairs (lambda, x) of z, with z's residuals, and each
     value of a sector z > 0 counts twice in the merge.  Each solved sector
@@ -350,10 +355,10 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     solved with method "dense" whatever ``method`` is, as only a dense solve
     returns a whole spectrum.  Eigenvectors are mapped back to the linear
     basis and the residuals are those of the sector blocks.  Any other model
-    or momentum, and e = 0 (H is then diagonal), is solved in the full space.
+    or momentum is solved in the full space.
     """
     t = ops.axis_coordinate(p)
-    if e == 0.0 or t is None:
+    if t is None:
         return solve_lowest(ops.hamiltonian(p, e), n_eig, seed=seed, method=method)
     _check_n_eig(n_eig, ops.basis.dimension)
     split = ops.sectors
@@ -388,20 +393,19 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     order = np.argsort(vals, kind="stable")[:n_eig]
     resid = np.concatenate([r.residual_norms for r in solved])
     solves = tuple(SectorSolve(split.labels[i], blocks[j - first].shape[0],
-                               len(r.eigenvalues), r.method,
+                               len(r.eigenvalues), r.method, r.ground_energy,
                                split.labels[j] if i < first else None)
                    for i, (j, r) in enumerate(zip(source, solved)))
     return SpectralResult(vals[order], np.column_stack(vecs)[:, order], resid[order],
                           "sectors", solves)
 
 
-def detect_ground_cluster(result: SpectralResult, eps_deg: float = EPS_DEG,
-                          eps_sep: float = EPS_SEP) -> GroundCluster:
+def detect_ground_cluster(result: SpectralResult) -> GroundCluster:
     """Greedy bottom-up clustering of eigenvalues into a ground multiplet.
 
-    The cluster collects eigenvalues within ``eps_deg * max(1, |E|)`` of the
+    The cluster collects eigenvalues within ``EPS_DEG * max(1, |E|)`` of the
     lowest one; the next eigenvalue must sit at least
-    ``eps_sep * max(1, |E|)`` above the cluster, otherwise the degeneracy is
+    ``EPS_SEP * max(1, |E|)`` above the cluster, otherwise the degeneracy is
     reported as indeterminate rather than guessed.
     """
     evs = np.asarray(result.eigenvalues, dtype=float)
@@ -409,16 +413,16 @@ def detect_ground_cluster(result: SpectralResult, eps_deg: float = EPS_DEG,
         raise IndeterminateDegeneracy(
             "need at least two eigenvalues to certify a cluster", eigenvalues=evs)
     scale = max(1.0, abs(evs[0]))
-    count = int(np.searchsorted(evs - evs[0], eps_deg * scale, side="right"))
+    count = int(np.searchsorted(evs - evs[0], EPS_DEG * scale, side="right"))
     if count >= len(evs):
         raise IndeterminateDegeneracy(
-            f"cluster of width <= {eps_deg * scale:.3e} includes every computed "
+            f"cluster of width <= {EPS_DEG * scale:.3e} includes every computed "
             "eigenvalue; request more eigenpairs", eigenvalues=evs)
     gap_above = float(evs[count] - evs[count - 1])
-    if gap_above <= eps_sep * scale:
+    if gap_above <= EPS_SEP * scale:
         raise IndeterminateDegeneracy(
             f"next eigenvalue is only {gap_above:.3e} above the cluster "
-            f"(separation tolerance {eps_sep * scale:.3e})", eigenvalues=evs)
+            f"(separation tolerance {EPS_SEP * scale:.3e})", eigenvalues=evs)
     return GroundCluster(
         count=count,
         eigenvalues=evs[:count].copy(),

@@ -13,14 +13,14 @@ per-k-point change to circular combinations (|1> +/- i|2>)/sqrt(2)
 diagonalizes it.  That basis change is unitary on the truncated space only
 when the per-mode cutoff does not bite (n_max >= N_max), which sector
 analysis therefore requires.  Hamiltonians are assembled in the linear
-basis and conjugated: ``sector_decompose`` does so for one H and checks
-the result, and ``ModelOperators.sectors`` does so once per operator set
-for the sector solves of ``spectra.solve_model``.
+basis, and ``ModelOperators.sectors`` conjugates their terms once per
+operator set for the sector solves of ``spectra.solve_model``.
 
 The reflection through a plane containing the axis (``mirror_operator``)
 commutes with H(t u, e) and reverses J_axis, so it maps sector z onto
 sector -z: ``ModelOperators.sectors`` rotates only the sectors z >= 0 and
-obtains the others through it.
+obtains the others through it.  ``ground_sector_labels`` reads the sector
+ground energies off a sector solve; it solves nothing itself.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NotAxialError, PflabError
-from .fock import FockBasis, adjoint, hermitize, spin_tensor
+from .fock import FockBasis, adjoint, spin_tensor
 from .model import ModelConfig, build_operators, polarization_frame
-from .spectra import DEFAULT_SEED, EPS_DEG, solve_lowest, solve_model
-
-COMMUTATOR_TOL = 1e-10
+from .spectra import EPS_DEG, SpectralResult, solve_model
 
 
 def _axis_direction(basis: FockBasis, p=None) -> np.ndarray:
@@ -169,7 +167,7 @@ def _circular_amplitudes(n_total: int) -> list[np.ndarray]:
     return tables
 
 
-def helicity_rotation(basis: FockBasis, p=None) -> sp.csr_matrix:
+def helicity_rotation(basis: FockBasis) -> sp.csr_matrix:
     """Unitary from the circular-polarization occupation labels to the linear basis.
 
     Column ``rank(c)`` is the state with c[(kp,1)] photons in the circular
@@ -181,7 +179,7 @@ def helicity_rotation(basis: FockBasis, p=None) -> sp.csr_matrix:
     table.  Requires n_max >= N_max so the per-k-point mode mixing stays
     inside the truncation.
     """
-    u = _axis_direction(basis, p)
+    u = _axis_direction(basis)
     if basis.n_max < basis.N_max:
         raise PflabError(
             "circular-polarization basis change needs n_max >= N_max "
@@ -217,13 +215,11 @@ def helicity_rotation(basis: FockBasis, p=None) -> sp.csr_matrix:
     return W
 
 
-def circular_labels(basis: FockBasis, p=None) -> np.ndarray:
-    """Angular-momentum label of each circular-basis index, combinatorially.
-
-    Independent cross-check of the rotated generator: label = sum over
-    k-points of sign(k.u) (n_+ - n_-), plus +/- 1/2 for the spin blocks.
-    """
-    u = _axis_direction(basis, p)
+def circular_labels(basis: FockBasis) -> np.ndarray:
+    """Angular-momentum label of each circular-basis index, combinatorially:
+    the sum over k-points of sign(k.u) (n_+ - n_-), plus +/- 1/2 for the
+    spin blocks."""
+    u = _axis_direction(basis)
     kpts = np.array(basis.mode_set.k_points)
     plus_minus = {}
     for (i1, i2), k in zip(_kpoint_mode_indices(basis), kpts):
@@ -239,72 +235,6 @@ def circular_labels(basis: FockBasis, p=None) -> np.ndarray:
 
 
 @dataclass
-class SectorDecomposition:
-    """Partition of the basis by the angular-momentum label along the axis."""
-
-    labels: tuple[float, ...]
-    blocks: dict[float, np.ndarray]
-    hamiltonian_blocks: dict[float, sp.csr_matrix]
-    rotated_hamiltonian: sp.csr_matrix
-    commutator_max: float
-
-
-def sector_decompose(H: sp.spmatrix, jz: sp.spmatrix, basis: FockBasis,
-                     p=None) -> SectorDecomposition:
-    """Split H into blocks over the eigenspaces of the axial angular momentum.
-
-    Verifies [H, J] = 0 to ``COMMUTATOR_TOL`` entrywise first, then
-    conjugates H into the circular-polarization basis where J is diagonal
-    with half-integer entries, and partitions indices by that diagonal.
-    """
-    H = H.tocsr()
-    jz = jz.tocsr()
-    comm = (H @ jz - jz @ H).tocoo()
-    comm_max = float(np.abs(comm.data).max()) if comm.nnz else 0.0
-    if comm_max > COMMUTATOR_TOL:
-        order = np.argsort(-np.abs(comm.data))[:3]
-        worst = ", ".join(
-            f"({comm.row[i]},{comm.col[i]})={comm.data[i]:.3e}" for i in order)
-        raise PflabError(
-            f"H does not commute with the angular momentum (max entry "
-            f"{comm_max:.3e} > {COMMUTATOR_TOL:.0e}); worst entries: {worst}"
-        )
-    W = helicity_rotation(basis, p)
-    # W+ H W is Hermitian in exact arithmetic; close it exactly so the
-    # extracted blocks pass the solver's strict Hermiticity gate
-    H_rot = hermitize(adjoint(W) @ H @ W)
-    J_rot = (adjoint(W) @ jz @ W).tocoo()
-    diag = np.zeros(basis.dimension)
-    off_max = 0.0
-    for r, c, v in zip(J_rot.row, J_rot.col, J_rot.data):
-        if r == c:
-            diag[r] = v.real
-        else:
-            off_max = max(off_max, abs(v))
-    if off_max > COMMUTATOR_TOL:
-        raise PflabError(
-            f"rotated angular momentum is not diagonal (off-diagonal max {off_max:.3e})"
-        )
-    twice = np.round(2.0 * diag)
-    if np.max(np.abs(2.0 * diag - twice)) > 1e-8:
-        raise PflabError("rotated angular momentum entries are not half integers")
-    expected = circular_labels(basis, p)
-    if np.max(np.abs(expected - twice / 2.0)) > 1e-8:
-        raise PflabError("rotated labels disagree with the combinatorial labels")
-    labels = tuple(float(z) for z in sorted(set(twice / 2.0)))
-    blocks = {}
-    ham_blocks = {}
-    for z in labels:
-        idx = np.flatnonzero(twice / 2.0 == z)
-        blocks[z] = idx
-        ham_blocks[z] = H_rot[idx][:, idx].tocsr()
-    return SectorDecomposition(
-        labels=labels, blocks=blocks, hamiltonian_blocks=ham_blocks,
-        rotated_hamiltonian=H_rot, commutator_max=comm_max,
-    )
-
-
-@dataclass
 class SectorAnalysis:
     """Per-sector ground energies and the labels of the winning sectors."""
 
@@ -315,10 +245,10 @@ class SectorAnalysis:
     message: str
 
 
-def ground_sector_labels(decomp: SectorDecomposition, seed: int = DEFAULT_SEED,
-                         method: str = "auto",
+def ground_sector_labels(result: SpectralResult,
                          require_half_pair: bool = True) -> SectorAnalysis:
-    """Labels of the sectors achieving the minimum sector-wise ground energy.
+    """Labels of the sectors achieving the minimum sector-wise ground energy
+    of a sector solve (``solve_model`` with method "sectors").
 
     With ``require_half_pair`` the expected two winners must be exactly
     {+1/2, -1/2}; any other outcome (a different pair, or three or more
@@ -326,14 +256,10 @@ def ground_sector_labels(decomp: SectorDecomposition, seed: int = DEFAULT_SEED,
     rather than an exception, since it falsifies the expectation only for
     this configuration.
     """
-    energies = {}
-    dims = {}
-    for z, block in decomp.hamiltonian_blocks.items():
-        dims[z] = block.shape[0]
-        if block.shape[0] == 1:
-            energies[z] = float(block.toarray()[0, 0].real)
-        else:
-            energies[z] = solve_lowest(block, 1, seed=seed, method=method).ground_energy
+    if not result.sectors:
+        raise PflabError("the spectrum was not solved by angular-momentum sectors")
+    energies = {s.label: s.ground_energy for s in result.sectors}
+    dims = {s.label: s.dimension for s in result.sectors}
     e_min = min(energies.values())
     scale = max(1.0, abs(e_min))
     winners = tuple(sorted(z for z, ez in energies.items()

@@ -17,16 +17,18 @@ from pflab import bounds as bounds_mod
 from pflab import symmetry as symmetry_mod
 from pflab.cli import main as cli_main
 from pflab.fock import axial_mode_set, field_energy, field_momentum, number_operator
-from pflab.model import assemble_hamiltonian, build_basis
+from pflab.model import assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
     FreeEnergyCurve,
     axial_k_grid,
     detect_ground_cluster,
     gap_estimate,
     solve_lowest,
+    solve_model,
 )
 
 from conftest import DESK_EDGES, make_config
+from oracles import dense_sector_energies
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 COUPLINGS = (0.05, 0.1, 0.2)
@@ -161,14 +163,20 @@ def test_c06_ground_sector_labels(desk_artifacts):
     ok = True
     details = []
     for e, art in desk_artifacts.items():
-        basis = art["basis"]
-        jz = symmetry_mod.total_jz(basis, art["cfg"].p)
-        decomp = symmetry_mod.sector_decompose(art["H"], jz, basis, art["cfg"].p)
-        analysis = symmetry_mod.ground_sector_labels(decomp)
+        cfg = art["cfg"]
+        ops = build_operators(cfg, art["basis"])
+        result = solve_model(ops, cfg.p, cfg.e, 6)
+        analysis = symmetry_mod.ground_sector_labels(result)
         ok &= analysis.ok and set(analysis.winners) == {-0.5, 0.5}
-        ok &= decomp.commutator_max < 1e-10
+        # the sector split's energies against the dense J_axis decomposition
+        oracle = dense_sector_energies(cfg)
+        e_min = min(oracle.values())
+        ok &= sorted(z for z, ez in oracle.items() if ez - e_min <= 1e-8) == [-0.5, 0.5]
+        ok &= sorted(oracle) == sorted(analysis.sector_energies)
+        worst = max(abs(oracle[z] - ez) for z, ez in analysis.sector_energies.items())
+        ok &= worst < 1e-10
         details.append(f"e={e}: winners={analysis.winners} "
-                       f"|[H,J]|={decomp.commutator_max:.1e}")
+                       f"|E_z - dense E_z| <= {worst:.1e}")
     report(6, ok, "; ".join(details))
 
 

@@ -12,6 +12,8 @@ from pflab.cli import main
 from pflab.io import load_config, read_eigenvectors, write_eigenvectors
 from pflab.model import ModelOperators
 
+from oracles import dense_sector_energies
+
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 SRC_DIR = Path(__file__).parent.parent / "src"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden_spectrum"
@@ -238,9 +240,11 @@ def test_bounds_spinless_path(tmp_path, capsys):
     assert report["gap_above"] > 0.0
 
 
-def test_bounds_builds_one_operator_set(tmp_path, monkeypatch):
-    # the cluster, the energy curve, the pull-through residuals and every
-    # coupling-threshold probe share one operator set and one sector split
+@pytest.mark.parametrize("command", ["bounds", "sectors"])
+def test_command_builds_one_operator_set(tmp_path, monkeypatch, command):
+    # the cluster, the energy curve, the pull-through residuals, every
+    # coupling-threshold probe and the sector analysis share one operator
+    # set and one sector split
     built, rotated = [], []
     init = ModelOperators.__init__
     rotation = symmetry.helicity_rotation
@@ -257,7 +261,7 @@ def test_bounds_builds_one_operator_set(tmp_path, monkeypatch):
     monkeypatch.setattr(symmetry, "helicity_rotation", counted_rotation)
     cfg = write_config(tmp_path, quadrature=fast_quadrature(),
                        mode_set={"kind": "axial", "shell_edges": [0.0, 1.7, 3.4]})
-    assert run("bounds", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 0
     assert (len(built), len(rotated)) == (1, 1)
 
 
@@ -283,7 +287,7 @@ INVALID_INPUTS = {
         SPECTRUM, "config.mode_set: duplicate mode"),
     "negative_weight": ({"mode_set": {"kind": "explicit", "points": [
         {"k": [0.0, 0.0, 1.0], "weight": -0.5}]}}, SPECTRUM, "config.mode_set: mode weight"),
-    "n_eig": ({}, ("spectrum", "--n-eig", "0"), "argument --n-eig: must be >= 1"),
+    "n_eig": ({}, ("spectrum", "--n-eig", "0"), "argument --n-eig: must be >= 2"),
     "k_steps": ({}, ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2", "--k-steps", "0"),
                 "argument --k-steps: must be >= 1"),
 }
@@ -318,7 +322,7 @@ def test_sectors_free_theory(tmp_path):
                "--out", tmp_path) == 0
     report = json.loads((tmp_path / "sector_report.json").read_text())
     assert report["winners"] == [-0.5, 0.5]
-    assert report["commutator_max"] < 1e-10
+    assert report["sector_leak_max"] < 1e-10
     assert report["degeneracy"] == 2
 
 
@@ -331,6 +335,28 @@ def test_sectors_interacting(tmp_path):
     assert report["ok"] is True
 
 
+SECTOR_CONFIGS = [(name, None) for name in sorted(p.name for p in CONFIG_DIR.glob("*.json"))]
+SECTOR_CONFIGS.append(("desk_e010.json", [0.0, 0.0, -0.4]))
+
+
+@pytest.mark.parametrize("name, p", SECTOR_CONFIGS,
+                         ids=[n if p is None else f"{n}@p={p[2]}" for n, p in SECTOR_CONFIGS])
+def test_sectors_report_matches_dense_oracle(tmp_path, name, p):
+    cfg = CONFIG_DIR / name
+    if p is not None:
+        cfg = write_config(tmp_path, p=p)
+    assert run("sectors", "--config", cfg, "--out", tmp_path / "o") == 0
+    report = json.loads((tmp_path / "o" / "sector_report.json").read_text())
+    config = load_config(cfg)
+    oracle = dense_sector_energies(config)
+    assert report["labels"] == sorted(oracle)
+    for z, energy in oracle.items():
+        assert abs(report["ground_energies"][str(z)] - energy) < 1e-10
+    assert report["ok"] is True
+    if config.with_spin:
+        assert report["winners"] == [-0.5, 0.5]
+
+
 def test_sectors_refuse_non_axial(tmp_path, capsys):
     cfg = write_config(tmp_path, mode_set={
         "kind": "explicit",
@@ -339,6 +365,26 @@ def test_sectors_refuse_non_axial(tmp_path, capsys):
     }, N_max=1, n_max=1)
     assert run("sectors", "--config", cfg, "--out", tmp_path / "o") == 2
     assert "axial" in capsys.readouterr().err
+
+
+SECTOR_REFUSALS = {
+    "off_axis_p": ({"p": [0.1, 0.0, 0.4]}, "collinear"),
+    "n_max_below_N_max": ({"N_max": 2, "n_max": 1}, "n_max >= N_max"),
+}
+
+
+@pytest.mark.parametrize("overrides, message", SECTOR_REFUSALS.values(),
+                         ids=SECTOR_REFUSALS.keys())
+def test_sectors_refuse_without_a_sector_split(tmp_path, monkeypatch, capsys, overrides,
+                                               message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the refusal")
+
+    monkeypatch.setattr(spectra, "solve_lowest", no_solve)
+    cfg = write_config(tmp_path, quadrature=fast_quadrature(), **overrides)
+    assert run("sectors", "--config", cfg, "--out", tmp_path / "o") == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sector_report.json").exists()
 
 
 # -- determinism ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pflab.fock import (
     spin_tensor,
 )
 
-from oracles import brute_force_occupations
+from oracles import brute_force_occupations, photon_occupations
 
 
 def test_mode_validation():
@@ -68,6 +68,12 @@ def test_dimension_fifteen_against_enumeration_oracle(pair_ms):
     oracle = brute_force_occupations(4, 2, 2)
     assert basis.dimension == len(oracle) == 15
     assert list(basis.boson_states) == oracle
+
+
+def test_photon_multisets_match_the_product_enumeration():
+    for n_modes, N_max, n_max in ((1, 3, 2), (4, 2, 2), (5, 3, 1), (6, 3, 3), (3, 0, 1)):
+        assert photon_occupations(n_modes, N_max, n_max) == \
+            brute_force_occupations(n_modes, N_max, n_max)
 
 
 def test_unrank_zero_is_vacuum_spin_up(tiny_ms):

@@ -2,6 +2,8 @@
 onto -z, and the sector solve that uses it: only the sectors with label
 >= 0 are rotated and solved."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,6 +106,27 @@ def test_wrong_mirror_is_refused_before_any_solve(shipped_configs, monkeypatch, 
     assert solves == []
     with pytest.raises(PflabError, match=message):
         ops.sectors
+
+
+def test_sector_leak_is_refused_before_any_solve(shipped_configs, monkeypatch):
+    # sigma_y (x) 1 commutes with U = sigma_y (x) (-1)^N_2, so the mirror keeps
+    # every term, but it flips u.sigma and so couples sector z to z +- 1
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(1)
+        return solve_lowest(*args, **kwargs)
+
+    monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
+    eye_b = sp.identity(ops.basis.boson_dimension, dtype=complex, format="csr")
+    bad = dataclasses.replace(ops, sigma_B=ops.sigma_B + 0.05 * spin_tensor(2, eye_b, ops.basis))
+    with pytest.raises(PflabError, match="couples angular-momentum sector"):
+        solve_model(bad, cfg.p, cfg.e, 6)
+    assert solves == []
+    with pytest.raises(PflabError, match="couples angular-momentum sector"):
+        bad.sectors
 
 
 def test_one_solve_per_nonnegative_sector(shipped_configs, monkeypatch):

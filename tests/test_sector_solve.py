@@ -1,6 +1,6 @@
-"""solve_model's sector path against the full-space dense oracle, and the
-solver policy around it: choose_method, the diagonal path and the dense
-memory guard."""
+"""solve_model's sector path against the full-space dense oracle and the
+dense sector oracle, and the solver policy around it: choose_method, the
+diagonal path and the dense memory guard."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,10 @@ from pflab.spectra import (
     solve_lowest,
     solve_model,
 )
-from pflab.symmetry import ground_sector_labels, sector_decompose, total_jz
+from pflab.symmetry import ground_sector_labels
 
 from conftest import make_config
+from oracles import dense_sector_energies
 
 N_EIG = 6
 
@@ -93,18 +94,15 @@ def test_sector_solve_splits_the_ground_pair(sector_cases):
 
 @pytest.mark.parametrize("name", ["desk +0.4", "desk -0.4", "spinless"])
 def test_sector_energies_agree_with_sector_decompose(sector_cases, name):
-    cfg, ops, H, _, _ = sector_cases[name]
-    t = ops.axis_coordinate(cfg.p)
-    split = ops.sectors
-    ours = {z: solve_lowest(block, 1).ground_energy
-            for z, block in zip(split.labels, split.blocks(t, cfg.e))}
-    decomp = sector_decompose(H, total_jz(ops.basis, cfg.p), ops.basis, cfg.p)
-    oracle = ground_sector_labels(decomp, require_half_pair=False).sector_energies
-    # sector_decompose measures J along p, the sector path along the mode axis
-    sign = -1.0 if cfg.p[2] < 0.0 else 1.0
-    assert sorted(oracle) == sorted(sign * z for z in ours)
+    # each sector's ground energy, mirrored ones included, against the dense
+    # decomposition of H over the eigenspaces of a dense J_axis
+    cfg, _, _, got, _ = sector_cases[name]
+    ours = ground_sector_labels(got, require_half_pair=False).sector_energies
+    assert ours == {s.label: s.ground_energy for s in got.sectors}
+    oracle = dense_sector_energies(cfg)
+    assert sorted(oracle) == sorted(ours)
     for z, energy in ours.items():
-        assert abs(oracle[sign * z] - energy) < 1e-12
+        assert abs(oracle[z] - energy) < 1e-12
 
 
 def test_sector_solve_is_bitwise_reproducible(shipped_configs):
@@ -180,9 +178,11 @@ def test_full_space_path_when_sectors_do_not_apply(desk_ms):
 
 
 def test_free_model_takes_the_diagonal_path(desk_ms):
+    # on the axis the free model goes by sectors, each block read off its diagonal
     cfg = make_config(desk_ms, e=0.0, p=(0.0, 0.0, 0.4))
     got = solve_model(build_operators(cfg), cfg.p, cfg.e, 4)
-    assert got.method == "diagonal"
+    assert got.method == "sectors"
+    assert all(s.method == "diagonal" for s in got.sectors)
     assert got.eigenvalues[0] == 0.5 * 0.4**2
     assert np.all(got.residual_norms == 0.0)
 

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from pflab.errors import DomainError, IndeterminateDegeneracy, NonHermitianError
 from pflab.model import assemble_hamiltonian
 from pflab.spectra import (
+    EPS_DEG,
+    EPS_SEP,
     FreeEnergyCurve,
     RadialEnergyCurve,
     SpectralResult,
@@ -104,25 +106,25 @@ def _result(evs):
 
 
 def test_cluster_counts_exact_pair():
-    cluster = detect_ground_cluster(_result([0.0, 1e-13, 0.7, 1.1]), 1e-9, 1e-6)
+    cluster = detect_ground_cluster(_result([0.0, 1e-13, 0.7, 1.1]))
     assert cluster.count == 2
     assert cluster.gap_above == pytest.approx(0.7, rel=1e-12)
 
 
 def test_cluster_separates_near_degeneracy():
-    cluster = detect_ground_cluster(_result([0.5, 0.5 + 1e-4, 1.0]), 1e-9, 1e-6)
+    cluster = detect_ground_cluster(_result([0.5, 0.5 + 1e-4, 1.0]))
     assert cluster.count == 1
     assert cluster.gap_above == pytest.approx(1e-4, rel=1e-6)
 
 
 def test_cluster_indeterminate_when_gap_inside_band():
     with pytest.raises(IndeterminateDegeneracy):
-        detect_ground_cluster(_result([0.0, 5e-6, 1.0]), 1e-9, 1e-5)
+        detect_ground_cluster(_result([0.0, 5e-6, 1.0]))
 
 
 def test_cluster_indeterminate_when_everything_clusters():
     with pytest.raises(IndeterminateDegeneracy):
-        detect_ground_cluster(_result([0.0, 1e-13, 2e-13]), 1e-9, 1e-6)
+        detect_ground_cluster(_result([0.0, 1e-13, 2e-13]))
 
 
 def test_cluster_projector_algebra(desk_ms):
@@ -149,13 +151,13 @@ def test_spinless_small_coupling_unique_ground(desk_ms):
 def test_cluster_detection_properties(values):
     evs = np.sort(np.asarray(values))
     try:
-        cluster = detect_ground_cluster(_result(evs), 1e-9, 1e-6)
+        cluster = detect_ground_cluster(_result(evs))
     except IndeterminateDegeneracy:
         return
     scale = max(1.0, abs(evs[0]))
     assert 1 <= cluster.count < len(evs)
-    assert cluster.cluster_width <= 1e-9 * scale
-    assert cluster.gap_above > 1e-6 * scale
+    assert cluster.cluster_width <= EPS_DEG * scale
+    assert cluster.gap_above > EPS_SEP * scale
 
 
 # -- sweeps and curves -----------------------------------------------------------

@@ -10,19 +10,19 @@ from pflab.fock import (
     enumerate_basis,
     hermiticity_defect,
 )
-from pflab.model import assemble_hamiltonian, build_basis, rotation_matrix
-from pflab.spectra import detect_ground_cluster, solve_lowest
+from pflab.model import assemble_hamiltonian, build_basis, build_operators, rotation_matrix
+from pflab.spectra import detect_ground_cluster, solve_lowest, solve_model
 from pflab.symmetry import (
     circular_labels,
     ground_sector_labels,
     helicity_operator,
     helicity_rotation,
     rotation_invariance_check,
-    sector_decompose,
     total_jz,
 )
 
 from conftest import make_config
+from oracles import dense_sector_energies
 
 
 @pytest.fixture(scope="module")
@@ -151,17 +151,21 @@ def test_helicity_rotation_needs_room_for_mixing(pair_ms):
         helicity_rotation(basis)
 
 
-# -- sector decomposition --------------------------------------------------------------
+# -- sector analysis --------------------------------------------------------------------
+
+
+def _sector_analysis(cfg, require_half_pair=True):
+    ops = build_operators(cfg)
+    result = solve_model(ops, cfg.p, cfg.e, 6)
+    return ground_sector_labels(result, require_half_pair=require_half_pair)
 
 
 def test_sector_decomposition_free_theory(pair_ms):
     cfg = make_config(pair_ms, e=0.0, p=(0.0, 0.0, 0.0))
-    basis = build_basis(cfg)
-    H = assemble_hamiltonian(cfg, basis)
-    dec = sector_decompose(H, total_jz(basis), basis)
-    analysis = ground_sector_labels(dec)
+    analysis = _sector_analysis(cfg)
     assert analysis.winners == (-0.5, 0.5)
     assert analysis.ok
+    assert analysis.sector_energies == pytest.approx(dense_sector_energies(cfg), abs=1e-12)
     for z, e_z in analysis.sector_energies.items():
         if z in (-0.5, 0.5):
             assert e_z == pytest.approx(0.0, abs=1e-12)
@@ -169,43 +173,22 @@ def test_sector_decomposition_free_theory(pair_ms):
             assert e_z > 0.5
 
 
-def test_sector_blocks_reassemble_rotated_hamiltonian(pair_ms):
-    cfg = make_config(pair_ms, e=0.3, p=(0.0, 0.0, 0.2))
-    basis = build_basis(cfg)
-    H = assemble_hamiltonian(cfg, basis)
-    dec = sector_decompose(H, total_jz(basis, cfg.p), basis, cfg.p)
-    rebuilt = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for z, idx in dec.blocks.items():
-        rebuilt[np.ix_(idx, idx)] = dec.hamiltonian_blocks[z].toarray()
-    assert np.max(np.abs(rebuilt - dec.rotated_hamiltonian.toarray())) < 1e-14
-    sizes = sorted(len(idx) for idx in dec.blocks.values())
-    assert sum(sizes) == basis.dimension
-
-
 def test_sector_minimum_matches_global_energy(desk_ms):
     cfg = make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4))
-    basis = build_basis(cfg)
-    H = assemble_hamiltonian(cfg, basis)
+    H = assemble_hamiltonian(cfg)
     cluster = detect_ground_cluster(solve_lowest(H, 6))
-    dec = sector_decompose(H, total_jz(basis, cfg.p), basis, cfg.p)
-    analysis = ground_sector_labels(dec)
+    analysis = _sector_analysis(cfg)
     assert analysis.winners == (-0.5, 0.5)
+    assert analysis.sector_energies == pytest.approx(dense_sector_energies(cfg), abs=1e-10)
     assert min(analysis.sector_energies.values()) == pytest.approx(
         cluster.energy, abs=1e-10)
 
 
-def test_sector_decompose_rejects_noncommuting(pair_ms):
-    cfg = make_config(pair_ms, e=0.2, p=(0.0, 0.0, 0.2))
-    basis = build_basis(cfg)
-    H = assemble_hamiltonian(cfg, basis)
-    from pflab.fock import spin_tensor
-    import scipy.sparse as sp
-
-    # an x-magnetic-moment term breaks the rotation symmetry about z
-    bad = H + 0.05 * spin_tensor(1, sp.identity(basis.boson_dimension, dtype=complex,
-                                                format="csr"), basis)
-    with pytest.raises(PflabError, match="does not commute"):
-        sector_decompose(bad, total_jz(basis), basis)
+def test_ground_sector_labels_needs_a_sector_solve(desk_ms):
+    cfg = make_config(desk_ms, e=0.2, p=(0.1, 0.0, 0.4))
+    result = solve_model(build_operators(cfg), cfg.p, cfg.e, 4)
+    with pytest.raises(PflabError, match="not solved by angular-momentum sectors"):
+        ground_sector_labels(result)
 
 
 def test_commutator_vanishes_for_all_couplings(desk_ms):
@@ -221,10 +204,7 @@ def test_commutator_vanishes_for_all_couplings(desk_ms):
 
 def test_ground_sector_labels_ungated_reports_without_failure(pair_ms):
     cfg = make_config(pair_ms, e=2.0, p=(0.0, 0.0, 0.2))
-    basis = build_basis(cfg)
-    H = assemble_hamiltonian(cfg, basis)
-    dec = sector_decompose(H, total_jz(basis, cfg.p), basis, cfg.p)
-    analysis = ground_sector_labels(dec, require_half_pair=False)
+    analysis = _sector_analysis(cfg, require_half_pair=False)
     assert analysis.ok
     assert len(analysis.winners) >= 1
 
