@@ -4,16 +4,17 @@
 
 Times ``solve_lowest`` with each method forced on the angular-momentum
 sector blocks of the desk model (desk_e010) and of the N_max = 3 and 4
-rungs of the cutoff ladder, and on the full matrices of dimensions 306
-(desk_e010) and 1938 (N_max = 3), for 1, 2 and 6 pairs.  Each time is the
-best of several runs (one run above dimension 1000).  Prints one row per
-(dimension, pairs) with the faster method and the one ``choose_method``
-picks.  Then, per pair count, it prints the range of cutoffs c ("dense up
-to dimension c") that lose the least time over the measured rows, where a
-row sent to its slower method loses the difference of the two times, the
-rows that such a cutoff still sends to the slower method, and whether
-``choose_method``'s cutoff lies in the range.  ``--json PATH`` also writes
-them.
+rungs of the cutoff ladder (real on these z-axis models), and on the full
+matrices of dimensions 306 (desk_e010) and 1938 (N_max = 3), which are
+complex, for 1, 2 and 6 pairs.  Each time is the best of three runs (one
+run above dimension 1700: the complex full matrix of 1938, whose dense
+solve takes seconds).  Prints one row per (dimension, pairs) with the
+faster method and the one ``choose_method`` picks.  Then, per pair count,
+it prints the range of cutoffs c ("dense up to dimension c") that lose the
+least time over the measured rows, where a row sent to its slower method
+loses the difference of the two times, the rows that such a cutoff still
+sends to the slower method, and whether ``choose_method``'s cutoff lies in
+the range.  ``--json PATH`` also writes them.
 
     python3 scripts/solver_crossover.py [--json PATH]
 """
@@ -49,7 +50,7 @@ PAIRS = (1, 2, 6)
 
 
 def best_time(H, n_eig: int, method: str) -> float:
-    runs = 1 if H.shape[0] > 1000 else 3
+    runs = 1 if H.shape[0] > 1700 else 3
     best = float("inf")
     for _ in range(runs):
         t0 = time.perf_counter()
@@ -110,19 +111,19 @@ def main() -> int:
     parser.add_argument("--json", help="also write the table and crossovers here")
     args = parser.parse_args()
     rows = []
-    print(f"{'source':<22} {'dim':>5} {'pairs':>5} {'dense_s':>9} {'lanczos_s':>9}  "
-          f"faster   choose_method")
+    print(f"{'source':<22} {'dtype':<10} {'dim':>5} {'pairs':>5} {'dense_s':>9} "
+          f"{'lanczos_s':>9}  faster   choose_method")
     for source, H in matrices():
         for k in PAIRS:
             if k >= H.shape[0]:
                 continue
-            row = {"source": source, "dim": H.shape[0], "pairs": k,
+            row = {"source": source, "dtype": H.dtype.name, "dim": H.shape[0], "pairs": k,
                    "dense_s": best_time(H, k, "dense"),
                    "lanczos_s": best_time(H, k, "lanczos")}
             row["faster"] = "dense" if row["dense_s"] <= row["lanczos_s"] else "lanczos"
             row["chosen"] = choose_method(H.shape[0], k)
             rows.append(row)
-            print(f"{source:<22} {row['dim']:>5} {k:>5} {row['dense_s']:>9.4f} "
+            print(f"{source:<22} {row['dtype']:<10} {row['dim']:>5} {k:>5} {row['dense_s']:>9.4f} "
                   f"{row['lanczos_s']:>9.4f}  {row['faster']:<8} {row['chosen']}")
     cross = crossovers(rows)
     print("\ncutoffs losing the least time, and choose_method's cutoff:")

@@ -28,7 +28,15 @@ J_axis is diagonal, with one block per J_axis eigenvalue, so that each
 block of H(t u, e) is a slice of the same real combination
 (``SectorSplit.upper_blocks``).  Only the sectors with eigenvalue >= 0 are
 rotated and kept: a mirror reflection maps sector z onto -z, which the
-split checks but does not store.
+split checks but does not store.  On the z axis the rotated terms are
+real: the antiunitary Theta = (-1)^N_2 K (K complex conjugation in the
+linear basis, N_2 the polarization-2 photon number; time reversal composed
+with a pi rotation about the polarization-2 line) commutes with them, and
+W+ Theta W = K for the helicity rotation W.  The split then stores them as
+float64, and H(t u, e) and its blocks are real; on a tilted axis the spin
+frame carries phases, and a model with spin keeps complex128 terms.
+Eigenvectors become complex only when the rotation maps them back to the
+linear basis.
 """
 
 from __future__ import annotations
@@ -310,7 +318,9 @@ class HamiltonianTerms:
     of p), and ``A`` (one operator per component of p), ``C`` =
     (1/2) sum_mu {P_f^mu, A^mu}, ``sigma_B`` (zero without spin) and ``A2`` =
     A.A, each exactly Hermitian.  A sum of exactly Hermitian matrices with
-    real coefficients is exactly Hermitian, so H(p, e) needs no closure."""
+    real coefficients is exactly Hermitian, so H(p, e) needs no closure.
+    The operator terms share one dtype, float64 or complex128, and H(p, e)
+    takes it."""
 
     free_diag: np.ndarray
     pf: np.ndarray
@@ -323,12 +333,12 @@ class HamiltonianTerms:
         """Noninteracting part H_f + P_f^2/2 + |p|^2/2 - p.P_f (diagonal)."""
         p = np.atleast_1d(np.asarray(p, dtype=float))
         diag = self.free_diag + 0.5 * (p @ p) - self.pf @ p
-        return sp.diags(diag.astype(complex), format="csr")
+        return sp.diags(diag.astype(self.C.dtype), format="csr")
 
     def interaction(self, p, e: float) -> sp.csr_matrix:
         """Interaction part e (-p.A + C - sigma.B/2) + (e^2/2) A^2."""
         if e == 0.0:
-            return sp.csr_matrix(self.C.shape, dtype=complex)
+            return sp.csr_matrix(self.C.shape, dtype=self.C.dtype)
         p = np.atleast_1d(np.asarray(p, dtype=float))
         out = e * self.C - (0.5 * e) * self.sigma_B + (0.5 * e * e) * self.A2
         for p_mu, op in zip(p, self.A):
@@ -352,7 +362,11 @@ class SectorSplit:
     sector -z.  ``upper`` holds the terms of H block diagonal on the
     sectors with label >= 0, the ones ``spectra.solve_model`` solves.
     Momentum has the one coordinate t of p = t u: ``pf`` is the column
-    u.P_f and ``A`` is (u.A,).  ``leak_max`` is the largest entry the
+    u.P_f and ``A`` is (u.A,).  The terms are float64 when every imaginary
+    entry of the rotated terms is exactly 0.0, as the antiunitary
+    Theta = (-1)^N_2 K makes them on the z axis, and complex128 otherwise
+    (a tilted axis with spin); ``to_linear`` is complex, and the eigenvectors
+    it maps back are complex.  ``leak_max`` is the largest entry the
     rotation left outside its sector, at most ``SECTOR_LEAK_TOL``."""
 
     upper: HamiltonianTerms
@@ -424,7 +438,9 @@ class ModelOperators(HamiltonianTerms):
         commutes with every term and M_z = W_-z+ U W_z is a phased
         permutation.  Both are checked, and a term that U changes by more
         than ``SECTOR_LEAK_TOL``, or an M_z that is not a phased
-        permutation, is refused.
+        permutation, is refused.  The four rotated terms are stored as
+        float64 when all their imaginary entries are exactly 0.0 (no
+        tolerance), and as complex128 otherwise.
         """
         # symmetry imports this module, so its functions load at first use
         from .symmetry import circular_labels, helicity_rotation, mirror_operator
@@ -469,8 +485,11 @@ class ModelOperators(HamiltonianTerms):
         to_linear = [W[:, np.flatnonzero(labels == z)].tocsr() for z in values]
         starts = np.cumsum([0, *(W_z.shape[1] for W_z in to_linear)])
         offset = starts[len(values) - len(upper)]
-        A_z, C_z, sigma_B_z, A2_z = (sp.block_diag([blocks[i] for blocks in rotated],
-                                                   format="csr") for i in range(len(terms)))
+        upper_terms = [sp.block_diag([blocks[i] for blocks in rotated], format="csr")
+                       for i in range(len(terms))]
+        if not any(np.any(op.data.imag) for op in upper_terms):
+            upper_terms = [op.real for op in upper_terms]
+        A_z, C_z, sigma_B_z, A2_z = upper_terms
         return SectorSplit(
             upper=HamiltonianTerms(free_diag=self.free_diag[order][offset:],
                                    pf=pf[order][offset:, None], A=(A_z,), C=C_z,

@@ -41,9 +41,9 @@ from .model import ModelConfig, ModelOperators, build_operators
 DEFAULT_SEED = 7
 # choose_method: dense up to DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig, and
 # never above DENSE_MAX_DIM
-DENSE_BASE_DIM = 130
-DENSE_DIM_PER_PAIR = 170
-DENSE_MAX_DIM = 1000
+DENSE_BASE_DIM = 300
+DENSE_DIM_PER_PAIR = 150
+DENSE_MAX_DIM = 1200
 DEFAULT_TOL = 1e-11
 MAX_RESTARTS = 200
 EPS_DEG = 1e-8
@@ -108,9 +108,10 @@ class GroundCluster:
 
 
 def _as_operator(H) -> sp.csr_matrix:
-    if sp.issparse(H):
-        return H.tocsr()
-    return sp.csr_matrix(np.asarray(H))
+    """H as CSR in float64 or complex128, whichever holds its entries; the
+    solvers work in that dtype."""
+    H = H.tocsr() if sp.issparse(H) else sp.csr_matrix(np.asarray(H))
+    return H.astype(np.result_type(H.dtype, np.float64), copy=False)
 
 
 def choose_method(dim: int, n_eig: int) -> str:
@@ -120,16 +121,19 @@ def choose_method(dim: int, n_eig: int) -> str:
     A dense solve costs about the same for any number of pairs, a Lanczos
     solve about one restart cycle per pair, so the crossover grows with
     n_eig.  ``scripts/solver_crossover.py`` times both at one BLAS thread on
-    the sector blocks and full matrices of the desk model and the N_max = 3
-    and 4 rungs.  The cutoffs that lose the least time over its rows lie in
-    [156, 306) for 1 pair and in [450, 1116) for 2 and 6 pairs; the cutoffs
-    here (300, 470 and 1000) lie in each range.  Between dimensions 300 and
-    450 the Lanczos time depends on the matrix, so no cutoff wins every row:
-    at 1 pair the rung4 block of 330 goes to Lanczos (about 1.3x slower than
-    dense), and at 2 pairs the desk matrix of 306 goes to dense (2.0-2.4x
-    slower than Lanczos).  Above DENSE_MAX_DIM Lanczos is used whatever the
-    pairs: the dense array and LAPACK's copy of it would outweigh the Krylov
-    block in peak memory.
+    the sector blocks of the desk model and the N_max = 3 and 4 rungs, which
+    are real, and on the complex full matrices of dimensions 306 and 1938
+    (table in ``BENCH_7_crossover.json``).  The cutoffs that lose the least
+    time over its rows lie in [450, 1116) for 1 and 2 pairs; the cutoffs
+    here (450 and 600) lie in that range.  They send the complex desk matrix
+    of 306, which the sector path never solves, to dense (1.5-7x slower than
+    Lanczos), and in some runs the real block of 361 at 1 pair to dense (up
+    to 1.5x slower).  At 6 pairs a real dense solve beats Lanczos by
+    1.4-1.9x at 1116 and loses at 1657; at 1292 the two are within 20%, and
+    the faster one changes from run to run.  The 6-pair cutoff, 1200, gives
+    that tie to Lanczos, whose Krylov block is a fraction of a dense array.
+    Above DENSE_MAX_DIM Lanczos is used whatever the pairs; a real dense
+    solve there needs 2 x 8 x 1200^2 bytes, about 23 MB.
     """
     cutoff = min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig)
     return "dense" if dim <= cutoff else "lanczos"
@@ -137,10 +141,10 @@ def choose_method(dim: int, n_eig: int) -> str:
 
 def _dense(H: sp.csr_matrix) -> np.ndarray:
     """``H.toarray()``, refused before allocating when a dense solve of H (the
-    array and LAPACK's copy of it, 2 x 16 n^2 bytes) would not fit in the
-    machine's physical memory."""
+    array and LAPACK's copy of it, 2 x itemsize x n^2 bytes: 2 x 8 n^2 real,
+    2 x 16 n^2 complex) would not fit in the machine's physical memory."""
     n = H.shape[0]
-    need = 2 * 16 * n * n
+    need = 2 * H.dtype.itemsize * n * n
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ResourceError(
@@ -171,12 +175,16 @@ def _diagonal_lowest(H: sp.csr_matrix, n_eig: int) -> Optional[SpectralResult]:
         return None
     diag = H.diagonal().real
     order = np.argsort(diag, kind="stable")[:n_eig]
-    vecs = np.zeros((H.shape[0], n_eig), dtype=complex)
+    vecs = np.zeros((H.shape[0], n_eig), dtype=H.dtype)
     vecs[order, np.arange(n_eig)] = 1.0
     return SpectralResult(diag[order], vecs, np.zeros(n_eig), "diagonal")
 
 
-def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int) -> SpectralResult:
+def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int,
+                    locked: Optional[SpectralResult] = None) -> SpectralResult:
+    """The lowest ``n_eig`` pairs of H by Lanczos, in H's dtype.  ``locked``
+    holds the lowest pairs of H from an earlier solve; they are kept as
+    locked from the start, so only the remaining pairs are computed."""
     # One converged pair is locked per restart cycle: always the bottom Ritz
     # pair of the operator deflated by everything locked so far.  A Krylov
     # space built from a single vector carries at most one copy of a
@@ -186,18 +194,19 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int) -> SpectralResult:
     n = H.shape[0]
     rng = np.random.default_rng(seed)
     m = int(min(n, max(2 * n_eig + 24, 48)))
-    locked_vals: list[float] = []
-    locked_cols: list[np.ndarray] = []
+    locked_vals: list[float] = [] if locked is None else list(locked.eigenvalues)
+    locked_cols: list[np.ndarray] = [] if locked is None else list(locked.eigenvectors.T)
     norm_est = 1.0
     last_residual = None
 
     def fresh_vector() -> np.ndarray:
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        return v + 1j * rng.standard_normal(n) if np.iscomplexobj(H) else v
 
     def locked_matrix() -> np.ndarray:
         if locked_cols:
             return np.column_stack(locked_cols)
-        return np.zeros((n, 0), dtype=complex)
+        return np.zeros((n, 0), dtype=H.dtype)
 
     start = fresh_vector()
     stalls = 0
@@ -211,7 +220,7 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int) -> SpectralResult:
             )
         cycles += 1
         L = locked_matrix()
-        v = start.astype(complex)
+        v = start
         for _ in range(2):
             if L.shape[1]:
                 v = v - L @ (L.conj().T @ v)
@@ -222,7 +231,7 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int) -> SpectralResult:
         v = v / nv
 
         steps_cap = min(m, n - len(locked_vals))
-        V = np.zeros((n, steps_cap), dtype=complex)
+        V = np.zeros((n, steps_cap), dtype=H.dtype)
         alphas = np.zeros(steps_cap)
         betas = np.zeros(steps_cap)
         steps = 0
@@ -249,7 +258,10 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int) -> SpectralResult:
         T = np.diag(alphas[:steps])
         if steps > 1:
             T = T + np.diag(betas[:steps - 1], 1) + np.diag(betas[:steps - 1], -1)
-        theta, S = np.linalg.eigh(T)
+        try:
+            theta, S = np.linalg.eigh(T)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
         norm_est = max(norm_est, float(np.max(np.abs(theta))) if steps else 1.0)
 
         candidate = None
@@ -308,7 +320,9 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto") 
     ``n_eig`` may equal the dimension only with method "dense".  Rejects
     non-Hermitian input (the assembly pipeline closes operators exactly).
     A LAPACK failure is raised as SolverError, like a Lanczos stall; a dense
-    solve too large for physical memory as ResourceError.
+    solve too large for physical memory as ResourceError.  The solve works
+    in float64 for a real matrix and in complex128 otherwise, and returns
+    eigenvectors of that dtype.
     """
     H = _as_operator(H)
     n = H.shape[0]
@@ -329,10 +343,7 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto") 
         method = choose_method(n, n_eig)
     if method == "dense":
         return _dense_lowest(H, n_eig)
-    try:
-        return _lanczos_lowest(H, n_eig, seed)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
+    return _lanczos_lowest(H, n_eig, seed)
 
 
 def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAULT_SEED,
@@ -353,9 +364,12 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     sector can then hold one of the n_eig lowest eigenvalues that was not
     computed.  A sector needing all of its pairs (never more than n_eig) is
     solved with method "dense" whatever ``method`` is, as only a dense solve
-    returns a whole spectrum.  Eigenvectors are mapped back to the linear
-    basis and the residuals are those of the sector blocks.  Any other model
-    or momentum is solved in the full space.
+    returns a whole spectrum.  A sector solved again by Lanczos starts with
+    the pairs of its last Lanczos solve locked, and computes only the new
+    ones.  The blocks are real when the sector terms are (``SectorSplit``),
+    and so are their eigenvectors; these become complex when they are
+    mapped back to the linear basis.  The residuals are those of the sector
+    blocks.  Any other model or momentum is solved in the full space.
     """
     t = ops.axis_coordinate(p)
     if t is None:
@@ -367,12 +381,20 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     copies = [1 if z == 0.0 else 2 for z in split.labels[first:]]
     pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
     results: list[Optional[SpectralResult]] = [None] * len(blocks)
+    earlier: list[Optional[SpectralResult]] = [None] * len(blocks)
     while True:
         for i, block in enumerate(blocks):
-            if results[i] is None:
-                exhausted = pairs[i] == block.shape[0]
-                results[i] = solve_lowest(block, pairs[i], seed=seed,
-                                          method="dense" if exhausted else method)
+            if results[i] is not None:
+                continue
+            if pairs[i] == block.shape[0]:
+                results[i] = solve_lowest(block, pairs[i], seed=seed, method="dense")
+            # a sector that Lanczos solved and solves again keeps its pairs
+            elif (earlier[i] is not None and earlier[i].method == "lanczos"
+                  and (method == "lanczos" or choose_method(block.shape[0], pairs[i])
+                       == "lanczos")):
+                results[i] = _lanczos_lowest(block, pairs[i], seed, locked=earlier[i])
+            else:
+                results[i] = solve_lowest(block, pairs[i], seed=seed, method=method)
         values = np.sort(np.concatenate([np.tile(r.eigenvalues, c)
                                          for r, c in zip(results, copies)]))
         bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
@@ -382,7 +404,7 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
             break
         for i in grow:
             pairs[i] = min(blocks[i].shape[0], n_eig, 2 * pairs[i])
-            results[i] = None
+            earlier[i], results[i] = results[i], None
     # sector i < first is the mirror image of sector len(labels) - 1 - i
     n_sectors = len(split.labels)
     source = [n_sectors - 1 - i if i < first else i for i in range(n_sectors)]

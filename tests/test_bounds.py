@@ -7,11 +7,12 @@ from scipy.integrate import quad
 from pflab import bounds
 from pflab.errors import GapTooSmallError, PflabError
 from pflab.fock import number_operator
-from pflab.model import PHI_HAT_ZERO, assemble_hamiltonian, build_basis
+from pflab.model import PHI_HAT_ZERO, assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
     FreeEnergyCurve,
     detect_ground_cluster,
     solve_lowest,
+    solve_model,
 )
 
 from conftest import make_config
@@ -107,6 +108,26 @@ def test_photon_integral_gap_floor(desk_ms):
 
     with pytest.raises(GapTooSmallError):
         bounds.photon_number_integral(cfg, Dropping())
+
+
+def test_pull_through_gap_refused_before_the_shifted_solve(shipped_configs, monkeypatch):
+    # an energy at or above the bottom of H(p - k) + omega_k, or within the
+    # floor below it, leaves the shifted resolvent no room
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
+    psi = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, 6)).basis[:, 0]
+    mode = 5
+    k = np.asarray(cfg.mode_set.modes[mode].k)
+    omega = cfg.dispersion.omega(float(np.linalg.norm(k)))
+    bottom = solve_model(ops, np.asarray(cfg.p) - k, cfg.e, 1).ground_energy + omega
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("shifted system solved")
+
+    monkeypatch.setattr(bounds.spla, "spsolve", no_solve)
+    for energy in (bottom + 0.1, bottom, bottom - 0.5 * bounds.DENOMINATOR_FLOOR):
+        with pytest.raises(GapTooSmallError, match=f"mode {mode} is nearly singular"):
+            bounds.pull_through_residual(psi, cfg, mode, energy, ops=ops)
 
 
 # -- the number bound ----------------------------------------------------------------

@@ -146,6 +146,33 @@ def test_sector_solve_exhausts_small_sectors(tiny_ms, monkeypatch):
                 (source.dimension, source.pairs, source.method)
 
 
+def test_grown_lanczos_sector_keeps_its_locked_pairs(shipped_configs, monkeypatch):
+    # at 12 pairs the +1/2 and +3/2 sectors of the N_max = n_max = 3 rung grow
+    # from 2 pairs to 4; the grown solve starts with the first 2 locked
+    cfg = shipped_configs["desk_e010.json"].at(N_max=3, n_max=3)
+    ops = build_operators(cfg)
+    lanczos = spectra_mod._lanczos_lowest
+    calls = []
+
+    def spy(H, n_eig, seed, locked=None):
+        result = lanczos(H, n_eig, seed, locked=locked)
+        calls.append((H.shape[0], n_eig, locked, result))
+        return result
+
+    monkeypatch.setattr(spectra_mod, "_lanczos_lowest", spy)
+    got = solve_model(ops, cfg.p, cfg.e, 12, method="lanczos")
+    want = solve_lowest(ops.hamiltonian(cfg.p, cfg.e), 12, method="dense")
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-10
+    grown = [c for c in calls if c[2] is not None]
+    assert sorted((dim, n_eig) for dim, n_eig, _, _ in grown) == [(332, 4), (361, 4)]
+    for dim, n_eig, locked, result in grown:
+        earlier = [r for d, k, _, r in calls if d == dim and k == 2]
+        assert len(earlier) == 1 and locked is earlier[0]
+        assert np.array_equal(result.eigenvalues[:2], locked.eigenvalues)
+        assert np.array_equal(result.eigenvectors[:, :2], locked.eigenvectors)
+    assert {s.dimension: s.pairs for s in got.sectors} == {120: 2, 156: 2, 332: 4, 361: 4}
+
+
 def test_lapack_failure_in_an_exhausted_sector_is_a_solver_error(tiny_ms, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -208,10 +235,11 @@ def test_choose_method_crossover_grows_with_pairs():
         order = [choose_method(dim, k) for k in range(1, 12)]
         # once dense for some number of pairs, dense for every larger number
         assert order == sorted(order, key=lambda m: m == "dense")
-    # the large sector blocks of the N_max = 4 rung stay on Lanczos
+    # the large sector blocks of the N_max = 4 rung stay on Lanczos, except
+    # the block of 1116 at 6 pairs, where a real dense solve is faster
     for dim in (1116, 1292, 1657):
-        for k in range(1, 7):
-            assert choose_method(dim, k) == "lanczos"
+        for k in range(1, 40):
+            assert choose_method(dim, k) == ("dense" if dim == 1116 and k >= 6 else "lanczos")
 
 
 def test_diagonal_matrix_read_off_its_diagonal(monkeypatch):
@@ -235,6 +263,19 @@ def test_dense_memory_guard_refuses_before_allocating(monkeypatch):
     H = sp.identity(10**6, dtype=complex, format="csr")
     with pytest.raises(ResourceError, match="GiB"):
         solve_lowest(H, 1, method="dense")
+
+
+def test_dense_memory_guard_is_sized_by_dtype(monkeypatch):
+    # 2 x 8 n^2 bytes for a real matrix, 2 x 16 n^2 for a complex one, on a
+    # patched physical memory of 3 x 8 n^2
+    n, page = 200, 4096
+    memory = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 3 * 8 * n * n // page}
+    monkeypatch.setattr(spectra_mod.os, "sysconf", memory.__getitem__)
+    real = sp.diags([np.ones(n - 1), np.arange(n, dtype=float), np.ones(n - 1)], [-1, 0, 1],
+                    format="csr")
+    assert solve_lowest(real, 1, method="dense").method == "dense"
+    with pytest.raises(ResourceError, match="GiB"):
+        solve_lowest(real.astype(complex), 1, method="dense")
 
 
 def test_only_a_dense_solve_returns_the_whole_spectrum():
