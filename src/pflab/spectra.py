@@ -41,9 +41,9 @@ from .model import ModelConfig, ModelOperators, build_operators
 DEFAULT_SEED = 7
 # choose_method: dense up to DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig, and
 # never above DENSE_MAX_DIM
-DENSE_BASE_DIM = 300
-DENSE_DIM_PER_PAIR = 150
-DENSE_MAX_DIM = 1200
+DENSE_BASE_DIM = 130
+DENSE_DIM_PER_PAIR = 170
+DENSE_MAX_DIM = 1000
 DEFAULT_TOL = 1e-11
 MAX_RESTARTS = 200
 EPS_DEG = 1e-8
@@ -120,20 +120,20 @@ def choose_method(dim: int, n_eig: int) -> str:
 
     A dense solve costs about the same for any number of pairs, a Lanczos
     solve about one restart cycle per pair, so the crossover grows with
-    n_eig.  ``scripts/solver_crossover.py`` times both at one BLAS thread on
-    the sector blocks of the desk model and the N_max = 3 and 4 rungs, which
-    are real, and on the complex full matrices of dimensions 306 and 1938
-    (table in ``BENCH_7_crossover.json``).  The cutoffs that lose the least
-    time over its rows lie in [450, 1116) for 1 and 2 pairs; the cutoffs
-    here (450 and 600) lie in that range.  They send the complex desk matrix
-    of 306, which the sector path never solves, to dense (1.5-7x slower than
-    Lanczos), and in some runs the real block of 361 at 1 pair to dense (up
-    to 1.5x slower).  At 6 pairs a real dense solve beats Lanczos by
-    1.4-1.9x at 1116 and loses at 1657; at 1292 the two are within 20%, and
-    the faster one changes from run to run.  The 6-pair cutoff, 1200, gives
-    that tie to Lanczos, whose Krylov block is a fraction of a dense array.
-    Above DENSE_MAX_DIM Lanczos is used whatever the pairs; a real dense
-    solve there needs 2 x 8 x 1200^2 bytes, about 23 MB.
+    n_eig.  The cutoffs here (300, 470 and 1000) were fitted with
+    ``scripts/solver_crossover.py``, which times both at one BLAS thread, on
+    complex matrices: the least-loss cutoffs lay in [156, 306) for 1 pair
+    and in [450, 1116) for 2 and 6 pairs.  The on-axis sector blocks are
+    now real, and a real dense solve is cheaper; on them the table in
+    ``BENCH_7_crossover.json`` moves the 1-pair range to [450, 1116) and the
+    6-pair range to [1116, 1292), so the real blocks of 330-450 go to
+    Lanczos at 1 pair (up to 3x slower) and the block of 1116 at 6 pairs
+    (1.3-1.9x slower).  The cutoffs stay, because they also route the
+    complex full-space matrices (p off the axis, scattered modes, n_max <
+    N_max), and a 1-pair cutoff of 450 would send the complex desk matrix of
+    306 to dense, 4-7x slower than Lanczos.  Above DENSE_MAX_DIM Lanczos is
+    used whatever the pairs: the dense array and LAPACK's copy of it would
+    outweigh the Krylov block in peak memory.
     """
     cutoff = min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig)
     return "dense" if dim <= cutoff else "lanczos"
@@ -180,11 +180,8 @@ def _diagonal_lowest(H: sp.csr_matrix, n_eig: int) -> Optional[SpectralResult]:
     return SpectralResult(diag[order], vecs, np.zeros(n_eig), "diagonal")
 
 
-def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int,
-                    locked: Optional[SpectralResult] = None) -> SpectralResult:
-    """The lowest ``n_eig`` pairs of H by Lanczos, in H's dtype.  ``locked``
-    holds the lowest pairs of H from an earlier solve; they are kept as
-    locked from the start, so only the remaining pairs are computed."""
+def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int) -> SpectralResult:
+    """The lowest ``n_eig`` pairs of H by Lanczos, in H's dtype."""
     # One converged pair is locked per restart cycle: always the bottom Ritz
     # pair of the operator deflated by everything locked so far.  A Krylov
     # space built from a single vector carries at most one copy of a
@@ -194,8 +191,8 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int,
     n = H.shape[0]
     rng = np.random.default_rng(seed)
     m = int(min(n, max(2 * n_eig + 24, 48)))
-    locked_vals: list[float] = [] if locked is None else list(locked.eigenvalues)
-    locked_cols: list[np.ndarray] = [] if locked is None else list(locked.eigenvectors.T)
+    locked_vals: list[float] = []
+    locked_cols: list[np.ndarray] = []
     norm_est = 1.0
     last_residual = None
 
@@ -258,10 +255,7 @@ def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int,
         T = np.diag(alphas[:steps])
         if steps > 1:
             T = T + np.diag(betas[:steps - 1], 1) + np.diag(betas[:steps - 1], -1)
-        try:
-            theta, S = np.linalg.eigh(T)
-        except np.linalg.LinAlgError as err:
-            raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
+        theta, S = np.linalg.eigh(T)
         norm_est = max(norm_est, float(np.max(np.abs(theta))) if steps else 1.0)
 
         candidate = None
@@ -343,7 +337,10 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto") 
         method = choose_method(n, n_eig)
     if method == "dense":
         return _dense_lowest(H, n_eig)
-    return _lanczos_lowest(H, n_eig, seed)
+    try:
+        return _lanczos_lowest(H, n_eig, seed)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
 
 
 def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAULT_SEED,
@@ -364,12 +361,11 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     sector can then hold one of the n_eig lowest eigenvalues that was not
     computed.  A sector needing all of its pairs (never more than n_eig) is
     solved with method "dense" whatever ``method`` is, as only a dense solve
-    returns a whole spectrum.  A sector solved again by Lanczos starts with
-    the pairs of its last Lanczos solve locked, and computes only the new
-    ones.  The blocks are real when the sector terms are (``SectorSplit``),
-    and so are their eigenvectors; these become complex when they are
-    mapped back to the linear basis.  The residuals are those of the sector
-    blocks.  Any other model or momentum is solved in the full space.
+    returns a whole spectrum.  The blocks are real when the sector terms
+    are (``SectorSplit``), and so are their eigenvectors; these become
+    complex when they are mapped back to the linear basis.  The residuals
+    are those of the sector blocks.  Any other model or momentum is solved
+    in the full space.
     """
     t = ops.axis_coordinate(p)
     if t is None:
@@ -381,20 +377,12 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     copies = [1 if z == 0.0 else 2 for z in split.labels[first:]]
     pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
     results: list[Optional[SpectralResult]] = [None] * len(blocks)
-    earlier: list[Optional[SpectralResult]] = [None] * len(blocks)
     while True:
         for i, block in enumerate(blocks):
-            if results[i] is not None:
-                continue
-            if pairs[i] == block.shape[0]:
-                results[i] = solve_lowest(block, pairs[i], seed=seed, method="dense")
-            # a sector that Lanczos solved and solves again keeps its pairs
-            elif (earlier[i] is not None and earlier[i].method == "lanczos"
-                  and (method == "lanczos" or choose_method(block.shape[0], pairs[i])
-                       == "lanczos")):
-                results[i] = _lanczos_lowest(block, pairs[i], seed, locked=earlier[i])
-            else:
-                results[i] = solve_lowest(block, pairs[i], seed=seed, method=method)
+            if results[i] is None:
+                exhausted = pairs[i] == block.shape[0]
+                results[i] = solve_lowest(block, pairs[i], seed=seed,
+                                          method="dense" if exhausted else method)
         values = np.sort(np.concatenate([np.tile(r.eigenvalues, c)
                                          for r, c in zip(results, copies)]))
         bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
@@ -404,7 +392,7 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
             break
         for i in grow:
             pairs[i] = min(blocks[i].shape[0], n_eig, 2 * pairs[i])
-            earlier[i], results[i] = results[i], None
+            results[i] = None
     # sector i < first is the mirror image of sector len(labels) - 1 - i
     n_sectors = len(split.labels)
     source = [n_sectors - 1 - i if i < first else i for i in range(n_sectors)]

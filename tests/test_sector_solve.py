@@ -146,33 +146,6 @@ def test_sector_solve_exhausts_small_sectors(tiny_ms, monkeypatch):
                 (source.dimension, source.pairs, source.method)
 
 
-def test_grown_lanczos_sector_keeps_its_locked_pairs(shipped_configs, monkeypatch):
-    # at 12 pairs the +1/2 and +3/2 sectors of the N_max = n_max = 3 rung grow
-    # from 2 pairs to 4; the grown solve starts with the first 2 locked
-    cfg = shipped_configs["desk_e010.json"].at(N_max=3, n_max=3)
-    ops = build_operators(cfg)
-    lanczos = spectra_mod._lanczos_lowest
-    calls = []
-
-    def spy(H, n_eig, seed, locked=None):
-        result = lanczos(H, n_eig, seed, locked=locked)
-        calls.append((H.shape[0], n_eig, locked, result))
-        return result
-
-    monkeypatch.setattr(spectra_mod, "_lanczos_lowest", spy)
-    got = solve_model(ops, cfg.p, cfg.e, 12, method="lanczos")
-    want = solve_lowest(ops.hamiltonian(cfg.p, cfg.e), 12, method="dense")
-    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-10
-    grown = [c for c in calls if c[2] is not None]
-    assert sorted((dim, n_eig) for dim, n_eig, _, _ in grown) == [(332, 4), (361, 4)]
-    for dim, n_eig, locked, result in grown:
-        earlier = [r for d, k, _, r in calls if d == dim and k == 2]
-        assert len(earlier) == 1 and locked is earlier[0]
-        assert np.array_equal(result.eigenvalues[:2], locked.eigenvalues)
-        assert np.array_equal(result.eigenvectors[:, :2], locked.eigenvectors)
-    assert {s.dimension: s.pairs for s in got.sectors} == {120: 2, 156: 2, 332: 4, 361: 4}
-
-
 def test_lapack_failure_in_an_exhausted_sector_is_a_solver_error(tiny_ms, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -235,11 +208,10 @@ def test_choose_method_crossover_grows_with_pairs():
         order = [choose_method(dim, k) for k in range(1, 12)]
         # once dense for some number of pairs, dense for every larger number
         assert order == sorted(order, key=lambda m: m == "dense")
-    # the large sector blocks of the N_max = 4 rung stay on Lanczos, except
-    # the block of 1116 at 6 pairs, where a real dense solve is faster
+    # the large sector blocks of the N_max = 4 rung stay on Lanczos
     for dim in (1116, 1292, 1657):
-        for k in range(1, 40):
-            assert choose_method(dim, k) == ("dense" if dim == 1116 and k >= 6 else "lanczos")
+        for k in range(1, 7):
+            assert choose_method(dim, k) == "lanczos"
 
 
 def test_diagonal_matrix_read_off_its_diagonal(monkeypatch):
