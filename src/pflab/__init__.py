@@ -53,7 +53,6 @@ from .spectra import (
     GroundCluster,
     RadialEnergyCurve,
     SpectralResult,
-    axial_k_grid,
     choose_method,
     detect_ground_cluster,
     energy_sweep,

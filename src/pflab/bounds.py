@@ -22,9 +22,13 @@ threshold, and the spinless uniqueness condition.
 
 All integrals run on the dedicated radial-angular grid, independent of the
 Hamiltonian's mode set; interpolated E enters through a radial energy
-curve whose grid spacing is the quoted uncertainty proxy.  At finite
-truncation the pull-through identity is only approximate, so every check
-reports its numbers rather than asserting blindly.
+curve, solved at every coupling (e = 0 included), whose grid spacing is the
+quoted uncertainty proxy.  At finite truncation the pull-through identity
+is only approximate, so every check reports its numbers rather than
+asserting blindly; ``pull_through_residual`` measures how far the identity
+misses at every mode.  Its resolvent depends on a mode only through the
+mode's k-point, so it is gap-checked and LU-factored once per k-point and
+serves both polarizations there.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .fock import PAULI, FockBasis, annihilation_matrix
 from .model import (
     ModelConfig,
     ModelOperators,
-    build_operators,
     coupling_bound,
     field_amplitudes,
 )
@@ -169,54 +172,60 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: 
     )
 
 
-def pull_through_residual(psi: np.ndarray, config: ModelConfig, mode_index: int,
-                          energy: float, basis: Optional[FockBasis] = None,
-                          ops: Optional[ModelOperators] = None) -> float:
-    """|| a_m Psi - RHS_m || / ||Psi|| for the pull-through identity at one mode.
+def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
+                          ops: ModelOperators) -> np.ndarray:
+    """|| a_m Psi - RHS_m || / ||Psi|| for the pull-through identity at every
+    mode m, in mode order, from the operator set ``ops`` of ``config``.
 
-    RHS_m solves, by sparse LU, the shifted linear system
-    (H(p - k_m) + omega_m - E) x = e * { ... } Psi.  The identity is exact
-    only on the untruncated space, so the returned residual is the
-    truncation diagnostic.  Raises when the shifted
-    operator is not safely positive (gap violation at this mode).  A loop
-    over modes should pass one operator set of ``config`` as ``ops``.
+    RHS_m solves the shifted linear system
+    (H(p - k_m) + omega_m - E) x = e * { ... } Psi, which depends on the mode
+    only through its k-point: each k-point's shifted operator is built and
+    LU-factored once, and the factorization serves both polarizations.  The
+    identity is exact only on the untruncated space, so the residuals are
+    the truncation diagnostic.  Raises, naming the k-point and before any
+    factorization, when a shifted operator is not safely positive (gap
+    violation at that k-point).
     """
-    if ops is None:
-        ops = build_operators(config, basis)
-    basis = ops.basis
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ValueError("psi must be nonzero")
-    mode = config.mode_set.modes[mode_index]
-    k = np.asarray(mode.k)
-    omega_m = float(config.dispersion.omega(float(np.linalg.norm(k))))
+    ms = config.mode_set
+    p = np.asarray(config.p, dtype=float)
+    shifts = []
+    for i, k in enumerate(ms.k_points):
+        k = np.asarray(k)
+        omega = float(config.dispersion.omega(float(np.linalg.norm(k))))
+        bottom = solve_model(ops, p - k, config.e, 1).ground_energy
+        if bottom + omega - energy < DENOMINATOR_FLOOR:
+            raise GapTooSmallError(
+                f"shifted resolvent at k-point {i} {tuple(k)} is nearly singular: "
+                f"E(p-k) + omega - E(p) = {bottom + omega - energy:.3e}"
+            )
+        shifts.append((k, omega - energy))
 
     g, h = field_amplitudes(config)
-    p = np.asarray(config.p, dtype=float)
-    rhs_vec = np.zeros_like(psi)
-    for mu in range(3):
-        if g[mode_index, mu] != 0.0:
-            D_psi = (p[mu] - ops.pf[:, mu]) * psi - config.e * (ops.A[mu] @ psi)
-            rhs_vec += g[mode_index, mu] * D_psi
-        if config.with_spin and h[mode_index, mu] != 0.0:
-            # sigma_mu (x) 1 in the spin-major ordering
-            sigma_psi = (PAULI[mu + 1] @ psi.reshape(2, -1)).ravel()
-            rhs_vec += 0.5j * h[mode_index, mu] * sigma_psi
-    rhs_vec *= config.e
-
-    bottom = solve_model(ops, p - k, config.e, 1).ground_energy
-    if bottom + omega_m - energy < DENOMINATOR_FLOOR:
-        raise GapTooSmallError(
-            f"shifted resolvent at mode {mode_index} is nearly singular: "
-            f"E(p-k) + omega - E(p) = {bottom + omega_m - energy:.3e}"
-        )
-    shifted = (ops.hamiltonian(p - k, config.e)
-               + (omega_m - energy) * sp.identity(basis.dimension, dtype=complex,
-                                                  format="csr")).tocsr()
-    x = spla.spsolve(shifted.tocsc(), rhs_vec)
-    a_psi = annihilation_matrix(mode_index, basis) @ psi
-    return float(np.linalg.norm(a_psi - x) / norm)
+    D_psi = [(p[mu] - ops.pf[:, mu]) * psi - config.e * (ops.A[mu] @ psi) for mu in range(3)]
+    # sigma_mu (x) 1 in the spin-major ordering
+    sigma_psi = ([(PAULI[mu + 1] @ psi.reshape(2, -1)).ravel() for mu in range(3)]
+                 if config.with_spin else [])
+    eye = sp.identity(ops.basis.dimension, dtype=complex, format="csr")
+    k_point_index = ms.k_point_index
+    residuals = np.empty(len(ms))
+    for i, (k, shift) in enumerate(shifts):
+        lu = spla.splu((ops.hamiltonian(p - k, config.e) + shift * eye).tocsc())
+        for m in np.flatnonzero(k_point_index == i):
+            rhs_vec = np.zeros_like(psi)
+            for mu in range(3):
+                if g[m, mu] != 0.0:
+                    rhs_vec += g[m, mu] * D_psi[mu]
+                if config.with_spin and h[m, mu] != 0.0:
+                    rhs_vec += 0.5j * h[m, mu] * sigma_psi[mu]
+            rhs_vec *= config.e
+            a_psi = annihilation_matrix(m, ops.basis) @ psi
+            residuals[m] = np.linalg.norm(a_psi - lu.solve(rhs_vec)) / norm
+        del lu                          # keep one factorization alive at a time
+    return residuals
 
 
 @dataclass

@@ -3,7 +3,8 @@ E(p), and the spectral gap via the continuum-onset formula
 E_c(p) = inf_k { E(p-k) + omega(k) }.
 
 The iterative path is a Lanczos process with full reorthogonalization,
-thick restarts, and locking (deflation) of converged pairs, which resolves
+restarts from the lowest Ritz vector (from a fresh random vector after a
+lock), and locking (deflation) of converged pairs, which resolves
 degenerate clusters one copy at a time.  A dense eigensolver handles small
 problems and doubles as the cross-check oracle; ``choose_method`` picks
 between the two.  A diagonal matrix is solved from its sorted diagonal.
@@ -546,24 +547,29 @@ class RadialEnergyCurve:
         return out if out.ndim else float(out)
 
 
+def _search_axis(config: ModelConfig) -> np.ndarray:
+    """The line of the energy curve and the gap search: the mode axis, or z
+    for a scattered mode set."""
+    ms = config.mode_set
+    return np.asarray(ms.axis if ms.axial else (0.0, 0.0, 1.0))
+
+
 def sweep_energy_curve(config: ModelConfig, q_max: float, cache: Optional[dict] = None,
                        seed: int = DEFAULT_SEED, method: str = "auto") -> RadialEnergyCurve:
     """Tabulate the ground energy E(q) at ``config.quadrature.sweep_points``
-    points along the symmetry axis and wrap it as a radial curve.
+    points along the search axis and wrap it as a radial curve.
 
-    At e = 0 the curve is filled analytically: the ground state is the
-    vacuum on any basis, so E(q) = q^2/2 exactly and solving would only add
-    noise.  Otherwise each grid point is an eigensolve of the configured
-    model, so the curve reflects the truncation being studied.
+    Each grid point is an eigensolve of the configured model, so the curve
+    reflects the truncation being studied; at e = 0 too, where the vacuum
+    (E = q^2/2) stops being the ground state once a photon's momentum
+    lowers the kinetic energy by more than its omega.
     """
     q = np.linspace(0.0, q_max, config.quadrature.sweep_points)
-    spacing = float(q[1] - q[0])
-    if config.e == 0.0:
-        return RadialEnergyCurve(q=q, values=0.5 * q * q, spacing=spacing)
-    axis = np.asarray(config.mode_set.axis if config.mode_set.axial else (0.0, 0.0, 1.0))
+    axis = _search_axis(config)
     rows = energy_sweep(config, [tuple(qi * axis) for qi in q], n_eig=1, seed=seed,
                         method=method, cache=cache)
-    return RadialEnergyCurve(q=q, values=np.array([r.energy for r in rows]), spacing=spacing)
+    return RadialEnergyCurve(q=q, values=np.array([r.energy for r in rows]),
+                             spacing=float(q[1] - q[0]))
 
 
 @dataclass
@@ -577,36 +583,18 @@ class GapReport:
     grid_resolution: float
 
 
-def axial_k_grid(k_max: float, n: int, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """Symmetric 1D search grid along an axis, including k = 0 for odd n."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    ts = np.linspace(-k_max, k_max, n)
-    return ts[:, None] * axis[None, :]
-
-
-def _collinear_direction(k_grid: np.ndarray) -> Optional[np.ndarray]:
-    deltas = k_grid - k_grid[0]
-    norms = np.linalg.norm(deltas, axis=1)
-    idx = np.argmax(norms)
-    if norms[idx] == 0.0:
-        return None
-    d = deltas[idx] / norms[idx]
-    if np.max(np.abs(deltas - (deltas @ d)[:, None] * d[None, :])) > 1e-12:
-        return None
-    return d
-
-
-def gap_estimate(config: ModelConfig, energy_curve, k_grid: np.ndarray) -> GapReport:
-    """Minimize E(p-k) + omega(k) over the search grid, with one local
-    refinement pass along the grid line when the grid is collinear.
+def gap_estimate(config: ModelConfig, energy_curve, k_max: float, k_steps: int) -> GapReport:
+    """Minimize E(p-k) + omega(k) over k = k_0 + t u on ``k_steps`` points
+    evenly spaced from k_0 = -k_max u to k_max u along the search axis u (the
+    mode axis, or z for a scattered set), then once more on 41 points
+    between the grid neighbours of the best one.
 
     Rejects search grids whose shifted momenta leave the interpolation
     domain of ``energy_curve``.
     """
-    k_grid = np.atleast_2d(np.asarray(k_grid, dtype=float))
-    if k_grid.shape[1] != 3:
-        raise ValueError("k_grid must be an (n, 3) array")
+    u = _search_axis(config)
+    ts = np.linspace(-k_max, k_max, k_steps)
+    k_grid = ts[:, None] * u[None, :]
     p = np.asarray(config.p, dtype=float)
     shifted = np.linalg.norm(p[None, :] - k_grid, axis=1)
     if np.any(shifted > getattr(energy_curve, "q_max", np.inf) + 1e-12):
@@ -616,7 +604,6 @@ def gap_estimate(config: ModelConfig, energy_curve, k_grid: np.ndarray) -> GapRe
         )
 
     def objective(kv: np.ndarray) -> np.ndarray:
-        kv = np.atleast_2d(kv)
         return (np.asarray(energy_curve(np.linalg.norm(p[None, :] - kv, axis=1)))
                 + np.asarray(config.dispersion.omega(np.linalg.norm(kv, axis=1))))
 
@@ -624,27 +611,20 @@ def gap_estimate(config: ModelConfig, energy_curve, k_grid: np.ndarray) -> GapRe
     i_best = int(np.argmin(vals))
     best_k = k_grid[i_best]
     best_val = float(vals[i_best])
-    resolution = 0.0
-    direction = _collinear_direction(k_grid) if len(k_grid) > 2 else None
-    if direction is not None:
-        ts = (k_grid - k_grid[0]) @ direction
-        order = np.argsort(ts)
-        pos = int(np.where(order == i_best)[0][0])
-        lo = ts[order[max(0, pos - 1)]]
-        hi = ts[order[min(len(ts) - 1, pos + 1)]]
-        resolution = float(hi - lo) / 40.0
-        fine_t = np.linspace(lo, hi, 41)
-        fine_k = k_grid[0][None, :] + fine_t[:, None] * direction[None, :]
-        fine_vals = objective(fine_k)
-        j = int(np.argmin(fine_vals))
-        if fine_vals[j] < best_val:
-            best_val = float(fine_vals[j])
-            best_k = fine_k[j]
+    lo = ts[max(0, i_best - 1)] - ts[0]
+    hi = ts[min(k_steps - 1, i_best + 1)] - ts[0]
+    fine_t = np.linspace(lo, hi, 41)
+    fine_k = k_grid[0][None, :] + fine_t[:, None] * u[None, :]
+    fine_vals = objective(fine_k)
+    j = int(np.argmin(fine_vals))
+    if fine_vals[j] < best_val:
+        best_val = float(fine_vals[j])
+        best_k = fine_k[j]
     E_p = float(energy_curve(np.linalg.norm(p)))
     return GapReport(
         E_p=E_p,
         E_c_p=best_val,
         delta_p=best_val - E_p,
         argmin_k=tuple(best_k),
-        grid_resolution=resolution,
+        grid_resolution=abs(float(hi - lo)) / 40.0,
     )

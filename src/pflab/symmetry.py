@@ -37,31 +37,14 @@ from .model import ModelConfig, build_operators, polarization_frame
 from .spectra import EPS_DEG, SpectralResult, solve_model
 
 
-def _axis_direction(basis: FockBasis, p=None) -> np.ndarray:
-    """Unit vector along which angular momentum is measured.
-
-    Uses p/|p| when p is nonzero (it must then be collinear with the mode
-    axis); otherwise the mode-set axis.
-    """
+def _axis_direction(basis: FockBasis) -> np.ndarray:
+    """The mode-set axis, along which angular momentum is measured."""
     if not basis.mode_set.axial:
         raise NotAxialError(
             "angular-momentum sector analysis requires an axial mode set "
             "(orbital angular momentum has no exact realization on scattered k-points)"
         )
-    axis = np.asarray(basis.mode_set.axis, dtype=float)
-    if p is None:
-        return axis
-    p = np.asarray(p, dtype=float)
-    norm = np.linalg.norm(p)
-    if norm == 0.0:
-        return axis
-    u = p / norm
-    if np.linalg.norm(np.cross(u, axis)) > 1e-10:
-        raise PflabError(
-            f"momentum {tuple(p)} is not collinear with the mode axis "
-            f"{tuple(axis)}; the axial reduction does not apply"
-        )
-    return u
+    return np.asarray(basis.mode_set.axis, dtype=float)
 
 
 def _kpoint_mode_indices(basis: FockBasis) -> list[tuple[int, int]]:
@@ -73,12 +56,12 @@ def _kpoint_mode_indices(basis: FockBasis) -> list[tuple[int, int]]:
     return [(table[k][1], table[k][2]) for k in ms.k_points]
 
 
-def helicity_operator(basis: FockBasis, p=None) -> sp.csr_matrix:
+def helicity_operator(basis: FockBasis) -> sp.csr_matrix:
     """Photon helicity along the axis: sum_kp sign(k.u) i (a2+ a1 - a1+ a2).
 
     Hermitian with integer spectrum on the truncated space.
     """
-    u = _axis_direction(basis, p)
+    u = _axis_direction(basis)
     dim_b = basis.boson_dimension
     S = sp.csr_matrix((dim_b, dim_b), dtype=complex)
     kpts = np.array(basis.mode_set.k_points)
@@ -90,14 +73,14 @@ def helicity_operator(basis: FockBasis, p=None) -> sp.csr_matrix:
     return spin_tensor(0, S, basis)
 
 
-def total_jz(basis: FockBasis, p=None) -> sp.csr_matrix:
+def total_jz(basis: FockBasis) -> sp.csr_matrix:
     """Total angular momentum along the axis: helicity + (1/2) u . sigma.
 
     Spectrum is contained in the half integers; on a spinless basis the spin
     term is absent and the labels are integers instead.
     """
-    u = _axis_direction(basis, p)
-    J = helicity_operator(basis, p)
+    u = _axis_direction(basis)
+    J = helicity_operator(basis)
     if basis.with_spin:
         eye_b = sp.identity(basis.boson_dimension, dtype=complex, format="csr")
         for mu in range(3):

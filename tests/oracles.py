@@ -162,6 +162,40 @@ def dense_sector_energies(config):
     return energies
 
 
+def dense_pull_through_residuals(config, psi, energy):
+    """|| a_m psi - x_m || / ||psi|| for every mode m, with x_m from a dense
+    ``numpy.linalg.solve`` of (H(p - k_m) + omega_m - E) x = e R_m psi.
+
+    R_m = g_m . D + (i/2) h_m . sigma with D_mu = p_mu - P_f^mu - e A^mu, H
+    from ``dense_hamiltonian`` at each shifted momentum, and the mode's own
+    annihilator: one dense solve per mode, where the package factors once
+    per k-point.
+    """
+    ks, omegas, phis, weights, pols = mode_data(config)
+    occs, a_ops = ladder_matrices(config)
+    nb = len(occs)
+    pref = phis / np.sqrt(2.0 * omegas) * np.sqrt(weights)
+    g = pref[:, None] * pols
+    h = pref[:, None] * np.cross(ks, pols)
+    pf = np.array(occs, dtype=float) @ ks
+    spin_eye = np.eye(2 if config.with_spin else 1)
+    A = [sum(g[m, mu] * (a + a.conj().T) for m, a in enumerate(a_ops)) for mu in range(3)]
+    D = [np.kron(spin_eye, np.diag(config.p[mu] - pf[:, mu]) - config.e * A[mu])
+         for mu in range(3)]
+    eye = np.eye(len(psi))
+    norm = np.linalg.norm(psi)
+    residuals = []
+    for m, a in enumerate(a_ops):
+        R = sum(g[m, mu] * D[mu] for mu in range(3))
+        if config.with_spin:
+            R = R + 0.5j * sum(h[m, mu] * np.kron(SIGMA[mu + 1], np.eye(nb)) for mu in range(3))
+        shifted = (dense_hamiltonian(config.at(p=tuple(np.asarray(config.p) - ks[m])))
+                   + (omegas[m] - energy) * eye)
+        x = np.linalg.solve(shifted, config.e * (R @ psi))
+        residuals.append(np.linalg.norm(np.kron(spin_eye, a) @ psi - x) / norm)
+    return np.array(residuals)
+
+
 def perturbative_energy_and_number(config):
     """Second-order ground energy and photon-number expectation.
 

@@ -20,7 +20,6 @@ from pflab.fock import axial_mode_set, field_energy, field_momentum, number_oper
 from pflab.model import assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
     FreeEnergyCurve,
-    axial_k_grid,
     detect_ground_cluster,
     gap_estimate,
     solve_lowest,
@@ -101,7 +100,7 @@ def test_c03_twofold_degeneracy_and_gap(desk_artifacts):
     for e, art in desk_artifacts.items():
         cluster = art["cluster"]
         scale = max(1.0, abs(cluster.energy))
-        gap = gap_estimate(art["cfg"], art["curve"], axial_k_grid(3.0, 61))
+        gap = gap_estimate(art["cfg"], art["curve"], 3.0, 61)
         rel = abs(cluster.gap_above - gap.delta_p) / gap.delta_p
         ok &= cluster.count == 2
         ok &= cluster.cluster_width < 1e-8 * scale
@@ -215,12 +214,11 @@ def test_c08_symmetry_suite(desk_ms, pair_ms):
 
 def test_c09_gap_formula_sanity(desk_ms):
     cfg = make_config(desk_ms, e=0.0, p=(0.0, 0.0, 0.0))
-    grid = axial_k_grid(3.0, 61)
-    rep0 = gap_estimate(cfg, FreeEnergyCurve(), grid)
+    rep0 = gap_estimate(cfg, FreeEnergyCurve(), 3.0, 61)
     at_rest_ok = abs(rep0.delta_p - 1.0) <= 1e-12    # k = 0 is on the grid
     positive_ok = True
     for z in np.linspace(0.0, 0.5, 6):
-        rep = gap_estimate(cfg.at(p=(0.0, 0.0, z)), FreeEnergyCurve(), grid)
+        rep = gap_estimate(cfg.at(p=(0.0, 0.0, z)), FreeEnergyCurve(), 3.0, 61)
         positive_ok &= rep.delta_p > 0.0
     report(9, at_rest_ok and positive_ok,
            f"Delta(0) = {rep0.delta_p!r} = m_ph; Delta(p) > 0 for |p| <= 0.5")

@@ -112,22 +112,26 @@ def test_photon_integral_gap_floor(desk_ms):
 
 def test_pull_through_gap_refused_before_the_shifted_solve(shipped_configs, monkeypatch):
     # an energy at or above the bottom of H(p - k) + omega_k, or within the
-    # floor below it, leaves the shifted resolvent no room
+    # floor below it, leaves the shifted resolvent no room; every k-point is
+    # checked before any factorization, and the first without room is named
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
     psi = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, 6)).basis[:, 0]
+    p = np.asarray(cfg.p)
+    bottoms = [solve_model(ops, p - np.asarray(k), cfg.e, 1).ground_energy
+               + cfg.dispersion.omega(float(np.linalg.norm(k)))
+               for k in cfg.mode_set.k_points]
     mode = 5
-    k = np.asarray(cfg.mode_set.modes[mode].k)
-    omega = cfg.dispersion.omega(float(np.linalg.norm(k)))
-    bottom = solve_model(ops, np.asarray(cfg.p) - k, cfg.e, 1).ground_energy + omega
+    bottom = bottoms[cfg.mode_set.k_point_index[mode]]
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("shifted system solved")
+    def no_factor(*args, **kwargs):
+        raise AssertionError("shifted system factored")
 
-    monkeypatch.setattr(bounds.spla, "spsolve", no_solve)
+    monkeypatch.setattr(bounds.spla, "splu", no_factor)
     for energy in (bottom + 0.1, bottom, bottom - 0.5 * bounds.DENOMINATOR_FLOOR):
-        with pytest.raises(GapTooSmallError, match=f"mode {mode} is nearly singular"):
-            bounds.pull_through_residual(psi, cfg, mode, energy, ops=ops)
+        first = next(i for i, b in enumerate(bottoms) if b - energy < bounds.DENOMINATOR_FLOOR)
+        with pytest.raises(GapTooSmallError, match=f"k-point {first} .* is nearly singular"):
+            bounds.pull_through_residual(psi, cfg, energy, ops)
 
 
 # -- the number bound ----------------------------------------------------------------
@@ -171,22 +175,22 @@ def test_number_expectation_scales_as_coupling_squared(desk_ms):
 
 def test_pull_through_residual_zero_at_zero_coupling(desk_ms):
     cfg = make_config(desk_ms, e=0.0, p=(0.0, 0.0, 0.2))
-    basis = build_basis(cfg)
-    cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, basis), 6))
-    res = bounds.pull_through_residual(cluster.basis[:, 0], cfg, 0,
-                                       cluster.energy, basis)
-    assert res == pytest.approx(0.0, abs=1e-14)
+    ops = build_operators(cfg)
+    cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, ops.basis), 6))
+    res = bounds.pull_through_residual(cluster.basis[:, 0], cfg, cluster.energy, ops)
+    assert res.shape == (len(desk_ms),)
+    assert np.all(np.abs(res) <= 1e-14)
 
 
 def test_pull_through_residual_decreases_along_ladder(tiny_ms):
     residuals = []
     for N in (1, 2, 3):
         cfg = make_config(tiny_ms, e=0.1, p=(0.0, 0.0, 0.2), N_max=N, n_max=N)
-        basis = build_basis(cfg)
+        ops = build_operators(cfg)
         cluster = detect_ground_cluster(
-            solve_lowest(assemble_hamiltonian(cfg, basis), 4, method="dense"))
+            solve_lowest(assemble_hamiltonian(cfg, ops.basis), 4, method="dense"))
         residuals.append(bounds.pull_through_residual(
-            cluster.basis[:, 0], cfg, 0, cluster.energy, basis))
+            cluster.basis[:, 0], cfg, cluster.energy, ops)[0])
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[2] < 1e-4
 
@@ -199,11 +203,11 @@ def test_pull_through_residual_coupling_scaling(tiny_ms):
         vals = []
         for e in (0.05, 0.1):
             cfg = make_config(tiny_ms, e=e, p=(0.0, 0.0, 0.2), N_max=N, n_max=N)
-            basis = build_basis(cfg)
+            ops = build_operators(cfg)
             cluster = detect_ground_cluster(
-                solve_lowest(assemble_hamiltonian(cfg, basis), n_eig, method="dense"))
+                solve_lowest(assemble_hamiltonian(cfg, ops.basis), n_eig, method="dense"))
             vals.append(bounds.pull_through_residual(
-                cluster.basis[:, 0], cfg, 0, cluster.energy, basis))
+                cluster.basis[:, 0], cfg, cluster.energy, ops)[0])
         assert vals[1] / vals[0] == pytest.approx(2.0 ** (N + 1), rel=0.02)
 
 

@@ -61,8 +61,8 @@ def test_mirror_is_unitary(models, name):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_mirror_reverses_the_angular_momentum(models, name):
-    cfg, ops, U = models[name]
-    J = total_jz(ops.basis, cfg.p)
+    _, ops, U = models[name]
+    J = total_jz(ops.basis)
     assert _max_entry(J) > 0.5
     assert _max_entry(U @ J @ adjoint(U) + J) < 1e-12
 

@@ -20,7 +20,7 @@ from pflab.spectra import (
 from pflab.symmetry import ground_sector_labels
 
 from conftest import make_config
-from oracles import dense_sector_energies
+from oracles import dense_pull_through_residuals, dense_sector_energies
 
 N_EIG = 6
 
@@ -187,15 +187,28 @@ def test_free_model_takes_the_diagonal_path(desk_ms):
     assert np.all(got.residual_norms == 0.0)
 
 
-def test_pull_through_residual_takes_an_operator_set(shipped_configs):
+def test_pull_through_residual_solves_once_per_k_point(shipped_configs, monkeypatch):
+    # the shifted resolvent depends on a mode only through its k-point: one
+    # gap solve and one LU factorization per k-point serve both polarizations
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
     cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, N_EIG))
     psi = cluster.basis[:, 0]
-    for m in (0, 5):
-        with_ops = bounds.pull_through_residual(psi, cfg, m, cluster.energy, ops=ops)
-        with_basis = bounds.pull_through_residual(psi, cfg, m, cluster.energy, ops.basis)
-        assert with_ops == with_basis
+    calls = {"solve_model": 0, "splu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "solve_model", counted("solve_model", bounds.solve_model))
+    monkeypatch.setattr(bounds.spla, "splu", counted("splu", bounds.spla.splu))
+    got = bounds.pull_through_residual(psi, cfg, cluster.energy, ops)
+    assert (len(cfg.mode_set), len(cfg.mode_set.k_points)) == (16, 8)
+    assert calls == {"solve_model": 8, "splu": 8}
+    oracle = dense_pull_through_residuals(cfg, psi, cluster.energy)
+    assert np.max(np.abs(got - oracle)) < 1e-12
 
 
 # -- solver policy ------------------------------------------------------------------

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pflab.errors import DomainError, IndeterminateDegeneracy, NonHermitianError
-from pflab.model import assemble_hamiltonian
+from pflab.model import assemble_hamiltonian, build_operators
 from pflab.spectra import (
     EPS_DEG,
     EPS_SEP,
     FreeEnergyCurve,
     RadialEnergyCurve,
     SpectralResult,
-    axial_k_grid,
     detect_ground_cluster,
     energy_sweep,
     gap_estimate,
@@ -211,10 +210,18 @@ def test_radial_curve_domain_guard():
 
 
 def test_sweep_curve_free_theory_exact(desk_ms):
+    # at e = 0 every point is the lowest diagonal entry of H_0(q u); the
+    # vacuum, at q^2/2, is the ground state only up to q ~ 1.94 on this mode
+    # set, above which a state with one photon lies lower
     cfg = make_config(desk_ms, e=0.0)
+    ops = build_operators(cfg)
+    axis = np.asarray(desk_ms.axis)
     curve = sweep_energy_curve(cfg, q_max=3.0)
-    qs = np.linspace(0, 3, 7)
-    assert np.allclose(curve(qs), 0.5 * qs * qs, atol=1e-12)
+    exact = [ops.free(q * axis).diagonal().real.min() for q in curve.q]
+    assert np.allclose(curve.values, exact, atol=1e-12)
+    low = curve.q < 1.9
+    assert np.allclose(curve.values[low], 0.5 * curve.q[low] ** 2, atol=1e-12)
+    assert np.all(curve.values[curve.q > 2.0] < 0.5 * curve.q[curve.q > 2.0] ** 2)
 
 
 # -- the gap formula ---------------------------------------------------------------
@@ -222,17 +229,17 @@ def test_sweep_curve_free_theory_exact(desk_ms):
 
 def test_gap_free_massive_at_rest(desk_ms):
     cfg = make_config(desk_ms, e=0.0, p=(0.0, 0.0, 0.0))
-    rep = gap_estimate(cfg, FreeEnergyCurve(), axial_k_grid(3.0, 61))
+    rep = gap_estimate(cfg, FreeEnergyCurve(), 3.0, 61)
     assert rep.delta_p == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(rep.argmin_k, 0.0)
 
 
 def test_gap_free_massive_moving(desk_ms):
     cfg = make_config(desk_ms, e=0.0, p=(0.0, 0.0, 0.5))
-    rep = gap_estimate(cfg, FreeEnergyCurve(), axial_k_grid(3.0, 121))
+    rep = gap_estimate(cfg, FreeEnergyCurve(), 3.0, 121)
     assert 0.0 < rep.delta_p < 1.0
     # refinement pass must not be worse than the raw grid minimum
-    coarse = gap_estimate(cfg, FreeEnergyCurve(), axial_k_grid(3.0, 13))
+    coarse = gap_estimate(cfg, FreeEnergyCurve(), 3.0, 13)
     assert rep.E_c_p <= coarse.E_c_p + 1e-12
 
 
@@ -241,14 +248,14 @@ def test_gap_domain_rejection(desk_ms):
     curve = RadialEnergyCurve(q=np.linspace(0, 1, 5),
                               values=0.5 * np.linspace(0, 1, 5) ** 2, spacing=0.25)
     with pytest.raises(DomainError):
-        gap_estimate(cfg, curve, axial_k_grid(3.0, 31))
+        gap_estimate(cfg, curve, 3.0, 31)
 
 
 def test_gap_crosschecks_cluster_gap(desk_ms):
     cfg = make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4))
     cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg), 6))
     curve = sweep_energy_curve(cfg, q_max=3.5)
-    rep = gap_estimate(cfg, curve, axial_k_grid(3.0, 61))
+    rep = gap_estimate(cfg, curve, 3.0, 61)
     assert rep.delta_p > 0
     assert abs(cluster.gap_above - rep.delta_p) <= 0.2 * rep.delta_p
 

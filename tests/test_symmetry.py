@@ -118,12 +118,6 @@ def test_total_jz_spinless_is_integer(pair_ms):
     assert np.max(np.abs(evs - np.round(evs))) < 1e-12
 
 
-def test_total_jz_rejects_off_axis_momentum(pair_ms):
-    basis = enumerate_basis(pair_ms, 1, 1, True)
-    with pytest.raises(PflabError, match="collinear"):
-        total_jz(basis, p=(0.3, 0.0, 0.4))
-
-
 # -- the circular-basis rotation -------------------------------------------------------
 
 
@@ -196,7 +190,7 @@ def test_commutator_vanishes_for_all_couplings(desk_ms):
         cfg = make_config(desk_ms, e=e, p=(0.0, 0.0, 0.4))
         basis = build_basis(cfg)
         H = assemble_hamiltonian(cfg, basis)
-        J = total_jz(basis, cfg.p)
+        J = total_jz(basis)
         comm = (H @ J - J @ H).tocoo()
         worst = np.abs(comm.data).max() if comm.nnz else 0.0
         assert worst < 1e-10
