@@ -252,7 +252,8 @@ def cmd_bounds(args) -> int:
     cache: dict = {}
     out = _out_dir(args)
     if not config.with_spin:
-        rep = bounds_mod.spinless_uniqueness_check(config, cache=cache, seed=args.seed)
+        rep = bounds_mod.spinless_uniqueness_check(config, cache=cache, seed=args.seed,
+                                                   method=_solver_method(args))
         print(f"spinless uniqueness : integral = {rep.integral:.6g}, "
               f"e^2 limit = {rep.e_squared_limit:.6g}, hypothesis "
               f"{'holds' if rep.hypothesis_holds else 'fails'}")
@@ -276,18 +277,20 @@ def cmd_bounds(args) -> int:
     result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1),
                          seed=args.seed, method=_solver_method(args))
     cluster = detect_ground_cluster(result)
-    curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed)
+    curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed,
+                                            method=_solver_method(args))
     integral = bounds_mod.photon_number_integral(config, curve)
     nf_check = bounds_mod.photon_number_check(cluster, config,
                                               number_operator(basis), integral)
     overlap = bounds_mod.vacuum_overlap(cluster, basis, config.e, integral)
     upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
     residual = float(bounds_mod.pull_through_residual(cluster.basis[:, 0], config,
-                                                      cluster.energy, ops).max())
+                                                      cluster.energy, ops,
+                                                      method=_solver_method(args)).max())
     gram = bounds_mod.vacuum_gram(cluster, basis) if cluster.count == 2 else None
     threshold = bounds_mod.coupling_threshold(
         config, e_values=np.linspace(0.0, args.e_grid_max, 6),
-        refine_steps=5, cache=cache, seed=args.seed)
+        refine_steps=5, cache=cache, seed=args.seed, method=_solver_method(args))
 
     hypothesis = upper.hypothesis_holds and coupling_bound(config) < 1.0
     gap_positive = cluster.gap_above > 0.0
@@ -378,7 +381,8 @@ def cmd_sectors(args) -> int:
 
     gate = False
     if config.with_spin and config.e != 0.0:
-        curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed)
+        curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed,
+                                                method=_solver_method(args))
         integral = bounds_mod.photon_number_integral(config, curve)
         upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
         gate = upper.hypothesis_holds and coupling_bound(config) < 1.0

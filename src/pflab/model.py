@@ -24,15 +24,16 @@ plus H_int (second line), so H(p) = H0(p) + H_int holds entrywise.
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
 angular momentum J_axis.  ``ModelOperators.sectors`` rotates the
 p-independent operators once into the circular-polarization frame, where
-J_axis is diagonal, with one block per J_axis eigenvalue, so that each
-block of H(t u, e) is a slice of the same real combination
-(``SectorSplit.upper_blocks``).  Only the sectors with eigenvalue >= 0 are
-rotated and kept: a mirror reflection maps sector z onto -z, which the
-split checks but does not store.  On the z axis the rotated terms are
-real: the antiunitary Theta = (-1)^N_2 K (K complex conjugation in the
-linear basis, N_2 the polarization-2 photon number; time reversal composed
-with a pi rotation about the polarization-2 line) commutes with them, and
-W+ Theta W = K for the helicity rotation W.  The split then stores them as
+J_axis is diagonal, with one block per J_axis eigenvalue, and stores them
+on one sparsity pattern, so that H(t u, e) there is the same real
+combination formed entry by entry in numpy and each block is a range of
+its arrays (``SectorSplit.upper_blocks``).  Only the sectors with
+eigenvalue >= 0 are rotated and kept: a mirror reflection maps sector z
+onto -z, which the split checks but does not store.  On the z axis the
+rotated terms are real: the antiunitary Theta = (-1)^N_2 K (K complex
+conjugation in the linear basis, N_2 the polarization-2 photon number;
+time reversal composed with a pi rotation about the polarization-2 line)
+commutes with them, and W+ Theta W = K for the helicity rotation W.  The split then stores them as
 float64, and H(t u, e) and its blocks are real; on a tilted axis the spin
 frame carries phases, and a model with spin keeps complex128 terms.
 Eigenvectors become complex only when the rotation maps them back to the
@@ -329,11 +330,14 @@ class HamiltonianTerms:
     sigma_B: sp.csr_matrix
     A2: sp.csr_matrix
 
+    def free_diagonal(self, p) -> np.ndarray:
+        """The diagonal of ``free(p)``, as float64."""
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        return self.free_diag + 0.5 * (p @ p) - self.pf @ p
+
     def free(self, p) -> sp.csr_matrix:
         """Noninteracting part H_f + P_f^2/2 + |p|^2/2 - p.P_f (diagonal)."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        diag = self.free_diag + 0.5 * (p @ p) - self.pf @ p
-        return sp.diags(diag.astype(self.C.dtype), format="csr")
+        return sp.diags(self.free_diagonal(p).astype(self.C.dtype), format="csr")
 
     def interaction(self, p, e: float) -> sp.csr_matrix:
         """Interaction part e (-p.A + C - sigma.B/2) + (e^2/2) A^2."""
@@ -367,7 +371,14 @@ class SectorSplit:
     Theta = (-1)^N_2 K makes them on the z axis, and complex128 otherwise
     (a tilted axis with spin); ``to_linear`` is complex, and the eigenvectors
     it maps back are complex.  ``leak_max`` is the largest entry the
-    rotation left outside its sector, at most ``SECTOR_LEAK_TOL``."""
+    rotation left outside its sector, at most ``SECTOR_LEAK_TOL``.
+
+    Every operator term of ``upper`` with entries is stored on one CSR
+    pattern, ``indices`` and ``indptr``, which they share: the union of the
+    terms' entries and the diagonal, zero where a term has no entry.  A term
+    without entries is an empty matrix.  ``diagonal`` holds the position of
+    each diagonal entry in the pattern, and sector i >= ``first_upper``
+    holds positions ``data_starts[i - first_upper]`` to the next one."""
 
     upper: HamiltonianTerms
     labels: tuple[float, ...]
@@ -375,20 +386,52 @@ class SectorSplit:
     to_linear: tuple[sp.csr_matrix, ...]
     mirror: sp.csr_matrix
     leak_max: float
+    indices: np.ndarray
+    indptr: np.ndarray
+    diagonal: np.ndarray
+    data_starts: tuple[int, ...]
 
     @property
     def first_upper(self) -> int:
         """Index of the first sector with label >= 0."""
         return sum(z < 0.0 for z in self.labels)
 
+    def upper_hamiltonian(self, t: float, e: float) -> sp.csr_matrix:
+        """H(t u, e) on the sectors with label >= 0, on the stored pattern.
+
+        The data repeat ``upper.hamiltonian(t, e)`` = free + interaction
+        entry by entry, in its order and with its coefficients, summed in
+        place from +0.0.  Where scipy's sparse sum meets a missing entry or
+        drops a zero result, this sum meets a stored zero of the pattern;
+        the two can differ only in the sign of a zero, and a sum started at
+        +0.0 leaves no -0.0.  So ``toarray()`` is bitwise that of
+        ``upper.hamiltonian(t, e)``, and H is exactly Hermitian."""
+        up = self.upper
+        data = np.zeros(self.indices.size, dtype=up.C.dtype)
+        # e C - (e/2) sigma.B + (e^2/2) A^2 - e t u.A, summed in place; a zero
+        # coefficient (e = 0, or t = 0 for u.A) or an empty term adds nothing
+        for c, op in ((e, up.C), (-(0.5 * e), up.sigma_B), (0.5 * e * e, up.A2),
+                      (-(e * t), up.A[0])):
+            if c != 0.0 and op.nnz:
+                data += op.data * c
+        data[self.diagonal] += up.free_diagonal(t)
+        n = self.indptr.size - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def blocks(self, H: sp.csr_matrix) -> list[sp.csr_matrix]:
+        """The sector blocks of ``H``, a matrix on the stored pattern
+        (``upper_hamiltonian``), ascending in label; each is a view of a
+        range of ``H.data``."""
+        rows = [a - self.starts[self.first_upper] for a in self.starts[self.first_upper:]]
+        ranges = zip(rows[:-1], rows[1:], self.data_starts[:-1], self.data_starts[1:])
+        return [sp.csr_matrix((H.data[lo:hi], H.indices[lo:hi] - a, H.indptr[a:b + 1] - lo),
+                              shape=(b - a, b - a)) for a, b, lo, hi in ranges]
+
     def upper_blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
         """The blocks of H(t u, e) of the sectors with label >= 0, ascending.
-        Each is an index slice of one real combination, so it is exactly
-        Hermitian."""
-        H = self.upper.hamiltonian(t, e)
-        starts = self.starts[self.first_upper:]
-        base = starts[0]
-        return [H[a - base:b - base, a - base:b - base] for a, b in zip(starts[:-1], starts[1:])]
+        Each is an index range of ``upper_hamiltonian(t, e)``, so it is
+        exactly Hermitian."""
+        return self.blocks(self.upper_hamiltonian(t, e))
 
 
 def _check_phased_permutation(M: sp.spmatrix, z: float) -> None:
@@ -485,17 +528,50 @@ class ModelOperators(HamiltonianTerms):
         to_linear = [W[:, np.flatnonzero(labels == z)].tocsr() for z in values]
         starts = np.cumsum([0, *(W_z.shape[1] for W_z in to_linear)])
         offset = starts[len(values) - len(upper)]
-        upper_terms = [sp.block_diag([blocks[i] for blocks in rotated], format="csr")
-                       for i in range(len(terms))]
-        if not any(np.any(op.data.imag) for op in upper_terms):
-            upper_terms = [op.real for op in upper_terms]
-        A_z, C_z, sigma_B_z, A2_z = upper_terms
+        (A_z, C_z, sigma_B_z, A2_z), pattern = _on_one_pattern(rotated)
         return SectorSplit(
             upper=HamiltonianTerms(free_diag=self.free_diag[order][offset:],
                                    pf=pf[order][offset:, None], A=(A_z,), C=C_z,
                                    sigma_B=sigma_B_z, A2=A2_z),
             labels=tuple(float(z) for z in values), starts=tuple(int(x) for x in starts),
-            to_linear=tuple(to_linear), mirror=U, leak_max=leak_max)
+            to_linear=tuple(to_linear), mirror=U, leak_max=leak_max, **pattern)
+
+
+def _on_one_pattern(rotated: list[list[sp.csr_matrix]]):
+    """The block-diagonal terms whose sector blocks are ``rotated`` (one
+    canonical block per term in each sector, sectors in order), on one CSR
+    pattern: the union of the diagonal and every term's entries.  Returns
+    the terms and the ``SectorSplit`` fields of the pattern.  The terms with
+    entries share its ``indices`` and ``indptr`` and are zero where they
+    have no entry; a term with none is an empty matrix.  They are float64
+    when every imaginary part is exactly 0.0, and complex128 otherwise."""
+    real = not any(np.any(block.data.imag) for blocks in rotated for block in blocks)
+    dtype = np.float64 if real else np.complex128
+    rows = np.cumsum([0, *(blocks[0].shape[0] for blocks in rotated)])
+    n = int(rows[-1])
+    terms = []                          # canonical CSR arrays of each term
+    for blocks in zip(*rotated):
+        entries = np.cumsum([0, *(b.nnz for b in blocks)])
+        terms.append((np.concatenate([b.data.real if real else b.data for b in blocks]),
+                      np.concatenate([b.indices + r for b, r in zip(blocks, rows)]),
+                      np.concatenate([[0], *(b.indptr[1:] + e for b, e in zip(blocks, entries))])))
+    # the union, whose entries carry bit k where term k has an entry and bit
+    # len(terms) on the diagonal: sums of distinct powers of 2 are exact
+    union = sum((sp.csr_matrix((np.full(data.size, 2.0 ** k), indices, indptr), shape=(n, n))
+                 for k, (data, indices, indptr) in enumerate(terms) if data.size),
+                sp.diags(np.full(n, 2.0 ** len(terms)), format="csr"))
+    bits = union.data.astype(np.int64)
+    out = []
+    for k, (data, _, _) in enumerate(terms):
+        if not data.size:
+            out.append(sp.csr_matrix((n, n), dtype=dtype))
+            continue
+        padded = np.zeros(union.nnz, dtype)
+        padded[np.flatnonzero(bits & (1 << k))] = data    # the union keeps each term's order
+        out.append(sp.csr_matrix((padded, union.indices, union.indptr), shape=(n, n)))
+    return out, dict(indices=union.indices, indptr=union.indptr,
+                     diagonal=np.flatnonzero(bits & (1 << len(terms))),
+                     data_starts=tuple(int(x) for x in union.indptr[rows]))
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:

@@ -171,8 +171,8 @@ def _diagonal_lowest(H: sp.csr_matrix, n_eig: int) -> Optional[SpectralResult]:
     """The lowest pairs of a matrix with no nonzero off-diagonal entry, read
     from its diagonal (stable order, unit vectors, zero residuals); None for
     any other matrix."""
-    coo = H.tocoo()
-    if np.any(coo.data[coo.row != coo.col]):
+    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+    if np.any(H.data[H.indices != rows]):
         return None
     diag = H.diagonal().real
     order = np.argsort(diag, kind="stable")[:n_eig]
@@ -305,7 +305,8 @@ def _check_n_eig(n_eig: int, n: int, method: str = "auto") -> None:
         )
 
 
-def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto") -> SpectralResult:
+def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", *,
+                 _checked: bool = False) -> SpectralResult:
     """Lowest ``n_eig`` eigenpairs of a Hermitian matrix.
 
     ``method``: "dense", "lanczos", or "auto": a diagonal matrix is read off
@@ -313,7 +314,10 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto") 
     sends it.  Lanczos converges a pair at residual <= DEFAULT_TOL * max(1,
     ||H||) and gives up after MAX_RESTARTS restart cycles.
     ``n_eig`` may equal the dimension only with method "dense".  Rejects
-    non-Hermitian input (the assembly pipeline closes operators exactly).
+    non-Hermitian input (the assembly pipeline closes operators exactly)
+    with one ``hermiticity_defect`` of H before any solve; ``_checked`` is
+    for ``solve_model``, which has checked the matrix its sector blocks are
+    cut from.
     A LAPACK failure is raised as SolverError, like a Lanczos stall; a dense
     solve too large for physical memory as ResourceError.  The solve works
     in float64 for a real matrix and in complex128 otherwise, and returns
@@ -324,11 +328,8 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto") 
     if H.shape[0] != H.shape[1]:
         raise NonHermitianError(f"matrix is not square: {H.shape}")
     _check_n_eig(n_eig, n, method)
-    if hermiticity_defect(H) != 0.0:
-        raise NonHermitianError(
-            f"matrix is not exactly Hermitian (defect {hermiticity_defect(H):.3e}); "
-            "symmetrize before solving"
-        )
+    if not _checked:
+        _check_hermitian(H)
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
@@ -344,29 +345,39 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto") 
         raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
 
 
+def _check_hermitian(H: sp.csr_matrix) -> None:
+    defect = hermiticity_defect(H)
+    if defect != 0.0:
+        raise NonHermitianError(f"matrix is not exactly Hermitian (defect {defect:.3e}); "
+                                "symmetrize before solving")
+
+
 def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAULT_SEED,
                 method: str = "auto") -> SpectralResult:
-    """Lowest ``n_eig`` eigenpairs of H(p, e) built from ``ops``, in the
-    linear basis of ``assemble_hamiltonian``.
+    """Lowest ``n_eig`` eigenpairs of H(p, e) built from ``ops``, in the linear
+    basis of ``assemble_hamiltonian``.
 
     When p lies on the axis of an axial model with n_max >= N_max
-    (``ModelOperators.axis_coordinate``), H(p) commutes with J_axis and each
-    sector block with label >= 0 goes to ``solve_lowest`` on its own (at
-    e = 0 each block is diagonal and is read off its diagonal).  The
-    mirror U maps sector z onto -z, so the pairs of sector -z are (lambda,
-    U W_z x) for the pairs (lambda, x) of z, with z's residuals, and each
-    value of a sector z > 0 counts twice in the merge.  Each solved sector
-    starts at one pair (two when n_eig > 1) and is re-solved with twice as
-    many, up to n_eig, until it is exhausted or its highest computed
-    eigenvalue is at or above the n_eig-th lowest of all sectors' values; no
-    sector can then hold one of the n_eig lowest eigenvalues that was not
-    computed.  A sector needing all of its pairs (never more than n_eig) is
+    (``ModelOperators.axis_coordinate``), H(p) commutes with J_axis, and
+    H(t u, e) on the sectors with label >= 0 is formed once on the sector
+    split's stored pattern (``SectorSplit.upper_hamiltonian``) and checked
+    once to be exactly Hermitian, before any eigensolve.  Each of its sector
+    blocks then goes to ``solve_lowest`` on its own, without a check of its
+    own (at e = 0 each block is diagonal and is read off its diagonal).  The
+    mirror U maps sector z onto -z, so the pairs of sector -z are
+    (lambda, U W_z x) for the pairs (lambda, x) of z, with z's residuals,
+    and each value of a sector z > 0 counts twice in the merge.  Each
+    solved sector starts at one pair (two when n_eig > 1) and is re-solved
+    with twice as many, up to n_eig, until it is exhausted or its highest
+    computed eigenvalue is at or above the n_eig-th lowest of all sectors'
+    values; no sector can then hold one of the n_eig lowest eigenvalues that
+    was not computed.  A sector needing all of its pairs (never more than n_eig) is
     solved with method "dense" whatever ``method`` is, as only a dense solve
-    returns a whole spectrum.  The blocks are real when the sector terms
-    are (``SectorSplit``), and so are their eigenvectors; these become
-    complex when they are mapped back to the linear basis.  The residuals
-    are those of the sector blocks.  Any other model or momentum is solved
-    in the full space.
+    returns a whole spectrum.  The blocks are real when the sector terms are
+    (``SectorSplit``), and so are their eigenvectors; only the n_eig kept
+    ones are mapped back to the linear basis, where they become complex.
+    The residuals are those of the sector blocks.  Any other model or
+    momentum is solved in the full space by ``solve_lowest``.
     """
     t = ops.axis_coordinate(p)
     if t is None:
@@ -374,7 +385,9 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     _check_n_eig(n_eig, ops.basis.dimension)
     split = ops.sectors
     first = split.first_upper
-    blocks = split.upper_blocks(t, e)
+    H = split.upper_hamiltonian(t, e)
+    _check_hermitian(H)
+    blocks = split.blocks(H)
     copies = [1 if z == 0.0 else 2 for z in split.labels[first:]]
     pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
     results: list[Optional[SpectralResult]] = [None] * len(blocks)
@@ -383,7 +396,8 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
             if results[i] is None:
                 exhausted = pairs[i] == block.shape[0]
                 results[i] = solve_lowest(block, pairs[i], seed=seed,
-                                          method="dense" if exhausted else method)
+                                          method="dense" if exhausted else method,
+                                          _checked=True)
         values = np.sort(np.concatenate([np.tile(r.eigenvalues, c)
                                          for r, c in zip(results, copies)]))
         bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
@@ -398,17 +412,22 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     n_sectors = len(split.labels)
     source = [n_sectors - 1 - i if i < first else i for i in range(n_sectors)]
     solved = [results[j - first] for j in source]
-    vecs = [split.to_linear[j] @ r.eigenvectors for j, r in zip(source, solved)]
-    vecs[:first] = [split.mirror @ v for v in vecs[:first]]
     vals = np.concatenate([r.eigenvalues for r in solved])
     order = np.argsort(vals, kind="stable")[:n_eig]
     resid = np.concatenate([r.residual_norms for r in solved])
+    # map back the kept columns only, sector by sector
+    sector_of = np.repeat(np.arange(n_sectors), [len(r.eigenvalues) for r in solved])
+    column_of = np.concatenate([np.arange(len(r.eigenvalues)) for r in solved])
+    vecs = np.empty((ops.basis.dimension, len(order)), dtype=np.complex128)
+    for i in np.unique(sector_of[order]):
+        kept = np.flatnonzero(sector_of[order] == i)
+        v = split.to_linear[source[i]] @ solved[i].eigenvectors[:, column_of[order[kept]]]
+        vecs[:, kept] = split.mirror @ v if i < first else v
     solves = tuple(SectorSolve(split.labels[i], blocks[j - first].shape[0],
                                len(r.eigenvalues), r.method, r.ground_energy,
                                split.labels[j] if i < first else None)
                    for i, (j, r) in enumerate(zip(source, solved)))
-    return SpectralResult(vals[order], np.column_stack(vecs)[:, order], resid[order],
-                          "sectors", solves)
+    return SpectralResult(vals[order], vecs, resid[order], "sectors", solves)
 
 
 def detect_ground_cluster(result: SpectralResult) -> GroundCluster:

@@ -230,3 +230,13 @@ def vacuum_interaction_expectation(config):
         phi = float(config.form_factor.phi_hat(r))
         total += m.weight * phi * phi / (2.0 * omega)
     return 0.5 * config.e**2 * total
+
+
+def subtraction_hermiticity_defect(A):
+    """max |A - A+| over the entries of scipy's sparse difference A - A+, with
+    A+ as canonical CSR (duplicates summed, indices sorted): the defect read
+    off sparse arithmetic rather than off the CSR arrays."""
+    adj = A.conjugate().transpose().tocsr()
+    adj.sum_duplicates()
+    adj.sort_indices()
+    return float(np.abs((A.tocsr() - adj).data).max(initial=0.0))

@@ -240,6 +240,28 @@ def test_bounds_spinless_path(tmp_path, capsys):
     assert report["gap_above"] > 0.0
 
 
+@pytest.mark.parametrize("name", ["desk_e010.json", "desk_spinless_e020.json"])
+def test_bounds_dense_forces_every_eigensolve_dense(tmp_path, monkeypatch, name):
+    # the cluster, the energy curve, every coupling-threshold probe, the
+    # pull-through gap solves and the spinless check
+    methods = []
+    solve_lowest = spectra.solve_lowest
+
+    def recorded(H, n_eig, **kwargs):
+        methods.append(kwargs["method"])
+        return solve_lowest(H, n_eig, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a solve that is not dense under --dense")
+
+    monkeypatch.setattr(spectra, "solve_lowest", recorded)
+    monkeypatch.setattr(spectra, "_lanczos_lowest", refused)
+    monkeypatch.setattr(spectra, "_diagonal_lowest", refused)
+    assert run("bounds", "--config", CONFIG_DIR / name, "--out", tmp_path / "o",
+               "--dense") == 0
+    assert len(methods) > 25 and set(methods) == {"dense"}
+
+
 @pytest.mark.parametrize("command", ["bounds", "sectors"])
 def test_command_builds_one_operator_set(tmp_path, monkeypatch, command):
     # the cluster, the energy curve, the pull-through residuals, every

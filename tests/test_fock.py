@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from pflab.errors import BasisMismatchError, DimensionCapError
@@ -19,7 +20,7 @@ from pflab.fock import (
     spin_tensor,
 )
 
-from oracles import brute_force_occupations, photon_occupations
+from oracles import brute_force_occupations, photon_occupations, subtraction_hermiticity_defect
 
 
 def test_mode_validation():
@@ -218,6 +219,64 @@ def test_counting_operators_commute_exactly(pair_ms):
         assert np.allclose(x.toarray().imag, 0.0)
         for y in ops:
             assert (x @ y - y @ x).nnz == 0
+
+
+def _stored(entries, hermitian, complex_values):
+    """COO triplets with at most two stored copies per entry (a sum of two is
+    the same in any order); for a Hermitian matrix each copy at (i, j) has
+    its conjugate at (j, i), so the sums are conjugate too."""
+    rows, cols, vals = [], [], []
+    for (i, j), copies in entries.items():
+        if hermitian and i > j:
+            continue
+        for v in copies:
+            v = complex(*v) if complex_values else v[0]
+            if hermitian and i == j:
+                v = complex(v).real
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
+            if hermitian and i != j:
+                rows.append(j)
+                cols.append(i)
+                vals.append(np.conj(v))
+    dtype = complex if complex_values else float
+    return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(vals, dtype=dtype)
+
+
+def _compressed(rows, cols, vals, n, order, fmt):
+    """The triplets in ``order`` as COO, or as CSR or CSC built from the raw
+    arrays, so that duplicates and unsorted indices stay stored."""
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if fmt == "coo":
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    major, minor = (rows, cols) if fmt == "csr" else (cols, rows)
+    by_major = np.argsort(major, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(major, minlength=n))])
+    cls = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+    return cls((vals[by_major], minor[by_major], indptr), shape=(n, n))
+
+
+VALUE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), hermitian=st.booleans(),
+       complex_values=st.booleans(), fmt=st.sampled_from(["coo", "csr", "csc"]))
+def test_hermiticity_defect_equals_the_sparse_subtraction(data, n, hermitian, complex_values,
+                                                          fmt):
+    entries = {}
+    if n:
+        entries = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            st.lists(st.tuples(VALUE, VALUE), min_size=1, max_size=2), max_size=12))
+    rows, cols, vals = _stored(entries, hermitian, complex_values)
+    order = np.array(data.draw(st.permutations(range(len(vals)))), dtype=int)
+    A = _compressed(rows, cols, vals, n, order, fmt)
+    got = hermiticity_defect(A)
+    assert got == subtraction_hermiticity_defect(A)
+    if hermitian:
+        assert got == 0.0
 
 
 def test_field_energy_needs_one_omega_per_kpoint(pair_ms):

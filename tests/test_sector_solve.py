@@ -1,6 +1,8 @@
 """solve_model's sector path against the full-space dense oracle and the
 dense sector oracle, and the solver policy around it: choose_method, the
-diagonal path and the dense memory guard."""
+diagonal path and the dense memory guard.  The blocks come from the sector
+split's stored pattern, bitwise equal to the sparse sum, with one Hermitian
+check per solve."""
 
 import numpy as np
 import pytest
@@ -8,14 +10,16 @@ import scipy.sparse as sp
 
 import pflab.spectra as spectra_mod
 from pflab import bounds
-from pflab.errors import ResourceError, SolverError
+from pflab.errors import NonHermitianError, ResourceError, SolverError
 from pflab.fock import Mode, ModeSet, axial_mode_set
-from pflab.model import assemble_hamiltonian, build_operators
+from pflab.model import HamiltonianTerms, assemble_hamiltonian, build_operators
 from pflab.spectra import (
     choose_method,
     detect_ground_cluster,
+    model_operators,
     solve_lowest,
     solve_model,
+    sweep_energy_curve,
 )
 from pflab.symmetry import ground_sector_labels
 
@@ -23,6 +27,7 @@ from conftest import make_config
 from oracles import dense_pull_through_residuals, dense_sector_energies
 
 N_EIG = 6
+TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
 
 
 def _sector_cases(shipped_configs):
@@ -271,3 +276,82 @@ def test_only_a_dense_solve_returns_the_whole_spectrum():
     for method in ("auto", "lanczos"):
         with pytest.raises(ValueError, match="n_eig"):
             solve_lowest(H, 2, method=method)
+
+
+# -- the stored pattern and the one Hermitian check --------------------------------
+
+
+def _pattern_models(shipped_configs):
+    tilted = axial_mode_set([0.0, 0.6, 1.2, 2.2], axis=TILTED_AXIS)
+    return {
+        "desk_e010": shipped_configs["desk_e010.json"],
+        "desk_spinless_e020": shipped_configs["desk_spinless_e020.json"],
+        "tilted": make_config(tilted, e=0.2, p=tuple(0.3 * TILTED_AXIS)),
+    }
+
+
+@pytest.mark.parametrize("name", ["desk_e010", "desk_spinless_e020", "tilted"])
+def test_upper_blocks_are_bitwise_slices_of_the_sparse_sum(shipped_configs, name):
+    cfg = _pattern_models(shipped_configs)[name]
+    ops = build_operators(cfg)
+    split = ops.sectors
+    u = np.asarray(cfg.mode_set.axis)
+    starts = np.subtract(split.starts[split.first_upper:], split.starts[split.first_upper])
+    assert (split.upper.C.dtype == np.complex128) == (name == "tilted")
+    for t in (0.0, 0.4, -1.3, 3.9):
+        for e in (0.0, 0.1, -0.2):
+            H = split.upper.hamiltonian(t, e)
+            blocks = split.upper_blocks(t, e)
+            assert len(blocks) == len(starts) - 1
+            for a, b, block in zip(starts[:-1], starts[1:], blocks):
+                got, want = block.toarray(), H[a:b, a:b].toarray()
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+            if e == 0.0:
+                got = solve_model(ops, tuple(t * u), e, 2)
+                assert all(s.method == "diagonal" for s in got.sectors)
+
+
+def test_corrupted_sector_term_is_refused_before_any_eigensolve(shipped_configs, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve of a non-Hermitian block")
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-Hermitian block")
+
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
+    A2 = ops.sectors.upper.A2
+    rows = np.repeat(np.arange(A2.shape[0]), np.diff(A2.indptr))
+    off_diagonal = np.flatnonzero((A2.indices != rows) & (A2.data != 0.0))
+    A2.data[off_diagonal[len(off_diagonal) // 2]] *= 1.0 + 1e-12
+    monkeypatch.setattr(spectra_mod, "solve_lowest", no_solve)
+    monkeypatch.setattr(spectra_mod.sla, "eigh", no_lapack)
+    with pytest.raises(NonHermitianError, match="not exactly Hermitian"):
+        solve_model(ops, cfg.p, cfg.e, N_EIG)
+
+
+def test_energy_curve_costs_one_check_and_its_eigensolves_per_point(shipped_configs,
+                                                                     monkeypatch):
+    cfg = shipped_configs["desk_e010.json"]
+    cache = {}
+    model_operators(cfg, cache).sectors           # the split is built outside the count
+    counts = {"hamiltonian": 0, "hermiticity_defect": 0, "eigh": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HamiltonianTerms, "hamiltonian",
+                        counted("hamiltonian", HamiltonianTerms.hamiltonian))
+    monkeypatch.setattr(spectra_mod, "hermiticity_defect",
+                        counted("hermiticity_defect", spectra_mod.hermiticity_defect))
+    monkeypatch.setattr(spectra_mod.sla, "eigh", counted("eigh", spectra_mod.sla.eigh))
+    curve = sweep_energy_curve(cfg, cfg.p_norm + cfg.quadrature.r_max, cache=cache)
+    assert len(curve.q) == 25
+    # three sector blocks of at most 73 states per point, one dense solve each
+    assert counts == {"hamiltonian": 0, "hermiticity_defect": 25, "eigh": 75}
