@@ -75,11 +75,10 @@ def vacuum_projector(basis: FockBasis) -> sp.csr_matrix:
 
 
 def default_energy_curve(config: ModelConfig, cache: Optional[dict] = None,
-                         seed: int = DEFAULT_SEED, method: str = "auto") -> RadialEnergyCurve:
-    """Energy curve covering every |p - k| reachable by the shared quadrature,
-    each point solved with ``method``."""
+                         seed: int = DEFAULT_SEED) -> RadialEnergyCurve:
+    """Energy curve covering every |p - k| reachable by the shared quadrature."""
     q_max = config.p_norm + config.quadrature.r_max
-    return sweep_energy_curve(config, q_max=q_max, cache=cache, seed=seed, method=method)
+    return sweep_energy_curve(config, q_max=q_max, cache=cache, seed=seed)
 
 
 @dataclass
@@ -174,7 +173,7 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: 
 
 
 def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
-                          ops: ModelOperators, method: str = "auto") -> np.ndarray:
+                          ops: ModelOperators) -> np.ndarray:
     """|| a_m Psi - RHS_m || / ||Psi|| for the pull-through identity at every
     mode m, in mode order, from the operator set ``ops`` of ``config``.
 
@@ -185,7 +184,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
     identity is exact only on the untruncated space, so the residuals are
     the truncation diagnostic.  Raises, naming the k-point and before any
     factorization, when a shifted operator is not safely positive (gap
-    violation at that k-point).  The gap solves use ``method``.
+    violation at that k-point).
     """
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi)
@@ -197,7 +196,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
     for i, k in enumerate(ms.k_points):
         k = np.asarray(k)
         omega = float(config.dispersion.omega(float(np.linalg.norm(k))))
-        bottom = solve_model(ops, p - k, config.e, 1, method=method).ground_energy
+        bottom = solve_model(ops, p - k, config.e, 1).ground_energy
         if bottom + omega - energy < DENOMINATOR_FLOOR:
             raise GapTooSmallError(
                 f"shifted resolvent at k-point {i} {tuple(k)} is nearly singular: "
@@ -330,13 +329,13 @@ class CouplingThreshold:
 
 
 def coupling_threshold(config: ModelConfig, e_values=None, refine_steps: int = 8,
-                       cache: Optional[dict] = None, seed: int = DEFAULT_SEED,
-                       method: str = "auto") -> CouplingThreshold:
+                       cache: Optional[dict] = None,
+                       seed: int = DEFAULT_SEED) -> CouplingThreshold:
     """Largest e with e < 1/sqrt(3 Theta(p, e)) and c0(e) < 1.
 
     Theta depends on e through the interpolated energy curve of the model at
-    that coupling, so each probe re-solves the sweep with ``method``, from
-    the one operator set of the model kept in ``cache``.  The relative-bound condition
+    that coupling, so each probe re-solves the sweep from the one operator
+    set of the model kept in ``cache``.  The relative-bound condition
     c0(e) < 1 stands in for the implicit self-adjointness threshold.
     Returns 0 with a warning when no grid point is admissible.
     """
@@ -351,7 +350,7 @@ def coupling_threshold(config: ModelConfig, e_values=None, refine_steps: int = 8
             return False, "relative-bound"
         if e == 0.0:
             return True, ""
-        curve = default_energy_curve(probe, cache=cache, seed=seed, method=method)
+        curve = default_energy_curve(probe, cache=cache, seed=seed)
         try:
             theta = photon_number_integral(probe, curve).value
         except GapTooSmallError:
@@ -402,27 +401,25 @@ class SpinlessUniqueness:
 
 
 def spinless_uniqueness_check(config: ModelConfig, energy_curve=None,
-                              cache: Optional[dict] = None, seed: int = DEFAULT_SEED,
-                              method: str = "auto") -> SpinlessUniqueness:
+                              cache: Optional[dict] = None,
+                              seed: int = DEFAULT_SEED) -> SpinlessUniqueness:
     """Spinless models: e^2 <= 1 / (2 J(p)) forces a unique ground state,
     with J(p) = int E(p) / (E(p-k)+omega(k)-E(p))^2 * phi_hat^2/omega dk.
 
     E(p) = 0 makes the condition vacuous (limit +inf); that is handled, not
-    an error.  The observed degeneracy and gap come from an eigensolve of
-    the same configuration; the curve and the eigensolve use ``method``.
+    an error.  The observed degeneracy and gap come from an eigensolve.
     """
     if config.with_spin:
         raise PflabError("spinless uniqueness check requires with_spin = false")
     cache = {} if cache is None else cache
     if energy_curve is None:
-        energy_curve = default_energy_curve(config, cache=cache, seed=seed, method=method)
+        energy_curve = default_energy_curve(config, cache=cache, seed=seed)
     J, _, _ = _resolvent_integral(config, energy_curve, lambda R, Ep: Ep,
                                   "uniqueness integral")
     limit = math.inf if J <= 0.0 else 1.0 / (2.0 * J)
     holds = config.e**2 <= limit
     ops = model_operators(config, cache)
-    result = solve_model(ops, config.p, config.e, n_eig=min(6, ops.basis.dimension - 1),
-                         seed=seed, method=method)
+    result = solve_model(ops, config.p, config.e, n_eig=min(6, ops.basis.dimension - 1), seed=seed)
     try:
         cluster = detect_ground_cluster(result)
         count: Optional[int] = cluster.count

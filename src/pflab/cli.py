@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -32,9 +33,11 @@ from .fock import number_operator
 from .io import (
     RunManifest,
     TOOL_VERSION,
+    config_from_dict,
     config_hash,
     jsonable,
     load_config,
+    read_config_document,
     write_eigenvectors,
     write_json,
     write_sweep_csv,
@@ -76,8 +79,10 @@ def _parse_p_grid(spec: str) -> list[tuple[float, float, float]]:
     if unknown:
         raise ConfigError(f"p-grid: unknown fields {sorted(unknown)}")
     axes = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+    axis = axes.get(fields.get("axis", "z"))
+    if axis is None:
+        raise ConfigError(f"p-grid: unknown axis {fields['axis']!r}")
     try:
-        axis = axes[fields.get("axis", "z")]
         lo = float(fields["from"])
         hi = float(fields["to"])
         steps = int(fields["steps"])
@@ -85,6 +90,8 @@ def _parse_p_grid(spec: str) -> list[tuple[float, float, float]]:
         raise ConfigError(f"p-grid: missing field {err}") from err
     except ValueError as err:
         raise ConfigError(f"p-grid: {err}") from err
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"p-grid: from and to must be finite, got {lo} and {hi}")
     if steps < 1:
         raise ConfigError("p-grid: steps must be >= 1")
     ts = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
@@ -95,6 +102,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -113,23 +127,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _solver_method(args) -> str:
-    return "dense" if args.dense else "auto"
-
-
 def cmd_model_check(args) -> int:
-    import json as _json
-
-    with open(args.config) as fh:
-        declared_override = bool(_json.load(fh).get("allow_massless", False))
-    config = load_config(args.config, force_allow_massless=True)
+    document = read_config_document(args.config)
+    config = config_from_dict(document, force_allow_massless=True)
     axioms = check_dispersion_axioms(config.dispersion, sample_count=400,
                                      rng_seed=args.seed)
     hard_failure = False
     print(f"config hash: {config_hash(config)}")
     print(f"dispersion gap      : inf omega = {axioms.omega_min:.6g} "
           f"{'ok' if axioms.gap_holds else 'VIOLATED (no photon mass gap)'}")
-    if not axioms.gap_holds and not (declared_override or args.override_massless):
+    if not axioms.gap_holds and not (document.get("allow_massless") or args.override_massless):
         print("  warning: gapless dispersion; pass --override-massless (or set "
               "allow_massless) to build models with it")
     print(f"subadditivity       : worst margin = {axioms.subadditivity_margin:.6g} "
@@ -179,8 +186,7 @@ def cmd_spectrum(args) -> int:
             f"n_eig = {args.n_eig} must be smaller than the basis dimension "
             f"{basis.dimension}; lower n-eig or enlarge the cutoffs"
         )
-    result = solve_model(ops, config.p, config.e, args.n_eig, seed=args.seed,
-                         method=_solver_method(args))
+    result = solve_model(ops, config.p, config.e, args.n_eig, seed=args.seed)
     cluster = detect_ground_cluster(result)
     print(f"dimension   : {basis.dimension}")
     print(f"E(p)        : {result.ground_energy!r}")
@@ -213,14 +219,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config, force_allow_massless=args.override_massless)
     p_values = _parse_p_grid(args.p_grid)
+    config = load_config(args.config, force_allow_massless=args.override_massless)
     cache: dict = {}
-    rows = energy_sweep(config, p_values, n_eig=args.n_eig, seed=args.seed,
-                        method=_solver_method(args), cache=cache)
+    rows = energy_sweep(config, p_values, n_eig=args.n_eig, seed=args.seed, cache=cache)
     p_max = max(float(np.linalg.norm(p)) for p in p_values)
-    curve = sweep_energy_curve(config, q_max=p_max + args.k_max, cache=cache,
-                               seed=args.seed, method=_solver_method(args))
+    curve = sweep_energy_curve(config, q_max=p_max + args.k_max, cache=cache, seed=args.seed)
     table = []
     for row in rows:
         entry = {
@@ -252,8 +256,7 @@ def cmd_bounds(args) -> int:
     cache: dict = {}
     out = _out_dir(args)
     if not config.with_spin:
-        rep = bounds_mod.spinless_uniqueness_check(config, cache=cache, seed=args.seed,
-                                                   method=_solver_method(args))
+        rep = bounds_mod.spinless_uniqueness_check(config, cache=cache, seed=args.seed)
         print(f"spinless uniqueness : integral = {rep.integral:.6g}, "
               f"e^2 limit = {rep.e_squared_limit:.6g}, hypothesis "
               f"{'holds' if rep.hypothesis_holds else 'fails'}")
@@ -274,23 +277,19 @@ def cmd_bounds(args) -> int:
 
     ops = model_operators(config, cache)
     basis = ops.basis
-    result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1),
-                         seed=args.seed, method=_solver_method(args))
+    result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1), seed=args.seed)
     cluster = detect_ground_cluster(result)
-    curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed,
-                                            method=_solver_method(args))
+    curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed)
     integral = bounds_mod.photon_number_integral(config, curve)
     nf_check = bounds_mod.photon_number_check(cluster, config,
                                               number_operator(basis), integral)
     overlap = bounds_mod.vacuum_overlap(cluster, basis, config.e, integral)
     upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
     residual = float(bounds_mod.pull_through_residual(cluster.basis[:, 0], config,
-                                                      cluster.energy, ops,
-                                                      method=_solver_method(args)).max())
+                                                      cluster.energy, ops).max())
     gram = bounds_mod.vacuum_gram(cluster, basis) if cluster.count == 2 else None
-    threshold = bounds_mod.coupling_threshold(
-        config, e_values=np.linspace(0.0, args.e_grid_max, 6),
-        refine_steps=5, cache=cache, seed=args.seed, method=_solver_method(args))
+    threshold = bounds_mod.coupling_threshold(config, np.linspace(0.0, args.e_grid_max, 6),
+                                              refine_steps=5, cache=cache, seed=args.seed)
 
     hypothesis = upper.hypothesis_holds and coupling_bound(config) < 1.0
     gap_positive = cluster.gap_above > 0.0
@@ -375,14 +374,12 @@ def cmd_sectors(args) -> int:
             f"momentum {config.p} is not collinear with the mode axis "
             f"{config.mode_set.axis}; the axial reduction does not apply"
         )
-    result = solve_model(ops, config.p, config.e, min(6, ops.basis.dimension - 1),
-                         seed=args.seed, method=_solver_method(args))
+    result = solve_model(ops, config.p, config.e, min(6, ops.basis.dimension - 1), seed=args.seed)
     cluster = detect_ground_cluster(result)
 
     gate = False
     if config.with_spin and config.e != 0.0:
-        curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed,
-                                                method=_solver_method(args))
+        curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed)
         integral = bounds_mod.photon_number_integral(config, curve)
         upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
         gate = upper.hypothesis_holds and coupling_bound(config) < 1.0
@@ -433,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--out", default=None, help="optional output directory")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="solver start-vector seed")
-        sp.add_argument("--dense", action="store_true",
-                        help="force the dense eigensolver")
         sp.add_argument("--override-massless", action="store_true",
                         help="allow a dispersion without a photon mass gap")
 
@@ -454,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-grid", required=True,
                     help="e.g. 'axis=z;from=0;to=0.6;steps=13'")
     sp.add_argument("--n-eig", type=_pair_count, default=6)
-    sp.add_argument("--k-max", type=float, default=3.0,
+    sp.add_argument("--k-max", type=_positive_float, default=3.0,
                     help="half-width of the gap search grid")
     sp.add_argument("--k-steps", type=_positive_int, default=61)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("bounds", help="pull-through diagnostics and thresholds")
     common(sp)
-    sp.add_argument("--e-grid-max", type=float, default=0.5,
+    sp.add_argument("--e-grid-max", type=_positive_float, default=0.5,
                     help="top of the coupling-threshold search grid")
     sp.set_defaults(func=cmd_bounds)
 

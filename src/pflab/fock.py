@@ -241,6 +241,8 @@ class FockBasis:
         self.dimension = (2 if with_spin else 1) * self.boson_dimension
         self._boson_rank = {occ: i for i, occ in enumerate(states)}
         self._ladder_cache: dict[int, sp.csr_matrix] = {}
+        self._occupations = np.array(states, dtype=np.int64)
+        self._occupations.setflags(write=False)
 
     # -- indexing ---------------------------------------------------------
 
@@ -265,8 +267,8 @@ class FockBasis:
         return OccupationState(self.boson_states[index], None)
 
     def occupation_array(self) -> np.ndarray:
-        """(boson_dimension, n_modes) integer array of occupation vectors."""
-        return np.array(self.boson_states, dtype=np.int64)
+        """(boson_dimension, n_modes) integer array of occupation vectors (shared, read-only)."""
+        return self._occupations
 
     def vacuum_indices(self) -> tuple[int, ...]:
         """Full-basis indices of the (spin x) zero-photon states."""

@@ -191,13 +191,17 @@ def config_from_dict(obj: dict, force_allow_massless: bool = False) -> ModelConf
     )
 
 
-def load_config(path, force_allow_massless: bool = False) -> ModelConfig:
+def read_config_document(path):
+    """The parsed JSON document of a config file, for ``config_from_dict``."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
-    return config_from_dict(obj, force_allow_massless=force_allow_massless)
+
+
+def load_config(path, force_allow_massless: bool = False) -> ModelConfig:
+    return config_from_dict(read_config_document(path), force_allow_massless)
 
 
 def config_to_dict(config: ModelConfig) -> dict:

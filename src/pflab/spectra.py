@@ -311,8 +311,9 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
 
     ``method``: "dense", "lanczos", or "auto": a diagonal matrix is read off
     its diagonal (method "diagonal"), any other goes where ``choose_method``
-    sends it.  Lanczos converges a pair at residual <= DEFAULT_TOL * max(1,
-    ||H||) and gives up after MAX_RESTARTS restart cycles.
+    sends it; model solves (``solve_model``) always take "auto".  Lanczos
+    converges a pair at residual <= DEFAULT_TOL * max(1, ||H||) and gives up
+    after MAX_RESTARTS restart cycles.
     ``n_eig`` may equal the dimension only with method "dense".  Rejects
     non-Hermitian input (the assembly pipeline closes operators exactly)
     with one ``hermiticity_defect`` of H before any solve; ``_checked`` is
@@ -352,8 +353,8 @@ def _check_hermitian(H: sp.csr_matrix) -> None:
                                 "symmetrize before solving")
 
 
-def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAULT_SEED,
-                method: str = "auto") -> SpectralResult:
+def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
+                seed: int = DEFAULT_SEED) -> SpectralResult:
     """Lowest ``n_eig`` eigenpairs of H(p, e) built from ``ops``, in the linear
     basis of ``assemble_hamiltonian``.
 
@@ -371,9 +372,9 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     with twice as many, up to n_eig, until it is exhausted or its highest
     computed eigenvalue is at or above the n_eig-th lowest of all sectors'
     values; no sector can then hold one of the n_eig lowest eigenvalues that
-    was not computed.  A sector needing all of its pairs (never more than n_eig) is
-    solved with method "dense" whatever ``method`` is, as only a dense solve
-    returns a whole spectrum.  The blocks are real when the sector terms are
+    was not computed.  A sector needing all of its pairs (never more than
+    n_eig) is solved dense, as only a dense solve returns a whole spectrum;
+    any other block by method "auto".  The blocks are real when the sector terms are
     (``SectorSplit``), and so are their eigenvectors; only the n_eig kept
     ones are mapped back to the linear basis, where they become complex.
     The residuals are those of the sector blocks.  Any other model or
@@ -381,7 +382,7 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
     """
     t = ops.axis_coordinate(p)
     if t is None:
-        return solve_lowest(ops.hamiltonian(p, e), n_eig, seed=seed, method=method)
+        return solve_lowest(ops.hamiltonian(p, e), n_eig, seed=seed)
     _check_n_eig(n_eig, ops.basis.dimension)
     split = ops.sectors
     first = split.first_upper
@@ -395,9 +396,8 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int, seed: int = DEFAUL
         for i, block in enumerate(blocks):
             if results[i] is None:
                 exhausted = pairs[i] == block.shape[0]
-                results[i] = solve_lowest(block, pairs[i], seed=seed,
-                                          method="dense" if exhausted else method,
-                                          _checked=True)
+                results[i] = solve_lowest(block, pairs[i], seed=seed, _checked=True,
+                                          method="dense" if exhausted else "auto")
         values = np.sort(np.concatenate([np.tile(r.eigenvalues, c)
                                          for r, c in zip(results, copies)]))
         bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
@@ -491,9 +491,8 @@ def model_operators(config: ModelConfig, cache: dict) -> ModelOperators:
     return _cached_model(config, cache)[0]
 
 
-def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]],
-                 n_eig: int = 6, seed: int = DEFAULT_SEED, method: str = "auto",
-                 cache: Optional[dict] = None) -> list[SweepRow]:
+def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]], n_eig: int = 6,
+                 seed: int = DEFAULT_SEED, cache: Optional[dict] = None) -> list[SweepRow]:
     """E(p) and ground degeneracy across a list of momenta on a shared basis.
 
     Each point is solved by ``solve_model`` from the model's operator set
@@ -506,11 +505,11 @@ def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]],
     rows = []
     for p in p_values:
         pt = tuple(float(x) for x in p)
-        key = (pt, config.e, n_eig, seed, method)
+        key = (pt, config.e, n_eig, seed)
         if key not in solved:
             try:
                 result = solve_model(ops, pt, config.e, n_eig=min(n_eig, ops.basis.dimension - 1),
-                                     seed=seed, method=method)
+                                     seed=seed)
             except SolverError as err:
                 raise SolverError(f"solve failed at p={pt}: {err}",
                                   residuals=err.residuals) from err
@@ -574,7 +573,7 @@ def _search_axis(config: ModelConfig) -> np.ndarray:
 
 
 def sweep_energy_curve(config: ModelConfig, q_max: float, cache: Optional[dict] = None,
-                       seed: int = DEFAULT_SEED, method: str = "auto") -> RadialEnergyCurve:
+                       seed: int = DEFAULT_SEED) -> RadialEnergyCurve:
     """Tabulate the ground energy E(q) at ``config.quadrature.sweep_points``
     points along the search axis and wrap it as a radial curve.
 
@@ -585,8 +584,7 @@ def sweep_energy_curve(config: ModelConfig, q_max: float, cache: Optional[dict] 
     """
     q = np.linspace(0.0, q_max, config.quadrature.sweep_points)
     axis = _search_axis(config)
-    rows = energy_sweep(config, [tuple(qi * axis) for qi in q], n_eig=1, seed=seed,
-                        method=method, cache=cache)
+    rows = energy_sweep(config, [tuple(qi * axis) for qi in q], n_eig=1, seed=seed, cache=cache)
     return RadialEnergyCurve(q=q, values=np.array([r.energy for r in rows]),
                              spacing=float(q[1] - q[0]))
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pflab import spectra, symmetry
 from pflab.cli import main
@@ -64,6 +65,17 @@ def test_model_check_malformed_config(tmp_path, capsys):
     assert "unknown fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["model-check", "spectrum"])
+@pytest.mark.parametrize("text, message", [("{\"e\": 0.1,", "not valid JSON"),
+                                           ("[1, 2]", "config: expected an object")],
+                         ids=["invalid_json", "not_an_object"])
+def test_unreadable_config_document_exits_usage(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert message in capsys.readouterr().err
+
+
 # -- spectrum ---------------------------------------------------------------------
 
 
@@ -79,7 +91,7 @@ def test_spectrum_free_theory(tmp_path, capsys):
 
 def test_spectrum_matches_golden_file(tmp_path):
     assert run("spectrum", "--config", CONFIG_DIR / "desk_e010.json",
-               "--out", tmp_path, "--dense") == 0
+               "--out", tmp_path) == 0
     got = json.loads((tmp_path / "spectrum.json").read_text())
     want = json.loads((GOLDEN_DIR / "spectrum.json").read_text())
     assert got["degeneracy"] == want["degeneracy"]
@@ -200,7 +212,7 @@ def test_spectrum_records_sector_solves(tmp_path):
 def test_oversize_dense_solve_exits_usage(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(spectra.os, "sysconf", lambda name: 1)   # one byte
     assert run("spectrum", "--config", CONFIG_DIR / "desk_e010.json",
-               "--out", tmp_path, "--dense") == 2
+               "--out", tmp_path) == 2
     assert "GiB" in capsys.readouterr().err
 
 
@@ -241,25 +253,40 @@ def test_bounds_spinless_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["desk_e010.json", "desk_spinless_e020.json"])
-def test_bounds_dense_forces_every_eigensolve_dense(tmp_path, monkeypatch, name):
+def test_bounds_solves_take_the_policy_method(tmp_path, monkeypatch, name):
     # the cluster, the energy curve, every coupling-threshold probe, the
-    # pull-through gap solves and the spinless check
-    methods = []
+    # pull-through gap solves and the spinless check: a diagonal block is
+    # read off its diagonal, an exhausted one solved dense, any other goes
+    # where choose_method sends it
+    taken = []
     solve_lowest = spectra.solve_lowest
 
     def recorded(H, n_eig, **kwargs):
-        methods.append(kwargs["method"])
-        return solve_lowest(H, n_eig, **kwargs)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a solve that is not dense under --dense")
+        result = solve_lowest(H, n_eig, **kwargs)
+        dim = H.shape[0]
+        if n_eig == dim:
+            policy = "dense"
+        elif sp.triu(H, 1).count_nonzero() + sp.tril(H, -1).count_nonzero() == 0:
+            policy = "diagonal"
+        else:
+            policy = spectra.choose_method(dim, n_eig)
+        taken.append((result.method, policy))
+        return result
 
     monkeypatch.setattr(spectra, "solve_lowest", recorded)
-    monkeypatch.setattr(spectra, "_lanczos_lowest", refused)
-    monkeypatch.setattr(spectra, "_diagonal_lowest", refused)
-    assert run("bounds", "--config", CONFIG_DIR / name, "--out", tmp_path / "o",
-               "--dense") == 0
-    assert len(methods) > 25 and set(methods) == {"dense"}
+    assert run("bounds", "--config", CONFIG_DIR / name, "--out", tmp_path / "o") == 0
+    assert len(taken) > 25
+    assert all(method == policy for method, policy in taken)
+
+
+@pytest.mark.parametrize("command", [("model-check",), ("spectrum",),
+                                     ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2"),
+                                     ("bounds",), ("sectors",)], ids=lambda c: c[0])
+def test_dense_flag_is_refused(tmp_path, capsys, command):
+    # the solver policy is the only chooser of a model solve
+    assert exit_status(command[0], "--config", CONFIG_DIR / "desk_e010.json",
+                       "--out", tmp_path, *command[1:], "--dense") == 2
+    assert "unrecognized arguments: --dense" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["bounds", "sectors"])
@@ -312,6 +339,20 @@ INVALID_INPUTS = {
     "n_eig": ({}, ("spectrum", "--n-eig", "0"), "argument --n-eig: must be >= 2"),
     "k_steps": ({}, ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2", "--k-steps", "0"),
                 "argument --k-steps: must be >= 1"),
+    "p_grid_from": ({}, ("sweep", "--p-grid", "axis=z;from=nan;to=0.2;steps=2"),
+                    "p-grid: from and to must be finite"),
+    "p_grid_to": ({}, ("sweep", "--p-grid", "axis=z;from=0;to=inf;steps=2"),
+                  "p-grid: from and to must be finite"),
+    "p_grid_axis": ({}, ("sweep", "--p-grid", "axis=w;from=0;to=0.2;steps=2"),
+                    "p-grid: unknown axis 'w'"),
+    "k_max_nan": ({}, ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2", "--k-max", "nan"),
+                  "argument --k-max: must be finite and > 0"),
+    "k_max_negative": ({}, ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2",
+                            "--k-max", "-1"), "argument --k-max: must be finite and > 0"),
+    "e_grid_max_nan": ({}, ("bounds", "--e-grid-max", "nan"),
+                       "argument --e-grid-max: must be finite and > 0"),
+    "e_grid_max_zero": ({}, ("bounds", "--e-grid-max", "0"),
+                        "argument --e-grid-max: must be finite and > 0"),
 }
 
 

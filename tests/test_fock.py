@@ -92,6 +92,15 @@ def test_rank_of_single_photon_matches_oracle(tiny_ms):
     assert basis.rank(OccupationState((1, 0), spin=1)) == want + len(oracle)
 
 
+def test_occupation_array_is_built_once_and_read_only(pair_ms):
+    basis = enumerate_basis(pair_ms, N_max=2, n_max=2, with_spin=True)
+    occ = basis.occupation_array()
+    assert occ is basis.occupation_array()
+    assert occ.tolist() == [list(s) for s in basis.boson_states]
+    with pytest.raises(ValueError):
+        occ[0, 0] = 1
+
+
 def test_rank_unrank_bijection(pair_ms):
     basis = enumerate_basis(pair_ms, N_max=2, n_max=2, with_spin=False)
     for i in range(basis.dimension):

@@ -110,11 +110,19 @@ def test_sector_energies_agree_with_sector_decompose(sector_cases, name):
         assert abs(oracle[z] - energy) < 1e-12
 
 
-def test_sector_solve_is_bitwise_reproducible(shipped_configs):
+def force_lanczos(monkeypatch):
+    # the policy then sends every block that is neither diagonal nor
+    # exhausted to Lanczos
+    monkeypatch.setattr(spectra_mod, "choose_method", lambda dim, n_eig: "lanczos")
+
+
+def test_sector_solve_is_bitwise_reproducible(shipped_configs, monkeypatch):
     cfg = shipped_configs["desk_e010.json"]
-    for method in ("auto", "lanczos"):
-        a = solve_model(build_operators(cfg), cfg.p, cfg.e, N_EIG, seed=11, method=method)
-        b = solve_model(build_operators(cfg), cfg.p, cfg.e, N_EIG, seed=11, method=method)
+    for lanczos in (False, True):
+        if lanczos:
+            force_lanczos(monkeypatch)
+        a = solve_model(build_operators(cfg), cfg.p, cfg.e, N_EIG, seed=11)
+        b = solve_model(build_operators(cfg), cfg.p, cfg.e, N_EIG, seed=11)
         assert a.sectors == b.sectors
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
@@ -133,7 +141,8 @@ def test_sector_solve_exhausts_small_sectors(tiny_ms, monkeypatch):
 
     # every block, exhausted or not, goes through the public solve_lowest
     monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
-    got = solve_model(ops, cfg.p, cfg.e, n, method="lanczos")
+    force_lanczos(monkeypatch)
+    got = solve_model(ops, cfg.p, cfg.e, n)
     want = solve_lowest(assemble_hamiltonian(cfg), n, method="dense")
     assert got.method == "sectors"
     assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-12
@@ -158,8 +167,9 @@ def test_lapack_failure_in_an_exhausted_sector_is_a_solver_error(tiny_ms, monkey
     cfg = make_config(tiny_ms, e=0.3, p=(0.0, 0.0, 0.2))
     ops = build_operators(cfg)
     monkeypatch.setattr(spectra_mod.sla, "eigh", no_convergence)
+    force_lanczos(monkeypatch)
     with pytest.raises(SolverError, match="LAPACK"):
-        solve_model(ops, cfg.p, cfg.e, ops.basis.dimension - 1, method="lanczos")
+        solve_model(ops, cfg.p, cfg.e, ops.basis.dimension - 1)
 
 
 def test_full_space_path_when_sectors_do_not_apply(desk_ms):
