@@ -41,8 +41,6 @@ from .model import (
     build_vector_potential,
     check_dispersion_axioms,
     coupling_bound,
-    free_hamiltonian,
-    interaction_part,
     polarization_vectors,
     rotation_matrix,
 )

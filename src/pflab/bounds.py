@@ -66,14 +66,6 @@ DENOMINATOR_FLOOR = 1e-6
 PHOTON_NUMBER_SLACK = 0.10
 
 
-def vacuum_projector(basis: FockBasis) -> sp.csr_matrix:
-    """Projector onto (spin factor) x vacuum; rank 2 with spin, rank 1 without."""
-    diag = np.zeros(basis.dimension)
-    for idx in basis.vacuum_indices():
-        diag[idx] = 1.0
-    return sp.diags(diag.astype(complex), format="csr")
-
-
 def default_energy_curve(config: ModelConfig, cache: Optional[dict] = None,
                          seed: int = DEFAULT_SEED) -> RadialEnergyCurve:
     """Energy curve covering every |p - k| reachable by the shared quadrature."""

@@ -105,6 +105,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # numpy's generators refuse a negative seed, deep inside a solve
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -428,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--out", required=True, help="output directory")
         else:
             sp.add_argument("--out", default=None, help="optional output directory")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="solver start-vector seed")
         sp.add_argument("--override-massless", action="store_true",
                         help="allow a dispersion without a photon mass gap")

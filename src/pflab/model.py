@@ -16,10 +16,11 @@ cross term symmetrized (equal to the unsymmetrized one, as k.e_j(k) = 0) gives
     C = (1/2) sum_mu (P_f^mu A^mu + A^mu P_f^mu).
 
 Only the coefficients depend on p and e, so ``build_operators`` builds the
-operators of one truncated model once, each exactly Hermitian, and
-``ModelOperators.hamiltonian`` forms H(p, e) as their sum with real
-coefficients, exactly Hermitian again.  H is formed as H0(p) (first line)
-plus H_int (second line), so H(p) = H0(p) + H_int holds entrywise.
+operators of one truncated model once, each checked to be exactly
+Hermitian (``HamiltonianTerms``), and ``ModelOperators.hamiltonian`` forms
+H(p, e) as their sum with real coefficients, exactly Hermitian again.  H is
+formed as H0(p) (first line) plus H_int (second line), so
+H(p) = H0(p) + H_int holds entrywise.
 
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
 angular momentum J_axis.  ``ModelOperators.sectors`` rotates the
@@ -50,12 +51,13 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BasisMismatchError, ConfigError, PflabError
+from .errors import BasisMismatchError, ConfigError, NonHermitianError, PflabError
 from .fock import (
     FockBasis,
     ModeSet,
     adjoint,
     enumerate_basis,
+    hermiticity_defect,
     hermitize,
     spin_tensor,
     DIMENSION_CAP,
@@ -318,10 +320,18 @@ class HamiltonianTerms:
     ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f (one column per component
     of p), and ``A`` (one operator per component of p), ``C`` =
     (1/2) sum_mu {P_f^mu, A^mu}, ``sigma_B`` (zero without spin) and ``A2`` =
-    A.A, each exactly Hermitian.  A sum of exactly Hermitian matrices with
-    real coefficients is exactly Hermitian, so H(p, e) needs no closure.
-    The operator terms share one dtype, float64 or complex128, and H(p, e)
-    takes it."""
+    A.A.  The operator terms share one dtype, float64 or complex128, and
+    H(p, e) takes it.
+
+    Construction refuses, with ``NonHermitianError``, an operator term whose
+    ``hermiticity_defect`` is not 0.0, so each term is checked once, when
+    its set is built.  Every H(p, e) formed from the terms is then exactly
+    Hermitian with no check of its own: it is a sum of checked terms with
+    real coefficients (``hamiltonian`` by scipy's sparse sum,
+    ``SectorSplit.upper_blocks`` in place from +0.0 on one pattern), so
+    entries (i, j) and (j, i) undergo the same operations on conjugate
+    inputs, and in floating point a real multiple or a sum of conjugates is
+    exactly the conjugate of the same multiple or sum."""
 
     free_diag: np.ndarray
     pf: np.ndarray
@@ -329,6 +339,14 @@ class HamiltonianTerms:
     C: sp.csr_matrix
     sigma_B: sp.csr_matrix
     A2: sp.csr_matrix
+
+    def __post_init__(self):
+        for name, op in (*((f"A[{mu}]", op) for mu, op in enumerate(self.A)),
+                         ("C", self.C), ("sigma_B", self.sigma_B), ("A2", self.A2)):
+            defect = hermiticity_defect(op)
+            if defect != 0.0:
+                raise NonHermitianError(f"term {name} of H is not exactly Hermitian "
+                                        f"(defect {defect:.3e})")
 
     def free_diagonal(self, p) -> np.ndarray:
         """The diagonal of ``free(p)``, as float64."""
@@ -396,16 +414,19 @@ class SectorSplit:
         """Index of the first sector with label >= 0."""
         return sum(z < 0.0 for z in self.labels)
 
-    def upper_hamiltonian(self, t: float, e: float) -> sp.csr_matrix:
-        """H(t u, e) on the sectors with label >= 0, on the stored pattern.
+    def upper_blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
+        """The blocks of H(t u, e) on the sectors with label >= 0, ascending
+        in label, each a view of a range of one data array on the stored
+        pattern.
 
         The data repeat ``upper.hamiltonian(t, e)`` = free + interaction
         entry by entry, in its order and with its coefficients, summed in
         place from +0.0.  Where scipy's sparse sum meets a missing entry or
         drops a zero result, this sum meets a stored zero of the pattern;
         the two can differ only in the sign of a zero, and a sum started at
-        +0.0 leaves no -0.0.  So ``toarray()`` is bitwise that of
-        ``upper.hamiltonian(t, e)``, and H is exactly Hermitian."""
+        +0.0 leaves no -0.0.  So each block's ``toarray()`` is bitwise that
+        block of ``upper.hamiltonian(t, e)``, and exactly Hermitian
+        (``HamiltonianTerms``)."""
         up = self.upper
         data = np.zeros(self.indices.size, dtype=up.C.dtype)
         # e C - (e/2) sigma.B + (e^2/2) A^2 - e t u.A, summed in place; a zero
@@ -415,23 +436,10 @@ class SectorSplit:
             if c != 0.0 and op.nnz:
                 data += op.data * c
         data[self.diagonal] += up.free_diagonal(t)
-        n = self.indptr.size - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-    def blocks(self, H: sp.csr_matrix) -> list[sp.csr_matrix]:
-        """The sector blocks of ``H``, a matrix on the stored pattern
-        (``upper_hamiltonian``), ascending in label; each is a view of a
-        range of ``H.data``."""
         rows = [a - self.starts[self.first_upper] for a in self.starts[self.first_upper:]]
         ranges = zip(rows[:-1], rows[1:], self.data_starts[:-1], self.data_starts[1:])
-        return [sp.csr_matrix((H.data[lo:hi], H.indices[lo:hi] - a, H.indptr[a:b + 1] - lo),
+        return [sp.csr_matrix((data[lo:hi], self.indices[lo:hi] - a, self.indptr[a:b + 1] - lo),
                               shape=(b - a, b - a)) for a, b, lo, hi in ranges]
-
-    def upper_blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
-        """The blocks of H(t u, e) of the sectors with label >= 0, ascending.
-        Each is an index range of ``upper_hamiltonian(t, e)``, so it is
-        exactly Hermitian."""
-        return self.blocks(self.upper_hamiltonian(t, e))
 
 
 def _check_phased_permutation(M: sp.spmatrix, z: float) -> None:
@@ -593,16 +601,6 @@ def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> M
     A2 = spin_tensor(0, hermitize(sum(op @ op for op in A_b)), basis)
     return ModelOperators(free_diag=occ @ omega + 0.5 * np.sum(pf * pf, axis=1), pf=pf, A=A,
                           C=C, sigma_B=sigma_B, A2=A2, basis=basis)
-
-
-def free_hamiltonian(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:
-    """Noninteracting Hamiltonian (1/2)(p - P_f)^2 + H_f (diagonal)."""
-    return build_operators(config, basis).free(config.p)
-
-
-def interaction_part(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:
-    """Interaction Hamiltonian -e (p-P_f).A + (e^2/2) A^2 - (e/2) sigma.B."""
-    return build_operators(config, basis).interaction(config.p, config.e)
 
 
 def assemble_hamiltonian(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:

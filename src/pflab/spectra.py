@@ -151,7 +151,7 @@ def _dense(H: sp.csr_matrix) -> np.ndarray:
         raise ResourceError(
             f"a dense solve at dimension {n} needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory; "
-            "use the Lanczos path or lower the cutoffs"
+            "lower --n-eig or the cutoffs N_max/n_max"
         )
     return H.toarray()
 
@@ -315,10 +315,10 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
     converges a pair at residual <= DEFAULT_TOL * max(1, ||H||) and gives up
     after MAX_RESTARTS restart cycles.
     ``n_eig`` may equal the dimension only with method "dense".  Rejects
-    non-Hermitian input (the assembly pipeline closes operators exactly)
-    with one ``hermiticity_defect`` of H before any solve; ``_checked`` is
-    for ``solve_model``, which has checked the matrix its sector blocks are
-    cut from.
+    a matrix that is not exactly Hermitian with one ``hermiticity_defect``
+    of H before any solve; ``_checked`` skips that check and is for
+    ``solve_model`` alone, whose matrices are exactly Hermitian by
+    construction (``model.HamiltonianTerms``).
     A LAPACK failure is raised as SolverError, like a Lanczos stall; a dense
     solve too large for physical memory as ResourceError.  The solve works
     in float64 for a real matrix and in complex128 otherwise, and returns
@@ -330,7 +330,10 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
         raise NonHermitianError(f"matrix is not square: {H.shape}")
     _check_n_eig(n_eig, n, method)
     if not _checked:
-        _check_hermitian(H)
+        defect = hermiticity_defect(H)
+        if defect != 0.0:
+            raise NonHermitianError(f"matrix is not exactly Hermitian (defect {defect:.3e}); "
+                                    "symmetrize before solving")
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
@@ -346,25 +349,19 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
         raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
 
 
-def _check_hermitian(H: sp.csr_matrix) -> None:
-    defect = hermiticity_defect(H)
-    if defect != 0.0:
-        raise NonHermitianError(f"matrix is not exactly Hermitian (defect {defect:.3e}); "
-                                "symmetrize before solving")
-
-
 def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
                 seed: int = DEFAULT_SEED) -> SpectralResult:
     """Lowest ``n_eig`` eigenpairs of H(p, e) built from ``ops``, in the linear
     basis of ``assemble_hamiltonian``.
 
     When p lies on the axis of an axial model with n_max >= N_max
-    (``ModelOperators.axis_coordinate``), H(p) commutes with J_axis, and
-    H(t u, e) on the sectors with label >= 0 is formed once on the sector
-    split's stored pattern (``SectorSplit.upper_hamiltonian``) and checked
-    once to be exactly Hermitian, before any eigensolve.  Each of its sector
-    blocks then goes to ``solve_lowest`` on its own, without a check of its
-    own (at e = 0 each block is diagonal and is read off its diagonal).  The
+    (``ModelOperators.axis_coordinate``), H(p) commutes with J_axis, and the
+    blocks of H(t u, e) on the sectors with label >= 0 are formed on the
+    sector split's stored pattern (``SectorSplit.upper_blocks``).  Each goes
+    to ``solve_lowest`` on its own (at e = 0 each block is diagonal and is
+    read off its diagonal).  No matrix is checked to be Hermitian here: the
+    terms were checked when they were built, and every H(p, e) formed from
+    them is exactly Hermitian (``model.HamiltonianTerms``).  The
     mirror U maps sector z onto -z, so the pairs of sector -z are
     (lambda, U W_z x) for the pairs (lambda, x) of z, with z's residuals,
     and each value of a sector z > 0 counts twice in the merge.  Each
@@ -382,13 +379,11 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     """
     t = ops.axis_coordinate(p)
     if t is None:
-        return solve_lowest(ops.hamiltonian(p, e), n_eig, seed=seed)
+        return solve_lowest(ops.hamiltonian(p, e), n_eig, seed=seed, _checked=True)
     _check_n_eig(n_eig, ops.basis.dimension)
     split = ops.sectors
     first = split.first_upper
-    H = split.upper_hamiltonian(t, e)
-    _check_hermitian(H)
-    blocks = split.blocks(H)
+    blocks = split.upper_blocks(t, e)
     copies = [1 if z == 0.0 else 2 for z in split.labels[first:]]
     pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
     results: list[Optional[SpectralResult]] = [None] * len(blocks)

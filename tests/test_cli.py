@@ -353,6 +353,8 @@ INVALID_INPUTS = {
                        "argument --e-grid-max: must be finite and > 0"),
     "e_grid_max_zero": ({}, ("bounds", "--e-grid-max", "0"),
                         "argument --e-grid-max: must be finite and > 0"),
+    "seed_spectrum": ({}, ("spectrum", "--seed", "-1"), "argument --seed: must be >= 0"),
+    "seed_model_check": ({}, ("model-check", "--seed", "-1"), "argument --seed: must be >= 0"),
 }
 
 

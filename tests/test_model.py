@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from pflab.errors import BasisMismatchError, ConfigError
+from pflab.errors import BasisMismatchError, ConfigError, NonHermitianError
 from pflab.fock import Mode, ModeSet, enumerate_basis
 from pflab.model import (
     PHI_HAT_ZERO,
@@ -18,8 +20,6 @@ from pflab.model import (
     check_dispersion_axioms,
     coupling_bound,
     field_amplitudes,
-    free_hamiltonian,
-    interaction_part,
     polarization_vectors,
 )
 from pflab.fock import hermiticity_defect
@@ -245,6 +245,18 @@ def test_operator_set_is_exactly_hermitian(desk_ms):
         assert hermiticity_defect(op) == 0.0
 
 
+@pytest.mark.parametrize("name", ["A", "sigma_B", "A2"])
+def test_term_off_hermitian_is_refused_at_construction(desk_ms, name):
+    # one off-diagonal entry scaled by 1 + 1e-12; C is empty on the z axis
+    ops = build_operators(make_config(desk_ms, e=0.2))
+    op = (ops.A[0] if name == "A" else getattr(ops, name)).copy()
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    op.data[np.flatnonzero((op.indices != rows) & (op.data != 0.0))[0]] *= 1.0 + 1e-12
+    term = (op, *ops.A[1:]) if name == "A" else op
+    with pytest.raises(NonHermitianError, match=f"term {name}.* of H is not exactly Hermitian"):
+        dataclasses.replace(ops, **{name: term})
+
+
 def test_one_operator_set_serves_every_point(pair_ms):
     cfg = make_config(pair_ms, e=0.3, p=(0.0, 0.0, 0.2))
     ops = build_operators(cfg)
@@ -256,25 +268,27 @@ def test_one_operator_set_serves_every_point(pair_ms):
 
 def test_interaction_zero_at_e_zero(desk_ms):
     cfg = make_config(desk_ms, e=0.0)
-    assert interaction_part(cfg).nnz == 0
+    ops = build_operators(cfg)
+    assert ops.interaction(cfg.p, cfg.e).nnz == 0
     H = assemble_hamiltonian(cfg)
-    H0 = free_hamiltonian(cfg)
+    H0 = ops.free(cfg.p)
     assert (H - H0).nnz == 0
 
 
 def test_splitting_identity_is_exact(desk_ms):
     cfg = make_config(desk_ms, e=0.3, p=(0.0, 0.0, 0.4))
     basis = build_basis(cfg)
+    ops = build_operators(cfg, basis)
     H = assemble_hamiltonian(cfg, basis)
-    H0 = free_hamiltonian(cfg, basis)
-    HI = interaction_part(cfg, basis)
+    H0 = ops.free(cfg.p)
+    HI = ops.interaction(cfg.p, cfg.e)
     diff = H0 + HI - H
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 def test_vacuum_interaction_expectation_hand_sum(desk_ms):
     cfg = make_config(desk_ms, e=0.3)
-    HI = interaction_part(cfg)
+    HI = build_operators(cfg).interaction(cfg.p, cfg.e)
     want = vacuum_interaction_expectation(cfg)
     assert want > 0.0
     assert HI[0, 0].real == pytest.approx(want, rel=1e-12)

@@ -13,15 +13,36 @@ SRC_DIR = ROOT / "src"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
-def test_script_help(script):
+def python(*args):
     # a subprocess each: solver_crossover.py pins the BLAS threads at import
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR),
                                                                    os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "usage:" in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
+def test_script_help(script):
+    assert "usage:" in python(str(script), "--help")
+
+
+def test_solver_crossover_reads_the_desk_sector_blocks():
+    # the first rows of matrices(): the desk blocks of the sector split
+    code = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location(
+    "solver_crossover", {str(ROOT / "scripts" / "solver_crossover.py")!r})
+crossover = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(crossover)
+rows = crossover.matrices()
+for _ in range(3):
+    source, H = next(rows)
+    print(source, *H.shape, sep=",")
+"""
+    assert python("-c", code).splitlines() == [
+        "desk sector +0.5,73,73", "desk sector +1.5,44,44", "desk sector +2.5,36,36"]
 
 
 def test_convergence_ladder_bound_ratio():

@@ -1,13 +1,15 @@
 """solve_model's sector path against the full-space dense oracle and the
 dense sector oracle, and the solver policy around it: choose_method, the
 diagonal path and the dense memory guard.  The blocks come from the sector
-split's stored pattern, bitwise equal to the sparse sum, with one Hermitian
-check per solve."""
+split's stored pattern, bitwise equal to the sparse sum; the terms are
+checked to be exactly Hermitian once, when they are built, and no solve
+checks a matrix of its own."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import pflab.model as model_mod
 import pflab.spectra as spectra_mod
 from pflab import bounds
 from pflab.errors import NonHermitianError, ResourceError, SolverError
@@ -261,7 +263,7 @@ def test_dense_memory_guard_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(sp.csr_matrix, "toarray", no_toarray)
     H = sp.identity(10**6, dtype=complex, format="csr")
-    with pytest.raises(ResourceError, match="GiB"):
+    with pytest.raises(ResourceError, match="GiB.*; lower --n-eig or the cutoffs N_max/n_max"):
         solve_lowest(H, 1, method="dense")
 
 
@@ -331,37 +333,66 @@ def test_corrupted_sector_term_is_refused_before_any_eigensolve(shipped_configs,
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK called on a non-Hermitian block")
 
+    def corrupted(rotated):
+        # one off-diagonal entry of the stored A2 scaled by 1 + 1e-12
+        (A_z, C_z, sigma_B_z, A2_z), pattern = on_one_pattern(rotated)
+        rows = np.repeat(np.arange(A2_z.shape[0]), np.diff(A2_z.indptr))
+        off_diagonal = np.flatnonzero((A2_z.indices != rows) & (A2_z.data != 0.0))
+        A2_z.data[off_diagonal[len(off_diagonal) // 2]] *= 1.0 + 1e-12
+        return (A_z, C_z, sigma_B_z, A2_z), pattern
+
+    on_one_pattern = model_mod._on_one_pattern
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
-    A2 = ops.sectors.upper.A2
-    rows = np.repeat(np.arange(A2.shape[0]), np.diff(A2.indptr))
-    off_diagonal = np.flatnonzero((A2.indices != rows) & (A2.data != 0.0))
-    A2.data[off_diagonal[len(off_diagonal) // 2]] *= 1.0 + 1e-12
+    monkeypatch.setattr(model_mod, "_on_one_pattern", corrupted)
     monkeypatch.setattr(spectra_mod, "solve_lowest", no_solve)
     monkeypatch.setattr(spectra_mod.sla, "eigh", no_lapack)
-    with pytest.raises(NonHermitianError, match="not exactly Hermitian"):
+    with pytest.raises(NonHermitianError, match="term A2 of H is not exactly Hermitian"):
+        ops.sectors
+    with pytest.raises(NonHermitianError, match="term A2 of H is not exactly Hermitian"):
         solve_model(ops, cfg.p, cfg.e, N_EIG)
 
 
-def test_energy_curve_costs_one_check_and_its_eigensolves_per_point(shipped_configs,
-                                                                     monkeypatch):
+def _count_calls(monkeypatch, counts, owner, name):
+    f = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _count_hermitian_checks(monkeypatch, counts):
+    # the check is reached through either module that imports it
+    for module in (spectra_mod, model_mod):
+        _count_calls(monkeypatch, counts, module, "hermiticity_defect")
+
+
+def test_energy_curve_costs_no_hermitian_check_and_its_eigensolves_per_point(shipped_configs,
+                                                                             monkeypatch):
     cfg = shipped_configs["desk_e010.json"]
     cache = {}
     model_operators(cfg, cache).sectors           # the split is built outside the count
     counts = {"hamiltonian": 0, "hermiticity_defect": 0, "eigh": 0}
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(HamiltonianTerms, "hamiltonian",
-                        counted("hamiltonian", HamiltonianTerms.hamiltonian))
-    monkeypatch.setattr(spectra_mod, "hermiticity_defect",
-                        counted("hermiticity_defect", spectra_mod.hermiticity_defect))
-    monkeypatch.setattr(spectra_mod.sla, "eigh", counted("eigh", spectra_mod.sla.eigh))
+    _count_calls(monkeypatch, counts, HamiltonianTerms, "hamiltonian")
+    _count_hermitian_checks(monkeypatch, counts)
+    _count_calls(monkeypatch, counts, spectra_mod.sla, "eigh")
     curve = sweep_energy_curve(cfg, cfg.p_norm + cfg.quadrature.r_max, cache=cache)
     assert len(curve.q) == 25
     # three sector blocks of at most 73 states per point, one dense solve each
-    assert counts == {"hamiltonian": 0, "hermiticity_defect": 25, "eigh": 75}
+    assert counts == {"hamiltonian": 0, "hermiticity_defect": 0, "eigh": 75}
+
+
+def test_off_axis_solve_makes_no_hermitian_check(shipped_configs, monkeypatch):
+    cfg = shipped_configs["desk_e010.json"].at(p=(0.3, 0.0, 0.4))
+    ops = build_operators(cfg)
+    assert ops.axis_coordinate(cfg.p) is None
+    H = assemble_hamiltonian(cfg)
+    counts = {"hermiticity_defect": 0}
+    _count_hermitian_checks(monkeypatch, counts)
+    got = solve_model(ops, cfg.p, cfg.e, N_EIG)
+    assert counts == {"hermiticity_defect": 0}
+    want = solve_lowest(H, N_EIG)
+    assert counts == {"hermiticity_defect": 1}    # a matrix from outside is checked
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
