@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Dense vs Lanczos eigensolve times at one BLAS thread, the data behind
+"""Dense vs Davidson eigensolve times at one BLAS thread, the data behind
 ``pflab.spectra.choose_method``.
 
 Times ``solve_lowest`` with each method forced on the angular-momentum
@@ -79,8 +79,8 @@ def matrices():
 
 def lost_time(rows, cutoff: int) -> float:
     """Seconds lost over ``rows`` by sending dimensions <= cutoff to dense and
-    the others to Lanczos, against always picking the faster method."""
-    return sum(abs(r["dense_s"] - r["lanczos_s"]) for r in rows
+    the others to Davidson, against always picking the faster method."""
+    return sum(abs(r["dense_s"] - r["davidson_s"]) for r in rows
                if (r["dim"] <= cutoff) != (r["faster"] == "dense"))
 
 
@@ -99,7 +99,7 @@ def crossovers(rows) -> dict[int, dict]:
             "below": min((d for d in dims if d > lowest), default=None),
             "lost_s": lost_time(mine, lowest),
             "slower_rows": [(r["source"], r["dim"],
-                             max(r["dense_s"], r["lanczos_s"]) / min(r["dense_s"], r["lanczos_s"]))
+                             max(r["dense_s"], r["davidson_s"]) / min(r["dense_s"], r["davidson_s"]))
                             for r in slower],
             "choose_method": min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * k),
         }
@@ -112,19 +112,19 @@ def main() -> int:
     args = parser.parse_args()
     rows = []
     print(f"{'source':<22} {'dtype':<10} {'dim':>5} {'pairs':>5} {'dense_s':>9} "
-          f"{'lanczos_s':>9}  faster   choose_method")
+          f"{'davidson_s':>10}  faster   choose_method")
     for source, H in matrices():
         for k in PAIRS:
             if k >= H.shape[0]:
                 continue
             row = {"source": source, "dtype": H.dtype.name, "dim": H.shape[0], "pairs": k,
                    "dense_s": best_time(H, k, "dense"),
-                   "lanczos_s": best_time(H, k, "lanczos")}
-            row["faster"] = "dense" if row["dense_s"] <= row["lanczos_s"] else "lanczos"
+                   "davidson_s": best_time(H, k, "davidson")}
+            row["faster"] = "dense" if row["dense_s"] <= row["davidson_s"] else "davidson"
             row["chosen"] = choose_method(H.shape[0], k)
             rows.append(row)
             print(f"{source:<22} {row['dtype']:<10} {row['dim']:>5} {k:>5} {row['dense_s']:>9.4f} "
-                  f"{row['lanczos_s']:>9.4f}  {row['faster']:<8} {row['chosen']}")
+                  f"{row['davidson_s']:>10.4f}  {row['faster']:<8} {row['chosen']}")
     cross = crossovers(rows)
     print("\ncutoffs losing the least time, and choose_method's cutoff:")
     for k, c in cross.items():

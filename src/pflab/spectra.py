@@ -2,14 +2,17 @@
 E(p), and the spectral gap via the continuum-onset formula
 E_c(p) = inf_k { E(p-k) + omega(k) }.
 
-The iterative path is a Lanczos process with full reorthogonalization,
-restarts from the lowest Ritz vector (from a fresh random vector after a
-lock), and locking (deflation) of converged pairs, which resolves
-degenerate clusters one copy at a time.  A dense eigensolver handles small
-problems and doubles as the cross-check oracle; ``choose_method`` picks
-between the two.  A diagonal matrix is solved from its sorted diagonal.
-All randomness comes from one seeded generator, so identical inputs give
-bit-identical results.
+The iterative path is a block Davidson method (E. R. Davidson, J. Comput.
+Phys. 17, 87, 1975; Crouzeix, Philippe and Sadkane, SIAM J. Sci. Comput.
+15, 62, 1994) preconditioned by (diag(H) - theta)^-1, which is close to an
+exact inverse where the free energy on the diagonal of H(p, e) dominates
+the O(e) field terms.  Its block holds one column per wanted pair and two
+more, so it resolves a degenerate cluster in one pass.  A dense
+eigensolver handles small problems and doubles as the cross-check oracle;
+``choose_method`` picks between the two.  A diagonal matrix is solved from
+its sorted diagonal.  All randomness comes from one seeded generator (the
+noise on Davidson's start block), so identical inputs give bit-identical
+results.
 
 ``solve_model`` is the entry point for a model's H(p, e): on an axial model
 with p on the axis it solves each angular-momentum sector separately and
@@ -46,7 +49,10 @@ DENSE_BASE_DIM = 130
 DENSE_DIM_PER_PAIR = 170
 DENSE_MAX_DIM = 1000
 DEFAULT_TOL = 1e-11
-MAX_RESTARTS = 200
+# Davidson restarts its search space at max(DAVIDSON_BASIS, 3 (n_eig + 2))
+# columns and gives up after MAX_ITERATIONS iterations
+DAVIDSON_BASIS = 40
+MAX_ITERATIONS = 500
 EPS_DEG = 1e-8
 EPS_SEP = 1e-5
 
@@ -57,7 +63,8 @@ class SectorSolve:
     ``ground_energy`` is the lowest eigenvalue of the sector's final solve.
     ``mirror_of`` is None for a solved sector; a sector obtained through the
     mirror names its source's label and copies its dimension, pairs, method
-    and ground energy."""
+    and ground energy.  ``matvecs`` counts the products with the sector's
+    block over all of its solves; a mirror image made none."""
 
     label: float
     dimension: int
@@ -65,20 +72,24 @@ class SectorSolve:
     method: str
     ground_energy: float
     mirror_of: Optional[float] = None
+    matvecs: int = 0
 
 
 @dataclass
 class SpectralResult:
     """Converged lowest eigenpairs, ascending.
 
-    ``sectors`` is empty for a full-space solve; for a sector solve
-    (``method`` "sectors") it records each sector's final solve.
+    ``matvecs`` counts the products of H with a vector that the solve made
+    (0 for a dense or diagonal solve).  ``sectors`` is empty for a
+    full-space solve; for a sector solve (``method`` "sectors") it records
+    each sector's final solve.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_norms: np.ndarray
     method: str
+    matvecs: int = 0
     sectors: tuple[SectorSolve, ...] = ()
 
     @property
@@ -116,28 +127,18 @@ def _as_operator(H) -> sp.csr_matrix:
 
 
 def choose_method(dim: int, n_eig: int) -> str:
-    """"dense" or "lanczos" for the lowest ``n_eig`` pairs of a sparse
+    """"dense" or "davidson" for the lowest ``n_eig`` pairs of a sparse
     Hermitian matrix of dimension ``dim``.
 
-    A dense solve costs about the same for any number of pairs, a Lanczos
-    solve about one restart cycle per pair, so the crossover grows with
-    n_eig.  The cutoffs here (300, 470 and 1000) were fitted with
-    ``scripts/solver_crossover.py``, which times both at one BLAS thread, on
-    complex matrices: the least-loss cutoffs lay in [156, 306) for 1 pair
-    and in [450, 1116) for 2 and 6 pairs.  The on-axis sector blocks are
-    now real, and a real dense solve is cheaper; on them the table in
-    ``BENCH_7_crossover.json`` moves the 1-pair range to [450, 1116) and the
-    6-pair range to [1116, 1292), so the real blocks of 330-450 go to
-    Lanczos at 1 pair (up to 3x slower) and the block of 1116 at 6 pairs
-    (1.3-1.9x slower).  The cutoffs stay, because they also route the
-    complex full-space matrices (p off the axis, scattered modes, n_max <
-    N_max), and a 1-pair cutoff of 450 would send the complex desk matrix of
-    306 to dense, 4-7x slower than Lanczos.  Above DENSE_MAX_DIM Lanczos is
-    used whatever the pairs: the dense array and LAPACK's copy of it would
-    outweigh the Krylov block in peak memory.
+    Dense up to dimension DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig, as a
+    dense solve costs about the same for any number of pairs and an
+    iterative one grows with them; ``scripts/solver_crossover.py`` times
+    both.  Above DENSE_MAX_DIM Davidson is used whatever the pairs: the
+    dense array and LAPACK's copy of it would outweigh the search space in
+    peak memory.
     """
     cutoff = min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig)
-    return "dense" if dim <= cutoff else "lanczos"
+    return "dense" if dim <= cutoff else "davidson"
 
 
 def _dense(H: sp.csr_matrix) -> np.ndarray:
@@ -181,118 +182,70 @@ def _diagonal_lowest(H: sp.csr_matrix, n_eig: int) -> Optional[SpectralResult]:
     return SpectralResult(diag[order], vecs, np.zeros(n_eig), "diagonal")
 
 
-def _lanczos_lowest(H: sp.csr_matrix, n_eig: int, seed: int) -> SpectralResult:
-    """The lowest ``n_eig`` pairs of H by Lanczos, in H's dtype."""
-    # One converged pair is locked per restart cycle: always the bottom Ritz
-    # pair of the operator deflated by everything locked so far.  A Krylov
-    # space built from a single vector carries at most one copy of a
-    # degenerate eigenvalue, so higher Ritz values within one cycle say
-    # nothing about the deflated spectrum and must not be locked; the fresh
-    # random restart after each lock is what picks up the remaining copies.
-    n = H.shape[0]
-    rng = np.random.default_rng(seed)
-    m = int(min(n, max(2 * n_eig + 24, 48)))
-    locked_vals: list[float] = []
-    locked_cols: list[np.ndarray] = []
-    norm_est = 1.0
-    last_residual = None
-
-    def fresh_vector() -> np.ndarray:
-        v = rng.standard_normal(n)
-        return v + 1j * rng.standard_normal(n) if np.iscomplexobj(H) else v
-
-    def locked_matrix() -> np.ndarray:
-        if locked_cols:
-            return np.column_stack(locked_cols)
-        return np.zeros((n, 0), dtype=H.dtype)
-
-    start = fresh_vector()
-    stalls = 0
-    cycles = 0
-    while len(locked_vals) < n_eig:
-        if cycles >= MAX_RESTARTS:
-            raise SolverError(
-                f"Lanczos did not converge {n_eig} pairs within {MAX_RESTARTS} "
-                f"restarts (locked {len(locked_vals)})",
-                residuals=[last_residual],
-            )
-        cycles += 1
-        L = locked_matrix()
-        v = start
+def _orthonormal_extension(V: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The columns of T made orthonormal to V and to each other, by two passes
+    of Gram-Schmidt; a column left with less than 1e-10 of its norm lies in
+    the span already and is dropped."""
+    kept: list[np.ndarray] = []
+    for t in T.T:
+        t = t / np.linalg.norm(t)
+        W = np.column_stack([V, *kept])
         for _ in range(2):
-            if L.shape[1]:
-                v = v - L @ (L.conj().T @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            start = fresh_vector()
-            continue
-        v = v / nv
+            t = t - W @ (W.conj().T @ t)
+        norm = np.linalg.norm(t)
+        if norm > 1e-10:
+            kept.append(t / norm)
+    return np.column_stack(kept) if kept else T[:, :0]
 
-        steps_cap = min(m, n - len(locked_vals))
-        V = np.zeros((n, steps_cap), dtype=H.dtype)
-        alphas = np.zeros(steps_cap)
-        betas = np.zeros(steps_cap)
-        steps = 0
-        for j in range(steps_cap):
-            V[:, j] = v
-            w = H @ v
-            alphas[j] = np.vdot(v, w).real
-            w = w - alphas[j] * v
-            if j > 0:
-                w = w - betas[j - 1] * V[:, j - 1]
-            # full reorthogonalization, twice, against the Krylov block and
-            # the locked pairs; (w* X)* = X+ w without copying X conjugated
-            for _ in range(2):
-                w = w - V[:, :j + 1] @ (w.conj() @ V[:, :j + 1]).conj()
-                if L.shape[1]:
-                    w = w - L @ (w.conj() @ L).conj()
-            steps = j + 1
-            beta = np.linalg.norm(w)
-            if beta <= 1e-13 * max(1.0, norm_est):
-                break                      # exact invariant subspace reached
-            betas[j] = beta
-            v = w / beta
 
-        T = np.diag(alphas[:steps])
-        if steps > 1:
-            T = T + np.diag(betas[:steps - 1], 1) + np.diag(betas[:steps - 1], -1)
-        theta, S = np.linalg.eigh(T)
-        norm_est = max(norm_est, float(np.max(np.abs(theta))) if steps else 1.0)
-
-        candidate = None
-        for i in range(steps):
-            x = V[:, :steps] @ S[:, i]
-            if L.shape[1]:
-                x = x - L @ (L.conj().T @ x)
-            nx = np.linalg.norm(x)
-            if nx >= 1e-8:
-                candidate = x / nx
-                break
-        if candidate is None:
-            start = fresh_vector()
-            continue
-        Hx = H @ candidate
-        lam = np.vdot(candidate, Hx).real
-        res = float(np.linalg.norm(Hx - lam * candidate))
-        last_residual = res
-        if res <= DEFAULT_TOL * max(1.0, norm_est):
-            locked_vals.append(lam)
-            locked_cols.append(candidate)
-            start = fresh_vector()
-            stalls = 0
-        else:
-            start = candidate
-            stalls += 1
-            if stalls >= 2:
-                # hard spectrum (clustered bottom): widen the Krylov block
-                m = min(n, 400, int(m * 1.5) + 1)
-                stalls = 0
-
-    order = np.argsort(locked_vals)
-    vals = np.array(locked_vals)[order]
-    vecs = np.column_stack([locked_cols[i] for i in order])
-    resid = np.linalg.norm(H @ vecs - vecs * vals[None, :], axis=0)
-    return SpectralResult(vals, vecs, resid, "lanczos")
+def _davidson_lowest(H: sp.csr_matrix, n_eig: int, seed: int,
+                     start: Optional[np.ndarray] = None) -> SpectralResult:
+    """The lowest ``n_eig`` pairs of H by block Davidson, in H's dtype."""
+    # Rayleigh-Ritz on a search space V, extended each iteration by
+    # (diag(H) - theta_j)^-1 r_j for every unconverged pair j, and restarted
+    # from the Ritz block when it would outgrow DAVIDSON_BASIS columns.  The
+    # block of n_eig + 2 columns starts at the unit vectors of the lowest
+    # diagonal entries (after ``start``'s columns, when given) with seeded
+    # noise, so a degenerate cluster has one start column per copy.
+    n = H.shape[0]
+    k = min(n, n_eig + 2)
+    diag = H.diagonal().real
+    fresh = k - (0 if start is None else start.shape[1])
+    rng = np.random.default_rng(seed)
+    X = 1e-3 * rng.standard_normal((n, fresh))
+    if np.iscomplexobj(H):
+        X = X + 1e-3j * rng.standard_normal((n, fresh))
+    X[np.argsort(diag, kind="stable")[k - fresh:k], np.arange(fresh)] += 1.0
+    V = np.linalg.qr(X if start is None else np.column_stack([start, X]))[0]
+    AV = H @ V
+    matvecs = k
+    basis = max(DAVIDSON_BASIS, 3 * k)
+    for _ in range(MAX_ITERATIONS):
+        theta, S = np.linalg.eigh(V.conj().T @ AV)
+        X, AX, theta = V @ S[:, :k], AV @ S[:, :k], theta[:k]
+        R = AX - X * theta
+        norms = np.linalg.norm(R, axis=0)
+        todo = np.flatnonzero(norms[:n_eig] > DEFAULT_TOL * np.maximum(1.0, np.abs(theta[:n_eig])))
+        if not todo.size:
+            break
+        shift = diag[:, None] - theta[None, todo]
+        shift[np.abs(shift) < 1e-12] = 1e-12
+        if V.shape[1] + todo.size > basis:
+            V, AV = X, AX
+        T = _orthonormal_extension(V, R[:, todo] / shift)
+        if not T.shape[1]:
+            # theta on a diagonal entry turns the correction into a unit
+            # vector that V holds already; the residuals are orthogonal to V
+            T = _orthonormal_extension(V, R[:, todo])
+        V, AV = np.column_stack([V, T]), np.column_stack([AV, H @ T])
+        matvecs += T.shape[1]
+    else:
+        raise SolverError(f"Davidson did not converge {n_eig} pairs within {MAX_ITERATIONS} "
+                          f"iterations (largest residual {norms[:n_eig].max():.3e})",
+                          residuals=norms[:n_eig].tolist())
+    X, theta = X[:, :n_eig], theta[:n_eig]
+    resid = np.linalg.norm(H @ X - X * theta, axis=0)
+    return SpectralResult(theta, X, resid, "davidson", matvecs + n_eig)
 
 
 def _check_n_eig(n_eig: int, n: int, method: str = "auto") -> None:
@@ -306,23 +259,26 @@ def _check_n_eig(n_eig: int, n: int, method: str = "auto") -> None:
 
 
 def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", *,
-                 _checked: bool = False) -> SpectralResult:
+                 start: Optional[np.ndarray] = None, _checked: bool = False) -> SpectralResult:
     """Lowest ``n_eig`` eigenpairs of a Hermitian matrix.
 
-    ``method``: "dense", "lanczos", or "auto": a diagonal matrix is read off
-    its diagonal (method "diagonal"), any other goes where ``choose_method``
-    sends it; model solves (``solve_model``) always take "auto".  Lanczos
-    converges a pair at residual <= DEFAULT_TOL * max(1, ||H||) and gives up
-    after MAX_RESTARTS restart cycles.
+    ``method``: "dense", "davidson", or "auto": a diagonal matrix is read
+    off its diagonal (method "diagonal"), any other goes where
+    ``choose_method`` sends it; model solves (``solve_model``) always take
+    "auto".  Davidson converges a pair at residual <= DEFAULT_TOL *
+    max(1, |lambda|) and gives up after MAX_ITERATIONS iterations.
+    ``start``, at most ``n_eig`` + 2 orthonormal columns in H's dtype, begins
+    Davidson's block in place of as many unit vectors; the other methods
+    ignore it.
     ``n_eig`` may equal the dimension only with method "dense".  Rejects
     a matrix that is not exactly Hermitian with one ``hermiticity_defect``
     of H before any solve; ``_checked`` skips that check and is for
     ``solve_model`` alone, whose matrices are exactly Hermitian by
     construction (``model.HamiltonianTerms``).
-    A LAPACK failure is raised as SolverError, like a Lanczos stall; a dense
-    solve too large for physical memory as ResourceError.  The solve works
-    in float64 for a real matrix and in complex128 otherwise, and returns
-    eigenvectors of that dtype.
+    A LAPACK failure is raised as SolverError, like a Davidson solve that
+    does not converge; a dense solve too large for physical memory as
+    ResourceError.  The solve works in float64 for a real matrix and in
+    complex128 otherwise, and returns eigenvectors of that dtype.
     """
     H = _as_operator(H)
     n = H.shape[0]
@@ -334,7 +290,7 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
         if defect != 0.0:
             raise NonHermitianError(f"matrix is not exactly Hermitian (defect {defect:.3e}); "
                                     "symmetrize before solving")
-    if method not in ("auto", "dense", "lanczos"):
+    if method not in ("auto", "dense", "davidson"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         diagonal = _diagonal_lowest(H, n_eig)
@@ -344,7 +300,7 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
     if method == "dense":
         return _dense_lowest(H, n_eig)
     try:
-        return _lanczos_lowest(H, n_eig, seed)
+        return _davidson_lowest(H, n_eig, seed, start)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
 
@@ -369,7 +325,8 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     with twice as many, up to n_eig, until it is exhausted or its highest
     computed eigenvalue is at or above the n_eig-th lowest of all sectors'
     values; no sector can then hold one of the n_eig lowest eigenvalues that
-    was not computed.  A sector needing all of its pairs (never more than
+    was not computed.  A grown sector's solve starts from the eigenvectors
+    of its last one.  A sector needing all of its pairs (never more than
     n_eig) is solved dense, as only a dense solve returns a whole spectrum;
     any other block by method "auto".  The blocks are real when the sector terms are
     (``SectorSplit``), and so are their eigenvectors; only the n_eig kept
@@ -387,12 +344,16 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     copies = [1 if z == 0.0 else 2 for z in split.labels[first:]]
     pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
     results: list[Optional[SpectralResult]] = [None] * len(blocks)
+    starts: list[Optional[np.ndarray]] = [None] * len(blocks)
+    matvecs = [0] * len(blocks)
     while True:
         for i, block in enumerate(blocks):
             if results[i] is None:
                 exhausted = pairs[i] == block.shape[0]
                 results[i] = solve_lowest(block, pairs[i], seed=seed, _checked=True,
-                                          method="dense" if exhausted else "auto")
+                                          method="dense" if exhausted else "auto",
+                                          start=starts[i])
+                matvecs[i] += results[i].matvecs
         values = np.sort(np.concatenate([np.tile(r.eigenvalues, c)
                                          for r, c in zip(results, copies)]))
         bar = values[n_eig - 1] if len(values) >= n_eig else np.inf
@@ -402,7 +363,7 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
             break
         for i in grow:
             pairs[i] = min(blocks[i].shape[0], n_eig, 2 * pairs[i])
-            results[i] = None
+            starts[i], results[i] = results[i].eigenvectors, None
     # sector i < first is the mirror image of sector len(labels) - 1 - i
     n_sectors = len(split.labels)
     source = [n_sectors - 1 - i if i < first else i for i in range(n_sectors)]
@@ -420,9 +381,10 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
         vecs[:, kept] = split.mirror @ v if i < first else v
     solves = tuple(SectorSolve(split.labels[i], blocks[j - first].shape[0],
                                len(r.eigenvalues), r.method, r.ground_energy,
-                               split.labels[j] if i < first else None)
+                               split.labels[j] if i < first else None,
+                               0 if i < first else matvecs[j - first])
                    for i, (j, r) in enumerate(zip(source, solved)))
-    return SpectralResult(vals[order], vecs, resid[order], "sectors", solves)
+    return SpectralResult(vals[order], vecs, resid[order], "sectors", sum(matvecs), solves)
 
 
 def detect_ground_cluster(result: SpectralResult) -> GroundCluster:

@@ -74,7 +74,7 @@ def test_c01_free_theory_exactness(desk_ms):
            f"[{elapsed:.2f} s]")
 
 
-def test_c02_lanczos_matches_dense_oracle(shipped_configs):
+def test_c02_davidson_matches_dense_oracle(shipped_configs):
     t0 = time.time()
     worst = 0.0
     checked = 0
@@ -84,13 +84,13 @@ def test_c02_lanczos_matches_dense_oracle(shipped_configs):
             continue
         H = assemble_hamiltonian(cfg, basis)
         dense = solve_lowest(H, 6, method="dense")
-        lanczos = solve_lowest(H, 6, method="lanczos")
+        davidson = solve_lowest(H, 6, method="davidson")
         worst = max(worst, float(np.max(np.abs(dense.eigenvalues
-                                               - lanczos.eigenvalues))))
+                                               - davidson.eigenvalues))))
         checked += 1
     elapsed = time.time() - t0
     report(2, checked >= 7 and worst <= 1e-10 and elapsed < 60.0,
-           f"lowest-6 Lanczos vs dense over {checked} shipped configs, "
+           f"lowest-6 Davidson vs dense over {checked} shipped configs, "
            f"max |diff| = {worst:.2e} [{elapsed:.1f} s]")
 
 

@@ -189,6 +189,17 @@ def test_sweep_at_one_blas_thread(tmp_path):
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 12
 
 
+def test_davidson_at_its_iteration_cap_exits_numerical(tmp_path, monkeypatch, capsys):
+    # the N_max = 3 rung, its sector blocks all sent to Davidson and cut off
+    # after one iteration
+    cfg = write_config(tmp_path, N_max=3, n_max=3)
+    monkeypatch.setattr(spectra, "choose_method", lambda dim, n_eig: "davidson")
+    monkeypatch.setattr(spectra, "MAX_ITERATIONS", 1)
+    assert run("spectrum", "--config", cfg, "--out", tmp_path / "o") == 3
+    assert "Davidson did not converge 2 pairs within 1 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "spectrum.json").exists()
+
+
 def test_lapack_failure_exits_numerical(tmp_path, monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -112,17 +112,17 @@ def test_sector_energies_agree_with_sector_decompose(sector_cases, name):
         assert abs(oracle[z] - energy) < 1e-12
 
 
-def force_lanczos(monkeypatch):
+def force_davidson(monkeypatch):
     # the policy then sends every block that is neither diagonal nor
-    # exhausted to Lanczos
-    monkeypatch.setattr(spectra_mod, "choose_method", lambda dim, n_eig: "lanczos")
+    # exhausted to Davidson
+    monkeypatch.setattr(spectra_mod, "choose_method", lambda dim, n_eig: "davidson")
 
 
 def test_sector_solve_is_bitwise_reproducible(shipped_configs, monkeypatch):
     cfg = shipped_configs["desk_e010.json"]
-    for lanczos in (False, True):
-        if lanczos:
-            force_lanczos(monkeypatch)
+    for davidson in (False, True):
+        if davidson:
+            force_davidson(monkeypatch)
         a = solve_model(build_operators(cfg), cfg.p, cfg.e, N_EIG, seed=11)
         b = solve_model(build_operators(cfg), cfg.p, cfg.e, N_EIG, seed=11)
         assert a.sectors == b.sectors
@@ -143,7 +143,7 @@ def test_sector_solve_exhausts_small_sectors(tiny_ms, monkeypatch):
 
     # every block, exhausted or not, goes through the public solve_lowest
     monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
-    force_lanczos(monkeypatch)
+    force_davidson(monkeypatch)
     got = solve_model(ops, cfg.p, cfg.e, n)
     want = solve_lowest(assemble_hamiltonian(cfg), n, method="dense")
     assert got.method == "sectors"
@@ -162,6 +162,57 @@ def test_sector_solve_exhausts_small_sectors(tiny_ms, monkeypatch):
                 (source.dimension, source.pairs, source.method)
 
 
+def test_grown_sector_starts_from_its_last_solve(desk_ms, monkeypatch):
+    # at n_eig = 8 the +1/2 block of the N_max = 3 rung grows from 2 to 4 pairs
+    cfg = make_config(desk_ms, e=0.1, p=(0.0, 0.0, 0.4), N_max=3, n_max=3)
+    ops = build_operators(cfg)
+    calls = []
+
+    def recorded(H, n_eig, **kwargs):
+        result = solve_lowest(H, n_eig, **kwargs)
+        calls.append((H, n_eig, kwargs["start"], result))
+        return result
+
+    monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
+    force_davidson(monkeypatch)
+    got = solve_model(ops, cfg.p, cfg.e, 8)
+    grown = [(H, k, start, r) for H, k, start, r in calls if start is not None]
+    assert [(H.shape[0], k, start.shape[1]) for H, k, start, _ in grown] == [(361, 4, 2)]
+    H, k, start, warm = grown[0]
+    first = next(r for block, _, _, r in calls if block is H and r is not warm)
+    assert np.array_equal(start, first.eigenvectors)
+    cold = solve_lowest(H, k, method="davidson")
+    assert warm.method == cold.method == "davidson"
+    assert 0 < warm.matvecs < cold.matvecs
+    assert np.max(np.abs(warm.eigenvalues - solve_lowest(H, k, method="dense").eigenvalues)) < 1e-10
+    # the sector's record counts both of its solves; a mirror image counts none
+    half = {s.label: s for s in got.sectors}
+    assert (half[0.5].pairs, half[0.5].matvecs) == (4, first.matvecs + warm.matvecs)
+    assert half[-0.5].matvecs == 0
+    assert got.matvecs == sum(r.matvecs for *_, r in calls)
+    want = solve_lowest(assemble_hamiltonian(cfg), 8, method="dense")
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def rung3_split(desk_ms):
+    return build_operators(make_config(desk_ms, N_max=3, n_max=3)).sectors
+
+
+@pytest.mark.parametrize("e", [0.1, 0.5, 1.0, 2.0])
+def test_rung3_sector_blocks_by_davidson_match_dense(rung3_split, e):
+    # well past the small-e regime where diag(H) dominates, at 1 and 2 pairs
+    for t in (0.0, 0.4, 1.5):
+        blocks = rung3_split.upper_blocks(t, e)
+        assert [block.shape[0] for block in blocks] == [361, 332, 156, 120]
+        for block in blocks:
+            for pairs in (1, 2):
+                got = solve_lowest(block, pairs, method="davidson")
+                want = solve_lowest(block, pairs, method="dense")
+                assert got.eigenvectors.dtype == np.float64
+                assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-10
+
+
 def test_lapack_failure_in_an_exhausted_sector_is_a_solver_error(tiny_ms, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -169,7 +220,7 @@ def test_lapack_failure_in_an_exhausted_sector_is_a_solver_error(tiny_ms, monkey
     cfg = make_config(tiny_ms, e=0.3, p=(0.0, 0.0, 0.2))
     ops = build_operators(cfg)
     monkeypatch.setattr(spectra_mod.sla, "eigh", no_convergence)
-    force_lanczos(monkeypatch)
+    force_davidson(monkeypatch)
     with pytest.raises(SolverError, match="LAPACK"):
         solve_model(ops, cfg.p, cfg.e, ops.basis.dimension - 1)
 
@@ -233,15 +284,15 @@ def test_pull_through_residual_solves_once_per_k_point(shipped_configs, monkeypa
 
 def test_choose_method_crossover_grows_with_pairs():
     assert choose_method(73, 1) == "dense"
-    assert choose_method(1938, 1) == "lanczos"
+    assert choose_method(1938, 1) == "davidson"
     for dim in range(50, 3000, 50):
         order = [choose_method(dim, k) for k in range(1, 12)]
         # once dense for some number of pairs, dense for every larger number
         assert order == sorted(order, key=lambda m: m == "dense")
-    # the large sector blocks of the N_max = 4 rung stay on Lanczos
+    # the large sector blocks of the N_max = 4 rung stay on Davidson
     for dim in (1116, 1292, 1657):
         for k in range(1, 7):
-            assert choose_method(dim, k) == "lanczos"
+            assert choose_method(dim, k) == "davidson"
 
 
 def test_diagonal_matrix_read_off_its_diagonal(monkeypatch):
@@ -285,7 +336,7 @@ def test_only_a_dense_solve_returns_the_whole_spectrum():
     res = solve_lowest(H, 2, method="dense")
     assert res.method == "dense"
     assert np.allclose(res.eigenvalues, [1.0, 3.0], atol=1e-14)
-    for method in ("auto", "lanczos"):
+    for method in ("auto", "davidson"):
         with pytest.raises(ValueError, match="n_eig"):
             solve_lowest(H, 2, method=method)
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pflab.errors import DomainError, IndeterminateDegeneracy, NonHermitianError
+import pflab.spectra as spectra_mod
+from pflab.errors import DomainError, IndeterminateDegeneracy, NonHermitianError, SolverError
 from pflab.model import assemble_hamiltonian, build_operators
 from pflab.spectra import (
+    DEFAULT_TOL,
     EPS_DEG,
     EPS_SEP,
     FreeEnergyCurve,
@@ -26,7 +28,7 @@ from oracles import perturbative_energy_and_number
 
 def test_diagonal_matrix_both_methods():
     H = np.diag([0.0, 0.0, 1.0, 3.0]).astype(complex)
-    for method in ("dense", "lanczos"):
+    for method in ("dense", "davidson"):
         res = solve_lowest(H, 3, method=method)
         assert np.allclose(res.eigenvalues, [0.0, 0.0, 1.0], atol=1e-12)
         assert res.method == method
@@ -40,15 +42,15 @@ def test_free_ground_pair(desk_ms):
     assert res.eigenvalues[2] > 0.5
 
 
-def test_lanczos_matches_dense_oracle(desk_ms):
+def test_davidson_matches_dense_oracle(desk_ms):
     cfg = make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4))
     H = assemble_hamiltonian(cfg)
     dense = solve_lowest(H, 4, method="dense")
-    lanczos = solve_lowest(H, 4, method="lanczos")
-    assert np.max(np.abs(dense.eigenvalues - lanczos.eigenvalues)) < 1e-10
+    davidson = solve_lowest(H, 4, method="davidson")
+    assert np.max(np.abs(dense.eigenvalues - davidson.eigenvalues)) < 1e-10
 
 
-def test_lanczos_resolves_exact_degeneracy():
+def test_davidson_resolves_exact_degeneracy():
     # block diagonal with an exactly threefold lowest eigenvalue
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((40, 40))
@@ -56,7 +58,7 @@ def test_lanczos_resolves_exact_degeneracy():
     vals = np.concatenate([[-2.0, -2.0, -2.0], np.linspace(-1.0, 5.0, 37)])
     H = (Q * vals) @ Q.conj().T
     H = 0.5 * (H + H.conj().T)
-    res = solve_lowest(H, 5, method="lanczos")
+    res = solve_lowest(H, 5, method="davidson")
     assert np.allclose(res.eigenvalues[:3], -2.0, atol=1e-9)
     gram = res.eigenvectors.conj().T @ res.eigenvectors
     assert np.max(np.abs(gram - np.eye(5))) < 1e-10
@@ -65,7 +67,7 @@ def test_lanczos_resolves_exact_degeneracy():
 def test_residuals_and_gram(desk_ms):
     cfg = make_config(desk_ms, e=0.1, p=(0.0, 0.0, 0.4))
     H = assemble_hamiltonian(cfg)
-    res = solve_lowest(H, 6, method="lanczos")
+    res = solve_lowest(H, 6, method="davidson")
     norm = float(np.abs(H).max() * H.shape[0]) ** 0.5  # generous norm bound
     assert np.all(res.residual_norms <= 1e-11 * max(1.0, norm))
     gram = res.eigenvectors.conj().T @ res.eigenvectors
@@ -75,10 +77,53 @@ def test_residuals_and_gram(desk_ms):
 def test_determinism_bit_identical(desk_ms):
     cfg = make_config(desk_ms, e=0.15, p=(0.0, 0.0, 0.2))
     H = assemble_hamiltonian(cfg)
-    a = solve_lowest(H, 5, method="lanczos", seed=123)
-    b = solve_lowest(H, 5, method="lanczos", seed=123)
+    a = solve_lowest(H, 5, method="davidson", seed=123)
+    b = solve_lowest(H, 5, method="davidson", seed=123)
     assert a.eigenvalues.tolist() == b.eigenvalues.tolist()
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def _oracle_case(kind: str, n: int, complex_: bool, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if complex_ else g
+
+    if kind == "random":                 # no diagonal dominance at all
+        H = gaussian(n, n)
+    elif kind == "degenerate":           # an exactly threefold lowest eigenvalue
+        Q = np.linalg.qr(gaussian(n, n))[0]
+        H = (Q * np.concatenate([[-1.0] * 3, rng.uniform(0.0, 3.0, n - 3)])) @ Q.conj().T
+    else:                                # "trap": the lowest eigenvector lives on the
+        H = np.diag(np.arange(n, dtype=float)).astype(complex if complex_ else float)
+        t = max(2, n // 5)               # largest diagonal entries, far from the start
+        H[-t:, -t:] -= 2.0 * n / t       # block's unit vectors
+    return 0.5 * (H + H.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "degenerate", "trap"]), n=st.integers(6, 60),
+       pairs=st.integers(1, 6), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_davidson_matches_dense_eigh(kind, n, pairs, complex_, seed):
+    H = _oracle_case(kind, n, complex_, seed)
+    pairs = min(pairs, n - 1)
+    got = solve_lowest(H, pairs, method="davidson", seed=seed)
+    want = np.linalg.eigvalsh(H)[:pairs]
+    assert got.eigenvectors.dtype == H.dtype
+    assert np.max(np.abs(got.eigenvalues - want)) < 1e-10
+    assert np.all(got.residual_norms <= DEFAULT_TOL * np.maximum(1.0, np.abs(want)))
+    gram = got.eigenvectors.conj().T @ got.eigenvectors
+    assert np.max(np.abs(gram - np.eye(pairs))) < 1e-10
+
+
+def test_davidson_gives_up_at_its_iteration_cap(desk_ms, monkeypatch):
+    monkeypatch.setattr(spectra_mod, "MAX_ITERATIONS", 1)
+    H = assemble_hamiltonian(make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4)))
+    with pytest.raises(SolverError, match="within 1 iterations") as err:
+        solve_lowest(H, 4, method="davidson")
+    assert len(err.value.residuals) == 4
+    assert max(err.value.residuals) > DEFAULT_TOL
 
 
 def test_non_hermitian_rejected():
