@@ -9,12 +9,12 @@ matrices of dimensions 306 (desk_e010) and 1938 (N_max = 3), which are
 complex, for 1, 2 and 6 pairs.  Each time is the best of three runs (one
 run above dimension 1700: the complex full matrix of 1938, whose dense
 solve takes seconds).  Prints one row per (dimension, pairs) with the
-faster method and the one ``choose_method`` picks.  Then, per pair count,
-it prints the range of cutoffs c ("dense up to dimension c") that lose the
-least time over the measured rows, where a row sent to its slower method
-loses the difference of the two times, the rows that such a cutoff still
-sends to the slower method, and whether ``choose_method``'s cutoff lies in
-the range.  ``--json PATH`` also writes them.
+faster method and the one ``choose_method`` picks.  Then it prints the
+range of cutoffs c ("dense up to dimension c", one for every pair count)
+that lose the least time over all measured rows, where a row sent to its
+slower method loses the difference of the two times, the rows that such a
+cutoff still sends to the slower method, and whether ``DENSE_MAX_DIM``
+lies in the range.  ``--json PATH`` also writes them.
 
     python3 scripts/solver_crossover.py [--json PATH]
 """
@@ -35,13 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from pflab.io import load_config  # noqa: E402
 from pflab.model import build_operators  # noqa: E402
-from pflab.spectra import (  # noqa: E402
-    DENSE_BASE_DIM,
-    DENSE_DIM_PER_PAIR,
-    DENSE_MAX_DIM,
-    choose_method,
-    solve_lowest,
-)
+from pflab.spectra import DENSE_MAX_DIM, choose_method, solve_lowest  # noqa: E402
 
 MODELS = (("desk", "configs/desk_e010.json"), ("rung3", "perfbench/configs/rung3.json"),
           ("rung4", "perfbench/configs/rung4.json"))
@@ -84,31 +78,31 @@ def lost_time(rows, cutoff: int) -> float:
                if (r["dim"] <= cutoff) != (r["faster"] == "dense"))
 
 
-def crossovers(rows) -> dict[int, dict]:
-    """Per pair count: the cutoffs [lowest, below) that lose the least time
+def least_loss_cutoff(rows) -> dict:
+    """The cutoffs [lowest, below) that lose the least time over ``rows``
     (the loss is constant between measured dimensions), that loss, the rows
-    such a cutoff sends to the slower method, and choose_method's cutoff."""
-    out = {}
-    for k in PAIRS:
-        mine = [r for r in rows if r["pairs"] == k]
-        dims = sorted({r["dim"] for r in mine})
-        lowest = min([0, *dims], key=lambda c: lost_time(mine, c))
-        slower = [r for r in mine if (r["dim"] <= lowest) != (r["faster"] == "dense")]
-        out[k] = {
-            "lowest": lowest,
-            "below": min((d for d in dims if d > lowest), default=None),
-            "lost_s": lost_time(mine, lowest),
-            "slower_rows": [(r["source"], r["dim"],
-                             max(r["dense_s"], r["davidson_s"]) / min(r["dense_s"], r["davidson_s"]))
-                            for r in slower],
-            "choose_method": min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * k),
-        }
-    return out
+    such a cutoff sends to the slower method, and DENSE_MAX_DIM with its
+    loss and whether it lies in the range."""
+    dims = sorted({r["dim"] for r in rows})
+    lowest = min([0, *dims], key=lambda c: lost_time(rows, c))
+    below = min((d for d in dims if d > lowest), default=None)
+    slower = [r for r in rows if (r["dim"] <= lowest) != (r["faster"] == "dense")]
+    return {
+        "lowest": lowest,
+        "below": below,
+        "lost_s": lost_time(rows, lowest),
+        "slower_rows": [(r["source"], r["dim"], r["pairs"],
+                         max(r["dense_s"], r["davidson_s"]) / min(r["dense_s"], r["davidson_s"]))
+                        for r in slower],
+        "dense_max_dim": DENSE_MAX_DIM,
+        "dense_max_dim_lost_s": lost_time(rows, DENSE_MAX_DIM),
+        "inside": lowest <= DENSE_MAX_DIM and (below is None or DENSE_MAX_DIM < below),
+    }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", help="also write the table and crossovers here")
+    parser.add_argument("--json", help="also write the table and the fit here")
     args = parser.parse_args()
     rows = []
     print(f"{'source':<22} {'dtype':<10} {'dim':>5} {'pairs':>5} {'dense_s':>9} "
@@ -121,23 +115,19 @@ def main() -> int:
                    "dense_s": best_time(H, k, "dense"),
                    "davidson_s": best_time(H, k, "davidson")}
             row["faster"] = "dense" if row["dense_s"] <= row["davidson_s"] else "davidson"
-            row["chosen"] = choose_method(H.shape[0], k)
+            row["chosen"] = choose_method(H.shape[0])
             rows.append(row)
             print(f"{source:<22} {row['dtype']:<10} {row['dim']:>5} {k:>5} {row['dense_s']:>9.4f} "
                   f"{row['davidson_s']:>10.4f}  {row['faster']:<8} {row['chosen']}")
-    cross = crossovers(rows)
-    print("\ncutoffs losing the least time, and choose_method's cutoff:")
-    for k, c in cross.items():
-        inside = c["lowest"] <= c["choose_method"] and (c["below"] is None
-                                                        or c["choose_method"] < c["below"])
-        print(f"  {k} pair(s): [{c['lowest']}, {c['below']}) loses {c['lost_s']:.4f} s; "
-              f"choose_method {c['choose_method']} {'inside' if inside else 'OUTSIDE'}")
-        for source, dim, ratio in c["slower_rows"]:
-            print(f"      slower method picked: {source} (dim {dim}), {ratio:.2f}x")
+    fit = least_loss_cutoff(rows)
+    print(f"\ncutoffs losing the least time: [{fit['lowest']}, {fit['below']}) lose "
+          f"{fit['lost_s']:.4f} s; DENSE_MAX_DIM {DENSE_MAX_DIM} loses "
+          f"{fit['dense_max_dim_lost_s']:.4f} s, {'inside' if fit['inside'] else 'OUTSIDE'}")
+    for source, dim, k, ratio in fit["slower_rows"]:
+        print(f"    slower method picked: {source} (dim {dim}, {k} pairs), {ratio:.2f}x")
     if args.json:
         Path(args.json).write_text(json.dumps(
-            {"blas_threads": 1, "rows": rows,
-             "least_loss_cutoffs": {str(k): v for k, v in cross.items()}}, indent=2) + "\n")
+            {"blas_threads": 1, "rows": rows, "least_loss_cutoff": fit}, indent=2) + "\n")
     return 0
 
 

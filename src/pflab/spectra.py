@@ -43,11 +43,8 @@ from .fock import hermiticity_defect
 from .model import ModelConfig, ModelOperators, build_operators
 
 DEFAULT_SEED = 7
-# choose_method: dense up to DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig, and
-# never above DENSE_MAX_DIM
-DENSE_BASE_DIM = 130
-DENSE_DIM_PER_PAIR = 170
-DENSE_MAX_DIM = 1000
+# choose_method: dense up to DENSE_MAX_DIM, Davidson above
+DENSE_MAX_DIM = 300
 DEFAULT_TOL = 1e-11
 # Davidson restarts its search space at max(DAVIDSON_BASIS, 3 (n_eig + 2))
 # columns and gives up after MAX_ITERATIONS iterations
@@ -126,19 +123,16 @@ def _as_operator(H) -> sp.csr_matrix:
     return H.astype(np.result_type(H.dtype, np.float64), copy=False)
 
 
-def choose_method(dim: int, n_eig: int) -> str:
-    """"dense" or "davidson" for the lowest ``n_eig`` pairs of a sparse
-    Hermitian matrix of dimension ``dim``.
+def choose_method(dim: int) -> str:
+    """"dense" or "davidson" for a sparse Hermitian matrix of dimension
+    ``dim``: dense up to DENSE_MAX_DIM, whatever the number of pairs.
 
-    Dense up to dimension DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig, as a
-    dense solve costs about the same for any number of pairs and an
-    iterative one grows with them; ``scripts/solver_crossover.py`` times
-    both.  Above DENSE_MAX_DIM Davidson is used whatever the pairs: the
-    dense array and LAPACK's copy of it would outweigh the search space in
-    peak memory.
+    Where the diagonal of H(p, e) dominates, Davidson needs a few matvecs
+    per pair and beats a dense solve above a few hundred rows at 1, 2 and 6
+    pairs alike.  ``scripts/solver_crossover.py`` times both methods and
+    fits the one cutoff that loses the least time over its rows.
     """
-    cutoff = min(DENSE_MAX_DIM, DENSE_BASE_DIM + DENSE_DIM_PER_PAIR * n_eig)
-    return "dense" if dim <= cutoff else "davidson"
+    return "dense" if dim <= DENSE_MAX_DIM else "davidson"
 
 
 def _dense(H: sp.csr_matrix) -> np.ndarray:
@@ -264,9 +258,10 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
 
     ``method``: "dense", "davidson", or "auto": a diagonal matrix is read
     off its diagonal (method "diagonal"), any other goes where
-    ``choose_method`` sends it; model solves (``solve_model``) always take
-    "auto".  Davidson converges a pair at residual <= DEFAULT_TOL *
-    max(1, |lambda|) and gives up after MAX_ITERATIONS iterations.
+    ``choose_method`` sends it by its dimension alone; model solves
+    (``solve_model``) always take "auto".  Davidson converges a pair at
+    residual <= DEFAULT_TOL * max(1, |lambda|) and gives up after
+    MAX_ITERATIONS iterations.
     ``start``, at most ``n_eig`` + 2 orthonormal columns in H's dtype, begins
     Davidson's block in place of as many unit vectors; the other methods
     ignore it.
@@ -296,7 +291,7 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
         diagonal = _diagonal_lowest(H, n_eig)
         if diagonal is not None:
             return diagonal
-        method = choose_method(n, n_eig)
+        method = choose_method(n)
     if method == "dense":
         return _dense_lowest(H, n_eig)
     try:

@@ -33,8 +33,8 @@ import scipy.sparse as sp
 
 from .errors import NotAxialError, PflabError
 from .fock import FockBasis, adjoint, spin_tensor
-from .model import ModelConfig, build_operators, polarization_frame
-from .spectra import EPS_DEG, SpectralResult, solve_model
+from .model import polarization_frame
+from .spectra import EPS_DEG, SpectralResult
 
 
 def _axis_direction(basis: FockBasis) -> np.ndarray:
@@ -54,39 +54,6 @@ def _kpoint_mode_indices(basis: FockBasis) -> list[tuple[int, int]]:
     for i, m in enumerate(ms.modes):
         table.setdefault(m.k, {})[m.polarization_index] = i
     return [(table[k][1], table[k][2]) for k in ms.k_points]
-
-
-def helicity_operator(basis: FockBasis) -> sp.csr_matrix:
-    """Photon helicity along the axis: sum_kp sign(k.u) i (a2+ a1 - a1+ a2).
-
-    Hermitian with integer spectrum on the truncated space.
-    """
-    u = _axis_direction(basis)
-    dim_b = basis.boson_dimension
-    S = sp.csr_matrix((dim_b, dim_b), dtype=complex)
-    kpts = np.array(basis.mode_set.k_points)
-    for (i1, i2), k in zip(_kpoint_mode_indices(basis), kpts):
-        sign = 1.0 if float(k @ u) > 0.0 else -1.0
-        a1 = basis.boson_annihilation(i1)
-        a2 = basis.boson_annihilation(i2)
-        S = S + sign * 1j * (adjoint(a2) @ a1 - adjoint(a1) @ a2)
-    return spin_tensor(0, S, basis)
-
-
-def total_jz(basis: FockBasis) -> sp.csr_matrix:
-    """Total angular momentum along the axis: helicity + (1/2) u . sigma.
-
-    Spectrum is contained in the half integers; on a spinless basis the spin
-    term is absent and the labels are integers instead.
-    """
-    u = _axis_direction(basis)
-    J = helicity_operator(basis)
-    if basis.with_spin:
-        eye_b = sp.identity(basis.boson_dimension, dtype=complex, format="csr")
-        for mu in range(3):
-            if u[mu] != 0.0:
-                J = J + 0.5 * u[mu] * spin_tensor(mu + 1, eye_b, basis)
-    return J.tocsr()
 
 
 def mirror_operator(basis: FockBasis) -> sp.csr_matrix:
@@ -259,34 +226,3 @@ def ground_sector_labels(result: SpectralResult,
             message = f"minimal sectors are {winners}, expected (-0.5, +0.5)"
     return SectorAnalysis(sector_energies=energies, sector_dimensions=dims,
                           winners=winners, ok=ok, message=message)
-
-
-@dataclass
-class RotationCheck:
-    """E(p) vs E(Rp) discrepancies for mode-set symmetries."""
-
-    discrepancies: list[float]
-    max_discrepancy: float
-
-
-def rotation_invariance_check(config: ModelConfig, rotations) -> RotationCheck:
-    """max |E(p) - E(Rp)| over rotations R that map the mode set onto itself.
-
-    Rotations that are not symmetries of the mode set are rejected: the
-    truncated model cannot realize them exactly.
-    """
-    ops = build_operators(config)
-    E_ref = solve_model(ops, config.p, config.e, 2).ground_energy
-    discrepancies = []
-    for R in rotations:
-        R = np.asarray(R, dtype=float)
-        if not config.mode_set.is_symmetric_under(R):
-            raise PflabError(
-                "rotation is not a symmetry of the mode set; choose R from "
-                "the discrete symmetry group of the k-points"
-            )
-        p_rot = tuple(R @ np.asarray(config.p, dtype=float))
-        E_rot = solve_model(ops, p_rot, config.e, 2).ground_energy
-        discrepancies.append(abs(E_rot - E_ref))
-    return RotationCheck(discrepancies=discrepancies,
-                         max_discrepancy=max(discrepancies) if discrepancies else 0.0)

@@ -5,13 +5,25 @@ src/pflab: brute-force enumeration instead of graded recursion, dense
 matrices instead of sparse, the unexpanded operator square instead of the
 termwise expansion, a dense eigendecomposition of the angular momentum
 instead of the combinatorial circular-polarization frame, and closed-form
-second-order perturbation theory instead of eigensolves.
+second-order perturbation theory instead of eigensolves.  Two checks that no
+command runs live here too: the sparse J_axis built from the ladder
+operators (``total_jz``), against which the circular frame is tested, and
+E(p) against E(Rp) over the symmetries of a mode set
+(``rotation_invariance_check``).
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+from pflab.errors import PflabError
+from pflab.fock import adjoint, spin_tensor
+from pflab.model import build_operators
+from pflab.spectra import solve_model
+from pflab.symmetry import _axis_direction, _kpoint_mode_indices
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -240,3 +252,67 @@ def subtraction_hermiticity_defect(A):
     adj.sum_duplicates()
     adj.sort_indices()
     return float(np.abs((A.tocsr() - adj).data).max(initial=0.0))
+
+
+def helicity_operator(basis):
+    """Photon helicity along the axis: sum_kp sign(k.u) i (a2+ a1 - a1+ a2).
+
+    Hermitian with integer spectrum on the truncated space.
+    """
+    u = _axis_direction(basis)
+    dim_b = basis.boson_dimension
+    S = sp.csr_matrix((dim_b, dim_b), dtype=complex)
+    kpts = np.array(basis.mode_set.k_points)
+    for (i1, i2), k in zip(_kpoint_mode_indices(basis), kpts):
+        sign = 1.0 if float(k @ u) > 0.0 else -1.0
+        a1 = basis.boson_annihilation(i1)
+        a2 = basis.boson_annihilation(i2)
+        S = S + sign * 1j * (adjoint(a2) @ a1 - adjoint(a1) @ a2)
+    return spin_tensor(0, S, basis)
+
+
+def total_jz(basis):
+    """Total angular momentum along the axis: helicity + (1/2) u . sigma.
+
+    Spectrum is contained in the half integers; on a spinless basis the spin
+    term is absent and the labels are integers instead.
+    """
+    u = _axis_direction(basis)
+    J = helicity_operator(basis)
+    if basis.with_spin:
+        eye_b = sp.identity(basis.boson_dimension, dtype=complex, format="csr")
+        for mu in range(3):
+            if u[mu] != 0.0:
+                J = J + 0.5 * u[mu] * spin_tensor(mu + 1, eye_b, basis)
+    return J.tocsr()
+
+
+@dataclass
+class RotationCheck:
+    """E(p) vs E(Rp) discrepancies for mode-set symmetries."""
+
+    discrepancies: list
+    max_discrepancy: float
+
+
+def rotation_invariance_check(config, rotations):
+    """max |E(p) - E(Rp)| over rotations R that map the mode set onto itself.
+
+    Rotations that are not symmetries of the mode set are rejected: the
+    truncated model cannot realize them exactly.
+    """
+    ops = build_operators(config)
+    E_ref = solve_model(ops, config.p, config.e, 2).ground_energy
+    discrepancies = []
+    for R in rotations:
+        R = np.asarray(R, dtype=float)
+        if not config.mode_set.is_symmetric_under(R):
+            raise PflabError(
+                "rotation is not a symmetry of the mode set; choose R from "
+                "the discrete symmetry group of the k-points"
+            )
+        p_rot = tuple(R @ np.asarray(config.p, dtype=float))
+        E_rot = solve_model(ops, p_rot, config.e, 2).ground_energy
+        discrepancies.append(abs(E_rot - E_ref))
+    return RotationCheck(discrepancies=discrepancies,
+                         max_discrepancy=max(discrepancies) if discrepancies else 0.0)

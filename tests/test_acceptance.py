@@ -27,7 +27,7 @@ from pflab.spectra import (
 )
 
 from conftest import DESK_EDGES, make_config
-from oracles import dense_sector_energies
+from oracles import dense_sector_energies, rotation_invariance_check
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 COUPLINGS = (0.05, 0.1, 0.2)
@@ -193,7 +193,7 @@ def test_c07_spinless_uniqueness(desk_ms):
 
 def test_c08_symmetry_suite(desk_ms, pair_ms):
     cfg = make_config(desk_ms, e=0.2, p=DESK_P)
-    parity = symmetry_mod.rotation_invariance_check(cfg, [-np.eye(3)])
+    parity = rotation_invariance_check(cfg, [-np.eye(3)])
     parity_ok = parity.max_discrepancy <= 1e-10
 
     free = make_config(desk_ms, e=0.0)

@@ -193,7 +193,7 @@ def test_davidson_at_its_iteration_cap_exits_numerical(tmp_path, monkeypatch, ca
     # the N_max = 3 rung, its sector blocks all sent to Davidson and cut off
     # after one iteration
     cfg = write_config(tmp_path, N_max=3, n_max=3)
-    monkeypatch.setattr(spectra, "choose_method", lambda dim, n_eig: "davidson")
+    monkeypatch.setattr(spectra, "choose_method", lambda dim: "davidson")
     monkeypatch.setattr(spectra, "MAX_ITERATIONS", 1)
     assert run("spectrum", "--config", cfg, "--out", tmp_path / "o") == 3
     assert "Davidson did not converge 2 pairs within 1 iterations" in capsys.readouterr().err
@@ -280,7 +280,7 @@ def test_bounds_solves_take_the_policy_method(tmp_path, monkeypatch, name):
         elif sp.triu(H, 1).count_nonzero() + sp.tril(H, -1).count_nonzero() == 0:
             policy = "diagonal"
         else:
-            policy = spectra.choose_method(dim, n_eig)
+            policy = spectra.choose_method(dim)
         taken.append((result.method, policy))
         return result
 

@@ -14,9 +14,10 @@ from pflab.errors import PflabError
 from pflab.fock import adjoint, axial_mode_set, spin_tensor
 from pflab.model import build_operators
 from pflab.spectra import solve_lowest, solve_model
-from pflab.symmetry import mirror_operator, total_jz
+from pflab.symmetry import mirror_operator
 
 from conftest import make_config
+from oracles import total_jz
 
 TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
 

@@ -1,6 +1,7 @@
 """The scripts under scripts/ stay on the package's API."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -43,6 +44,29 @@ for _ in range(3):
 """
     assert python("-c", code).splitlines() == [
         "desk sector +0.5,73,73", "desk sector +1.5,44,44", "desk sector +2.5,36,36"]
+
+
+def test_solver_crossover_fits_one_cutoff_to_the_stored_table():
+    # the 42 timed rows of BENCH_12.json, at 1, 2 and 6 pairs, fitted without
+    # timing anything
+    code = f"""
+import importlib.util, json
+spec = importlib.util.spec_from_file_location(
+    "solver_crossover", {str(ROOT / "scripts" / "solver_crossover.py")!r})
+crossover = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(crossover)
+rows = json.loads(open({str(ROOT / "BENCH_12.json")!r}).read())["crossover"]["rows"]
+print(json.dumps([len(rows), crossover.least_loss_cutoff(rows)]))
+"""
+    n_rows, fit = json.loads(python("-c", code))
+    assert n_rows == 42
+    assert (fit["lowest"], fit["below"]) == (156, 306)
+    assert fit["lost_s"] == pytest.approx(2.19e-3, abs=0.01e-3)
+    assert [row[:3] for row in fit["slower_rows"]] == [
+        ["rung3 sector +2.5", 156, 1], ["rung4 sector +4.5", 330, 2],
+        ["rung4 sector +4.5", 330, 6]]
+    assert (fit["dense_max_dim"], fit["inside"]) == (300, True)
+    assert fit["dense_max_dim_lost_s"] == fit["lost_s"]
 
 
 def test_convergence_ladder_bound_ratio():

@@ -40,6 +40,9 @@ def _sector_cases(shipped_configs):
         "desk 0": desk.at(p=(0.0, 0.0, 0.0)),
         "spinless": shipped_configs["desk_spinless_e020.json"],
         "desk e=0.3": desk.at(e=0.3),
+        # the N_max = n_max = 3 rung, whose blocks of 361 and 332 lie above
+        # the dense cutoff
+        "rung3": desk.at(N_max=3, n_max=3),
     }
 
 
@@ -54,10 +57,14 @@ def sector_cases(shipped_configs):
     return out
 
 
-@pytest.mark.parametrize("name", ["desk +0.4", "desk -0.4", "desk 0", "spinless", "desk e=0.3"])
+@pytest.mark.parametrize("name", ["desk +0.4", "desk -0.4", "desk 0", "spinless", "desk e=0.3",
+                                  "rung3"])
 def test_sector_solve_matches_full_dense(sector_cases, name):
     cfg, ops, H, got, want = sector_cases[name]
     assert got.method == "sectors"
+    by_davidson = sorted(s.dimension for s in got.sectors
+                         if s.mirror_of is None and s.method == "davidson")
+    assert by_davidson == ([332, 361] if name == "rung3" else [])
     assert sum(s.dimension for s in got.sectors) == H.shape[0]
     assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-12
     resid = np.linalg.norm(H @ got.eigenvectors - got.eigenvectors * got.eigenvalues, axis=0)
@@ -115,7 +122,7 @@ def test_sector_energies_agree_with_sector_decompose(sector_cases, name):
 def force_davidson(monkeypatch):
     # the policy then sends every block that is neither diagonal nor
     # exhausted to Davidson
-    monkeypatch.setattr(spectra_mod, "choose_method", lambda dim, n_eig: "davidson")
+    monkeypatch.setattr(spectra_mod, "choose_method", lambda dim: "davidson")
 
 
 def test_sector_solve_is_bitwise_reproducible(shipped_configs, monkeypatch):
@@ -239,7 +246,7 @@ def test_full_space_path_when_sectors_do_not_apply(desk_ms):
         ops = build_operators(cfg)
         assert ops.axis_coordinate(cfg.p) is None
         got = solve_model(ops, cfg.p, cfg.e, 4)
-        assert got.method == choose_method(ops.basis.dimension, 4)
+        assert got.method == choose_method(ops.basis.dimension)
         assert got.sectors == ()
         want = solve_lowest(assemble_hamiltonian(cfg), 4, method="dense")
         assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-12
@@ -282,17 +289,23 @@ def test_pull_through_residual_solves_once_per_k_point(shipped_configs, monkeypa
 # -- solver policy ------------------------------------------------------------------
 
 
-def test_choose_method_crossover_grows_with_pairs():
-    assert choose_method(73, 1) == "dense"
-    assert choose_method(1938, 1) == "davidson"
-    for dim in range(50, 3000, 50):
-        order = [choose_method(dim, k) for k in range(1, 12)]
-        # once dense for some number of pairs, dense for every larger number
-        assert order == sorted(order, key=lambda m: m == "dense")
-    # the large sector blocks of the N_max = 4 rung stay on Davidson
-    for dim in (1116, 1292, 1657):
-        for k in range(1, 7):
-            assert choose_method(dim, k) == "davidson"
+def test_choose_method_one_cutoff_for_every_pair_count(monkeypatch):
+    # the dimensions of the crossover table in BENCH_12.json: a solve with
+    # method "auto" goes where the dimension alone sends it, at any pairs
+    routed = []
+    monkeypatch.setattr(spectra_mod, "_dense_lowest", lambda H, k: routed.append("dense"))
+    monkeypatch.setattr(spectra_mod, "_davidson_lowest",
+                        lambda H, k, seed, start: routed.append("davidson"))
+    for dims, method in (((36, 44, 73, 120, 156), "dense"),
+                         ((306, 330, 332, 361, 450, 1116, 1292, 1657, 1938), "davidson")):
+        for dim in dims:
+            assert choose_method(dim) == method
+            H = sp.diags([np.ones(dim - 1), np.arange(dim, dtype=float), np.ones(dim - 1)],
+                         [-1, 0, 1], format="csr")
+            for pairs in (1, 2, 6):
+                routed.clear()
+                solve_lowest(H, pairs)
+                assert routed == [method]
 
 
 def test_diagonal_matrix_read_off_its_diagonal(monkeypatch):

@@ -12,17 +12,15 @@ from pflab.fock import (
 )
 from pflab.model import assemble_hamiltonian, build_basis, build_operators, rotation_matrix
 from pflab.spectra import detect_ground_cluster, solve_lowest, solve_model
-from pflab.symmetry import (
-    circular_labels,
-    ground_sector_labels,
+from pflab.symmetry import circular_labels, ground_sector_labels, helicity_rotation
+
+from conftest import make_config
+from oracles import (
+    dense_sector_energies,
     helicity_operator,
-    helicity_rotation,
     rotation_invariance_check,
     total_jz,
 )
-
-from conftest import make_config
-from oracles import dense_sector_energies
 
 
 @pytest.fixture(scope="module")
