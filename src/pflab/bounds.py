@@ -27,8 +27,8 @@ quoted uncertainty proxy.  At finite truncation the pull-through identity
 is only approximate, so every check reports its numbers rather than
 asserting blindly; ``pull_through_residual`` measures how far the identity
 misses at every mode.  Its resolvent depends on a mode only through the
-mode's k-point, so it is gap-checked and LU-factored once per k-point and
-serves both polarizations there.
+mode's k-point, so it is gap-checked and built once per k-point, serves
+both polarizations there, and is solved by Jacobi-preconditioned CG.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import GapTooSmallError, PflabError
+from .errors import GapTooSmallError, PflabError, SolverError
 from .fock import PAULI, FockBasis, annihilation_matrix
 from .model import (
     ModelConfig,
@@ -62,6 +62,8 @@ from .spectra import (
 )
 
 DENOMINATOR_FLOOR = 1e-6
+#: CG stops at ||rhs - A x|| <= CG_RTOL ||rhs|| (atol = 0).
+CG_RTOL = 1e-14
 #: Relative excess of <N_f> over e^2 Theta(p) that the number check tolerates.
 PHOTON_NUMBER_SLACK = 0.10
 
@@ -166,17 +168,17 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: 
 
 def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
                           ops: ModelOperators) -> np.ndarray:
-    """|| a_m Psi - RHS_m || / ||Psi|| for the pull-through identity at every
-    mode m, in mode order, from the operator set ``ops`` of ``config``.
+    """|| a_m Psi - RHS_m || / ||Psi||, the truncation error of the pull-through
+    identity, at every mode m in mode order, from the operator set ``ops``.
 
-    RHS_m solves the shifted linear system
-    (H(p - k_m) + omega_m - E) x = e * { ... } Psi, which depends on the mode
-    only through its k-point: each k-point's shifted operator is built and
-    LU-factored once, and the factorization serves both polarizations.  The
-    identity is exact only on the untruncated space, so the residuals are
-    the truncation diagnostic.  Raises, naming the k-point and before any
-    factorization, when a shifted operator is not safely positive (gap
-    violation at that k-point).
+    RHS_m solves A_k x = e * { ... } Psi with A_k = H(p - k) + omega_k - E,
+    built once per k-point for both polarizations.  Before any shifted
+    solve, every k-point is checked and the first with
+    delta_k = E(p - k) + omega_k - E < ``DENOMINATOR_FLOOR`` is named in a
+    ``GapTooSmallError``.  A_k is then positive definite, and CG
+    preconditioned by diag(A_k)^-1 stops at ||rhs - A_k x|| <= ``CG_RTOL``
+    ||rhs||, so ||x - x*|| <= CG_RTOL ||rhs|| / delta_k; ``SolverError``
+    names the mode and k-point of a system that does not converge.
     """
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi)
@@ -184,39 +186,31 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
         raise ValueError("psi must be nonzero")
     ms = config.mode_set
     p = np.asarray(config.p, dtype=float)
-    shifts = []
-    for i, k in enumerate(ms.k_points):
-        k = np.asarray(k)
-        omega = float(config.dispersion.omega(float(np.linalg.norm(k))))
-        bottom = solve_model(ops, p - k, config.e, 1).ground_energy
-        if bottom + omega - energy < DENOMINATOR_FLOOR:
-            raise GapTooSmallError(
-                f"shifted resolvent at k-point {i} {tuple(k)} is nearly singular: "
-                f"E(p-k) + omega - E(p) = {bottom + omega - energy:.3e}"
-            )
-        shifts.append((k, omega - energy))
+    K = np.asarray(ms.k_points)
+    omegas = np.asarray(config.dispersion.omega(np.linalg.norm(K, axis=1)))
+    for i, k in enumerate(K):
+        delta = solve_model(ops, p - k, config.e, 1).ground_energy + omegas[i] - energy
+        if delta < DENOMINATOR_FLOOR:
+            raise GapTooSmallError(f"shifted resolvent at k-point {i} {tuple(k)} is nearly "
+                                   f"singular: E(p-k) + omega - E(p) = {delta:.3e}")
 
     g, h = field_amplitudes(config)
-    D_psi = [(p[mu] - ops.pf[:, mu]) * psi - config.e * (ops.A[mu] @ psi) for mu in range(3)]
+    D = np.array([(p[mu] - ops.pf[:, mu]) * psi - config.e * (ops.A[mu] @ psi) for mu in range(3)])
     # sigma_mu (x) 1 in the spin-major ordering
-    sigma_psi = ([(PAULI[mu + 1] @ psi.reshape(2, -1)).ravel() for mu in range(3)]
-                 if config.with_spin else [])
-    eye = sp.identity(ops.basis.dimension, dtype=complex, format="csr")
-    k_point_index = ms.k_point_index
+    S = (np.array([(PAULI[mu + 1] @ psi.reshape(2, -1)).ravel() for mu in range(3)])
+         if config.with_spin else np.zeros_like(D))
+    rhs = config.e * (g @ D + 0.5j * (h @ S))
     residuals = np.empty(len(ms))
-    for i, (k, shift) in enumerate(shifts):
-        lu = spla.splu((ops.hamiltonian(p - k, config.e) + shift * eye).tocsc())
-        for m in np.flatnonzero(k_point_index == i):
-            rhs_vec = np.zeros_like(psi)
-            for mu in range(3):
-                if g[m, mu] != 0.0:
-                    rhs_vec += g[m, mu] * D_psi[mu]
-                if config.with_spin and h[m, mu] != 0.0:
-                    rhs_vec += 0.5j * h[m, mu] * sigma_psi[mu]
-            rhs_vec *= config.e
-            a_psi = annihilation_matrix(m, ops.basis) @ psi
-            residuals[m] = np.linalg.norm(a_psi - lu.solve(rhs_vec)) / norm
-        del lu                          # keep one factorization alive at a time
+    for i, k in enumerate(K):
+        H, shift = ops.hamiltonian(p - k, config.e), omegas[i] - energy
+        A = spla.LinearOperator(H.shape, lambda x: H @ x + shift * x, dtype=complex)
+        M = sp.diags(1.0 / (H.diagonal().real + shift))
+        for m in np.flatnonzero(ms.k_point_index == i):
+            x, info = spla.cg(A, rhs[m], rtol=CG_RTOL, atol=0.0, M=M)
+            if info != 0:
+                raise SolverError(f"CG did not converge for mode {m} at k-point {i} "
+                                  f"{tuple(k)} (info {info})")
+            residuals[m] = np.linalg.norm(annihilation_matrix(m, ops.basis) @ psi - x) / norm
     return residuals
 
 

@@ -33,6 +33,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import (
+    ConfigError,
     DomainError,
     IndeterminateDegeneracy,
     NonHermitianError,
@@ -432,14 +433,19 @@ def _cached_model(config: ModelConfig, cache: dict) -> tuple[ModelOperators, dic
     # the set depends on neither p nor e
     key = config.at(p=(0.0, 0.0, 0.0), e=0.0)
     if key not in cache:
-        cache[key] = (build_operators(config), {})
+        ops = build_operators(config)
+        if ops.basis.dimension < 2:
+            raise ConfigError(f"the basis dimension {ops.basis.dimension} leaves no "
+                              "eigenvalue above the ground state; enlarge the cutoffs")
+        cache[key] = (ops, {})
     return cache[key]
 
 
 def model_operators(config: ModelConfig, cache: dict) -> ModelOperators:
     """The operator set of ``config``'s model, built at the first call with
     this ``cache`` and shared through it, at any p and e, with every later
-    call and with ``energy_sweep``."""
+    call and with ``energy_sweep``.  Refuses a basis of dimension 1 with
+    ``ConfigError``."""
     return _cached_model(config, cache)[0]
 
 

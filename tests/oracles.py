@@ -180,8 +180,8 @@ def dense_pull_through_residuals(config, psi, energy):
 
     R_m = g_m . D + (i/2) h_m . sigma with D_mu = p_mu - P_f^mu - e A^mu, H
     from ``dense_hamiltonian`` at each shifted momentum, and the mode's own
-    annihilator: one dense solve per mode, where the package factors once
-    per k-point.
+    annihilator: one dense LU solve per mode, where the package solves by
+    preconditioned CG on one shifted operator per k-point.
     """
     ks, omegas, phis, weights, pols = mode_data(config)
     occs, a_ops = ladder_matrices(config)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from pflab import bounds
-from pflab.errors import GapTooSmallError, PflabError
+from pflab.errors import GapTooSmallError, PflabError, SolverError
 from pflab.fock import number_operator
 from pflab.model import PHI_HAT_ZERO, assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
@@ -120,7 +120,7 @@ def test_photon_integral_gap_floor(desk_ms):
 def test_pull_through_gap_refused_before_the_shifted_solve(shipped_configs, monkeypatch):
     # an energy at or above the bottom of H(p - k) + omega_k, or within the
     # floor below it, leaves the shifted resolvent no room; every k-point is
-    # checked before any factorization, and the first without room is named
+    # checked before any shifted solve, and the first without room is named
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
     psi = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, 6)).basis[:, 0]
@@ -131,14 +131,27 @@ def test_pull_through_gap_refused_before_the_shifted_solve(shipped_configs, monk
     mode = 5
     bottom = bottoms[cfg.mode_set.k_point_index[mode]]
 
-    def no_factor(*args, **kwargs):
-        raise AssertionError("shifted system factored")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("shifted system solved")
 
-    monkeypatch.setattr(bounds.spla, "splu", no_factor)
+    monkeypatch.setattr(bounds.spla, "cg", no_solve)
     for energy in (bottom + 0.1, bottom, bottom - 0.5 * bounds.DENOMINATOR_FLOOR):
         first = next(i for i, b in enumerate(bottoms) if b - energy < bounds.DENOMINATOR_FLOOR)
         with pytest.raises(GapTooSmallError, match=f"k-point {first} .* is nearly singular"):
             bounds.pull_through_residual(psi, cfg, energy, ops)
+
+
+def test_pull_through_unconverged_solve_is_a_solver_error(shipped_configs, monkeypatch):
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
+    cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, 6))
+
+    def no_convergence(A, b, **kwargs):
+        return np.zeros_like(b), 7          # info > 0: maxiter reached
+
+    monkeypatch.setattr(bounds.spla, "cg", no_convergence)
+    with pytest.raises(SolverError, match=r"mode 0 at k-point 0 .*\(info 7\)"):
+        bounds.pull_through_residual(cluster.basis[:, 0], cfg, cluster.energy, ops)
 
 
 # -- the number bound ----------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pflab import spectra, symmetry
+from pflab import bounds, spectra, symmetry
 from pflab.cli import main
 from pflab.io import load_config, read_eigenvectors, write_eigenvectors
 from pflab.model import ModelOperators
@@ -263,6 +263,17 @@ def test_bounds_spinless_path(tmp_path, capsys):
     assert report["gap_above"] > 0.0
 
 
+def test_bounds_unconverged_pull_through_exits_numerical(tmp_path, monkeypatch, capsys):
+    def no_convergence(A, b, **kwargs):
+        return np.zeros_like(b), 7
+
+    monkeypatch.setattr(bounds.spla, "cg", no_convergence)
+    cfg = write_config(tmp_path, quadrature=fast_quadrature())
+    assert run("bounds", "--config", cfg, "--out", tmp_path / "o") == 3
+    assert "CG did not converge for mode 0 at k-point 0" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bound_report.json").exists()
+
+
 @pytest.mark.parametrize("name", ["desk_e010.json", "desk_spinless_e020.json"])
 def test_bounds_solves_take_the_policy_method(tmp_path, monkeypatch, name):
     # the cluster, the energy curve, every coupling-threshold probe, the
@@ -388,6 +399,17 @@ def test_single_eigenpair_is_a_usage_error(tmp_path, capsys, command):
     assert "argument --n-eig: must be >= 2" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.json").exists()
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", [("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2"),
+                                     ("bounds",), ("sectors",)])
+def test_one_state_basis_is_a_usage_error(tmp_path, capsys, command):
+    # spinless with N_max = 0 holds the vacuum alone: no eigenvalue lies above
+    # the ground state, and the model's operator set refuses it before any solve
+    cfg = write_config(tmp_path, with_spin=False, N_max=0, quadrature=fast_quadrature())
+    assert run(command[0], "--config", cfg, "--out", tmp_path / "o", *command[1:]) == 2
+    assert "basis dimension 1" in capsys.readouterr().err
+    assert not any((tmp_path / "o").glob("*.json"))
 
 
 # -- sectors ----------------------------------------------------------------------

@@ -262,14 +262,28 @@ def test_free_model_takes_the_diagonal_path(desk_ms):
     assert np.all(got.residual_norms == 0.0)
 
 
-def test_pull_through_residual_solves_once_per_k_point(shipped_configs, monkeypatch):
+PULL_THROUGH_CASES = {
+    "desk_e005": ("desk_e005.json", None),
+    "desk_e010": ("desk_e010.json", None),
+    "desk_e020": ("desk_e020.json", None),
+    "desk_p0_e010": ("desk_p0_e010.json", None),
+    "massless_e010": ("massless_e010.json", None),
+    "desk_e010_off_axis": ("desk_e010.json", (0.1, 0.0, 0.3)),   # complex A_k
+}
+
+
+@pytest.mark.parametrize("case", sorted(PULL_THROUGH_CASES))
+def test_pull_through_residual_solves_once_per_k_point(case, shipped_configs, monkeypatch):
     # the shifted resolvent depends on a mode only through its k-point: one
-    # gap solve and one LU factorization per k-point serve both polarizations
-    cfg = shipped_configs["desk_e010.json"]
+    # gap solve and one shifted operator per k-point serve both polarizations,
+    # with one CG solve per mode; the residuals match the dense oracle's
+    name, p = PULL_THROUGH_CASES[case]
+    cfg = shipped_configs[name]
+    cfg = cfg if p is None else cfg.at(p=p)
     ops = build_operators(cfg)
     cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, N_EIG))
     psi = cluster.basis[:, 0]
-    calls = {"solve_model": 0, "splu": 0}
+    calls = {"solve_model": 0, "hamiltonian": 0, "cg": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -278,10 +292,13 @@ def test_pull_through_residual_solves_once_per_k_point(shipped_configs, monkeypa
         return wrapper
 
     monkeypatch.setattr(bounds, "solve_model", counted("solve_model", bounds.solve_model))
-    monkeypatch.setattr(bounds.spla, "splu", counted("splu", bounds.spla.splu))
+    monkeypatch.setattr(model_mod.ModelOperators, "hamiltonian",
+                        counted("hamiltonian", model_mod.ModelOperators.hamiltonian))
+    monkeypatch.setattr(bounds.spla, "cg", counted("cg", bounds.spla.cg))
     got = bounds.pull_through_residual(psi, cfg, cluster.energy, ops)
     assert (len(cfg.mode_set), len(cfg.mode_set.k_points)) == (16, 8)
-    assert calls == {"solve_model": 8, "splu": 8}
+    # off the axis each gap solve forms H(p - k) on the full space as well
+    assert calls == {"solve_model": 8, "hamiltonian": 8 if p is None else 16, "cg": 16}
     oracle = dense_pull_through_residuals(cfg, psi, cluster.energy)
     assert np.max(np.abs(got - oracle)) < 1e-12
 
