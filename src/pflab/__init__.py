@@ -27,7 +27,6 @@ from .fock import (
     field_energy,
     field_momentum,
     hermiticity_defect,
-    hermitize,
     number_operator,
     spin_tensor,
 )

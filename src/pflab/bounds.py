@@ -44,12 +44,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import GapTooSmallError, PflabError, SolverError
 from .fock import PAULI, FockBasis, annihilation_matrix
-from .model import (
-    ModelConfig,
-    ModelOperators,
-    coupling_bound,
-    field_amplitudes,
-)
+from .model import ModelConfig, ModelOperators, coupling_bound
 from .quadrature import PolarGrid
 from .spectra import (
     DEFAULT_SEED,
@@ -194,7 +189,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
             raise GapTooSmallError(f"shifted resolvent at k-point {i} {tuple(k)} is nearly "
                                    f"singular: E(p-k) + omega - E(p) = {delta:.3e}")
 
-    g, h = field_amplitudes(config)
+    g, h = ops.amplitudes
     D = np.array([(p[mu] - ops.pf[:, mu]) * psi - config.e * (ops.A[mu] @ psi) for mu in range(3)])
     # sigma_mu (x) 1 in the spin-major ordering
     S = (np.array([(PAULI[mu + 1] @ psi.reshape(2, -1)).ravel() for mu in range(3)])

@@ -44,7 +44,6 @@ from .io import (
 )
 from .model import (
     PHI_HAT_ZERO,
-    build_operators,
     check_dispersion_axioms,
     coupling_bound,
     form_factor_decay_integrals,
@@ -187,7 +186,7 @@ def cmd_model_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = load_config(args.config, force_allow_massless=args.override_massless)
-    ops = build_operators(config)
+    ops = model_operators(config, {})
     basis = ops.basis
     if args.n_eig >= basis.dimension:
         raise ConfigError(

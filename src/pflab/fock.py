@@ -333,15 +333,9 @@ def enumerate_basis(mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
 # -- operator assembly -----------------------------------------------------
 
 
-def _with_spin_identity(op: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
-    if basis.with_spin:
-        return sp.kron(sp.identity(2, dtype=complex, format="csr"), op, format="csr")
-    return op.tocsr()
-
-
 def annihilation_matrix(mode_index: int, basis: FockBasis) -> sp.csr_matrix:
     """a_m on the full basis (tensored with the spin identity when present)."""
-    return _with_spin_identity(basis.boson_annihilation(mode_index), basis)
+    return spin_tensor(0, basis.boson_annihilation(mode_index), basis)
 
 
 def creation_matrix(mode_index: int, basis: FockBasis) -> sp.csr_matrix:
@@ -352,7 +346,7 @@ def creation_matrix(mode_index: int, basis: FockBasis) -> sp.csr_matrix:
 def number_operator(basis: FockBasis) -> sp.csr_matrix:
     """Total photon number (diagonal, no quadrature weights)."""
     diag = basis.occupation_array().sum(axis=1).astype(float)
-    return _with_spin_identity(sp.diags(diag.astype(complex), format="csr"), basis)
+    return spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis)
 
 
 def field_energy(basis: FockBasis, omega_by_kpoint: Sequence[float]) -> sp.csr_matrix:
@@ -365,7 +359,7 @@ def field_energy(basis: FockBasis, omega_by_kpoint: Sequence[float]) -> sp.csr_m
         )
     omega_per_mode = omega_by_kpoint[basis.mode_set.k_point_index]
     diag = basis.occupation_array() @ omega_per_mode
-    return _with_spin_identity(sp.diags(diag.astype(complex), format="csr"), basis)
+    return spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis)
 
 
 def field_momentum(basis: FockBasis) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
@@ -375,14 +369,14 @@ def field_momentum(basis: FockBasis) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.c
     out = []
     for mu in range(3):
         diag = occ @ karr[:, mu]
-        out.append(_with_spin_identity(sp.diags(diag.astype(complex), format="csr"), basis))
+        out.append(spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis))
     return tuple(out)
 
 
 def spin_tensor(pauli_index: int, fock_op: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
     """Kronecker product sigma_i x (boson operator) in the spin-major ordering.
 
-    pauli_index 0 is the identity.  ``fock_op`` must act on the boson factor.
+    pauli_index 0 is the identity, in the dtype of ``fock_op`` (boson factor).
     """
     if pauli_index not in (0, 1, 2, 3):
         raise ValueError(f"pauli index must be in 0..3, got {pauli_index}")
@@ -397,7 +391,9 @@ def spin_tensor(pauli_index: int, fock_op: sp.spmatrix, basis: FockBasis) -> sp.
         if pauli_index != 0:
             raise ValueError("spin operators are unavailable on a spinless basis")
         return fock_op.tocsr()
-    return sp.kron(sp.csr_matrix(PAULI[pauli_index]), fock_op, format="csr")
+    spin = sp.csr_matrix(PAULI[pauli_index]) if pauli_index else sp.identity(2, fock_op.dtype)
+    out = sp.kron(spin, fock_op, format="csr")      # float64 when fock_op has no entries
+    return out.astype(np.result_type(spin.dtype, fock_op.dtype), copy=False)
 
 
 # -- Hermiticity helpers -----------------------------------------------------
@@ -436,11 +432,3 @@ def hermiticity_defect(op: sp.spmatrix) -> float:
         facing = np.where(a_keys[at] == t_keys, A.data[at], 0)
     mirrored = T.data.conj() if np.iscomplexobj(T.data) else T.data
     return float(np.abs(facing - mirrored).max(initial=0.0))
-
-
-def hermitize(op: sp.spmatrix) -> sp.csr_matrix:
-    """(A + A+)/2; exact Hermitian closure, a no-op on already Hermitian input."""
-    out = ((op.tocsr() + adjoint(op)) * 0.5).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out

@@ -23,22 +23,18 @@ formed as H0(p) (first line) plus H_int (second line), so
 H(p) = H0(p) + H_int holds entrywise.
 
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
-angular momentum J_axis.  ``ModelOperators.sectors`` rotates the
-p-independent operators once into the circular-polarization frame, where
-J_axis is diagonal, with one block per J_axis eigenvalue, and stores them
-on one sparsity pattern, so that H(t u, e) there is the same real
-combination formed entry by entry in numpy and each block is a range of
-its arrays (``SectorSplit.upper_blocks``).  Only the sectors with
-eigenvalue >= 0 are rotated and kept: a mirror reflection maps sector z
-onto -z, which the split checks but does not store.  On the z axis the
-rotated terms are real: the antiunitary Theta = (-1)^N_2 K (K complex
-conjugation in the linear basis, N_2 the polarization-2 photon number;
-time reversal composed with a pi rotation about the polarization-2 line)
-commutes with them, and W+ Theta W = K for the helicity rotation W.  The split then stores them as
-float64, and H(t u, e) and its blocks are real; on a tilted axis the spin
-frame carries phases, and a model with spin keeps complex128 terms.
-Eigenvectors become complex only when the rotation maps them back to the
-linear basis.
+angular momentum J_axis.  ``ModelOperators.sectors`` builds the
+p-independent operators once more, by the same field builder, in the
+circular-polarization frame, where J_axis is diagonal; it cuts one block
+per J_axis eigenvalue >= 0 off them (a mirror reflection maps sector z onto
+-z) and stores the blocks on one sparsity pattern, so that H(t u, e) there
+is the same real combination formed entry by entry in numpy
+(``SectorSplit.upper_blocks``).  On the z axis A_y and B_y are purely
+imaginary in that frame, so A_y A_y and sigma_y (x) B_y are real, the
+terms are stored as float64, and H(t u, e) and its blocks are real; on a
+tilted axis the spin frame carries phases, and a model with spin keeps
+complex128 terms.  Eigenvectors become complex only when the helicity
+rotation W maps them back to the linear basis.
 """
 
 from __future__ import annotations
@@ -53,12 +49,12 @@ import scipy.sparse as sp
 
 from .errors import BasisMismatchError, ConfigError, NonHermitianError, PflabError
 from .fock import (
+    PAULI,
     FockBasis,
     ModeSet,
     adjoint,
     enumerate_basis,
     hermiticity_defect,
-    hermitize,
     spin_tensor,
     DIMENSION_CAP,
 )
@@ -66,7 +62,7 @@ from .quadrature import QuadratureSpec, gauss_legendre
 
 #: Normalization of the form factor at k = 0, fixed by int phi(x) dx = 1.
 PHI_HAT_ZERO = (2.0 * math.pi) ** (-1.5)
-#: Largest entry a rotated operator may have between two J_axis sectors.
+#: Largest entry a sector term may have between two J_axis sectors (and its probe error).
 SECTOR_LEAK_TOL = 1e-10
 #: Largest |k| at which ``check_dispersion_axioms`` samples the dispersion.
 AXIOM_K_MAX = 6.0
@@ -274,16 +270,15 @@ def field_amplitudes(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
-def _boson_fields(config: ModelConfig, basis: FockBasis):
+def _boson_fields(basis: FockBasis, g: np.ndarray, h: np.ndarray):
     """(A_mu, B_mu) on the boson factor, each a 3-tuple of CSR, from one pass
-    over the ladder triplets.
-
-    Two states coupled by a_m differ by one photon in mode m alone, so no
-    entry sums two modes, and a field and its adjoint share no entry: A and B
-    are exactly Hermitian.
-    """
-    g, h = field_amplitudes(config)
-    ladders = [basis.boson_annihilation(m).tocoo() for m in range(len(config.mode_set))]
+    over the ladder triplets: A^mu = sum_m g[m, mu] a_m + h.c. and
+    B^mu = -i sum_m h[m, mu] a_m + h.c. for per-mode amplitudes g, h of shape
+    (n_modes, 3), real (``field_amplitudes``) in the linear frame.  States
+    coupled by a_m differ by one photon in mode m alone, so no entry sums
+    two modes, and a field and its adjoint share no entry: A and B are
+    exactly Hermitian."""
+    ladders = [basis.boson_annihilation(m).tocoo() for m in range(len(basis.mode_set))]
     mode = np.concatenate([np.full(a.nnz, m) for m, a in enumerate(ladders)])
     index = (np.concatenate([a.row for a in ladders]), np.concatenate([a.col for a in ladders]))
     root_n = np.concatenate([a.data.real for a in ladders])
@@ -296,21 +291,47 @@ def _boson_fields(config: ModelConfig, basis: FockBasis):
         return lowering + adjoint(lowering)
 
     A = tuple(field(g[:, mu], 1.0) for mu in range(3))
-    B = tuple(field(h[:, mu], -1j) for mu in range(3))
-    return A, B
+    return A, tuple(field(h[:, mu], -1j) for mu in range(3))
+
+
+def _field_terms(basis: FockBasis, g: np.ndarray, h: np.ndarray, spin):
+    """The field terms of H in the frame of the amplitudes g, h of
+    ``_boson_fields``: A (three components), C = (1/2) sum_mu {P_f^mu, A^mu}
+    (P_f is one diagonal in either frame) and A2 = A.A, float64 when real and
+    summed as R R - I I + i (R I + I R) for A^mu = R + i I, on the boson
+    factor, and sigma.B = sum_mu spin[mu] (x) B^mu on the full basis.  Each is
+    exactly Hermitian: entry (j, i) of a product sums the mirrored products
+    of entry (i, j), in the same order."""
+    A, B = _boson_fields(basis, g, h)
+    pf = basis.occupation_array() @ basis.mode_set.k_array()
+    C = 0.5 * sum(op.multiply(x[:, None]) + op.multiply(x[None, :]) for op, x in zip(A, pf.T))
+    re = im = sp.csr_matrix((basis.boson_dimension,) * 2)
+    for R, I in ((op.real, op.imag) for op in A):
+        R.eliminate_zeros()
+        I.eliminate_zeros()
+        if R.nnz:
+            re = re + R @ R
+        if I.nnz:
+            re, im = re - I @ I, im + (R @ I + I @ R)
+    A2 = re + 1j * im if im.nnz else re
+    A2.sort_indices()
+    sigma_B = sp.csr_matrix((basis.dimension,) * 2, dtype=complex)
+    if basis.with_spin:
+        sigma_B = sum(sp.kron(sp.csr_matrix(s), op, format="csr") for s, op in zip(spin, B))
+    return A, C, A2, sigma_B
 
 
 def build_vector_potential(config: ModelConfig, basis: Optional[FockBasis] = None):
     """The three Cartesian components of the vector potential on the full basis."""
     basis = _check_basis(config, basis)
-    A, _ = _boson_fields(config, basis)
+    A, _ = _boson_fields(basis, *field_amplitudes(config))
     return tuple(spin_tensor(0, op, basis) for op in A)
 
 
 def build_magnetic_field(config: ModelConfig, basis: Optional[FockBasis] = None):
     """The three Cartesian components of the magnetic field on the full basis."""
     basis = _check_basis(config, basis)
-    _, B = _boson_fields(config, basis)
+    _, B = _boson_fields(basis, *field_amplitudes(config))
     return tuple(spin_tensor(0, op, basis) for op in B)
 
 
@@ -320,18 +341,15 @@ class HamiltonianTerms:
     ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f (one column per component
     of p), and ``A`` (one operator per component of p), ``C`` =
     (1/2) sum_mu {P_f^mu, A^mu}, ``sigma_B`` (zero without spin) and ``A2`` =
-    A.A.  The operator terms share one dtype, float64 or complex128, and
-    H(p, e) takes it.
+    A.A, all of one dtype, float64 or complex128, which H(p, e) takes.
 
     Construction refuses, with ``NonHermitianError``, an operator term whose
-    ``hermiticity_defect`` is not 0.0, so each term is checked once, when
-    its set is built.  Every H(p, e) formed from the terms is then exactly
-    Hermitian with no check of its own: it is a sum of checked terms with
-    real coefficients (``hamiltonian`` by scipy's sparse sum,
-    ``SectorSplit.upper_blocks`` in place from +0.0 on one pattern), so
-    entries (i, j) and (j, i) undergo the same operations on conjugate
-    inputs, and in floating point a real multiple or a sum of conjugates is
-    exactly the conjugate of the same multiple or sum."""
+    ``hermiticity_defect`` is not 0.0.  Every H(p, e) formed from the terms
+    is then exactly Hermitian with no check of its own: it is a sum of
+    checked terms with real coefficients (``hamiltonian`` by scipy's sparse
+    sum, ``SectorSplit.upper_blocks`` in place from +0.0 on one pattern), and
+    in floating point a real multiple or a sum of conjugates is exactly the
+    conjugate of the same multiple or sum."""
 
     free_diag: np.ndarray
     pf: np.ndarray
@@ -379,24 +397,19 @@ class SectorSplit:
     circular-polarization frame: sector i has eigenvalue ``labels[i]``
     (ascending, symmetric about 0) and spans ``starts[i]`` to
     ``starts[i + 1]`` of the states ordered by label, and ``to_linear[i]``'s
-    columns are its states in the linear basis.  ``mirror`` is the
+    (complex) columns are its states in the linear basis.  ``mirror`` is the
     reflection U of ``symmetry.mirror_operator``, which maps sector z onto
-    sector -z.  ``upper`` holds the terms of H block diagonal on the
-    sectors with label >= 0, the ones ``spectra.solve_model`` solves.
-    Momentum has the one coordinate t of p = t u: ``pf`` is the column
-    u.P_f and ``A`` is (u.A,).  The terms are float64 when every imaginary
-    entry of the rotated terms is exactly 0.0, as the antiunitary
-    Theta = (-1)^N_2 K makes them on the z axis, and complex128 otherwise
-    (a tilted axis with spin); ``to_linear`` is complex, and the eigenvectors
-    it maps back are complex.  ``leak_max`` is the largest entry the
-    rotation left outside its sector, at most ``SECTOR_LEAK_TOL``.
+    -z.  ``upper`` holds the terms of H block diagonal on the sectors with
+    label >= 0, the ones ``spectra.solve_model`` solves, float64 or
+    complex128; p = t u has the one coordinate t: ``pf`` is the column u.P_f
+    and ``A`` is (u.A,).  ``leak_max`` is the largest entry the terms have
+    between two sectors, at most ``SECTOR_LEAK_TOL``: 0.0 on the z axis.
 
-    Every operator term of ``upper`` with entries is stored on one CSR
-    pattern, ``indices`` and ``indptr``, which they share: the union of the
-    terms' entries and the diagonal, zero where a term has no entry.  A term
-    without entries is an empty matrix.  ``diagonal`` holds the position of
-    each diagonal entry in the pattern, and sector i >= ``first_upper``
-    holds positions ``data_starts[i - first_upper]`` to the next one."""
+    The terms of ``upper`` with entries share one CSR pattern, ``indices``
+    and ``indptr``: the union of their entries and the diagonal (a term
+    without entries is an empty matrix).  ``diagonal`` holds the position of
+    each diagonal entry, and sector i >= ``first_upper`` positions
+    ``data_starts[i - first_upper]`` to the next one."""
 
     upper: HamiltonianTerms
     labels: tuple[float, ...]
@@ -417,16 +430,11 @@ class SectorSplit:
     def upper_blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
         """The blocks of H(t u, e) on the sectors with label >= 0, ascending
         in label, each a view of a range of one data array on the stored
-        pattern.
-
-        The data repeat ``upper.hamiltonian(t, e)`` = free + interaction
-        entry by entry, in its order and with its coefficients, summed in
-        place from +0.0.  Where scipy's sparse sum meets a missing entry or
-        drops a zero result, this sum meets a stored zero of the pattern;
-        the two can differ only in the sign of a zero, and a sum started at
-        +0.0 leaves no -0.0.  So each block's ``toarray()`` is bitwise that
-        block of ``upper.hamiltonian(t, e)``, and exactly Hermitian
-        (``HamiltonianTerms``)."""
+        pattern.  The data repeat ``upper.hamiltonian(t, e)`` entry by entry,
+        in its order and with its coefficients, summed in place from +0.0;
+        where scipy's sparse sum meets a missing entry or drops a zero, this
+        sum meets a stored zero, so each block's ``toarray()`` is bitwise
+        that block of ``upper.hamiltonian(t, e)``, and exactly Hermitian."""
         up = self.upper
         data = np.zeros(self.indices.size, dtype=up.C.dtype)
         # e C - (e/2) sigma.B + (e^2/2) A^2 - e t u.A, summed in place; a zero
@@ -458,9 +466,10 @@ def _check_phased_permutation(M: sp.spmatrix, z: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ModelOperators(HamiltonianTerms):
-    """The terms of H(p, e) of one truncated model, on the full basis."""
+    """The terms of H(p, e) of one model on the full basis, and their amplitudes (g, h)."""
 
     basis: FockBasis
+    amplitudes: tuple[np.ndarray, np.ndarray]
 
     def axis_coordinate(self, p) -> Optional[float]:
         """t with p = t u on the mode axis u, or None when H(p) has no sector
@@ -478,21 +487,11 @@ class ModelOperators(HamiltonianTerms):
 
     @cached_property
     def sectors(self) -> SectorSplit:
-        """The model's J_axis sectors, ascending in label, built at first use.
-
-        The helicity rotation W is built once, and u.A, C, sigma.B and A^2
-        are each rotated once for each sector z >= 0, as hermitize(W_z+ O
-        W_z); the diagonals are the same in both frames, as they depend only
-        on the photon count per k-point.  W+ O W_z is computed on every row,
-        and an entry above ``SECTOR_LEAK_TOL`` outside sector z is refused.
-        Sector -z is a unitary copy of z, which is not rotated: the mirror U
-        commutes with every term and M_z = W_-z+ U W_z is a phased
-        permutation.  Both are checked, and a term that U changes by more
-        than ``SECTOR_LEAK_TOL``, or an M_z that is not a phased
-        permutation, is refused.  The four rotated terms are stored as
-        float64 when all their imaginary entries are exactly 0.0 (no
-        tolerance), and as complex128 otherwise.
-        """
+        """The model's J_axis sectors, ascending in label, built at first use:
+        the blocks z >= 0 of ``_circular_blocks`` and the diagonals (the same
+        in both frames).  Sector -z, a unitary copy of z, is not kept; a term
+        the mirror U changes by more than ``SECTOR_LEAK_TOL``, or an M_z =
+        W_-z+ U W_z (W the helicity rotation) not a phased permutation, is refused."""
         # symmetry imports this module, so its functions load at first use
         from .symmetry import circular_labels, helicity_rotation, mirror_operator
 
@@ -500,69 +499,93 @@ class ModelOperators(HamiltonianTerms):
         u = np.asarray(basis.mode_set.axis, dtype=float)
         U = mirror_operator(basis)
         U_adj = adjoint(U)
-        A_axis = sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0)
-        terms = (A_axis, self.C, self.sigma_B, self.A2)
+        linear = (sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0),
+                  self.C, self.sigma_B, self.A2)
         pf = self.pf @ u
-        for op in (sp.diags(self.free_diag), sp.diags(pf), *terms):
+        for op in (sp.diags(self.free_diag), sp.diags(pf), *linear):
             change = abs(U @ op @ U_adj - op).max()
             if change > SECTOR_LEAK_TOL:
                 raise PflabError(f"the mirror changes a term of H by up to {change:.3e}")
         W = helicity_rotation(basis).tocsc()
-        W_adj = adjoint(W)
         labels = circular_labels(basis)
         values = np.unique(labels)
         if not np.array_equal(values, -values[::-1]):
             raise PflabError(f"angular-momentum labels {values} are not symmetric about 0")
-        upper = values[values >= 0.0]
-        rotated = []
-        leak_max = 0.0
-        for z in upper:
-            idx = np.flatnonzero(labels == z)
-            W_z = W[:, idx]
-            blocks = []
-            for op in terms:
-                columns = (W_adj @ (op @ W_z)).tocsr()
-                coo = columns.tocoo()
-                leak = float(np.abs(coo.data[labels[coo.row] != z]).max(initial=0.0))
-                if leak > SECTOR_LEAK_TOL:
-                    raise PflabError(f"rotated operator couples angular-momentum sector "
-                                     f"{z:+g} to others (max entry {leak:.3e})")
-                leak_max = max(leak_max, leak)
-                blocks.append(hermitize(columns[idx]))
-            rotated.append(blocks)
-            if z > 0.0:
-                _check_phased_permutation(W_adj[np.flatnonzero(labels == -z)] @ (U @ W_z), z)
-        order = np.argsort(labels, kind="stable")
+        blocks, leak_max = self._circular_blocks(u, linear, W, labels)
         to_linear = [W[:, np.flatnonzero(labels == z)].tocsr() for z in values]
+        for i in np.flatnonzero(values > 0.0):
+            _check_phased_permutation(adjoint(to_linear[-1 - i]) @ (U @ to_linear[i]), values[i])
         starts = np.cumsum([0, *(W_z.shape[1] for W_z in to_linear)])
-        offset = starts[len(values) - len(upper)]
-        (A_z, C_z, sigma_B_z, A2_z), pattern = _on_one_pattern(rotated)
+        upper = np.argsort(labels, kind="stable")[starts[np.sum(values < 0.0)]:]
+        (A_z, C_z, sigma_B_z, A2_z), pattern = _on_one_pattern(blocks)
         return SectorSplit(
-            upper=HamiltonianTerms(free_diag=self.free_diag[order][offset:],
-                                   pf=pf[order][offset:, None], A=(A_z,), C=C_z,
-                                   sigma_B=sigma_B_z, A2=A2_z),
+            upper=HamiltonianTerms(free_diag=self.free_diag[upper], pf=pf[upper, None],
+                                   A=(A_z,), C=C_z, sigma_B=sigma_B_z, A2=A2_z),
             labels=tuple(float(z) for z in values), starts=tuple(int(x) for x in starts),
             to_linear=tuple(to_linear), mirror=U, leak_max=leak_max, **pattern)
 
+    def _circular_blocks(self, u: np.ndarray, linear, W: sp.spmatrix, labels: np.ndarray):
+        """The blocks on each sector z >= 0 of the circular ``labels``, and
+        the largest entry between two labels (at most ``SECTOR_LEAK_TOL``),
+        of u.A, C, sigma.B and A^2 (``linear`` in the linear frame), built in
+        the circular frame, where a k-point carries the modes b_+- with
+        b_+-+ = (a_1+ +- i a_2+)/sqrt(2): by ``_field_terms`` with amplitudes
+        (g_1 +- i g_2)/sqrt(2), (h_1 +- i h_2)/sqrt(2) and spin matrices
+        (M + M+)/2, M = S+ sigma_mu S for the spin frame S along u; float64
+        when every imaginary entry is exactly 0.0.  Each term T_c must match T
+        on two probe columns X, T (W X) = W (T_c X), to ``SECTOR_LEAK_TOL``
+        times the largest row sum of |T_c| (at least 1)."""
+        from .symmetry import _kpoint_mode_indices, _spin_frame
 
-def _on_one_pattern(rotated: list[list[sp.csr_matrix]]):
-    """The block-diagonal terms whose sector blocks are ``rotated`` (one
-    canonical block per term in each sector, sectors in order), on one CSR
-    pattern: the union of the diagonal and every term's entries.  Returns
-    the terms and the ``SectorSplit`` fields of the pattern.  The terms with
-    entries share its ``indices`` and ``indptr`` and are zero where they
-    have no entry; a term with none is an empty matrix.  They are float64
-    when every imaginary part is exactly 0.0, and complex128 otherwise."""
-    real = not any(np.any(block.data.imag) for blocks in rotated for block in blocks)
-    dtype = np.float64 if real else np.complex128
-    rows = np.cumsum([0, *(blocks[0].shape[0] for blocks in rotated)])
+        basis = self.basis
+        one, two = np.array(_kpoint_mode_indices(basis)).T
+
+        def circular(x: np.ndarray) -> np.ndarray:
+            out = np.empty(x.shape, dtype=complex)
+            out[one], out[two] = ((x[one] + s * 1j * x[two]) / math.sqrt(2.0) for s in (1, -1))
+            return out
+
+        S = _spin_frame(u)
+        spin = [(M + M.conj().T) / 2 for M in (S.conj().T @ sigma @ S for sigma in PAULI[1:])]
+        A, C, A2, sigma_B = _field_terms(basis, *map(circular, self.amplitudes), spin)
+        boson = (sum(u[mu] * A[mu] for mu in range(3) if u[mu] != 0.0), C, A2)
+        if not any(np.any(op.data.imag) for op in (*boson, sigma_B)):
+            boson, sigma_B = tuple(op.real for op in boson), sigma_B.real
+        A_axis, C, A2 = (spin_tensor(0, op.astype(sigma_B.dtype), basis) for op in boson)
+        terms = (A_axis, C, sigma_B, A2)
+        leak_max = 0.0
+        for coo in (op.tocoo() for op in terms):
+            leak = np.where(labels[coo.row] != labels[coo.col], np.abs(coo.data), 0.0)
+            leak_max = max(leak_max, float(leak.max(initial=0.0)))
+            if leak_max > SECTOR_LEAK_TOL:
+                raise PflabError(f"a term of H couples angular-momentum sector "
+                                 f"{labels[coo.row[leak.argmax()]]:+g} to others "
+                                 f"(max entry {leak_max:.3e})")
+        X = np.exp(2j * np.pi * np.random.default_rng(0).random((basis.dimension, 2)))
+        WX = W @ X
+        for name, T, T_c in zip(("u.A", "C", "sigma.B", "A^2"), linear, terms):
+            gap = float(np.abs(T @ WX - W @ (T_c @ X)).max())
+            if gap > SECTOR_LEAK_TOL * max(1.0, float(abs(T_c).sum(axis=1).max())):
+                raise PflabError(f"the circular-frame term {name} of H is not the helicity "
+                                 f"rotation of its linear form (off by {gap:.3e} on a probe)")
+        kept = (np.flatnonzero(labels == z) for z in np.unique(labels[labels >= 0.0]))
+        return [[op[idx][:, idx] for op in terms] for idx in kept], leak_max
+
+
+def _on_one_pattern(blocks: list[list[sp.csr_matrix]]):
+    """The block-diagonal terms whose sector blocks are ``blocks`` (one
+    canonical block per term in each sector, sectors in order, one dtype) on
+    one CSR pattern, the union of the diagonal and every term's entries, and
+    the ``SectorSplit`` fields of the pattern.  A term is zero where it has
+    no entry, and a term with none is an empty matrix."""
+    rows = np.cumsum([0, *(sector[0].shape[0] for sector in blocks)])
     n = int(rows[-1])
     terms = []                          # canonical CSR arrays of each term
-    for blocks in zip(*rotated):
-        entries = np.cumsum([0, *(b.nnz for b in blocks)])
-        terms.append((np.concatenate([b.data.real if real else b.data for b in blocks]),
-                      np.concatenate([b.indices + r for b, r in zip(blocks, rows)]),
-                      np.concatenate([[0], *(b.indptr[1:] + e for b, e in zip(blocks, entries))])))
+    for term in zip(*blocks):
+        entries = np.cumsum([0, *(b.nnz for b in term)])
+        terms.append((np.concatenate([b.data for b in term]),
+                      np.concatenate([b.indices + r for b, r in zip(term, rows)]),
+                      np.concatenate([[0], *(b.indptr[1:] + e for b, e in zip(term, entries))])))
     # the union, whose entries carry bit k where term k has an entry and bit
     # len(terms) on the diagonal: sums of distinct powers of 2 are exact
     union = sum((sp.csr_matrix((np.full(data.size, 2.0 ** k), indices, indptr), shape=(n, n))
@@ -572,9 +595,9 @@ def _on_one_pattern(rotated: list[list[sp.csr_matrix]]):
     out = []
     for k, (data, _, _) in enumerate(terms):
         if not data.size:
-            out.append(sp.csr_matrix((n, n), dtype=dtype))
+            out.append(sp.csr_matrix((n, n), dtype=data.dtype))
             continue
-        padded = np.zeros(union.nnz, dtype)
+        padded = np.zeros(union.nnz, data.dtype)
         padded[np.flatnonzero(bits & (1 << k))] = data    # the union keeps each term's order
         out.append(sp.csr_matrix((padded, union.indices, union.indptr), shape=(n, n)))
     return out, dict(indices=union.indices, indptr=union.indptr,
@@ -586,21 +609,17 @@ def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> M
     """The operator set of ``config``'s truncated model; ``config.p`` and
     ``config.e`` are not used, so one set serves every momentum and coupling."""
     basis = _check_basis(config, basis)
-    A_b, B_b = _boson_fields(config, basis)
-    A = tuple(spin_tensor(0, op, basis) for op in A_b)
-    sigma_B = sp.csr_matrix(A[0].shape, dtype=complex)
-    if basis.with_spin:
-        sigma_B = sum(spin_tensor(mu + 1, op, basis) for mu, op in enumerate(B_b))
+    g, h = field_amplitudes(config)
+    A_b, C, A2, sigma_B = _field_terms(basis, g, h, PAULI[1:])
     karr = config.mode_set.k_array()
     occ = np.tile(basis.occupation_array(), (2 if basis.with_spin else 1, 1))
     omega = np.asarray(config.dispersion.omega(np.linalg.norm(karr, axis=1)), dtype=float)
     pf = occ @ karr
-    # X A + A X for diagonal X is exactly Hermitian entry by entry; the
-    # sparse product A A is closed once here, on the boson factor
-    C = 0.5 * sum(op.multiply(x[:, None]) + op.multiply(x[None, :]) for op, x in zip(A, pf.T))
-    A2 = spin_tensor(0, hermitize(sum(op @ op for op in A_b)), basis)
-    return ModelOperators(free_diag=occ @ omega + 0.5 * np.sum(pf * pf, axis=1), pf=pf, A=A,
-                          C=C, sigma_B=sigma_B, A2=A2, basis=basis)
+    return ModelOperators(free_diag=occ @ omega + 0.5 * np.sum(pf * pf, axis=1), pf=pf,
+                          A=tuple(spin_tensor(0, op, basis) for op in A_b),
+                          C=spin_tensor(0, C, basis), sigma_B=sigma_B,
+                          A2=spin_tensor(0, A2.astype(complex), basis), basis=basis,
+                          amplitudes=(g, h))
 
 
 def assemble_hamiltonian(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:

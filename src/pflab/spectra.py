@@ -434,9 +434,9 @@ def _cached_model(config: ModelConfig, cache: dict) -> tuple[ModelOperators, dic
     key = config.at(p=(0.0, 0.0, 0.0), e=0.0)
     if key not in cache:
         ops = build_operators(config)
-        if ops.basis.dimension < 2:
-            raise ConfigError(f"the basis dimension {ops.basis.dimension} leaves no "
-                              "eigenvalue above the ground state; enlarge the cutoffs")
+        if ops.basis.dimension < 3:     # a cluster needs two eigenvalues below the top
+            raise ConfigError(f"the basis dimension {ops.basis.dimension} is too small to "
+                              "certify a ground cluster; enlarge the cutoffs")
         cache[key] = (ops, {})
     return cache[key]
 
@@ -444,8 +444,8 @@ def _cached_model(config: ModelConfig, cache: dict) -> tuple[ModelOperators, dic
 def model_operators(config: ModelConfig, cache: dict) -> ModelOperators:
     """The operator set of ``config``'s model, built at the first call with
     this ``cache`` and shared through it, at any p and e, with every later
-    call and with ``energy_sweep``.  Refuses a basis of dimension 1 with
-    ``ConfigError``."""
+    call and with ``energy_sweep``.  Refuses a basis of dimension 1 or 2
+    with ``ConfigError``."""
     return _cached_model(config, cache)[0]
 
 

@@ -13,12 +13,12 @@ per-k-point change to circular combinations (|1> +/- i|2>)/sqrt(2)
 diagonalizes it.  That basis change is unitary on the truncated space only
 when the per-mode cutoff does not bite (n_max >= N_max), which sector
 analysis therefore requires.  Hamiltonians are assembled in the linear
-basis, and ``ModelOperators.sectors`` conjugates their terms once per
-operator set for the sector solves of ``spectra.solve_model``.
+basis; ``ModelOperators.sectors`` builds their terms once per operator set
+in the circular basis too, for the sector solves of ``spectra.solve_model``.
 
 The reflection through a plane containing the axis (``mirror_operator``)
 commutes with H(t u, e) and reverses J_axis, so it maps sector z onto
-sector -z: ``ModelOperators.sectors`` rotates only the sectors z >= 0 and
+sector -z: ``ModelOperators.sectors`` keeps only the sectors z >= 0 and
 obtains the others through it.  ``ground_sector_labels`` reads the sector
 ground energies off a sector solve; it solves nothing itself.
 """

@@ -4,8 +4,10 @@ Everything here is deliberately built along a different code path from
 src/pflab: brute-force enumeration instead of graded recursion, dense
 matrices instead of sparse, the unexpanded operator square instead of the
 termwise expansion, a dense eigendecomposition of the angular momentum
-instead of the combinatorial circular-polarization frame, and closed-form
-second-order perturbation theory instead of eigensolves.  Two checks that no
+instead of the combinatorial circular-polarization frame, the linear-frame
+terms conjugated by the helicity rotation instead of the terms built in the
+circular frame, and closed-form second-order perturbation theory instead of
+eigensolves.  Two checks that no
 command runs live here too: the sparse J_axis built from the ladder
 operators (``total_jz``), against which the circular frame is tested, and
 E(p) against E(Rp) over the symmetries of a mode set
@@ -23,7 +25,8 @@ from pflab.errors import PflabError
 from pflab.fock import adjoint, spin_tensor
 from pflab.model import build_operators
 from pflab.spectra import solve_model
-from pflab.symmetry import _axis_direction, _kpoint_mode_indices
+from pflab.symmetry import (_axis_direction, _kpoint_mode_indices, circular_labels,
+                            helicity_rotation)
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -316,3 +319,30 @@ def rotation_invariance_check(config, rotations):
         discrepancies.append(abs(E_rot - E_ref))
     return RotationCheck(discrepancies=discrepancies,
                          max_discrepancy=max(discrepancies) if discrepancies else 0.0)
+
+
+def rotated_sector_terms(ops):
+    """The linear-vs-circular oracle: u.A, C, sigma.B and A^2 of the operator
+    set ``ops`` conjugated by the helicity rotation W, one list of four dense
+    blocks (W_z+ O W_z + its adjoint) / 2 per sector z >= 0, ascending, and
+    the largest entry of W+ O W_z outside sector z over every term and z.
+
+    The package builds these terms directly in the circular frame; here they
+    come from the linear-frame terms and one sparse triple product each."""
+    u = _axis_direction(ops.basis)
+    W = helicity_rotation(ops.basis).tocsc()
+    W_adj = adjoint(W)
+    labels = circular_labels(ops.basis)
+    A_axis = sum(u[mu] * ops.A[mu] for mu in range(3) if u[mu] != 0.0)
+    sectors, leak_max = [], 0.0
+    for z in np.unique(labels[labels >= 0.0]):
+        idx = np.flatnonzero(labels == z)
+        blocks = []
+        for op in (A_axis, ops.C, ops.sigma_B, ops.A2):
+            columns = (W_adj @ (op @ W[:, idx])).toarray()
+            outside = np.delete(columns, idx, axis=0)
+            leak_max = max(leak_max, float(np.abs(outside).max(initial=0.0)))
+            block = columns[idx]
+            blocks.append(0.5 * (block + block.conj().T))
+        sectors.append(blocks)
+    return sectors, leak_max

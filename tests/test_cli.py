@@ -412,6 +412,18 @@ def test_one_state_basis_is_a_usage_error(tmp_path, capsys, command):
     assert not any((tmp_path / "o").glob("*.json"))
 
 
+@pytest.mark.parametrize("command", [("spectrum",),
+                                     ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2"),
+                                     ("bounds",), ("sectors",)], ids=lambda c: c[0])
+def test_two_state_basis_is_a_usage_error(tmp_path, capsys, command):
+    # with spin, N_max = 0 holds the two spin states of the vacuum: one
+    # eigenvalue lies above the ground state, and a ground cluster needs two
+    cfg = write_config(tmp_path, N_max=0, quadrature=fast_quadrature())
+    assert run(command[0], "--config", cfg, "--out", tmp_path / "o", *command[1:]) == 2
+    assert "basis dimension 2" in capsys.readouterr().err
+    assert not any((tmp_path / "o").glob("*.json"))
+
+
 # -- sectors ----------------------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """The mirror U = (n.sigma) (x) (-1)^N_2 that maps angular-momentum sector z
 onto -z, and the sector solve that uses it: only the sectors with label
->= 0 are rotated and solved."""
+>= 0 are kept and solved."""
 
 import dataclasses
 
@@ -111,7 +111,9 @@ def test_wrong_mirror_is_refused_before_any_solve(shipped_configs, monkeypatch, 
 
 def test_sector_leak_is_refused_before_any_solve(shipped_configs, monkeypatch):
     # sigma_y (x) 1 commutes with U = sigma_y (x) (-1)^N_2, so the mirror keeps
-    # every term, but it flips u.sigma and so couples sector z to z +- 1
+    # every term, but it flips u.sigma and so couples sector z to z +- 1; the
+    # sector terms are built in the circular frame, so the probe that ties
+    # them to the linear terms is what sees it
     solves = []
 
     def recorded(*args, **kwargs):
@@ -123,11 +125,32 @@ def test_sector_leak_is_refused_before_any_solve(shipped_configs, monkeypatch):
     ops = build_operators(cfg)
     eye_b = sp.identity(ops.basis.boson_dimension, dtype=complex, format="csr")
     bad = dataclasses.replace(ops, sigma_B=ops.sigma_B + 0.05 * spin_tensor(2, eye_b, ops.basis))
-    with pytest.raises(PflabError, match="couples angular-momentum sector"):
+    with pytest.raises(PflabError, match="not the helicity rotation of its linear form"):
         solve_model(bad, cfg.p, cfg.e, 6)
     assert solves == []
-    with pytest.raises(PflabError, match="couples angular-momentum sector"):
+    with pytest.raises(PflabError, match="not the helicity rotation of its linear form"):
         bad.sectors
+
+
+def test_spin_frame_off_the_axis_leaks_between_sectors(shipped_configs, monkeypatch):
+    # a spin frame along x instead of the axis z: the labels +-1/2 then name
+    # the wrong spin states, and the circular sigma.B couples sector z to others
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(1)
+        return solve_lowest(*args, **kwargs)
+
+    def along_x(u):
+        return np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+    monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
+    monkeypatch.setattr(symmetry, "_spin_frame", along_x)
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
+    with pytest.raises(PflabError, match="couples angular-momentum sector"):
+        solve_model(ops, cfg.p, cfg.e, 6)
+    assert solves == []
 
 
 def test_one_solve_per_nonnegative_sector(shipped_configs, monkeypatch):

@@ -6,13 +6,15 @@ polarization-2 modes.  On the z axis Theta is time reversal composed with a
 pi rotation about the polarization-2 line (the y axis): on the spin the two
 cancel, (-i sigma_y)(i sigma_y K) = K.  Theta commutes with every term of
 H(t z, e) and keeps each J_z sector, and the helicity rotation W satisfies
-W W^T = 1 (x) (-1)^N_2, that is W+ Theta W = K.  Each rotated term
-W_z+ O W_z is therefore real, and ``ModelOperators.sectors`` stores the
-sector terms as float64.  On a tilted axis the spin frame carries phases,
-and the terms of a model with spin stay complex."""
+W W^T = 1 (x) (-1)^N_2, that is W+ Theta W = K.  Each sector term, built
+in the circular frame and equal to W_z+ O W_z (``rotated_sector_terms``),
+is therefore real, and ``ModelOperators.sectors`` stores the sector terms
+as float64.  On a tilted axis the spin frame carries phases, and the terms
+of a model with spin stay complex."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import pflab.spectra as spectra_mod
@@ -22,6 +24,7 @@ from pflab.spectra import solve_lowest, solve_model
 from pflab.symmetry import helicity_rotation
 
 from conftest import make_config
+from oracles import rotated_sector_terms
 
 TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
 SHIPPED = ["desk_e000.json", "desk_e005.json", "desk_e010.json", "desk_e020.json",
@@ -34,6 +37,9 @@ def operator_sets(shipped_configs):
     configs = dict(shipped_configs)
     # the N_max = n_max = 3 rung of the cutoff ladder (dimension 1938)
     configs["rung3"] = shipped_configs["desk_e010.json"].at(N_max=3, n_max=3)
+    tilted = axial_mode_set([0.0, 0.6, 1.2, 2.2], axis=TILTED_AXIS)
+    configs["tilted"] = make_config(tilted, e=0.2, p=tuple(0.3 * TILTED_AXIS))
+    configs["tilted spinless"] = configs["tilted"].at(with_spin=False)
     return {name: (cfg, build_operators(cfg)) for name, cfg in configs.items()}
 
 
@@ -93,6 +99,22 @@ def test_on_axis_sector_terms_are_real(operator_sets, name):
     assert all(op.dtype == np.float64 for op in (*upper.A, upper.sigma_B, upper.A2))
     t = ops.axis_coordinate(cfg.p)
     assert all(block.dtype == np.float64 for block in ops.sectors.upper_blocks(t, cfg.e))
+
+
+@pytest.mark.parametrize("name", [*SHIPPED, "tilted", "tilted spinless"])
+def test_sector_terms_match_the_rotated_linear_terms(operator_sets, name):
+    # the terms built in the circular frame against the linear-frame terms
+    # conjugated by the helicity rotation, block by block
+    _, ops = operator_sets[name]
+    split = ops.sectors
+    upper = split.upper
+    expected, _ = rotated_sector_terms(ops)
+    for k, term in enumerate((upper.A[0], upper.C, upper.sigma_B, upper.A2)):
+        want = sla.block_diag(*(blocks[k] for blocks in expected))
+        assert np.abs(term.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    if ops.basis.mode_set.axis == (0.0, 0.0, 1.0):
+        assert all(op.dtype == np.float64 for op in (*upper.A, upper.C, upper.sigma_B, upper.A2))
+        assert split.leak_max == 0.0
 
 
 def test_real_blocks_are_the_rotated_hamiltonian(operator_sets):
