@@ -21,11 +21,8 @@ from .fock import (
     OccupationState,
     annihilation_matrix,
     axial_mode_set,
-    creation_matrix,
     enumerate_basis,
     explicit_mode_set,
-    field_energy,
-    field_momentum,
     hermiticity_defect,
     number_operator,
     spin_tensor,
@@ -36,8 +33,6 @@ from .model import (
     ModelConfig,
     assemble_hamiltonian,
     build_basis,
-    build_magnetic_field,
-    build_vector_potential,
     check_dispersion_axioms,
     coupling_bound,
     polarization_vectors,

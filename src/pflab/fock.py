@@ -7,15 +7,17 @@ through factors sqrt(V_m), so integrals over k become weighted sums over
 modes, while counting operators (photon number, field energy, field
 momentum) carry no weights.
 
-The basis is graded by total photon number, lexicographic within a grade,
-and spin-major: the full index is ``spin * boson_dimension + boson_index``
-with spin 0 = up, 1 = down.
+The boson factor is one int64 array of occupation rows, built in numpy and
+graded by total photon number, lexicographic within a grade.  A row's index
+comes from one exact counting table (``FockBasis``), which ``rank`` and the
+ladder operators share.  The basis is spin-major: the full index is
+``spin * boson_dimension + boson_index`` with spin 0 = up, 1 = down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,80 +193,88 @@ class OccupationState:
     occupations: tuple[int, ...]
     spin: Optional[int] = None
 
-    @property
-    def total(self) -> int:
-        return sum(self.occupations)
 
-
-def _count_occupations(n_modes: int, n_total_max: int, n_mode_max: int) -> int:
-    """Number of vectors of length n_modes, entries <= n_mode_max, sum <= n_total_max."""
-    ways = np.zeros(n_total_max + 1, dtype=object)
-    ways[0] = 1
+def _grade_counts(n_modes: int, N_max: int, n_max: int) -> list[list[int]]:
+    """ways[r][s]: the number of r-mode vectors with entries <= n_max that sum
+    to exactly s, for r = 0..n_modes and s = 0..N_max, in exact Python ints."""
+    ways = [[1] + [0] * N_max]
     for _ in range(n_modes):
-        new = np.zeros_like(ways)
-        for t in range(n_total_max + 1):
-            if ways[t]:
-                for n in range(0, min(n_mode_max, n_total_max - t) + 1):
-                    new[t + n] += ways[t]
-        ways = new
-    return int(ways.sum())
+        prev = ways[-1]
+        ways.append([sum(prev[s - n] for n in range(min(n_max, s) + 1))
+                     for s in range(N_max + 1)])
+    return ways
 
 
-def _iter_occupations(n_modes: int, total: int, n_mode_max: int) -> Iterator[tuple[int, ...]]:
-    """All fixed-sum occupation vectors in ascending lexicographic order."""
-    if n_modes == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = max(0, total - (n_modes - 1) * n_mode_max)
-    for first in range(lo, min(total, n_mode_max) + 1):
-        for rest in _iter_occupations(n_modes - 1, total - first, n_mode_max):
-            yield (first,) + rest
+def _occupation_rows(n_modes: int, N_max: int, n_max: int) -> np.ndarray:
+    """Every vector with entries <= n_max and sum <= N_max as an int64 row,
+    graded by total, then ascending lexicographic."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    totals = np.zeros(1, dtype=np.int64)
+    for _ in range(n_modes):
+        # each prefix once per admissible next entry, ascending: rows stay lexicographic
+        counts = np.minimum(n_max, N_max - totals) + 1
+        entry = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), entry])
+        totals = np.repeat(totals, counts) + entry
+    return rows[np.argsort(totals, kind="stable")]
 
 
 class FockBasis:
     """Enumerated truncated Fock basis: (spin factor) x (boson occupation vectors).
 
-    Enumeration is graded by total photon number, then ascending
-    lexicographic; with spin, the spin index varies slowest.  rank/unrank
-    are mutually inverse bijections over the enumeration.
+    The boson factor is one read-only (boson_dimension, n_modes) int64 array
+    of occupation rows, graded by total photon number, then ascending
+    lexicographic; with spin, the spin index varies slowest.  The index of a
+    row is computed, not looked up, by the combinatorial number system over
+    the grade counts ``ways[r][s]`` (r-mode vectors of sum s): the rows of
+    lower total, plus, for each mode j, the rows of the same total that agree
+    with it before j and hold less at j.  ``rank`` and the ladder operators
+    both go through that one map.
     """
 
     def __init__(self, mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
-                 states: tuple[tuple[int, ...], ...]):
+                 occupations: np.ndarray, ways: list[list[int]]):
         self.mode_set = mode_set
         self.N_max = N_max
         self.n_max = n_max
         self.with_spin = with_spin
-        self.boson_states = states
-        self.boson_dimension = len(states)
+        self.boson_dimension = len(occupations)
         self.dimension = (2 if with_spin else 1) * self.boson_dimension
-        self._boson_rank = {occ: i for i, occ in enumerate(states)}
         self._ladder_cache: dict[int, sp.csr_matrix] = {}
-        self._occupations = np.array(states, dtype=np.int64)
+        self._occupations = occupations
         self._occupations.setflags(write=False)
+        counts = np.array(ways, dtype=np.int64)     # every count is at most the dimension
+        self._grade_start = np.cumsum(counts[-1]) - counts[-1]
+        # below[r, s, v] = sum over u < v of ways[r][s - u]: the same-total rows
+        # that hold u < v at a mode with r modes after it and s photons left
+        top = counts.shape[1] - 1
+        self._below = np.zeros((len(mode_set), top + 1, min(n_max, N_max) + 1), dtype=np.int64)
+        for v in range(1, self._below.shape[2]):
+            self._below[..., v] = self._below[..., v - 1]
+            self._below[:, v - 1:, v] += counts[:-1, :top + 2 - v]
 
     # -- indexing ---------------------------------------------------------
+
+    def _boson_index(self, occ: np.ndarray) -> np.ndarray:
+        """Boson-factor index of each admissible occupation row of ``occ``."""
+        remaining = occ.sum(axis=1, keepdims=True) - np.cumsum(occ, axis=1) + occ
+        modes_after = np.arange(occ.shape[1] - 1, -1, -1)
+        return (self._grade_start[remaining[:, 0]]
+                + self._below[modes_after, remaining, occ].sum(axis=1))
 
     def rank(self, state: OccupationState) -> int:
         if (state.spin is not None) != self.with_spin:
             raise ValueError("spin index presence must match the basis")
-        b = self._boson_rank.get(state.occupations)
-        if b is None:
+        occ = np.asarray(state.occupations)
+        if (occ.shape != (len(self.mode_set),) or not np.issubdtype(occ.dtype, np.integer)
+                or occ.min() < 0 or occ.max() > self.n_max or occ.sum() > self.N_max):
             raise ValueError(f"state {state.occupations} is not admissible in this basis")
+        b = int(self._boson_index(occ[None, :])[0])
         if not self.with_spin:
             return b
         if state.spin not in (SPIN_UP, SPIN_DOWN):
             raise ValueError(f"spin index must be 0 (up) or 1 (down), got {state.spin}")
         return state.spin * self.boson_dimension + b
-
-    def unrank(self, index: int) -> OccupationState:
-        if not (0 <= index < self.dimension):
-            raise IndexError(f"index {index} out of range for dimension {self.dimension}")
-        if self.with_spin:
-            spin, b = divmod(index, self.boson_dimension)
-            return OccupationState(self.boson_states[b], spin)
-        return OccupationState(self.boson_states[index], None)
 
     def occupation_array(self) -> np.ndarray:
         """(boson_dimension, n_modes) integer array of occupation vectors (shared, read-only)."""
@@ -285,16 +295,12 @@ class FockBasis:
         cached = self._ladder_cache.get(mode_index)
         if cached is not None:
             return cached
-        rows, cols, vals = [], [], []
-        for i, occ in enumerate(self.boson_states):
-            n = occ[mode_index]
-            if n > 0:
-                lowered = occ[:mode_index] + (n - 1,) + occ[mode_index + 1:]
-                rows.append(self._boson_rank[lowered])
-                cols.append(i)
-                vals.append(np.sqrt(float(n)))
+        cols = np.flatnonzero(self._occupations[:, mode_index])
+        lowered = self._occupations[cols]
+        n = lowered[:, mode_index].copy()
+        lowered[:, mode_index] -= 1
         a = sp.csr_matrix(
-            (np.asarray(vals, dtype=complex), (rows, cols)),
+            (np.sqrt(n).astype(complex), (self._boson_index(lowered), cols)),
             shape=(self.boson_dimension, self.boson_dimension),
         )
         a.sum_duplicates()
@@ -307,25 +313,25 @@ def enumerate_basis(mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
                     dimension_cap: int = DIMENSION_CAP) -> FockBasis:
     """Enumerate the truncated basis; refuses when the dimension exceeds the cap.
 
-    Pass a larger ``dimension_cap`` to override the guard deliberately.
+    The dimension is counted exactly before any row is built.  Pass a larger
+    ``dimension_cap`` to override the guard deliberately.
     """
     if N_max < 0:
         raise ValueError("N_max must be >= 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     n_modes = len(mode_set)
-    count = _count_occupations(n_modes, N_max, n_max)
-    dim = (2 if with_spin else 1) * count
+    # no entry exceeds N_max and no total exceeds n_modes * n_max
+    ways = _grade_counts(n_modes, min(N_max, n_modes * n_max), min(n_max, N_max))
+    dim = (2 if with_spin else 1) * sum(ways[-1])
     if dim > dimension_cap:
         raise DimensionCapError(
             f"basis dimension {dim} exceeds the cap {dimension_cap} "
             f"({n_modes} modes, N_max={N_max}, n_max={n_max}); "
             "reduce the cutoffs or pass a larger dimension_cap to override"
         )
-    states = []
-    for total in range(N_max + 1):
-        states.extend(_iter_occupations(n_modes, total, n_max))
-    basis = FockBasis(mode_set, N_max, n_max, with_spin, tuple(states))
+    basis = FockBasis(mode_set, N_max, n_max, with_spin,
+                      _occupation_rows(n_modes, N_max, n_max), ways)
     assert basis.dimension == dim
     return basis
 
@@ -338,39 +344,10 @@ def annihilation_matrix(mode_index: int, basis: FockBasis) -> sp.csr_matrix:
     return spin_tensor(0, basis.boson_annihilation(mode_index), basis)
 
 
-def creation_matrix(mode_index: int, basis: FockBasis) -> sp.csr_matrix:
-    """a_m+ on the full basis; exactly the conjugate transpose of ``annihilation_matrix``."""
-    return adjoint(annihilation_matrix(mode_index, basis))
-
-
 def number_operator(basis: FockBasis) -> sp.csr_matrix:
     """Total photon number (diagonal, no quadrature weights)."""
     diag = basis.occupation_array().sum(axis=1).astype(float)
     return spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis)
-
-
-def field_energy(basis: FockBasis, omega_by_kpoint: Sequence[float]) -> sp.csr_matrix:
-    """Photon field energy sum_m omega(k_m) n_m with omega given per distinct k-point."""
-    omega_by_kpoint = np.asarray(omega_by_kpoint, dtype=float)
-    if omega_by_kpoint.shape != (len(basis.mode_set.k_points),):
-        raise ValueError(
-            f"need one omega per k-point ({len(basis.mode_set.k_points)}), "
-            f"got shape {omega_by_kpoint.shape}"
-        )
-    omega_per_mode = omega_by_kpoint[basis.mode_set.k_point_index]
-    diag = basis.occupation_array() @ omega_per_mode
-    return spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis)
-
-
-def field_momentum(basis: FockBasis) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """The three components of sum_m k_m n_m (diagonal, no quadrature weights)."""
-    occ = basis.occupation_array()
-    karr = basis.mode_set.k_array()
-    out = []
-    for mu in range(3):
-        diag = occ @ karr[:, mu]
-        out.append(spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis))
-    return tuple(out)
 
 
 def spin_tensor(pauli_index: int, fock_op: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:

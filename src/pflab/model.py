@@ -321,20 +321,6 @@ def _field_terms(basis: FockBasis, g: np.ndarray, h: np.ndarray, spin):
     return A, C, A2, sigma_B
 
 
-def build_vector_potential(config: ModelConfig, basis: Optional[FockBasis] = None):
-    """The three Cartesian components of the vector potential on the full basis."""
-    basis = _check_basis(config, basis)
-    A, _ = _boson_fields(basis, *field_amplitudes(config))
-    return tuple(spin_tensor(0, op, basis) for op in A)
-
-
-def build_magnetic_field(config: ModelConfig, basis: Optional[FockBasis] = None):
-    """The three Cartesian components of the magnetic field on the full basis."""
-    basis = _check_basis(config, basis)
-    _, B = _boson_fields(basis, *field_amplitudes(config))
-    return tuple(spin_tensor(0, op, basis) for op in B)
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianTerms:
     """The p- and e-independent terms of H(p, e) on one basis: the diagonals

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately built along a different code path from
-src/pflab: brute-force enumeration instead of graded recursion, dense
+src/pflab: brute-force enumeration instead of the numpy row build, a
+dictionary of occupation tuples instead of the counting-table rank, dense
 matrices instead of sparse, the unexpanded operator square instead of the
 termwise expansion, a dense eigendecomposition of the angular momentum
 instead of the combinatorial circular-polarization frame, the linear-frame
@@ -11,7 +12,8 @@ eigensolves.  Two checks that no
 command runs live here too: the sparse J_axis built from the ladder
 operators (``total_jz``), against which the circular frame is tested, and
 E(p) against E(Rp) over the symmetries of a mode set
-(``rotation_invariance_check``).
+(``rotation_invariance_check``).  So do the operators that only tests use:
+a_m+ (``creation_matrix``), the field energy and the field momentum.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from pflab.errors import PflabError
-from pflab.fock import adjoint, spin_tensor
+from pflab.fock import adjoint, annihilation_matrix, spin_tensor
 from pflab.model import build_operators
 from pflab.spectra import solve_model
 from pflab.symmetry import (_axis_direction, _kpoint_mode_indices, circular_labels,
@@ -87,22 +89,58 @@ def mode_data(config):
             np.array(pols))
 
 
-def ladder_matrices(config):
-    """(occupations, dense annihilation matrix of each mode) on the boson factor."""
-    M = len(config.mode_set.modes)
-    occs = photon_occupations(M, config.N_max, config.n_max)
-    nb = len(occs)
+def sparse_ladders(occs):
+    """a_m of every mode on the boson factor spanned by the tuples ``occs``,
+    each found through a {tuple: index} dictionary, as canonical CSR."""
     index = {o: i for i, o in enumerate(occs)}
-    a_ops = []
-    for m in range(M):
-        a = np.zeros((nb, nb), dtype=complex)
+    ladders = []
+    for m in range(len(occs[0])):
+        rows, cols, vals = [], [], []
         for i, occ in enumerate(occs):
             if occ[m] > 0:
                 tgt = list(occ)
                 tgt[m] -= 1
-                a[index[tuple(tgt)], i] = math.sqrt(occ[m])
-        a_ops.append(a)
-    return occs, a_ops
+                rows.append(index[tuple(tgt)])
+                cols.append(i)
+                vals.append(math.sqrt(occ[m]))
+        a = sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
+                          shape=(len(occs), len(occs)))
+        a.sum_duplicates()
+        a.sort_indices()
+        ladders.append(a)
+    return ladders
+
+
+def ladder_matrices(config):
+    """(occupations, dense annihilation matrix of each mode) on the boson factor."""
+    occs = photon_occupations(len(config.mode_set.modes), config.N_max, config.n_max)
+    return occs, [a.toarray() for a in sparse_ladders(occs)]
+
+
+def creation_matrix(mode_index, basis):
+    """a_m+ on the full basis; exactly the conjugate transpose of ``annihilation_matrix``."""
+    return adjoint(annihilation_matrix(mode_index, basis))
+
+
+def field_energy(basis, omega_by_kpoint):
+    """Photon field energy sum_m omega(k_m) n_m with omega given per distinct k-point."""
+    omega_by_kpoint = np.asarray(omega_by_kpoint, dtype=float)
+    if omega_by_kpoint.shape != (len(basis.mode_set.k_points),):
+        raise ValueError(
+            f"need one omega per k-point ({len(basis.mode_set.k_points)}), "
+            f"got shape {omega_by_kpoint.shape}"
+        )
+    omega_per_mode = omega_by_kpoint[basis.mode_set.k_point_index]
+    diag = basis.occupation_array() @ omega_per_mode
+    return spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis)
+
+
+def field_momentum(basis):
+    """The three components of sum_m k_m n_m (diagonal, no quadrature weights)."""
+    occ = basis.occupation_array()
+    karr = basis.mode_set.k_array()
+    return tuple(spin_tensor(0, sp.diags((occ @ karr[:, mu]).astype(complex), format="csr"),
+                             basis) for mu in range(3))
 
 
 def dense_hamiltonian(config):

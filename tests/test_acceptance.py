@@ -16,7 +16,7 @@ import pytest
 from pflab import bounds as bounds_mod
 from pflab import symmetry as symmetry_mod
 from pflab.cli import main as cli_main
-from pflab.fock import axial_mode_set, field_energy, field_momentum, number_operator
+from pflab.fock import axial_mode_set, number_operator
 from pflab.model import assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
     FreeEnergyCurve,
@@ -27,7 +27,8 @@ from pflab.spectra import (
 )
 
 from conftest import DESK_EDGES, make_config
-from oracles import dense_sector_energies, rotation_invariance_check
+from oracles import (dense_sector_energies, field_energy, field_momentum,
+                     rotation_invariance_check)
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 COUPLINGS = (0.05, 0.1, 0.2)

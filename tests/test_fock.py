@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,16 +13,14 @@ from pflab.fock import (
     adjoint,
     annihilation_matrix,
     axial_mode_set,
-    creation_matrix,
     enumerate_basis,
-    field_energy,
-    field_momentum,
     hermiticity_defect,
     number_operator,
     spin_tensor,
 )
 
-from oracles import brute_force_occupations, photon_occupations, subtraction_hermiticity_defect
+from oracles import (brute_force_occupations, creation_matrix, field_energy, field_momentum,
+                     photon_occupations, sparse_ladders, subtraction_hermiticity_defect)
 
 
 def test_mode_validation():
@@ -68,7 +68,7 @@ def test_dimension_fifteen_against_enumeration_oracle(pair_ms):
     basis = enumerate_basis(pair_ms, N_max=2, n_max=2, with_spin=False)
     oracle = brute_force_occupations(4, 2, 2)
     assert basis.dimension == len(oracle) == 15
-    assert list(basis.boson_states) == oracle
+    assert basis.occupation_array().tolist() == [list(o) for o in oracle]
 
 
 def test_photon_multisets_match_the_product_enumeration():
@@ -77,11 +77,10 @@ def test_photon_multisets_match_the_product_enumeration():
             brute_force_occupations(n_modes, N_max, n_max)
 
 
-def test_unrank_zero_is_vacuum_spin_up(tiny_ms):
+def test_vacuum_spin_up_ranks_zero(tiny_ms):
     basis = enumerate_basis(tiny_ms, N_max=1, n_max=1, with_spin=True)
-    state = basis.unrank(0)
-    assert state.occupations == (0, 0)
-    assert state.spin == 0
+    assert basis.occupation_array()[0].tolist() == [0, 0]
+    assert basis.rank(OccupationState((0, 0), spin=0)) == 0
 
 
 def test_rank_of_single_photon_matches_oracle(tiny_ms):
@@ -96,21 +95,29 @@ def test_occupation_array_is_built_once_and_read_only(pair_ms):
     basis = enumerate_basis(pair_ms, N_max=2, n_max=2, with_spin=True)
     occ = basis.occupation_array()
     assert occ is basis.occupation_array()
-    assert occ.tolist() == [list(s) for s in basis.boson_states]
+    assert occ.dtype == np.int64
+    assert occ.tolist() == [list(s) for s in brute_force_occupations(4, 2, 2)]
     with pytest.raises(ValueError):
         occ[0, 0] = 1
 
 
-def test_rank_unrank_bijection(pair_ms):
+def _assert_rank_of_row_i_is_i(basis):
+    spins = (0, 1) if basis.with_spin else (None,)
+    for s, spin in enumerate(spins):
+        for i, row in enumerate(basis.occupation_array()):
+            state = OccupationState(tuple(int(n) for n in row), spin)
+            assert basis.rank(state) == s * basis.boson_dimension + i
+
+
+def test_rank_of_row_i_is_i(pair_ms):
     basis = enumerate_basis(pair_ms, N_max=2, n_max=2, with_spin=False)
-    for i in range(basis.dimension):
-        assert basis.rank(basis.unrank(i)) == i
+    _assert_rank_of_row_i_is_i(basis)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n_points=st.integers(1, 3), N_max=st.integers(0, 3), n_max=st.integers(1, 3),
        with_spin=st.booleans())
-def test_rank_unrank_bijection_property(n_points, N_max, n_max, with_spin):
+def test_rank_of_row_i_is_i_property(n_points, N_max, n_max, with_spin):
     modes = []
     for i in range(n_points):
         for j in (1, 2):
@@ -119,16 +126,32 @@ def test_rank_unrank_bijection_property(n_points, N_max, n_max, with_spin):
     basis = enumerate_basis(ModeSet(modes=tuple(modes)), N_max, n_max, with_spin)
     assert basis.dimension == (2 if with_spin else 1) * len(
         brute_force_occupations(2 * n_points, N_max, n_max))
-    for i in range(basis.dimension):
-        assert basis.rank(basis.unrank(i)) == i
+    _assert_rank_of_row_i_is_i(basis)
 
 
 def test_rank_rejects_inadmissible(pair_ms):
-    basis = enumerate_basis(pair_ms, N_max=1, n_max=1, with_spin=False)
-    with pytest.raises(ValueError):
-        basis.rank(OccupationState((2, 0, 0, 0), None))
-    with pytest.raises(IndexError):
-        basis.unrank(basis.dimension)
+    basis = enumerate_basis(pair_ms, N_max=2, n_max=1, with_spin=False)
+    for occupations, spin in (
+        ((2, 0, 0, 0), None),        # an entry above n_max
+        ((0, 0, 3, 0), None),        # an entry above n_max and N_max
+        ((1, 1, 1, 0), None),        # a total above N_max
+        ((-1, 1, 0, 0), None),       # a negative entry (it would wrap round a table)
+        ((0, 0, 0, -1), None),
+        ((1, 0, 0), None),           # one mode short
+        ((1, 0, 0, 0, 0), None),     # one mode too many
+        ((1.0, 0, 0, 0), None),      # not an integer entry
+        ((1, 0, 0, 0), 0),           # a spin index on a spinless basis
+    ):
+        with pytest.raises(ValueError):
+            basis.rank(OccupationState(occupations, spin))
+
+
+def test_rank_rejects_a_bad_spin(pair_ms):
+    basis = enumerate_basis(pair_ms, N_max=2, n_max=1, with_spin=True)
+    with pytest.raises(ValueError, match="presence"):
+        basis.rank(OccupationState((1, 0, 0, 0), None))
+    with pytest.raises(ValueError, match="0 \\(up\\) or 1"):
+        basis.rank(OccupationState((1, 0, 0, 0), 2))
 
 
 def test_dimension_cap(pair_ms):
@@ -139,7 +162,45 @@ def test_dimension_cap(pair_ms):
     assert basis.dimension == 15
 
 
+def test_dimension_cap_counts_beyond_int64():
+    # 200 k-points: C(400 + 12, 12) ~ 4.2e22 > 2**63 vectors, counted exactly;
+    # a count that wrapped, or any row built first, would not end in this error
+    ms = ModeSet(modes=tuple(Mode(k=(0.0, 0.0, 1.0 + i), weight=1.0, polarization_index=j)
+                             for i in range(200) for j in (1, 2)))
+    with pytest.raises(DimensionCapError, match=r"dimension (\d+) exceeds") as err:
+        enumerate_basis(ms, N_max=12, n_max=12, with_spin=False)
+    count = int(err.value.args[0].split()[2])
+    assert count == math.comb(400 + 12, 12) > 2**63
+
+
 # -- ladder operators ----------------------------------------------------------
+
+
+# (mode-set fixture or axial shell edges, N_max, n_max); on shell8 (32 modes)
+# and kpoints36 (72 modes) a row's integer key in base N_max + 1 would
+# overflow int64
+LADDER_CASES = {
+    "tiny": ("tiny_ms", 2, 2),
+    "pair": ("pair_ms", 2, 2),
+    "desk": ("desk_ms", 2, 2),
+    "shell8": ([0.0, 0.3, 0.6, 0.9, 1.2, 1.7, 2.2, 2.8, 3.4], 3, 3),
+    "kpoints36": (np.linspace(0.0, 3.6, 19), 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_ladders_match_the_dictionary_oracle(case, request):
+    modes, N_max, n_max = LADDER_CASES[case]
+    ms = request.getfixturevalue(modes) if isinstance(modes, str) else axial_mode_set(modes)
+    basis = enumerate_basis(ms, N_max=N_max, n_max=n_max, with_spin=True)
+    occs = photon_occupations(len(ms), N_max, n_max)
+    occ = basis.occupation_array()
+    assert occ.dtype == np.int64 and occ.tolist() == [list(o) for o in occs]
+    for m, want in enumerate(sparse_ladders(occs)):
+        got = basis.boson_annihilation(m)
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (m, name)
 
 
 def test_annihilator_kills_vacuum(tiny_ms):
@@ -171,7 +232,7 @@ def test_number_from_ladder_product(pair_ms):
     basis = enumerate_basis(pair_ms, N_max=2, n_max=2, with_spin=False)
     total = sum((creation_matrix(m, basis) @ annihilation_matrix(m, basis)
                  for m in range(4)))
-    want = np.diag([sum(occ) for occ in basis.boson_states]).astype(complex)
+    want = np.diag(basis.occupation_array().sum(axis=1)).astype(complex)
     assert np.allclose(total.toarray(), want, atol=1e-14)
 
 
@@ -180,7 +241,7 @@ def test_commutator_on_safe_subspace(pair_ms):
     for m in range(4):
         a = annihilation_matrix(m, basis)
         comm = (a @ adjoint(a) - adjoint(a) @ a).toarray()
-        for i, occ in enumerate(basis.boson_states):
+        for i, occ in enumerate(basis.occupation_array()):
             if occ[m] < basis.n_max and sum(occ) < basis.N_max:
                 col = np.zeros(basis.dimension)
                 col[i] = 1.0

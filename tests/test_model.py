@@ -12,11 +12,10 @@ from pflab.model import (
     Dispersion,
     FormFactor,
     ModelConfig,
+    _boson_fields,
     assemble_hamiltonian,
     build_basis,
-    build_magnetic_field,
     build_operators,
-    build_vector_potential,
     check_dispersion_axioms,
     coupling_bound,
     field_amplitudes,
@@ -129,12 +128,17 @@ def test_transversality_of_amplitudes(desk_ms):
 
 
 # -- field operators ---------------------------------------------------------------
+# A and B on the boson factor, as every term of H is built from them; with
+# spin, a spin-up state's full index is its boson index.
+
+
+def _fields(cfg, basis=None):
+    return _boson_fields(basis or build_basis(cfg), *field_amplitudes(cfg))
 
 
 def test_vector_potential_vacuum_expectation_zero(tiny_ms):
     cfg = make_config(tiny_ms, e=0.3, N_max=1, n_max=1)
-    basis = build_basis(cfg)
-    A = build_vector_potential(cfg, basis)
+    A, _ = _fields(cfg)
     for op in A:
         assert op[0, 0] == 0.0
         assert hermiticity_defect(op) == 0.0
@@ -143,7 +147,7 @@ def test_vector_potential_vacuum_expectation_zero(tiny_ms):
 def test_one_mode_amplitude_hand_value(tiny_ms):
     cfg = make_config(tiny_ms, e=0.3, N_max=1, n_max=1)
     basis = build_basis(cfg)
-    A = build_vector_potential(cfg, basis)
+    A, _ = _fields(cfg, basis)
     # |1 photon, j=1> (x) spin up against the vacuum (x) spin up
     from pflab.fock import OccupationState
 
@@ -157,14 +161,14 @@ def test_one_mode_amplitude_hand_value(tiny_ms):
 
 def test_vector_potential_z_component_vanishes_axially(desk_ms):
     cfg = make_config(desk_ms, e=0.1)
-    A = build_vector_potential(cfg)
+    A, _ = _fields(cfg)
     assert A[2].nnz == 0
 
 
 def test_magnetic_field_geometry(tiny_ms):
     cfg = make_config(tiny_ms, e=0.3, N_max=1, n_max=1)
     basis = build_basis(cfg)
-    B = build_magnetic_field(cfg, basis)
+    _, B = _fields(cfg, basis)
     from pflab.fock import OccupationState
 
     j1 = basis.rank(OccupationState((1, 0), 0))
