@@ -19,7 +19,6 @@ from .fock import (
     Mode,
     ModeSet,
     OccupationState,
-    annihilation_matrix,
     axial_mode_set,
     enumerate_basis,
     explicit_mode_set,
@@ -40,7 +39,6 @@ from .model import (
 )
 from .quadrature import QuadratureSpec
 from .spectra import (
-    FreeEnergyCurve,
     GapReport,
     GroundCluster,
     RadialEnergyCurve,

@@ -26,7 +26,8 @@ curve, solved at every coupling (e = 0 included), whose grid spacing is the
 quoted uncertainty proxy.  At finite truncation the pull-through identity
 is only approximate, so every check reports its numbers rather than
 asserting blindly; ``pull_through_residual`` measures how far the identity
-misses at every mode.  Its resolvent depends on a mode only through the
+misses at every mode, with a_m Psi read off the basis's one list of ladder
+entries.  Its resolvent depends on a mode only through the
 mode's k-point, so it is gap-checked and built once per k-point, serves
 both polarizations there, and is solved by Jacobi-preconditioned CG.
 """
@@ -43,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GapTooSmallError, PflabError, SolverError
-from .fock import PAULI, FockBasis, annihilation_matrix
+from .fock import PAULI, FockBasis
 from .model import ModelConfig, ModelOperators, coupling_bound
 from .quadrature import PolarGrid
 from .spectra import (
@@ -195,6 +196,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
     S = (np.array([(PAULI[mu + 1] @ psi.reshape(2, -1)).ravel() for mu in range(3)])
          if config.with_spin else np.zeros_like(D))
     rhs = config.e * (g @ D + 0.5j * (h @ S))
+    lowered = _annihilated(psi, ops.basis)
     residuals = np.empty(len(ms))
     for i, k in enumerate(K):
         H, shift = ops.hamiltonian(p - k, config.e), omegas[i] - energy
@@ -205,8 +207,17 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
             if info != 0:
                 raise SolverError(f"CG did not converge for mode {m} at k-point {i} "
                                   f"{tuple(k)} (info {info})")
-            residuals[m] = np.linalg.norm(annihilation_matrix(m, ops.basis) @ psi - x) / norm
+            residuals[m] = np.linalg.norm(lowered[m] - x) / norm
     return residuals
+
+
+def _annihilated(psi: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """a_m psi, one row per mode m, from ``basis.lowering()``, one spin block at a time."""
+    mode, row, col, root_n = basis.lowering()
+    out = np.zeros((len(basis.mode_set), psi.size), dtype=complex)
+    for start in range(0, psi.size, basis.boson_dimension):
+        out[mode, start + row] = root_n * psi[start + col]
+    return out
 
 
 @dataclass

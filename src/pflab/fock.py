@@ -10,7 +10,8 @@ momentum) carry no weights.
 The boson factor is one int64 array of occupation rows, built in numpy and
 graded by total photon number, lexicographic within a grade.  A row's index
 comes from one exact counting table (``FockBasis``), which ``rank`` and the
-ladder operators share.  The basis is spin-major: the full index is
+ladders share; the ladders have one form, the entries of every a_m
+(``FockBasis.lowering``).  The basis is spin-major: the full index is
 ``spin * boson_dimension + boson_index`` with spin 0 = up, 1 = down.
 """
 
@@ -25,8 +26,6 @@ import scipy.sparse as sp
 from .errors import BasisMismatchError, DimensionCapError, NotAxialError
 
 DIMENSION_CAP = 500_000
-#: Relative tolerance on k-points and weights in ``ModeSet.is_symmetric_under``.
-SYMMETRY_TOL = 1e-10
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -121,30 +120,6 @@ class ModeSet:
     def weights(self) -> np.ndarray:
         return np.array([m.weight for m in self.modes], dtype=float)
 
-    def total_weight(self) -> float:
-        """Sum of weights over distinct k-points (the covered k-space volume)."""
-        pts = {}
-        for m in self.modes:
-            pts[m.k] = m.weight
-        return float(sum(pts.values()))
-
-    def is_symmetric_under(self, R) -> bool:
-        """True when the linear map R carries the k-points onto themselves
-        with equal weights, both to ``SYMMETRY_TOL`` relative."""
-        R = np.asarray(R, dtype=float)
-        weights = {k: next(m.weight for m in self.modes if m.k == k) for k in self.k_points}
-        for k, w in weights.items():
-            kr = R @ np.asarray(k)
-            hits = [kk for kk in weights if np.linalg.norm(np.asarray(kk) - kr)
-                    <= SYMMETRY_TOL * max(1.0, np.linalg.norm(kr))]
-            if not hits or abs(weights[hits[0]] - w) > SYMMETRY_TOL * max(1.0, w):
-                return False
-        return True
-
-    def is_reflection_symmetric(self) -> bool:
-        """True when the k-points map onto themselves under k -> -k with equal weights."""
-        return self.is_symmetric_under(-np.eye(3))
-
 
 def axial_mode_set(
     shell_edges: Sequence[float],
@@ -228,8 +203,8 @@ class FockBasis:
     row is computed, not looked up, by the combinatorial number system over
     the grade counts ``ways[r][s]`` (r-mode vectors of sum s): the rows of
     lower total, plus, for each mode j, the rows of the same total that agree
-    with it before j and hold less at j.  ``rank`` and the ladder operators
-    both go through that one map.
+    with it before j and hold less at j.  ``rank`` and ``lowering`` both go
+    through that one map.
     """
 
     def __init__(self, mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
@@ -240,7 +215,6 @@ class FockBasis:
         self.with_spin = with_spin
         self.boson_dimension = len(occupations)
         self.dimension = (2 if with_spin else 1) * self.boson_dimension
-        self._ladder_cache: dict[int, sp.csr_matrix] = {}
         self._occupations = occupations
         self._occupations.setflags(write=False)
         counts = np.array(ways, dtype=np.int64)     # every count is at most the dimension
@@ -286,27 +260,18 @@ class FockBasis:
             return (0, self.boson_dimension)
         return (0,)
 
-    # -- boson-level ladder operators --------------------------------------
-
-    def boson_annihilation(self, mode_index: int) -> sp.csr_matrix:
-        """a_m on the boson factor; matrix element sqrt(n) to the lowered state."""
-        if not (0 <= mode_index < len(self.mode_set)):
-            raise IndexError(f"mode index {mode_index} out of range")
-        cached = self._ladder_cache.get(mode_index)
-        if cached is not None:
-            return cached
-        cols = np.flatnonzero(self._occupations[:, mode_index])
-        lowered = self._occupations[cols]
-        n = lowered[:, mode_index].copy()
-        lowered[:, mode_index] -= 1
-        a = sp.csr_matrix(
-            (np.sqrt(n).astype(complex), (self._boson_index(lowered), cols)),
-            shape=(self.boson_dimension, self.boson_dimension),
-        )
-        a.sum_duplicates()
-        a.sort_indices()
-        self._ladder_cache[mode_index] = a
-        return a
+    def lowering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry of every a_m on the boson factor as arrays (mode, row,
+        col, sqrt(n)): a_m takes state col, with n photons in mode m, to
+        sqrt(n) times state row < col; mode by mode, ascending in col and row."""
+        parts = []
+        for m in range(len(self.mode_set)):
+            col = np.flatnonzero(self._occupations[:, m])
+            lowered = self._occupations[col]
+            n = lowered[:, m].copy()
+            lowered[:, m] -= 1
+            parts.append((np.full(col.size, m), self._boson_index(lowered), col, np.sqrt(n)))
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def enumerate_basis(mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
@@ -339,11 +304,6 @@ def enumerate_basis(mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
 # -- operator assembly -----------------------------------------------------
 
 
-def annihilation_matrix(mode_index: int, basis: FockBasis) -> sp.csr_matrix:
-    """a_m on the full basis (tensored with the spin identity when present)."""
-    return spin_tensor(0, basis.boson_annihilation(mode_index), basis)
-
-
 def number_operator(basis: FockBasis) -> sp.csr_matrix:
     """Total photon number (diagonal, no quadrature weights)."""
     diag = basis.occupation_array().sum(axis=1).astype(float)
@@ -374,14 +334,6 @@ def spin_tensor(pauli_index: int, fock_op: sp.spmatrix, basis: FockBasis) -> sp.
 
 
 # -- Hermiticity helpers -----------------------------------------------------
-
-
-def adjoint(op: sp.spmatrix) -> sp.csr_matrix:
-    """Conjugate transpose as a canonical CSR matrix."""
-    out = op.conjugate().transpose().tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
 
 
 def hermiticity_defect(op: sp.spmatrix) -> float:

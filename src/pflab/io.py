@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,6 +28,7 @@ from .model import Dispersion, FormFactor, ModelConfig, PHI_HAT_ZERO
 from .quadrature import QuadratureSpec
 
 TOOL_VERSION = "0.1.0"
+FLOAT_MAX = sys.float_info.max
 
 
 def _check_fields(obj: dict, path: str, required: dict, optional: dict) -> None:
@@ -40,8 +43,9 @@ def _check_fields(obj: dict, path: str, required: dict, optional: dict) -> None:
 
 
 def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
+    # json reads Infinity, NaN and 1e999, and an integer may lie past float's range
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= FLOAT_MAX:
+        raise ConfigError(f"{path}: expected a finite number, got {obj!r}")
     return float(obj)
 
 
@@ -155,19 +159,10 @@ def config_from_dict(obj: dict, force_allow_massless: bool = False) -> ModelConf
     quad = QuadratureSpec()
     if "quadrature" in obj:
         q = obj["quadrature"]
-        _check_fields(q, "config.quadrature", {},
-                      {"r_max": None, "n_radial": None, "n_angular": None,
-                       "sweep_points": None})
-        try:
-            quad = QuadratureSpec(
-                r_max=_number(q.get("r_max", quad.r_max), "config.quadrature.r_max"),
-                n_radial=_integer(q.get("n_radial", quad.n_radial),
-                                  "config.quadrature.n_radial"),
-                n_angular=_integer(q.get("n_angular", quad.n_angular),
-                                   "config.quadrature.n_angular"),
-                sweep_points=_integer(q.get("sweep_points", quad.sweep_points),
-                                      "config.quadrature.sweep_points"),
-            )
+        _check_fields(q, "config.quadrature", {}, vars(quad))
+        try:            # r_max is a number, the other fields integers
+            quad = QuadratureSpec(**{name: (_number if name == "r_max" else _integer)(
+                value, f"config.quadrature.{name}") for name, value in q.items()})
         except ValueError as err:
             raise ConfigError(f"config.quadrature: {err}") from err
     allow_massless = _boolean(obj.get("allow_massless", False), "config.allow_massless")
@@ -280,19 +275,20 @@ def write_json(path, obj) -> None:
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and complex values for JSON."""
+    """Recursively convert numpy scalars/arrays and complex values for JSON;
+    a non-finite float (a divergent integral, a bound) becomes None (null)."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
     return obj
 
 

@@ -18,21 +18,23 @@ cross term symmetrized (equal to the unsymmetrized one, as k.e_j(k) = 0) gives
 Only the coefficients depend on p and e, so ``build_operators`` builds the
 operators of one truncated model once, each checked to be exactly
 Hermitian (``HamiltonianTerms``), and ``ModelOperators.hamiltonian`` forms
-H(p, e) as their sum with real coefficients, exactly Hermitian again.  H is
-formed as H0(p) (first line) plus H_int (second line), so
-H(p) = H0(p) + H_int holds entrywise.
+H(p, e) as their sum with the real coefficients of one list
+(``HamiltonianTerms.coefficients``), exactly Hermitian again.  H is formed
+as H0(p) (first line) plus H_int (second line), so H(p) = H0(p) + H_int
+holds entrywise.  A, B and C are linear in the ladders: each is written onto
+the ladder entries (``FockBasis.lowering``) and their mirror images.
 
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
 angular momentum J_axis.  ``ModelOperators.sectors`` builds the
 p-independent operators once more, by the same field builder, in the
-circular-polarization frame, where J_axis is diagonal; it cuts one block
-per J_axis eigenvalue >= 0 off them (a mirror reflection maps sector z onto
--z) and stores the blocks on one sparsity pattern, so that H(t u, e) there
-is the same real combination formed entry by entry in numpy
-(``SectorSplit.upper_blocks``).  On the z axis A_y and B_y are purely
-imaginary in that frame, so A_y A_y and sigma_y (x) B_y are real, the
-terms are stored as float64, and H(t u, e) and its blocks are real; on a
-tilted axis the spin frame carries phases, and a model with spin keeps
+circular-polarization frame, where J_axis is diagonal; it cuts each term
+once to its blocks on the J_axis eigenvalues >= 0 (a mirror reflection
+maps sector z onto -z) and stores the cut terms on one sparsity pattern,
+so that H(t u, e) there is the same real combination formed entry by entry
+in numpy (``SectorSplit.upper_blocks``).  On the z axis A_y and B_y are
+purely imaginary in that frame, so A_y A_y and sigma_y (x) B_y are real,
+the terms are stored as float64, and H(t u, e) and its blocks are real; on
+a tilted axis the spin frame carries phases, and a model with spin keeps
 complex128 terms.  Eigenvectors become complex only when the helicity
 rotation W maps them back to the linear basis.
 """
@@ -52,7 +54,6 @@ from .fock import (
     PAULI,
     FockBasis,
     ModeSet,
-    adjoint,
     enumerate_basis,
     hermiticity_defect,
     spin_tensor,
@@ -271,27 +272,39 @@ def field_amplitudes(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _boson_fields(basis: FockBasis, g: np.ndarray, h: np.ndarray):
-    """(A_mu, B_mu) on the boson factor, each a 3-tuple of CSR, from one pass
-    over the ladder triplets: A^mu = sum_m g[m, mu] a_m + h.c. and
-    B^mu = -i sum_m h[m, mu] a_m + h.c. for per-mode amplitudes g, h of shape
-    (n_modes, 3), real (``field_amplitudes``) in the linear frame.  States
-    coupled by a_m differ by one photon in mode m alone, so no entry sums
-    two modes, and a field and its adjoint share no entry: A and B are
-    exactly Hermitian."""
-    ladders = [basis.boson_annihilation(m).tocoo() for m in range(len(basis.mode_set))]
-    mode = np.concatenate([np.full(a.nnz, m) for m, a in enumerate(ladders)])
-    index = (np.concatenate([a.row for a in ladders]), np.concatenate([a.col for a in ladders]))
-    root_n = np.concatenate([a.data.real for a in ladders])
-    shape = (basis.boson_dimension,) * 2
+    """(A, B, C) on the boson factor: A^mu = sum_m g[m, mu] a_m + h.c. and
+    B^mu = -i sum_m h[m, mu] a_m + h.c. (3-tuples of CSR) for amplitudes g, h
+    of shape (n_modes, 3), real (``field_amplitudes``) in the linear frame,
+    and C = (1/2) sum_mu {P_f^mu, A^mu}, written onto the entries of
+    ``basis.lowering()`` and their mirror images.  No two modes share an
+    entry, so a field is exactly Hermitian; each value is bitwise the one
+    scipy's sparse arithmetic on the ladders gives (``plus``)."""
+    mode, row, col, root_n = basis.lowering()
+    n = basis.boson_dimension
+    rows, cols = np.concatenate([row, col]), np.concatenate([col, row])
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
+    pf = basis.occupation_array() @ basis.mode_set.k_array()
 
-    def field(amplitude: np.ndarray, phase: complex) -> sp.csr_matrix:
-        # phase * sum_m amplitude_m a_m plus its adjoint; the sum drops zeros
-        lowering = sp.csr_matrix((phase * amplitude[mode] * root_n, index), shape=shape,
-                                 dtype=complex)
-        return lowering + adjoint(lowering)
+    def plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # a sparse sum adds +0 for an entry one side lacks and keeps no zero
+        out = x + y
+        out[out == 0.0] = 0.0
+        return out
 
-    A = tuple(field(g[:, mu], 1.0) for mu in range(3))
-    return A, tuple(field(h[:, mu], -1j) for mu in range(3))
+    def field(amplitude: np.ndarray, phase: complex) -> np.ndarray:
+        lowering = (phase * amplitude[mode] * root_n).astype(complex)
+        return plus(np.concatenate([lowering, lowering.conj()])[order], 0.0)
+
+    def csr(data: np.ndarray) -> sp.csr_matrix:
+        keep = data != 0.0
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+        return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
+
+    A = [field(g[:, mu], 1.0) for mu in range(3)]
+    M = [plus(a * x[rows], a * x[cols]) for a, x in zip(A, pf.T)]   # A^mu P_f^mu + P_f^mu A^mu
+    return (tuple(map(csr, A)), tuple(csr(field(h[:, mu], -1j)) for mu in range(3)),
+            0.5 * csr(plus(plus(M[0], M[1]), M[2])))
 
 
 def _field_terms(basis: FockBasis, g: np.ndarray, h: np.ndarray, spin):
@@ -302,9 +315,7 @@ def _field_terms(basis: FockBasis, g: np.ndarray, h: np.ndarray, spin):
     factor, and sigma.B = sum_mu spin[mu] (x) B^mu on the full basis.  Each is
     exactly Hermitian: entry (j, i) of a product sums the mirrored products
     of entry (i, j), in the same order."""
-    A, B = _boson_fields(basis, g, h)
-    pf = basis.occupation_array() @ basis.mode_set.k_array()
-    C = 0.5 * sum(op.multiply(x[:, None]) + op.multiply(x[None, :]) for op, x in zip(A, pf.T))
+    A, B, C = _boson_fields(basis, g, h)
     re = im = sp.csr_matrix((basis.boson_dimension,) * 2)
     for R, I in ((op.real, op.imag) for op in A):
         R.eliminate_zeros()
@@ -361,15 +372,19 @@ class HamiltonianTerms:
         """Noninteracting part H_f + P_f^2/2 + |p|^2/2 - p.P_f (diagonal)."""
         return sp.diags(self.free_diagonal(p).astype(self.C.dtype), format="csr")
 
-    def interaction(self, p, e: float) -> sp.csr_matrix:
-        """Interaction part e (-p.A + C - sigma.B/2) + (e^2/2) A^2."""
-        if e == 0.0:
-            return sp.csr_matrix(self.C.shape, dtype=self.C.dtype)
+    def coefficients(self, p, e: float) -> list[tuple[float, sp.csr_matrix]]:
+        """The (c, T) pairs of the interaction part, in the order of every sum."""
         p = np.atleast_1d(np.asarray(p, dtype=float))
-        out = e * self.C - (0.5 * e) * self.sigma_B + (0.5 * e * e) * self.A2
-        for p_mu, op in zip(p, self.A):
-            if p_mu != 0.0 and op.nnz:
-                out = out - (e * p_mu) * op
+        return [(e, self.C), (-(0.5 * e), self.sigma_B), (0.5 * e * e, self.A2),
+                *((-(e * p_mu), op) for p_mu, op in zip(p, self.A))]
+
+    def interaction(self, p, e: float) -> sp.csr_matrix:
+        """Interaction part e (-p.A + C - sigma.B/2) + (e^2/2) A^2: the sparse
+        sum of ``coefficients`` from an empty matrix, as ``SectorSplit.upper_blocks`` sums."""
+        out = sp.csr_matrix(self.C.shape, dtype=self.C.dtype)
+        for c, op in self.coefficients(p, e):
+            if c != 0.0 and op.nnz:
+                out = out + c * op
         return out
 
     def hamiltonian(self, p, e: float) -> sp.csr_matrix:
@@ -417,16 +432,13 @@ class SectorSplit:
         """The blocks of H(t u, e) on the sectors with label >= 0, ascending
         in label, each a view of a range of one data array on the stored
         pattern.  The data repeat ``upper.hamiltonian(t, e)`` entry by entry,
-        in its order and with its coefficients, summed in place from +0.0;
-        where scipy's sparse sum meets a missing entry or drops a zero, this
-        sum meets a stored zero, so each block's ``toarray()`` is bitwise
-        that block of ``upper.hamiltonian(t, e)``, and exactly Hermitian."""
+        summing ``upper.coefficients`` in place from +0.0: where scipy's
+        sparse sum meets a missing entry or drops a zero, this sum meets a
+        stored zero, so each block's ``toarray()`` is bitwise that block of
+        ``upper.hamiltonian(t, e)``, and exactly Hermitian."""
         up = self.upper
         data = np.zeros(self.indices.size, dtype=up.C.dtype)
-        # e C - (e/2) sigma.B + (e^2/2) A^2 - e t u.A, summed in place; a zero
-        # coefficient (e = 0, or t = 0 for u.A) or an empty term adds nothing
-        for c, op in ((e, up.C), (-(0.5 * e), up.sigma_B), (0.5 * e * e, up.A2),
-                      (-(e * t), up.A[0])):
+        for c, op in up.coefficients(t, e):
             if c != 0.0 and op.nnz:
                 data += op.data * c
         data[self.diagonal] += up.free_diagonal(t)
@@ -484,12 +496,11 @@ class ModelOperators(HamiltonianTerms):
         basis = self.basis
         u = np.asarray(basis.mode_set.axis, dtype=float)
         U = mirror_operator(basis)
-        U_adj = adjoint(U)
         linear = (sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0),
                   self.C, self.sigma_B, self.A2)
         pf = self.pf @ u
         for op in (sp.diags(self.free_diag), sp.diags(pf), *linear):
-            change = abs(U @ op @ U_adj - op).max()
+            change = abs(U @ op @ U.conj().T - op).max()
             if change > SECTOR_LEAK_TOL:
                 raise PflabError(f"the mirror changes a term of H by up to {change:.3e}")
         W = helicity_rotation(basis).tocsc()
@@ -497,30 +508,33 @@ class ModelOperators(HamiltonianTerms):
         values = np.unique(labels)
         if not np.array_equal(values, -values[::-1]):
             raise PflabError(f"angular-momentum labels {values} are not symmetric about 0")
-        blocks, leak_max = self._circular_blocks(u, linear, W, labels)
+        starts = np.cumsum([0, *(np.count_nonzero(labels == z) for z in values)])
+        edges = starts[np.sum(values < 0.0):]       # of the sectors >= 0
+        upper = np.argsort(labels, kind="stable")[edges[0]:]
+        terms, leak_max = self._circular_blocks(u, linear, W, labels, upper)
         to_linear = [W[:, np.flatnonzero(labels == z)].tocsr() for z in values]
         for i in np.flatnonzero(values > 0.0):
-            _check_phased_permutation(adjoint(to_linear[-1 - i]) @ (U @ to_linear[i]), values[i])
-        starts = np.cumsum([0, *(W_z.shape[1] for W_z in to_linear)])
-        upper = np.argsort(labels, kind="stable")[starts[np.sum(values < 0.0)]:]
-        (A_z, C_z, sigma_B_z, A2_z), pattern = _on_one_pattern(blocks)
+            _check_phased_permutation(to_linear[-1 - i].conj().T @ (U @ to_linear[i]), values[i])
+        (A_z, C_z, sigma_B_z, A2_z), pattern = _on_one_pattern(terms, edges - edges[0])
         return SectorSplit(
             upper=HamiltonianTerms(free_diag=self.free_diag[upper], pf=pf[upper, None],
                                    A=(A_z,), C=C_z, sigma_B=sigma_B_z, A2=A2_z),
             labels=tuple(float(z) for z in values), starts=tuple(int(x) for x in starts),
             to_linear=tuple(to_linear), mirror=U, leak_max=leak_max, **pattern)
 
-    def _circular_blocks(self, u: np.ndarray, linear, W: sp.spmatrix, labels: np.ndarray):
-        """The blocks on each sector z >= 0 of the circular ``labels``, and
-        the largest entry between two labels (at most ``SECTOR_LEAK_TOL``),
-        of u.A, C, sigma.B and A^2 (``linear`` in the linear frame), built in
+    def _circular_blocks(self, u: np.ndarray, linear, W: sp.spmatrix, labels: np.ndarray,
+                         upper: np.ndarray):
+        """u.A, C, sigma.B and A^2 (``linear`` in the linear frame) built in
         the circular frame, where a k-point carries the modes b_+- with
         b_+-+ = (a_1+ +- i a_2+)/sqrt(2): by ``_field_terms`` with amplitudes
         (g_1 +- i g_2)/sqrt(2), (h_1 +- i h_2)/sqrt(2) and spin matrices
         (M + M+)/2, M = S+ sigma_mu S for the spin frame S along u; float64
-        when every imaginary entry is exactly 0.0.  Each term T_c must match T
-        on two probe columns X, T (W X) = W (T_c X), to ``SECTOR_LEAK_TOL``
-        times the largest row sum of |T_c| (at least 1)."""
+        when every imaginary entry is exactly 0.0.  One pass over a term's
+        entries finds its largest entry between two ``labels`` (at most
+        ``SECTOR_LEAK_TOL``; returned, the most over the terms) and cuts it to
+        its entries inside a label >= 0, on the states ``upper``.  Each term
+        T_c must match T on two probe columns X, T (W X) = W (T_c X), to
+        ``SECTOR_LEAK_TOL`` times the largest row sum of |T_c| (at least 1)."""
         from .symmetry import _kpoint_mode_indices, _spin_frame
 
         basis = self.basis
@@ -539,14 +553,24 @@ class ModelOperators(HamiltonianTerms):
             boson, sigma_B = tuple(op.real for op in boson), sigma_B.real
         A_axis, C, A2 = (spin_tensor(0, op.astype(sigma_B.dtype), basis) for op in boson)
         terms = (A_axis, C, sigma_B, A2)
-        leak_max = 0.0
-        for coo in (op.tocoo() for op in terms):
-            leak = np.where(labels[coo.row] != labels[coo.col], np.abs(coo.data), 0.0)
-            leak_max = max(leak_max, float(leak.max(initial=0.0)))
-            if leak_max > SECTOR_LEAK_TOL:
+        position = np.full(basis.dimension, -1)
+        position[upper] = np.arange(upper.size)
+
+        def cut(op: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
+            row = np.repeat(np.arange(basis.dimension), np.diff(op.indptr))
+            inside = labels[row] == labels[op.indices]
+            leak = np.where(inside, 0.0, np.abs(op.data))
+            worst = float(leak.max(initial=0.0))
+            if worst > SECTOR_LEAK_TOL:
                 raise PflabError(f"a term of H couples angular-momentum sector "
-                                 f"{labels[coo.row[leak.argmax()]]:+g} to others "
-                                 f"(max entry {leak_max:.3e})")
+                                 f"{labels[row[leak.argmax()]]:+g} to others "
+                                 f"(max entry {worst:.3e})")
+            keep = inside & (position[row] >= 0)
+            row, col = position[row[keep]], position[op.indices[keep]]
+            # scipy's counting sort on the rows keeps each row's ascending order
+            return sp.csr_matrix((op.data[keep], (row, col)), shape=(upper.size,) * 2), worst
+
+        cuts = [cut(op) for op in terms]
         X = np.exp(2j * np.pi * np.random.default_rng(0).random((basis.dimension, 2)))
         WX = W @ X
         for name, T, T_c in zip(("u.A", "C", "sigma.B", "A^2"), linear, terms):
@@ -554,41 +578,32 @@ class ModelOperators(HamiltonianTerms):
             if gap > SECTOR_LEAK_TOL * max(1.0, float(abs(T_c).sum(axis=1).max())):
                 raise PflabError(f"the circular-frame term {name} of H is not the helicity "
                                  f"rotation of its linear form (off by {gap:.3e} on a probe)")
-        kept = (np.flatnonzero(labels == z) for z in np.unique(labels[labels >= 0.0]))
-        return [[op[idx][:, idx] for op in terms] for idx in kept], leak_max
+        return [op for op, _ in cuts], max(leak for _, leak in cuts)
 
 
-def _on_one_pattern(blocks: list[list[sp.csr_matrix]]):
-    """The block-diagonal terms whose sector blocks are ``blocks`` (one
-    canonical block per term in each sector, sectors in order, one dtype) on
-    one CSR pattern, the union of the diagonal and every term's entries, and
-    the ``SectorSplit`` fields of the pattern.  A term is zero where it has
-    no entry, and a term with none is an empty matrix."""
-    rows = np.cumsum([0, *(sector[0].shape[0] for sector in blocks)])
-    n = int(rows[-1])
-    terms = []                          # canonical CSR arrays of each term
-    for term in zip(*blocks):
-        entries = np.cumsum([0, *(b.nnz for b in term)])
-        terms.append((np.concatenate([b.data for b in term]),
-                      np.concatenate([b.indices + r for b, r in zip(term, rows)]),
-                      np.concatenate([[0], *(b.indptr[1:] + e for b, e in zip(term, entries))])))
+def _on_one_pattern(terms: list[sp.csr_matrix], starts: np.ndarray):
+    """The block-diagonal ``terms`` (canonical, one dtype; sector i spans rows
+    ``starts[i]`` to ``starts[i + 1]``) on one CSR pattern, the union of the
+    diagonal and their entries (zero where a term has none; a term with none
+    is an empty matrix), and the ``SectorSplit`` fields of the pattern."""
+    n = int(starts[-1])
     # the union, whose entries carry bit k where term k has an entry and bit
     # len(terms) on the diagonal: sums of distinct powers of 2 are exact
-    union = sum((sp.csr_matrix((np.full(data.size, 2.0 ** k), indices, indptr), shape=(n, n))
-                 for k, (data, indices, indptr) in enumerate(terms) if data.size),
+    union = sum((sp.csr_matrix((np.full(op.nnz, 2.0 ** k), op.indices, op.indptr), shape=(n, n))
+                 for k, op in enumerate(terms) if op.nnz),
                 sp.diags(np.full(n, 2.0 ** len(terms)), format="csr"))
     bits = union.data.astype(np.int64)
     out = []
-    for k, (data, _, _) in enumerate(terms):
-        if not data.size:
-            out.append(sp.csr_matrix((n, n), dtype=data.dtype))
+    for k, op in enumerate(terms):
+        if not op.nnz:
+            out.append(sp.csr_matrix((n, n), dtype=op.dtype))
             continue
-        padded = np.zeros(union.nnz, data.dtype)
-        padded[np.flatnonzero(bits & (1 << k))] = data    # the union keeps each term's order
+        padded = np.zeros(union.nnz, op.dtype)
+        padded[np.flatnonzero(bits & (1 << k))] = op.data    # the union keeps each term's order
         out.append(sp.csr_matrix((padded, union.indices, union.indptr), shape=(n, n)))
     return out, dict(indices=union.indices, indptr=union.indptr,
                      diagonal=np.flatnonzero(bits & (1 << len(terms))),
-                     data_starts=tuple(int(x) for x in union.indptr[rows]))
+                     data_starts=tuple(int(x) for x in union.indptr[starts]))
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:

@@ -485,18 +485,6 @@ def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]], n_eig
 # -- energy interpolants and the gap formula ----------------------------------
 
 
-class FreeEnergyCurve:
-    """Exact noninteracting dispersion E(q) = |q|^2 / 2."""
-
-    q_max = np.inf
-    spacing = 0.0
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        out = 0.5 * q * q
-        return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class RadialEnergyCurve:
     """Linear interpolant of E(|q|) on a radial grid (rotation-invariant E).

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NotAxialError, PflabError
-from .fock import FockBasis, adjoint, spin_tensor
+from .fock import FockBasis, spin_tensor
 from .model import polarization_frame
 from .spectra import EPS_DEG, SpectralResult
 
@@ -158,7 +158,7 @@ def helicity_rotation(basis: FockBasis) -> sp.csr_matrix:
                        shape=(dim_b, dim_b))
     spin = _spin_frame(u) if basis.with_spin else None
     W = sp.kron(sp.csr_matrix(spin), Wb, format="csr") if basis.with_spin else Wb
-    defect = abs((adjoint(W) @ W - sp.identity(basis.dimension, dtype=complex,
+    defect = abs((W.conj().T @ W - sp.identity(basis.dimension, dtype=complex,
                                                format="csr"))).max()
     if defect > 1e-10:
         raise PflabError(f"helicity rotation is not unitary (defect {defect:.3e})")

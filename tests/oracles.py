@@ -12,8 +12,11 @@ eigensolves.  Two checks that no
 command runs live here too: the sparse J_axis built from the ladder
 operators (``total_jz``), against which the circular frame is tested, and
 E(p) against E(Rp) over the symmetries of a mode set
-(``rotation_invariance_check``).  So do the operators that only tests use:
-a_m+ (``creation_matrix``), the field energy and the field momentum.
+(``rotation_invariance_check``).  So do the operators and helpers that only
+tests use: a_m and a_m+ as sparse matrices (``annihilation_matrix``,
+``creation_matrix``), the fields by sparse arithmetic on them
+(``ladder_fields``), the field energy and the field momentum, the mode-set
+symmetry tests and the free energy curve.
 """
 
 import itertools
@@ -24,11 +27,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from pflab.errors import PflabError
-from pflab.fock import adjoint, annihilation_matrix, spin_tensor
+from pflab.fock import spin_tensor
 from pflab.model import build_operators
 from pflab.spectra import solve_model
 from pflab.symmetry import (_axis_direction, _kpoint_mode_indices, circular_labels,
                             helicity_rotation)
+
+#: Relative tolerance on k-points and weights in ``is_symmetric_under``.
+SYMMETRY_TOL = 1e-10
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -36,6 +42,14 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def adjoint(op):
+    """Conjugate transpose as a canonical CSR matrix."""
+    out = op.conjugate().transpose().tocsr()
+    out.sum_duplicates()
+    out.sort_indices()
+    return out
 
 
 def brute_force_occupations(n_modes, N_max, n_max):
@@ -117,9 +131,43 @@ def ladder_matrices(config):
     return occs, [a.toarray() for a in sparse_ladders(occs)]
 
 
+def basis_ladders(basis):
+    """``sparse_ladders`` on the occupation rows of ``basis``."""
+    return sparse_ladders([tuple(o) for o in basis.occupation_array().tolist()])
+
+
+def annihilation_matrix(mode_index, basis):
+    """a_m on the full basis (tensored with the spin identity when present)."""
+    return spin_tensor(0, basis_ladders(basis)[mode_index], basis)
+
+
 def creation_matrix(mode_index, basis):
     """a_m+ on the full basis; exactly the conjugate transpose of ``annihilation_matrix``."""
     return adjoint(annihilation_matrix(mode_index, basis))
+
+
+def ladder_fields(basis, g, h):
+    """(A, B, C) on the boson factor by sparse arithmetic on the ladders of
+    ``basis_ladders``: each field is phase * sum_m amplitude_m a_m, built as
+    one CSR from the ladders' COO entries, plus its ``adjoint`` by scipy's
+    sparse sum (phase 1 for A^mu with amplitudes g, -i for B^mu with h), and
+    C = (1/2) sum_mu (P_f^mu A^mu + A^mu P_f^mu) by elementwise multiplies."""
+    ladders = [a.tocoo() for a in basis_ladders(basis)]
+    mode = np.concatenate([np.full(a.nnz, m) for m, a in enumerate(ladders)])
+    index = (np.concatenate([a.row for a in ladders]), np.concatenate([a.col for a in ladders]))
+    root_n = np.concatenate([a.data.real for a in ladders])
+    shape = (basis.boson_dimension,) * 2
+
+    def field(amplitude, phase):
+        lowering = sp.csr_matrix((phase * amplitude[mode] * root_n, index), shape=shape,
+                                 dtype=complex)
+        return lowering + adjoint(lowering)
+
+    A = tuple(field(g[:, mu], 1.0) for mu in range(3))
+    B = tuple(field(h[:, mu], -1j) for mu in range(3))
+    pf = basis.occupation_array() @ basis.mode_set.k_array()
+    C = 0.5 * sum(op.multiply(x[:, None]) + op.multiply(x[None, :]) for op, x in zip(A, pf.T))
+    return A, B, C
 
 
 def field_energy(basis, omega_by_kpoint):
@@ -304,10 +352,10 @@ def helicity_operator(basis):
     dim_b = basis.boson_dimension
     S = sp.csr_matrix((dim_b, dim_b), dtype=complex)
     kpts = np.array(basis.mode_set.k_points)
+    ladders = basis_ladders(basis)
     for (i1, i2), k in zip(_kpoint_mode_indices(basis), kpts):
         sign = 1.0 if float(k @ u) > 0.0 else -1.0
-        a1 = basis.boson_annihilation(i1)
-        a2 = basis.boson_annihilation(i2)
+        a1, a2 = ladders[i1], ladders[i2]
         S = S + sign * 1j * (adjoint(a2) @ a1 - adjoint(a1) @ a2)
     return spin_tensor(0, S, basis)
 
@@ -326,6 +374,45 @@ def total_jz(basis):
             if u[mu] != 0.0:
                 J = J + 0.5 * u[mu] * spin_tensor(mu + 1, eye_b, basis)
     return J.tocsr()
+
+
+def total_weight(mode_set):
+    """Sum of weights over distinct k-points (the covered k-space volume)."""
+    pts = {}
+    for m in mode_set.modes:
+        pts[m.k] = m.weight
+    return float(sum(pts.values()))
+
+
+def is_symmetric_under(mode_set, R):
+    """True when the linear map R carries the k-points onto themselves
+    with equal weights, both to ``SYMMETRY_TOL`` relative."""
+    R = np.asarray(R, dtype=float)
+    weights = {k: next(m.weight for m in mode_set.modes if m.k == k) for k in mode_set.k_points}
+    for k, w in weights.items():
+        kr = R @ np.asarray(k)
+        hits = [kk for kk in weights if np.linalg.norm(np.asarray(kk) - kr)
+                <= SYMMETRY_TOL * max(1.0, np.linalg.norm(kr))]
+        if not hits or abs(weights[hits[0]] - w) > SYMMETRY_TOL * max(1.0, w):
+            return False
+    return True
+
+
+def is_reflection_symmetric(mode_set):
+    """True when the k-points map onto themselves under k -> -k with equal weights."""
+    return is_symmetric_under(mode_set, -np.eye(3))
+
+
+class FreeEnergyCurve:
+    """Exact noninteracting dispersion E(q) = |q|^2 / 2."""
+
+    q_max = np.inf
+    spacing = 0.0
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        out = 0.5 * q * q
+        return out if out.ndim else float(out)
 
 
 @dataclass
@@ -347,7 +434,7 @@ def rotation_invariance_check(config, rotations):
     discrepancies = []
     for R in rotations:
         R = np.asarray(R, dtype=float)
-        if not config.mode_set.is_symmetric_under(R):
+        if not is_symmetric_under(config.mode_set, R):
             raise PflabError(
                 "rotation is not a symmetry of the mode set; choose R from "
                 "the discrete symmetry group of the k-points"

@@ -19,7 +19,6 @@ from pflab.cli import main as cli_main
 from pflab.fock import axial_mode_set, number_operator
 from pflab.model import assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
-    FreeEnergyCurve,
     detect_ground_cluster,
     gap_estimate,
     solve_lowest,
@@ -27,7 +26,7 @@ from pflab.spectra import (
 )
 
 from conftest import DESK_EDGES, make_config
-from oracles import (dense_sector_energies, field_energy, field_momentum,
+from oracles import (FreeEnergyCurve, dense_sector_energies, field_energy, field_momentum,
                      rotation_invariance_check)
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"

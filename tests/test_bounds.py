@@ -9,13 +9,13 @@ from pflab.errors import GapTooSmallError, PflabError, SolverError
 from pflab.fock import number_operator
 from pflab.model import PHI_HAT_ZERO, assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
-    FreeEnergyCurve,
     detect_ground_cluster,
     solve_lowest,
     solve_model,
 )
 
 from conftest import make_config
+from oracles import FreeEnergyCurve, annihilation_matrix
 
 # Refined-quadrature oracle for the photon-number integral at e = 0, p = 0,
 # gaussian cutoff lambda = 1, photon mass 1:
@@ -200,6 +200,19 @@ def test_pull_through_residual_zero_at_zero_coupling(desk_ms):
     res = bounds.pull_through_residual(cluster.basis[:, 0], cfg, cluster.energy, ops)
     assert res.shape == (len(desk_ms),)
     assert np.all(np.abs(res) <= 1e-14)
+
+
+@pytest.mark.parametrize("name", ["desk_e010.json", "desk_spinless_e020.json"])
+def test_annihilated_vectors_match_the_sparse_ladders(shipped_configs, name):
+    # a_m psi from the ladder entries, one spin block at a time, against a_m
+    # built through the {tuple: index} dictionary and tensored with the spin
+    basis = build_basis(shipped_configs[name])
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    got = bounds._annihilated(psi, basis)
+    assert got.shape == (len(basis.mode_set), basis.dimension)
+    for m in range(len(basis.mode_set)):
+        assert np.array_equal(got[m], annihilation_matrix(m, basis) @ psi), m
 
 
 def test_pull_through_residual_decreases_along_ladder(tiny_ms):

@@ -390,6 +390,56 @@ def test_invalid_input_exits_usage(tmp_path, capsys, overrides, command, message
     assert message in capsys.readouterr().err
 
 
+# json reads Infinity and NaN (and json.dumps writes them); no number of a
+# model may be either
+INF, NAN = float("inf"), float("nan")
+NON_FINITE = {
+    "m_ph": ({"dispersion": {"kind": "massive", "m_ph": INF}}, "config.dispersion.m_ph"),
+    "lambda": ({"form_factor": {"kind": "gaussian", "lambda": INF}},
+               "config.form_factor.lambda"),
+    "amplitude": ({"form_factor": {"kind": "gaussian", "lambda": 1.0, "amplitude": NAN}},
+                  "config.form_factor.amplitude"),
+    "weight": ({"mode_set": {"kind": "explicit", "points": [
+        {"k": [0.0, 0.0, 1.0], "weight": INF}]}}, "config.mode_set.points[0].weight"),
+    "sample": ({"dispersion": {"kind": "custom", "samples": [[0.0, 1.0], [INF, 2.0]]}},
+               "config.dispersion.samples[1][0]"),
+    "r_max": ({"quadrature": {"r_max": INF}}, "config.quadrature.r_max"),
+}
+
+
+@pytest.mark.parametrize("command", ["model-check", "spectrum"])
+@pytest.mark.parametrize("overrides, path", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_number_exits_usage(tmp_path, capsys, command, overrides, path):
+    cfg = write_config(tmp_path, **overrides)
+    assert exit_status(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"{path}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_model_check_writes_a_divergent_integral_as_null(tmp_path, capsys):
+    # omega = 0 on [0, 1]: int omega^-2 phi^2 and c0 are infinite, which is a
+    # scientific failure, written out; phi_hat(0) is still normalized
+    cfg = write_config(tmp_path, dispersion={
+        "kind": "custom", "samples": [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [8.0, 7.0]]})
+    assert run("model-check", "--config", cfg, "--out", tmp_path / "o") == 1
+    assert "DIVERGENT" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json",
+                                                                  "model_check.json"]
+    report = json.loads((tmp_path / "o" / "model_check.json").read_text())
+    assert report["c0"] is None and report["decay_integrals"]["omega^-2"] is None
+    assert report["decay_integrals"]["omega"] > 0.0 and report["normalized"] is True
+
+
+def test_bounds_writes_an_unbounded_degeneracy_bound_as_null(tmp_path, capsys):
+    # at e = 12, e^2 Theta > 1: the bound 2/(1 - e^2 Theta) is +inf
+    cfg = write_config(tmp_path, e=12.0, quadrature=fast_quadrature())
+    assert run("bounds", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert "2/(1 - e^2 Theta) = inf" in capsys.readouterr().out
+    report = json.loads((tmp_path / "o" / "bound_report.json").read_text())
+    assert report["upper_bound_value"] is None and report["degeneracy"] == 2
+    assert (tmp_path / "o" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", [("spectrum",),
                                      ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2")])
 def test_single_eigenpair_is_a_usage_error(tmp_path, capsys, command):

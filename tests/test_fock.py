@@ -10,8 +10,6 @@ from pflab.fock import (
     Mode,
     ModeSet,
     OccupationState,
-    adjoint,
-    annihilation_matrix,
     axial_mode_set,
     enumerate_basis,
     hermiticity_defect,
@@ -19,8 +17,9 @@ from pflab.fock import (
     spin_tensor,
 )
 
-from oracles import (brute_force_occupations, creation_matrix, field_energy, field_momentum,
-                     photon_occupations, sparse_ladders, subtraction_hermiticity_defect)
+from oracles import (adjoint, annihilation_matrix, brute_force_occupations, creation_matrix,
+                     field_energy, field_momentum, is_reflection_symmetric, photon_occupations,
+                     sparse_ladders, subtraction_hermiticity_defect, total_weight)
 
 
 def test_mode_validation():
@@ -46,9 +45,9 @@ def test_mode_set_rejects_duplicates():
 
 def test_axial_shell_weights_fill_the_ball():
     ms = axial_mode_set([0.0, 1.0, 2.0])
-    assert ms.axial and ms.is_reflection_symmetric()
+    assert ms.axial and is_reflection_symmetric(ms)
     ball = 4.0 / 3.0 * np.pi * 2.0**3
-    assert ms.total_weight() == pytest.approx(ball, rel=1e-12)
+    assert total_weight(ms) == pytest.approx(ball, rel=1e-12)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -196,8 +195,13 @@ def test_ladders_match_the_dictionary_oracle(case, request):
     occs = photon_occupations(len(ms), N_max, n_max)
     occ = basis.occupation_array()
     assert occ.dtype == np.int64 and occ.tolist() == [list(o) for o in occs]
+    mode, row, col, root_n = basis.lowering()
+    # mode by mode, ascending in col and in row; a_m lowers, so row < col
+    assert np.all(np.diff(mode) >= 0) and np.all(row < col)
     for m, want in enumerate(sparse_ladders(occs)):
-        got = basis.boson_annihilation(m)
+        at = mode == m
+        assert np.all(np.diff(col[at]) > 0) and np.all(np.diff(row[at]) > 0)
+        got = sp.csr_matrix((root_n[at].astype(complex), (row[at], col[at])), shape=want.shape)
         for name in ("data", "indices", "indptr"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (m, name)

@@ -11,13 +11,13 @@ import scipy.sparse as sp
 import pflab.spectra as spectra_mod
 from pflab import symmetry
 from pflab.errors import PflabError
-from pflab.fock import adjoint, axial_mode_set, spin_tensor
+from pflab.fock import axial_mode_set, spin_tensor
 from pflab.model import build_operators
 from pflab.spectra import solve_lowest, solve_model
 from pflab.symmetry import mirror_operator
 
 from conftest import make_config
-from oracles import total_jz
+from oracles import adjoint, total_jz
 
 TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
 

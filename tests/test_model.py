@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pflab.errors import BasisMismatchError, ConfigError, NonHermitianError
-from pflab.fock import Mode, ModeSet, enumerate_basis
+from pflab.fock import Mode, ModeSet, axial_mode_set, enumerate_basis
 from pflab.model import (
     PHI_HAT_ZERO,
     Dispersion,
@@ -23,8 +23,8 @@ from pflab.model import (
 )
 from pflab.fock import hermiticity_defect
 
-from conftest import make_config
-from oracles import dense_hamiltonian, vacuum_interaction_expectation
+from conftest import DESK_EDGES, make_config
+from oracles import dense_hamiltonian, ladder_fields, vacuum_interaction_expectation
 
 
 # -- dispersion and form factor --------------------------------------------------
@@ -138,7 +138,7 @@ def _fields(cfg, basis=None):
 
 def test_vector_potential_vacuum_expectation_zero(tiny_ms):
     cfg = make_config(tiny_ms, e=0.3, N_max=1, n_max=1)
-    A, _ = _fields(cfg)
+    A, _, _ = _fields(cfg)
     for op in A:
         assert op[0, 0] == 0.0
         assert hermiticity_defect(op) == 0.0
@@ -147,7 +147,7 @@ def test_vector_potential_vacuum_expectation_zero(tiny_ms):
 def test_one_mode_amplitude_hand_value(tiny_ms):
     cfg = make_config(tiny_ms, e=0.3, N_max=1, n_max=1)
     basis = build_basis(cfg)
-    A, _ = _fields(cfg, basis)
+    A, _, _ = _fields(cfg, basis)
     # |1 photon, j=1> (x) spin up against the vacuum (x) spin up
     from pflab.fock import OccupationState
 
@@ -161,14 +161,14 @@ def test_one_mode_amplitude_hand_value(tiny_ms):
 
 def test_vector_potential_z_component_vanishes_axially(desk_ms):
     cfg = make_config(desk_ms, e=0.1)
-    A, _ = _fields(cfg)
+    A, _, _ = _fields(cfg)
     assert A[2].nnz == 0
 
 
 def test_magnetic_field_geometry(tiny_ms):
     cfg = make_config(tiny_ms, e=0.3, N_max=1, n_max=1)
     basis = build_basis(cfg)
-    _, B = _fields(cfg, basis)
+    _, B, _ = _fields(cfg, basis)
     from pflab.fock import OccupationState
 
     j1 = basis.rank(OccupationState((1, 0), 0))
@@ -181,6 +181,46 @@ def test_magnetic_field_geometry(tiny_ms):
         dense = op.toarray()
         assert np.allclose(dense, dense.conj().T, atol=0.0)
         assert op[0, 0] == 0.0
+
+
+# (mode set, N_max = n_max) of each model whose fields are checked against
+# sparse arithmetic on the ladders
+FIELD_CASES = {
+    "tiny": ("tiny_ms", 2),
+    "pair": ("pair_ms", 2),
+    "desk": ("desk_ms", 2),
+    "shell8": ([0.0, 0.3, 0.6, 0.9, 1.2, 1.7, 2.2, 2.8, 3.4], 3),
+    "tilted": ("tilted", 2),
+}
+
+
+@pytest.mark.parametrize("amplitudes", ["linear", "complex"])
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_fields_from_the_entries_are_bitwise_the_sparse_arithmetic(case, amplitudes, request):
+    modes, cutoff = FIELD_CASES[case]
+    if modes == "tilted":
+        ms = axial_mode_set(DESK_EDGES, axis=(1.0, 2.0, 2.0))
+    elif isinstance(modes, str):
+        ms = request.getfixturevalue(modes)
+    else:
+        ms = axial_mode_set(modes)
+    cfg = make_config(ms, e=0.1, N_max=cutoff, n_max=cutoff)
+    basis = build_basis(cfg)
+    g, h = field_amplitudes(cfg)
+    if amplitudes == "complex":     # as in the circular frame, with a phase on every mode
+        phase = np.exp(2j * np.pi * np.random.default_rng(1).random((2, len(ms), 1)))
+        g, h = g * phase[0], h * phase[1]
+    A, B, C = _boson_fields(basis, g, h)
+    A_want, B_want, C_want = ladder_fields(basis, g, h)
+    for name, got, want in (*((f"A[{mu}]", A[mu], A_want[mu]) for mu in range(3)),
+                            *((f"B[{mu}]", B[mu], B_want[mu]) for mu in range(3)),
+                            ("C", C, C_want)):
+        assert got.dtype == want.dtype == np.complex128, name
+        for part in ("data", "indices", "indptr"):
+            g_part, w_part = getattr(got, part), getattr(want, part)
+            assert g_part.dtype == w_part.dtype and g_part.tobytes() == w_part.tobytes(), \
+                (name, part)
+    assert C.nnz > 0 or case != "tilted"
 
 
 def test_field_amplitudes_reject_k_zero():

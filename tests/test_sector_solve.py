@@ -414,9 +414,9 @@ def test_corrupted_sector_term_is_refused_before_any_eigensolve(shipped_configs,
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK called on a non-Hermitian block")
 
-    def corrupted(rotated):
+    def corrupted(*args):
         # one off-diagonal entry of the stored A2 scaled by 1 + 1e-12
-        (A_z, C_z, sigma_B_z, A2_z), pattern = on_one_pattern(rotated)
+        (A_z, C_z, sigma_B_z, A2_z), pattern = on_one_pattern(*args)
         rows = np.repeat(np.arange(A2_z.shape[0]), np.diff(A2_z.indptr))
         off_diagonal = np.flatnonzero((A2_z.indices != rows) & (A2_z.data != 0.0))
         A2_z.data[off_diagonal[len(off_diagonal) // 2]] *= 1.0 + 1e-12

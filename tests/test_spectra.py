@@ -9,7 +9,6 @@ from pflab.spectra import (
     DEFAULT_TOL,
     EPS_DEG,
     EPS_SEP,
-    FreeEnergyCurve,
     RadialEnergyCurve,
     SpectralResult,
     detect_ground_cluster,
@@ -20,6 +19,7 @@ from pflab.spectra import (
 )
 
 from conftest import make_config
+from oracles import FreeEnergyCurve
 from oracles import perturbative_energy_and_number
 
 

@@ -6,7 +6,6 @@ from pflab.fock import (
     Mode,
     ModeSet,
     OccupationState,
-    adjoint,
     enumerate_basis,
     hermiticity_defect,
 )
@@ -16,6 +15,7 @@ from pflab.symmetry import circular_labels, ground_sector_labels, helicity_rotat
 
 from conftest import make_config
 from oracles import (
+    adjoint,
     dense_sector_energies,
     helicity_operator,
     rotation_invariance_check,
