@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import symmetry as symmetry_mod
 from .errors import (
     ConfigError,
     DomainError,
@@ -53,6 +52,7 @@ from .spectra import (
     detect_ground_cluster,
     energy_sweep,
     gap_estimate,
+    ground_sector_labels,
     model_operators,
     solve_model,
     sweep_energy_curve,
@@ -150,7 +150,7 @@ def cmd_model_check(args) -> int:
     print(f"rotation invariance : worst deviation = {axioms.isotropy_deviation:.3g} "
           f"{'ok' if axioms.isotropic else 'VIOLATED'}")
     phi0 = config.form_factor.phi_hat(0.0)
-    normalized = abs(phi0 - PHI_HAT_ZERO) <= 1e-12
+    normalized = config.form_factor.normalized
     print(f"form factor         : phi_hat(0) = {phi0!r} "
           + ("ok" if normalized else f"!= (2 pi)^-3/2 = {PHI_HAT_ZERO!r}  NORMALIZATION FAILURE"))
     decay = form_factor_decay_integrals(config)
@@ -340,7 +340,9 @@ def cmd_bounds(args) -> int:
         "curve_spacing": curve.spacing,
     }
     write_json(out / "bound_report.json", jsonable(report))
-    summary_lines = [f"{k}: {v}" for k, v in jsonable(report).items()]
+    # a non-finite number reads as on stdout (inf, -inf, nan); the JSON holds null
+    summary_lines = [f"{k}: {v if isinstance(v, float) and not math.isfinite(v) else jsonable(v)}"
+                     for k, v in report.items()]
     (out / "bound_summary.txt").write_text("\n".join(summary_lines) + "\n")
     RunManifest.create(config, "bounds", ["bound_report.json", "bound_summary.txt"],
                        args.seed).write(out / "manifest.json")
@@ -386,7 +388,7 @@ def cmd_sectors(args) -> int:
         gate = upper.hypothesis_holds and coupling_bound(config) < 1.0
     elif config.with_spin:
         gate = True
-    analysis = symmetry_mod.ground_sector_labels(
+    analysis = ground_sector_labels(
         result, require_half_pair=gate and config.with_spin)
 
     print(f"sector leak         : {split.leak_max:.3g}")

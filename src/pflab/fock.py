@@ -18,6 +18,7 @@ ladders share; the ladders have one form, the entries of every a_m
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -107,11 +108,23 @@ class ModeSet:
                 out.append(m.k)
         return tuple(out)
 
+    @cached_property
+    def polarization_pairs(self) -> np.ndarray:
+        """Read-only (n_k_points, 2) array: the indices of the polarization-1
+        and polarization-2 modes of each k-point, in ``k_points`` order."""
+        points = {k: i for i, k in enumerate(self.k_points)}
+        out = np.empty((len(points), 2), dtype=int)
+        for i, m in enumerate(self.modes):
+            out[points[m.k], m.polarization_index - 1] = i
+        out.setflags(write=False)
+        return out
+
     @property
     def k_point_index(self) -> np.ndarray:
         """Index of each mode's k-point into ``k_points``."""
-        lut = {k: i for i, k in enumerate(self.k_points)}
-        return np.array([lut[m.k] for m in self.modes], dtype=int)
+        out = np.empty(len(self.modes), dtype=int)
+        out[self.polarization_pairs] = np.arange(len(self.polarization_pairs))[:, None]
+        return out
 
     def k_array(self) -> np.ndarray:
         """(n_modes, 3) array of wavevectors."""

@@ -25,18 +25,29 @@ holds entrywise.  A, B and C are linear in the ladders: each is written onto
 the ladder entries (``FockBasis.lowering``) and their mirror images.
 
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
-angular momentum J_axis.  ``ModelOperators.sectors`` builds the
-p-independent operators once more, by the same field builder, in the
-circular-polarization frame, where J_axis is diagonal; it cuts each term
-once to its blocks on the J_axis eigenvalues >= 0 (a mirror reflection
-maps sector z onto -z) and stores the cut terms on one sparsity pattern,
-so that H(t u, e) there is the same real combination formed entry by entry
-in numpy (``SectorSplit.upper_blocks``).  On the z axis A_y and B_y are
-purely imaginary in that frame, so A_y A_y and sigma_y (x) B_y are real,
-the terms are stored as float64, and H(t u, e) and its blocks are real; on
-a tilted axis the spin frame carries phases, and a model with spin keeps
-complex128 terms.  Eigenvectors become complex only when the helicity
-rotation W maps them back to the linear basis.
+angular momentum about the axis.  On-axis photon modes carry no orbital
+angular momentum about it, so the conserved component reduces to photon
+helicity plus half the electron spin:
+
+    J_axis = S_axis + (1/2) u . sigma,
+    S_axis = sum over k-points of sign(k . u) * i (a2+ a1 - a1+ a2),
+
+whose spectrum lies in the half integers (integers without spin).  The
+change to the circular combinations (|1> +/- i|2>)/sqrt(2) of the mode pair
+of each k-point (``ModeSet.polarization_pairs``) diagonalizes it: W =
+``helicity_rotation``, labels ``circular_labels``; it is unitary on the
+truncated space only for n_max >= N_max.  ``ModelOperators.sectors`` builds
+the p-independent operators once more, by the same field builder, in that
+frame.  The reflection ``mirror_operator`` through a plane containing the
+axis commutes with H(t u, e) and reverses J_axis, so it maps sector z onto
+-z: the split cuts each term once to its blocks on the labels >= 0 and
+stores them on one sparsity pattern, where H(t u, e) is the same real
+combination formed entry by entry in numpy (``SectorSplit.upper_blocks``).
+On the z axis A_y and B_y are purely imaginary in that frame, so A_y A_y
+and sigma_y (x) B_y are real, the terms are stored as float64, and
+H(t u, e) and its blocks are real; on a tilted axis the spin frame carries
+phases, and a model with spin keeps complex128 terms.  Eigenvectors become
+complex only when W maps them back to the linear basis.
 """
 
 from __future__ import annotations
@@ -49,7 +60,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BasisMismatchError, ConfigError, NonHermitianError, PflabError
+from .errors import (BasisMismatchError, ConfigError, NonHermitianError, NotAxialError,
+                     PflabError)
 from .fock import (
     PAULI,
     FockBasis,
@@ -392,6 +404,138 @@ class HamiltonianTerms:
         return self.free(p) + self.interaction(p, e)
 
 
+# -- the circular-polarization frame ----------------------------------------
+
+
+def _axis_direction(basis: FockBasis) -> np.ndarray:
+    """The mode-set axis, along which angular momentum is measured."""
+    if not basis.mode_set.axial:
+        raise NotAxialError(
+            "angular-momentum sector analysis requires an axial mode set "
+            "(orbital angular momentum has no exact realization on scattered k-points)"
+        )
+    return np.asarray(basis.mode_set.axis, dtype=float)
+
+
+def mirror_operator(basis: FockBasis) -> sp.csr_matrix:
+    """The reflection through the plane of the mode axis u and the
+    polarization-1 vectors, in the linear basis: U = (n.sigma) (x) (-1)^N_2,
+    with N_2 the photon number in polarization-2 modes and n the line of
+    their polarization vectors, which the gauge of ``polarization_vectors``
+    makes common to every axial mode; U = (-1)^N_2 without spin.
+
+    The reflection fixes every on-axis k and e_1(k), and reverses e_2(k),
+    so it maps a_(k,2) to -a_(k,2).  sigma and B are axial vectors, so
+    sigma.B, A.A and u.A keep their form: U commutes with H(t u, e).  The
+    helicity changes sign, and so does u.sigma (u is orthogonal to n):
+    U J_axis U+ = -J_axis.
+    """
+    _axis_direction(basis)                  # refuses a mode set that is not axial
+    second = basis.mode_set.polarization_pairs[:, 1]
+    parity = (-1.0) ** basis.occupation_array()[:, second].sum(axis=1)
+    U = sp.diags(parity.astype(complex), format="csr")
+    if not basis.with_spin:
+        return U
+    n = polarization_frame(basis.mode_set)[second.min()]
+    return sum(n[mu] * spin_tensor(mu + 1, U, basis) for mu in range(3) if n[mu] != 0.0).tocsr()
+
+
+def _spin_frame(u: np.ndarray) -> np.ndarray:
+    """Columns: spin-up and spin-down states along the unit vector u."""
+    ux, uy, uz = u
+    if uz >= 1.0 - 1e-14:
+        return np.eye(2, dtype=complex)
+    if uz <= -1.0 + 1e-14:
+        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    theta = math.acos(uz)
+    phi = math.atan2(uy, ux)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex)
+
+
+def _circular_amplitudes(n_total: int) -> list[np.ndarray]:
+    """Per k-point basis change at each photon count n <= n_total: entry
+    [m, c] of table n is the amplitude of the linear state with n - m
+    photons in polarization 1 and m in 2 in the circular state with n - c
+    photons in (+) and c in (-)."""
+    phase = (1.0, 1j, -1.0, -1j)                       # i^a
+    tables = []
+    for n in range(n_total + 1):
+        M = np.zeros((n + 1, n + 1), dtype=complex)
+        for c in range(n + 1):
+            # (c1 + i c2)^(n-c) (c1 - i c2)^c |0> / sqrt((n-c)! c! 2^n)
+            for a in range(n - c + 1):
+                for b in range(c + 1):
+                    M[a + b, c] += (math.comb(n - c, a) * math.comb(c, b)
+                                    * phase[a % 4] * phase[(3 * b) % 4])
+            for m in range(n + 1):
+                M[m, c] *= math.sqrt(math.factorial(n - m) * math.factorial(m)
+                                     / (math.factorial(n - c) * math.factorial(c) * 2**n))
+        tables.append(M)
+    return tables
+
+
+def helicity_rotation(basis: FockBasis) -> sp.csr_matrix:
+    """Unitary from the circular-polarization occupation labels to the linear basis.
+
+    Column ``rank(c)`` is the state with c[(kp,1)] photons in the circular
+    (+) combination (|1> + i|2>)/sqrt(2) and c[(kp,2)] photons in the (-)
+    combination at each k-point, expanded in the linear-polarization basis;
+    the spin factor is rotated to eigenstates of u . sigma.  The change
+    keeps the photon count of every k-point, so W is block diagonal over
+    those counts, and each block is a product over k-points of one small
+    table.  Requires n_max >= N_max so the per-k-point mode mixing stays
+    inside the truncation.
+    """
+    u = _axis_direction(basis)
+    if basis.n_max < basis.N_max:
+        raise PflabError("circular-polarization basis change needs n_max >= N_max "
+                         f"(got n_max={basis.n_max} < N_max={basis.N_max}): the per-mode "
+                         "cutoff would clip the rotated states")
+    pairs = basis.mode_set.polarization_pairs
+    occ = basis.occupation_array()
+    minus = occ[:, pairs[:, 1]]
+    counts = occ[:, pairs[:, 0]] + minus
+    tables = _circular_amplitudes(basis.N_max)
+    group = np.unique(counts, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(group, kind="stable")
+    rows, cols, vals = [], [], []
+    for idx in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        block = np.ones((len(idx), len(idx)), dtype=complex)
+        for kp in np.flatnonzero(counts[idx[0]]):
+            m = minus[idx, kp]
+            block = block * tables[counts[idx[0], kp]][m[:, None], m[None, :]]
+        r, c = np.nonzero(block)
+        rows.append(idx[r])
+        cols.append(idx[c])
+        vals.append(block[r, c])
+    dim_b = basis.boson_dimension
+    Wb = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(dim_b, dim_b))
+    spin = _spin_frame(u) if basis.with_spin else None
+    W = sp.kron(sp.csr_matrix(spin), Wb, format="csr") if basis.with_spin else Wb
+    defect = abs((W.conj().T @ W - sp.identity(basis.dimension, dtype=complex,
+                                               format="csr"))).max()
+    if defect > 1e-10:
+        raise PflabError(f"helicity rotation is not unitary (defect {defect:.3e})")
+    return W
+
+
+def circular_labels(basis: FockBasis) -> np.ndarray:
+    """Angular-momentum label of each circular-basis index, combinatorially:
+    the sum over k-points of sign(k.u) (n_+ - n_-), plus +/- 1/2 for the
+    spin blocks."""
+    u = _axis_direction(basis)
+    ms = basis.mode_set
+    sign = np.where(np.array(ms.k_points) @ u > 0.0, 1.0, -1.0)
+    weights = np.empty(len(ms))
+    weights[ms.polarization_pairs] = np.column_stack([sign, -sign])
+    boson = basis.occupation_array().astype(float) @ weights
+    if not basis.with_spin:
+        return boson
+    return np.concatenate([boson + 0.5, boson - 0.5])
+
+
 @dataclass(frozen=True, eq=False)
 class SectorSplit:
     """The J_axis sectors of an axial model with mode axis u, in the
@@ -399,7 +543,7 @@ class SectorSplit:
     (ascending, symmetric about 0) and spans ``starts[i]`` to
     ``starts[i + 1]`` of the states ordered by label, and ``to_linear[i]``'s
     (complex) columns are its states in the linear basis.  ``mirror`` is the
-    reflection U of ``symmetry.mirror_operator``, which maps sector z onto
+    reflection U of ``mirror_operator``, which maps sector z onto
     -z.  ``upper`` holds the terms of H block diagonal on the sectors with
     label >= 0, the ones ``spectra.solve_model`` solves, float64 or
     complex128; p = t u has the one coordinate t: ``pf`` is the column u.P_f
@@ -490,9 +634,6 @@ class ModelOperators(HamiltonianTerms):
         in both frames).  Sector -z, a unitary copy of z, is not kept; a term
         the mirror U changes by more than ``SECTOR_LEAK_TOL``, or an M_z =
         W_-z+ U W_z (W the helicity rotation) not a phased permutation, is refused."""
-        # symmetry imports this module, so its functions load at first use
-        from .symmetry import circular_labels, helicity_rotation, mirror_operator
-
         basis = self.basis
         u = np.asarray(basis.mode_set.axis, dtype=float)
         U = mirror_operator(basis)
@@ -535,10 +676,8 @@ class ModelOperators(HamiltonianTerms):
         its entries inside a label >= 0, on the states ``upper``.  Each term
         T_c must match T on two probe columns X, T (W X) = W (T_c X), to
         ``SECTOR_LEAK_TOL`` times the largest row sum of |T_c| (at least 1)."""
-        from .symmetry import _kpoint_mode_indices, _spin_frame
-
         basis = self.basis
-        one, two = np.array(_kpoint_mode_indices(basis)).T
+        one, two = basis.mode_set.polarization_pairs.T
 
         def circular(x: np.ndarray) -> np.ndarray:
             out = np.empty(x.shape, dtype=complex)

@@ -10,15 +10,24 @@ between k and a fixed vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
-def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [a, b]."""
+@cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, once per order."""
     x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [a, b], new arrays on every call."""
+    x, w = _leggauss(n)
     return 0.5 * (x + 1.0) * (b - a) + a, 0.5 * (b - a) * w
 
 

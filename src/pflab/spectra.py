@@ -16,9 +16,10 @@ results.
 
 ``solve_model`` is the entry point for a model's H(p, e): on an axial model
 with p on the axis it solves each angular-momentum sector separately and
-merges the sectors' lowest pairs (see ``ModelOperators.sectors``); its
-``SpectralResult.sectors`` then records each sector's ground energy, which
-``symmetry.ground_sector_labels`` reads.
+merges the sectors' lowest pairs (see ``ModelOperators.sectors`` and the
+J_axis paragraph of ``model``); its ``SpectralResult.sectors`` then records
+each sector's ground energy.  ``ground_sector_labels`` reads those off and
+names the sectors that hold the ground energy; it solves nothing itself.
 ``model_operators`` keeps one operator set per model in a caller's cache.
 """
 
@@ -37,6 +38,7 @@ from .errors import (
     DomainError,
     IndeterminateDegeneracy,
     NonHermitianError,
+    PflabError,
     ResourceError,
     SolverError,
 )
@@ -413,6 +415,45 @@ def detect_ground_cluster(result: SpectralResult) -> GroundCluster:
         cluster_width=float(evs[count - 1] - evs[0]),
         gap_above=gap_above,
     )
+
+
+@dataclass
+class SectorAnalysis:
+    """Per-sector ground energies and the labels of the winning sectors."""
+
+    sector_energies: dict[float, float]
+    sector_dimensions: dict[float, int]
+    winners: tuple[float, ...]
+    ok: bool
+    message: str
+
+
+def ground_sector_labels(result: SpectralResult,
+                         require_half_pair: bool = True) -> SectorAnalysis:
+    """Labels of the sectors achieving the minimum sector-wise ground energy
+    of a sector solve (``solve_model`` with method "sectors").
+
+    With ``require_half_pair`` the expected two winners must be exactly
+    {+1/2, -1/2}; any other outcome (a different pair, or three or more
+    sectors tied within ``EPS_DEG``) is reported as a structured failure
+    rather than an exception, since it falsifies the expectation only for
+    this configuration.
+    """
+    if not result.sectors:
+        raise PflabError("the spectrum was not solved by angular-momentum sectors")
+    energies = {s.label: s.ground_energy for s in result.sectors}
+    dims = {s.label: s.dimension for s in result.sectors}
+    e_min = min(energies.values())
+    scale = max(1.0, abs(e_min))
+    winners = tuple(sorted(z for z, ez in energies.items()
+                           if ez - e_min <= EPS_DEG * scale))
+    message = ""
+    if require_half_pair and len(winners) != 2:
+        message = f"expected exactly two minimal sectors, found {len(winners)}: {winners}"
+    elif require_half_pair and set(winners) != {0.5, -0.5}:
+        message = f"minimal sectors are {winners}, expected (-0.5, +0.5)"
+    return SectorAnalysis(sector_energies=energies, sector_dimensions=dims,
+                          winners=winners, ok=not message, message=message)
 
 
 # -- sweeps ------------------------------------------------------------------

@@ -28,10 +28,8 @@ import scipy.sparse as sp
 
 from pflab.errors import PflabError
 from pflab.fock import spin_tensor
-from pflab.model import build_operators
+from pflab.model import _axis_direction, build_operators, circular_labels, helicity_rotation
 from pflab.spectra import solve_model
-from pflab.symmetry import (_axis_direction, _kpoint_mode_indices, circular_labels,
-                            helicity_rotation)
 
 #: Relative tolerance on k-points and weights in ``is_symmetric_under``.
 SYMMETRY_TOL = 1e-10
@@ -353,7 +351,7 @@ def helicity_operator(basis):
     S = sp.csr_matrix((dim_b, dim_b), dtype=complex)
     kpts = np.array(basis.mode_set.k_points)
     ladders = basis_ladders(basis)
-    for (i1, i2), k in zip(_kpoint_mode_indices(basis), kpts):
+    for (i1, i2), k in zip(basis.mode_set.polarization_pairs, kpts):
         sign = 1.0 if float(k @ u) > 0.0 else -1.0
         a1, a2 = ladders[i1], ladders[i2]
         S = S + sign * 1j * (adjoint(a2) @ a1 - adjoint(a1) @ a2)

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from pflab import bounds as bounds_mod
-from pflab import symmetry as symmetry_mod
 from pflab.cli import main as cli_main
 from pflab.fock import axial_mode_set, number_operator
 from pflab.model import assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
     detect_ground_cluster,
     gap_estimate,
+    ground_sector_labels,
     solve_lowest,
     solve_model,
 )
@@ -165,7 +165,7 @@ def test_c06_ground_sector_labels(desk_artifacts):
         cfg = art["cfg"]
         ops = build_operators(cfg, art["basis"])
         result = solve_model(ops, cfg.p, cfg.e, 6)
-        analysis = symmetry_mod.ground_sector_labels(result)
+        analysis = ground_sector_labels(result)
         ok &= analysis.ok and set(analysis.winners) == {-0.5, 0.5}
         # the sector split's energies against the dense J_axis decomposition
         oracle = dense_sector_energies(cfg)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from pflab import bounds
+from pflab import bounds, quadrature
 from pflab.errors import GapTooSmallError, PflabError, SolverError
 from pflab.fock import number_operator
 from pflab.model import PHI_HAT_ZERO, assemble_hamiltonian, build_basis, build_operators
+from pflab.quadrature import gauss_legendre
 from pflab.spectra import (
     detect_ground_cluster,
     solve_lowest,
@@ -403,3 +405,25 @@ def test_spinless_uniqueness_refuses_spin(desk_ms):
     cfg = make_config(desk_ms, e=0.1, with_spin=True)
     with pytest.raises(PflabError):
         bounds.spinless_uniqueness_check(cfg)
+
+
+def test_gauss_legendre_computes_each_order_once_and_returns_new_arrays(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(quadrature, "leggauss", counted)
+    gauss_legendre(0.0, 1.0, 41)
+    gauss_legendre(-1.0, 2.0, 41)
+    assert len(calls) <= 1
+    x, w = leggauss(24)
+    first = gauss_legendre(0.5, 6.0, 24)
+    second = gauss_legendre(0.5, 6.0, 24)
+    assert first[0].tobytes() == (0.5 * (x + 1.0) * (6.0 - 0.5) + 0.5).tobytes()
+    assert first[1].tobytes() == (0.5 * (6.0 - 0.5) * w).tobytes()
+    for a, b in zip(first, second):
+        assert a is not b and a.flags.writeable and np.array_equal(a, b)
+    first[0][:] = 0.0
+    assert gauss_legendre(0.5, 6.0, 24)[0].tobytes() == second[0].tobytes()

@@ -1,14 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pflab import bounds, spectra, symmetry
+from pflab import bounds, model, spectra
 from pflab.cli import main
 from pflab.io import load_config, read_eigenvectors, write_eigenvectors
 from pflab.model import ModelOperators
@@ -133,6 +135,21 @@ def test_eigenvector_format_is_little_endian_interleaved(tmp_path):
     raw = (tmp_path / "v.bin").read_bytes()
     assert raw[:16] == (2).to_bytes(8, "little") + (1).to_bytes(8, "little")
     assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, -4.0]
+
+
+def test_eigenvector_files_round_trip_bit_for_bit(tmp_path):
+    v = np.array([[complex(-0.0, 1.0), complex(2.0, math.inf)],
+                  [complex(math.nan, -0.0), complex(-math.inf, math.nan)],
+                  [complex(0.5, -math.inf), complex(-0.0, -0.0)]])
+    write_eigenvectors(tmp_path / "v.bin", v)
+    raw = (tmp_path / "v.bin").read_bytes()
+    columns = [np.column_stack([v[:, i].real, v[:, i].imag]).ravel() for i in range(2)]
+    assert raw[16:] == np.concatenate(columns).astype("<f8").tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_eigenvectors(tmp_path / "v.bin")
+    assert back.shape == v.shape and back.dtype == np.complex128
+    assert back.tobytes() == v.tobytes()
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -318,7 +335,7 @@ def test_command_builds_one_operator_set(tmp_path, monkeypatch, command):
     # set and one sector split
     built, rotated = [], []
     init = ModelOperators.__init__
-    rotation = symmetry.helicity_rotation
+    rotation = model.helicity_rotation
 
     def counted_init(self, *args, **kwargs):
         built.append(1)
@@ -329,7 +346,7 @@ def test_command_builds_one_operator_set(tmp_path, monkeypatch, command):
         return rotation(*args, **kwargs)
 
     monkeypatch.setattr(ModelOperators, "__init__", counted_init)
-    monkeypatch.setattr(symmetry, "helicity_rotation", counted_rotation)
+    monkeypatch.setattr(model, "helicity_rotation", counted_rotation)
     cfg = write_config(tmp_path, quadrature=fast_quadrature(),
                        mode_set={"kind": "axial", "shell_edges": [0.0, 1.7, 3.4]})
     assert run(command, "--config", cfg, "--out", tmp_path / "o") == 0
@@ -438,6 +455,15 @@ def test_bounds_writes_an_unbounded_degeneracy_bound_as_null(tmp_path, capsys):
     report = json.loads((tmp_path / "o" / "bound_report.json").read_text())
     assert report["upper_bound_value"] is None and report["degeneracy"] == 2
     assert (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_bound_summary_writes_an_unbounded_bound_as_stdout_does(tmp_path, capsys):
+    cfg = write_config(tmp_path, e=12.0, quadrature=fast_quadrature())
+    assert run("bounds", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert "2/(1 - e^2 Theta) = inf" in capsys.readouterr().out
+    summary = (tmp_path / "o" / "bound_summary.txt").read_text().splitlines()
+    assert "upper_bound_value: inf" in summary
+    assert not any(line.endswith(": None") for line in summary)
 
 
 @pytest.mark.parametrize("command", [("spectrum",),

@@ -31,6 +31,19 @@ def test_mode_validation():
         Mode(k=(np.inf, 0.0, 0.0), weight=1.0, polarization_index=1)
 
 
+def test_polarization_pairs_name_the_modes_of_each_k_point():
+    modes = axial_mode_set([0.0, 0.6, 1.2]).modes
+    ms = ModeSet(modes=tuple(modes[i] for i in (3, 0, 6, 5, 2, 7, 1, 4)), axial=True,
+                 axis=(0.0, 0.0, 1.0))
+    pairs = ms.polarization_pairs
+    assert pairs.shape == (len(ms.k_points), 2) and not pairs.flags.writeable
+    assert ms.polarization_pairs is pairs
+    for k, (one, two) in zip(ms.k_points, pairs):
+        assert (ms.modes[one].k, ms.modes[one].polarization_index) == (k, 1)
+        assert (ms.modes[two].k, ms.modes[two].polarization_index) == (k, 2)
+    assert ms.k_point_index.tolist() == [ms.k_points.index(m.k) for m in ms.modes]
+
+
 def test_mode_set_needs_both_polarizations():
     with pytest.raises(ValueError, match="both polarizations"):
         ModeSet(modes=(Mode(k=(0, 0, 1.0), weight=1.0, polarization_index=1),))

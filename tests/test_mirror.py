@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import pflab.model as model_mod
 import pflab.spectra as spectra_mod
-from pflab import symmetry
 from pflab.errors import PflabError
 from pflab.fock import axial_mode_set, spin_tensor
-from pflab.model import build_operators
+from pflab.model import build_operators, mirror_operator
 from pflab.spectra import solve_lowest, solve_model
-from pflab.symmetry import mirror_operator
 
 from conftest import make_config
 from oracles import adjoint, total_jz
@@ -98,7 +97,7 @@ def test_wrong_mirror_is_refused_before_any_solve(shipped_configs, monkeypatch, 
         solves.append(1)
         return solve_lowest(*args, **kwargs)
 
-    monkeypatch.setattr(symmetry, "mirror_operator", mirror)
+    monkeypatch.setattr(model_mod, "mirror_operator", mirror)
     monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
@@ -145,7 +144,7 @@ def test_spin_frame_off_the_axis_leaks_between_sectors(shipped_configs, monkeypa
         return np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 
     monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
-    monkeypatch.setattr(symmetry, "_spin_frame", along_x)
+    monkeypatch.setattr(model_mod, "_spin_frame", along_x)
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
     with pytest.raises(PflabError, match="couples angular-momentum sector"):

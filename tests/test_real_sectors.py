@@ -19,9 +19,8 @@ import scipy.sparse as sp
 
 import pflab.spectra as spectra_mod
 from pflab.fock import axial_mode_set, spin_tensor
-from pflab.model import build_operators
+from pflab.model import build_operators, helicity_rotation
 from pflab.spectra import solve_lowest, solve_model
-from pflab.symmetry import helicity_rotation
 
 from conftest import make_config
 from oracles import rotated_sector_terms

@@ -18,12 +18,12 @@ from pflab.model import HamiltonianTerms, assemble_hamiltonian, build_operators
 from pflab.spectra import (
     choose_method,
     detect_ground_cluster,
+    ground_sector_labels,
     model_operators,
     solve_lowest,
     solve_model,
     sweep_energy_curve,
 )
-from pflab.symmetry import ground_sector_labels
 
 from conftest import make_config
 from oracles import dense_pull_through_residuals, dense_sector_energies

@@ -9,9 +9,15 @@ from pflab.fock import (
     enumerate_basis,
     hermiticity_defect,
 )
-from pflab.model import assemble_hamiltonian, build_basis, build_operators, rotation_matrix
-from pflab.spectra import detect_ground_cluster, solve_lowest, solve_model
-from pflab.symmetry import circular_labels, ground_sector_labels, helicity_rotation
+from pflab.model import (
+    assemble_hamiltonian,
+    build_basis,
+    build_operators,
+    circular_labels,
+    helicity_rotation,
+    rotation_matrix,
+)
+from pflab.spectra import detect_ground_cluster, ground_sector_labels, solve_lowest, solve_model
 
 from conftest import make_config
 from oracles import (
