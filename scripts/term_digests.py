@@ -3,13 +3,16 @@
 
 For every config named on the command line this prints one line per term
 of ``build_operators(config)`` (``free_diag``, ``pf``, ``A[0..2]``, ``C``,
-``sigma_B``, ``A2``) and, where the model has a J_axis sector split, of
-``ops.sectors.upper``, and of the split's pattern arrays (``indices``,
-``indptr``, ``diagonal``, ``data_starts``), ``labels``, ``starts`` and
-``leak_max``.  A sparse term's digest covers its dtype and the bytes of
-its ``data``, ``indices`` and ``indptr``; a dense array's its dtype, shape
-and bytes.  Two source trees build bitwise the same terms exactly when
-they print the same lines:
+``sigma_B``, ``A2``), and of H(p, e) formed from them at the config's
+(p, e) and at p = (0.1, -0.2, 0.3) off the axis.  Where the model has a
+J_axis sector split, it prints one line per term of ``ops.sectors.upper``
+and per array of its ``pattern`` (``indices``, ``indptr``, ``diagonal``,
+``positions[k]``), for ``labels``, ``starts`` and ``leak_max``, and per
+block of ``upper_blocks`` at the config's (t, e).  A sparse matrix's
+digest covers its dtype and the bytes of its ``data``, ``indices`` and
+``indptr``; a dense array's its dtype, shape and bytes.  Two source trees
+build bitwise the same terms and matrices exactly when they print the
+same lines:
 
     PYTHONPATH=src python scripts/term_digests.py configs/*.json
 """
@@ -24,6 +27,8 @@ import scipy.sparse as sp
 from pflab.errors import PflabError
 from pflab.io import load_config
 from pflab.model import build_operators
+
+OFF_AXIS = (0.1, -0.2, 0.3)
 
 
 def digest(value) -> str:
@@ -54,9 +59,12 @@ def main(argv=None) -> int:
     parser.add_argument("configs", nargs="+", help="JSON model configs")
     args = parser.parse_args(argv)
     for path in args.configs:
-        ops = build_operators(load_config(path, force_allow_massless=True))
+        config = load_config(path, force_allow_massless=True)
+        ops = build_operators(config)
         for name, value in terms("", ops):
             print(path, name, digest(value))
+        print(path, "hamiltonian(config)", digest(ops.hamiltonian(config.p, config.e)))
+        print(path, "hamiltonian(off-axis)", digest(ops.hamiltonian(OFF_AXIS, config.e)))
         try:
             split = ops.sectors
         except PflabError as err:
@@ -64,9 +72,19 @@ def main(argv=None) -> int:
             continue
         for name, value in terms("sectors.upper.", split.upper):
             print(path, name, digest(value))
-        for name in ("indices", "indptr", "diagonal", "data_starts", "labels", "starts",
-                     "leak_max"):
+        pattern = split.upper.pattern
+        for name in ("indices", "indptr", "diagonal"):
+            print(path, f"sectors.upper.pattern.{name}", digest(getattr(pattern, name)))
+        for k, positions in enumerate(pattern.positions):
+            print(path, f"sectors.upper.pattern.positions[{k}]", digest(positions))
+        for name in ("labels", "starts", "leak_max"):
             print(path, f"sectors.{name}", digest(getattr(split, name)))
+        t = ops.axis_coordinate(config.p)
+        if t is None:
+            print(path, "sectors.upper_blocks", "none (p off the axis)")
+            continue
+        for z, block in zip(split.labels[split.first_upper:], split.upper_blocks(t, config.e)):
+            print(path, f"sectors.upper_blocks[{z:+g}]", digest(block))
     return 0
 
 

@@ -193,6 +193,8 @@ def read_config_document(path):
             return json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: cannot read the config ({err})") from err
 
 
 def load_config(path, force_allow_massless: bool = False) -> ModelConfig:

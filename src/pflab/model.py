@@ -17,12 +17,13 @@ cross term symmetrized (equal to the unsymmetrized one, as k.e_j(k) = 0) gives
 
 Only the coefficients depend on p and e, so ``build_operators`` builds the
 operators of one truncated model once, each checked to be exactly
-Hermitian (``HamiltonianTerms``), and ``ModelOperators.hamiltonian`` forms
-H(p, e) as their sum with the real coefficients of one list
-(``HamiltonianTerms.coefficients``), exactly Hermitian again.  H is formed
-as H0(p) (first line) plus H_int (second line), so H(p) = H0(p) + H_int
-holds entrywise.  A, B and C are linear in the ladders: each is written onto
-the ladder entries (``FockBasis.lowering``) and their mirror images.
+Hermitian (``HamiltonianTerms``).  H(p, e) is formed one way, in place on
+one stored pattern (``HamiltonianTerms.pattern_data``): the sum of the
+terms with the real coefficients of one list
+(``HamiltonianTerms.coefficients``), then the diagonal of H0(p) (first
+line), exactly Hermitian again and bitwise the sparse sum H0(p) + H_int.
+A, B and C are linear in the ladders: each is written onto the ladder
+entries (``FockBasis.lowering``) and their mirror images.
 
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
 angular momentum about the axis.  On-axis photon modes carry no orbital
@@ -40,9 +41,9 @@ truncated space only for n_max >= N_max.  ``ModelOperators.sectors`` builds
 the p-independent operators once more, by the same field builder, in that
 frame.  The reflection ``mirror_operator`` through a plane containing the
 axis commutes with H(t u, e) and reverses J_axis, so it maps sector z onto
--z: the split cuts each term once to its blocks on the labels >= 0 and
-stores them on one sparsity pattern, where H(t u, e) is the same real
-combination formed entry by entry in numpy (``SectorSplit.upper_blocks``).
+-z: the split cuts each term once to its blocks on the labels >= 0, and
+``SectorSplit.upper_blocks`` slices the blocks of H(t u, e) out of the
+same in-place sum of the cut terms.
 On the z axis A_y and B_y are purely imaginary in that frame, so A_y A_y
 and sigma_y (x) B_y are real, the terms are stored as float64, and
 H(t u, e) and its blocks are real; on a tilted axis the spin frame carries
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -344,21 +345,29 @@ def _field_terms(basis: FockBasis, g: np.ndarray, h: np.ndarray, spin):
     return A, C, A2, sigma_B
 
 
+class Pattern(NamedTuple):
+    """A CSR pattern and the positions in it of the diagonal and of each term."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    diagonal: np.ndarray
+    positions: tuple[np.ndarray, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianTerms:
     """The p- and e-independent terms of H(p, e) on one basis: the diagonals
     ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f (one column per component
     of p), and ``A`` (one operator per component of p), ``C`` =
     (1/2) sum_mu {P_f^mu, A^mu}, ``sigma_B`` (zero without spin) and ``A2`` =
-    A.A, all of one dtype, float64 or complex128, which H(p, e) takes.
+    A.A, canonical CSR of one dtype, float64 or complex128, which H takes.
 
     Construction refuses, with ``NonHermitianError``, an operator term whose
-    ``hermiticity_defect`` is not 0.0.  Every H(p, e) formed from the terms
-    is then exactly Hermitian with no check of its own: it is a sum of
-    checked terms with real coefficients (``hamiltonian`` by scipy's sparse
-    sum, ``SectorSplit.upper_blocks`` in place from +0.0 on one pattern), and
-    in floating point a real multiple or a sum of conjugates is exactly the
-    conjugate of the same multiple or sum."""
+    ``hermiticity_defect`` is not 0.0.  Every H(p, e) is summed in place on
+    one ``pattern`` (``pattern_data``), so it is exactly Hermitian with no
+    check of its own: it is a sum of checked terms with real coefficients,
+    and in floating point a real multiple or a sum of conjugates is exactly
+    the conjugate of the same multiple or sum."""
 
     free_diag: np.ndarray
     pf: np.ndarray
@@ -376,13 +385,9 @@ class HamiltonianTerms:
                                         f"(defect {defect:.3e})")
 
     def free_diagonal(self, p) -> np.ndarray:
-        """The diagonal of ``free(p)``, as float64."""
+        """The diagonal H_f + P_f^2/2 + |p|^2/2 - p.P_f, as float64."""
         p = np.atleast_1d(np.asarray(p, dtype=float))
         return self.free_diag + 0.5 * (p @ p) - self.pf @ p
-
-    def free(self, p) -> sp.csr_matrix:
-        """Noninteracting part H_f + P_f^2/2 + |p|^2/2 - p.P_f (diagonal)."""
-        return sp.diags(self.free_diagonal(p).astype(self.C.dtype), format="csr")
 
     def coefficients(self, p, e: float) -> list[tuple[float, sp.csr_matrix]]:
         """The (c, T) pairs of the interaction part, in the order of every sum."""
@@ -390,18 +395,41 @@ class HamiltonianTerms:
         return [(e, self.C), (-(0.5 * e), self.sigma_B), (0.5 * e * e, self.A2),
                 *((-(e * p_mu), op) for p_mu, op in zip(p, self.A))]
 
-    def interaction(self, p, e: float) -> sp.csr_matrix:
-        """Interaction part e (-p.A + C - sigma.B/2) + (e^2/2) A^2: the sparse
-        sum of ``coefficients`` from an empty matrix, as ``SectorSplit.upper_blocks`` sums."""
-        out = sp.csr_matrix(self.C.shape, dtype=self.C.dtype)
-        for c, op in self.coefficients(p, e):
+    @cached_property
+    def pattern(self) -> Pattern:
+        """The union of the diagonal and every term's entries, built at the
+        first H formed from the terms."""
+        terms = [op for _, op in self.coefficients(np.zeros(len(self.A)), 0.0)]
+        # the union, whose entries carry bit k where term k has an entry and bit
+        # len(terms) on the diagonal: sums of distinct powers of 2 are exact
+        union = sum((sp.csr_matrix((np.full(op.nnz, 2.0 ** k), op.indices, op.indptr),
+                                   shape=op.shape) for k, op in enumerate(terms) if op.nnz),
+                    sp.diags(np.full(self.C.shape[0], 2.0 ** len(terms)), format="csr"))
+        bits = union.data.astype(np.int64)
+        # a canonical term's entries come in the union's order
+        return Pattern(union.indices, union.indptr, np.flatnonzero(bits & (1 << len(terms))),
+                       tuple(np.flatnonzero(bits & (1 << k)) for k in range(len(terms))))
+
+    def pattern_data(self, p, e: float) -> np.ndarray:
+        """The entries of H(p, e) on ``pattern``: ``coefficients`` summed in
+        order from +0.0, then the free diagonal.  Where scipy's sparse sum
+        meets a missing entry or drops a zero, this sum meets a stored zero,
+        so each nonzero entry is bitwise the sparse sum's."""
+        pattern = self.pattern
+        data = np.zeros(pattern.indices.size, dtype=self.C.dtype)
+        for (c, op), at in zip(self.coefficients(p, e), pattern.positions):
             if c != 0.0 and op.nnz:
-                out = out + c * op
-        return out
+                data[at] += op.data * c
+        data[pattern.diagonal] += self.free_diagonal(p)
+        return data
 
     def hamiltonian(self, p, e: float) -> sp.csr_matrix:
-        """H(p, e) = H0(p) + H_int(p, e), exactly Hermitian."""
-        return self.free(p) + self.interaction(p, e)
+        """H(p, e), exactly Hermitian, without stored zeros: a new matrix
+        that shares no array with ``pattern``."""
+        H = sp.csr_matrix((self.pattern_data(p, e), self.pattern.indices.copy(),
+                           self.pattern.indptr.copy()), shape=self.C.shape)
+        H.eliminate_zeros()
+        return H
 
 
 # -- the circular-polarization frame ----------------------------------------
@@ -548,13 +576,7 @@ class SectorSplit:
     label >= 0, the ones ``spectra.solve_model`` solves, float64 or
     complex128; p = t u has the one coordinate t: ``pf`` is the column u.P_f
     and ``A`` is (u.A,).  ``leak_max`` is the largest entry the terms have
-    between two sectors, at most ``SECTOR_LEAK_TOL``: 0.0 on the z axis.
-
-    The terms of ``upper`` with entries share one CSR pattern, ``indices``
-    and ``indptr``: the union of their entries and the diagonal (a term
-    without entries is an empty matrix).  ``diagonal`` holds the position of
-    each diagonal entry, and sector i >= ``first_upper`` positions
-    ``data_starts[i - first_upper]`` to the next one."""
+    between two sectors, at most ``SECTOR_LEAK_TOL``: 0.0 on the z axis."""
 
     upper: HamiltonianTerms
     labels: tuple[float, ...]
@@ -562,10 +584,6 @@ class SectorSplit:
     to_linear: tuple[sp.csr_matrix, ...]
     mirror: sp.csr_matrix
     leak_max: float
-    indices: np.ndarray
-    indptr: np.ndarray
-    diagonal: np.ndarray
-    data_starts: tuple[int, ...]
 
     @property
     def first_upper(self) -> int:
@@ -574,22 +592,16 @@ class SectorSplit:
 
     def upper_blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
         """The blocks of H(t u, e) on the sectors with label >= 0, ascending
-        in label, each a view of a range of one data array on the stored
-        pattern.  The data repeat ``upper.hamiltonian(t, e)`` entry by entry,
-        summing ``upper.coefficients`` in place from +0.0: where scipy's
-        sparse sum meets a missing entry or drops a zero, this sum meets a
-        stored zero, so each block's ``toarray()`` is bitwise that block of
-        ``upper.hamiltonian(t, e)``, and exactly Hermitian."""
-        up = self.upper
-        data = np.zeros(self.indices.size, dtype=up.C.dtype)
-        for c, op in up.coefficients(t, e):
-            if c != 0.0 and op.nnz:
-                data += op.data * c
-        data[self.diagonal] += up.free_diagonal(t)
+        in label: each a view of one sector's range of ``upper.pattern_data``,
+        exactly Hermitian, and its ``toarray()`` bitwise that block of the
+        sparse sum of ``upper``'s terms."""
+        pattern = self.upper.pattern
+        data = self.upper.pattern_data(t, e)
+        ptr = pattern.indptr
         rows = [a - self.starts[self.first_upper] for a in self.starts[self.first_upper:]]
-        ranges = zip(rows[:-1], rows[1:], self.data_starts[:-1], self.data_starts[1:])
-        return [sp.csr_matrix((data[lo:hi], self.indices[lo:hi] - a, self.indptr[a:b + 1] - lo),
-                              shape=(b - a, b - a)) for a, b, lo, hi in ranges]
+        return [sp.csr_matrix((data[ptr[a]:ptr[b]], pattern.indices[ptr[a]:ptr[b]] - a,
+                               ptr[a:b + 1] - ptr[a]), shape=(b - a, b - a))
+                for a, b in zip(rows[:-1], rows[1:])]
 
 
 def _check_phased_permutation(M: sp.spmatrix, z: float) -> None:
@@ -650,18 +662,16 @@ class ModelOperators(HamiltonianTerms):
         if not np.array_equal(values, -values[::-1]):
             raise PflabError(f"angular-momentum labels {values} are not symmetric about 0")
         starts = np.cumsum([0, *(np.count_nonzero(labels == z) for z in values)])
-        edges = starts[np.sum(values < 0.0):]       # of the sectors >= 0
-        upper = np.argsort(labels, kind="stable")[edges[0]:]
-        terms, leak_max = self._circular_blocks(u, linear, W, labels, upper)
+        upper = np.argsort(labels, kind="stable")[starts[np.sum(values < 0.0)]:]
+        (A_z, C_z, sigma_B_z, A2_z), leak_max = self._circular_blocks(u, linear, W, labels, upper)
         to_linear = [W[:, np.flatnonzero(labels == z)].tocsr() for z in values]
         for i in np.flatnonzero(values > 0.0):
             _check_phased_permutation(to_linear[-1 - i].conj().T @ (U @ to_linear[i]), values[i])
-        (A_z, C_z, sigma_B_z, A2_z), pattern = _on_one_pattern(terms, edges - edges[0])
         return SectorSplit(
             upper=HamiltonianTerms(free_diag=self.free_diag[upper], pf=pf[upper, None],
                                    A=(A_z,), C=C_z, sigma_B=sigma_B_z, A2=A2_z),
             labels=tuple(float(z) for z in values), starts=tuple(int(x) for x in starts),
-            to_linear=tuple(to_linear), mirror=U, leak_max=leak_max, **pattern)
+            to_linear=tuple(to_linear), mirror=U, leak_max=leak_max)
 
     def _circular_blocks(self, u: np.ndarray, linear, W: sp.spmatrix, labels: np.ndarray,
                          upper: np.ndarray):
@@ -718,31 +728,6 @@ class ModelOperators(HamiltonianTerms):
                 raise PflabError(f"the circular-frame term {name} of H is not the helicity "
                                  f"rotation of its linear form (off by {gap:.3e} on a probe)")
         return [op for op, _ in cuts], max(leak for _, leak in cuts)
-
-
-def _on_one_pattern(terms: list[sp.csr_matrix], starts: np.ndarray):
-    """The block-diagonal ``terms`` (canonical, one dtype; sector i spans rows
-    ``starts[i]`` to ``starts[i + 1]``) on one CSR pattern, the union of the
-    diagonal and their entries (zero where a term has none; a term with none
-    is an empty matrix), and the ``SectorSplit`` fields of the pattern."""
-    n = int(starts[-1])
-    # the union, whose entries carry bit k where term k has an entry and bit
-    # len(terms) on the diagonal: sums of distinct powers of 2 are exact
-    union = sum((sp.csr_matrix((np.full(op.nnz, 2.0 ** k), op.indices, op.indptr), shape=(n, n))
-                 for k, op in enumerate(terms) if op.nnz),
-                sp.diags(np.full(n, 2.0 ** len(terms)), format="csr"))
-    bits = union.data.astype(np.int64)
-    out = []
-    for k, op in enumerate(terms):
-        if not op.nnz:
-            out.append(sp.csr_matrix((n, n), dtype=op.dtype))
-            continue
-        padded = np.zeros(union.nnz, op.dtype)
-        padded[np.flatnonzero(bits & (1 << k))] = op.data    # the union keeps each term's order
-        out.append(sp.csr_matrix((padded, union.indices, union.indptr), shape=(n, n)))
-    return out, dict(indices=union.indices, indptr=union.indptr,
-                     diagonal=np.flatnonzero(bits & (1 << len(terms))),
-                     data_starts=tuple(int(x) for x in union.indptr[starts]))
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:

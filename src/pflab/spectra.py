@@ -267,7 +267,7 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
     MAX_ITERATIONS iterations.
     ``start``, at most ``n_eig`` + 2 orthonormal columns in H's dtype, begins
     Davidson's block in place of as many unit vectors; the other methods
-    ignore it.
+    ignore it, and any method refuses a ``start`` of the wrong shape.
     ``n_eig`` may equal the dimension only with method "dense".  Rejects
     a matrix that is not exactly Hermitian with one ``hermiticity_defect``
     of H before any solve; ``_checked`` skips that check and is for
@@ -283,6 +283,10 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
     if H.shape[0] != H.shape[1]:
         raise NonHermitianError(f"matrix is not square: {H.shape}")
     _check_n_eig(n_eig, n, method)
+    if start is not None and (start.ndim != 2 or start.shape[0] != n
+                              or start.shape[1] > min(n, n_eig + 2)):
+        raise ValueError(f"start must have {n} rows and at most {min(n, n_eig + 2)} columns; "
+                         f"got shape {start.shape}")
     if not _checked:
         defect = hermiticity_defect(H)
         if defect != 0.0:

@@ -16,7 +16,9 @@ E(p) against E(Rp) over the symmetries of a mode set
 tests use: a_m and a_m+ as sparse matrices (``annihilation_matrix``,
 ``creation_matrix``), the fields by sparse arithmetic on them
 (``ladder_fields``), the field energy and the field momentum, the mode-set
-symmetry tests and the free energy curve.
+symmetry tests and the free energy curve.  H(p, e) by scipy's sparse sum
+of the terms (``sparse_sum_hamiltonian``) is the reference for the one
+in-place formation of ``HamiltonianTerms``.
 """
 
 import itertools
@@ -187,6 +189,23 @@ def field_momentum(basis):
     karr = basis.mode_set.k_array()
     return tuple(spin_tensor(0, sp.diags((occ @ karr[:, mu]).astype(complex), format="csr"),
                              basis) for mu in range(3))
+
+
+def sparse_sum_interaction(terms, p, e):
+    """e (-p.A + C - sigma.B/2) + (e^2/2) A^2 of a ``HamiltonianTerms``: the
+    scipy sparse sum of its ``coefficients`` from an empty matrix."""
+    out = sp.csr_matrix(terms.C.shape, dtype=terms.C.dtype)
+    for c, op in terms.coefficients(p, e):
+        if c != 0.0 and op.nnz:
+            out = out + c * op
+    return out
+
+
+def sparse_sum_hamiltonian(terms, p, e):
+    """H(p, e) of a ``HamiltonianTerms`` by scipy's sparse arithmetic: the
+    free diagonal plus ``sparse_sum_interaction``."""
+    free = sp.diags(terms.free_diagonal(p).astype(terms.C.dtype), format="csr")
+    return free + sparse_sum_interaction(terms, p, e)
 
 
 def dense_hamiltonian(config):

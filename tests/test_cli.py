@@ -78,6 +78,19 @@ def test_unreadable_config_document_exits_usage(tmp_path, capsys, command, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["model-check", "spectrum"])
+@pytest.mark.parametrize("case", ["directory", "utf16_bytes"])
+def test_config_that_cannot_be_read_exits_usage(tmp_path, capsys, command, case):
+    cfg = tmp_path / "cfg.json"
+    if case == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{cfg}: cannot read the config" in err
+
+
 # -- spectrum ---------------------------------------------------------------------
 
 

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pflab.errors import BasisMismatchError, ConfigError, NonHermitianError
-from pflab.fock import Mode, ModeSet, axial_mode_set, enumerate_basis
+from pflab.fock import Mode, ModeSet, axial_mode_set, enumerate_basis, explicit_mode_set
 from pflab.model import (
     PHI_HAT_ZERO,
     Dispersion,
@@ -23,8 +24,12 @@ from pflab.model import (
 )
 from pflab.fock import hermiticity_defect
 
-from conftest import DESK_EDGES, make_config
-from oracles import dense_hamiltonian, ladder_fields, vacuum_interaction_expectation
+from conftest import CONFIG_DIR, DESK_EDGES, make_config
+from oracles import (dense_hamiltonian, ladder_fields, sparse_sum_hamiltonian,
+                     sparse_sum_interaction, vacuum_interaction_expectation)
+
+SHIPPED = sorted(path.name for path in CONFIG_DIR.glob("*.json"))
+TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
 
 
 # -- dispersion and form factor --------------------------------------------------
@@ -313,9 +318,9 @@ def test_one_operator_set_serves_every_point(pair_ms):
 def test_interaction_zero_at_e_zero(desk_ms):
     cfg = make_config(desk_ms, e=0.0)
     ops = build_operators(cfg)
-    assert ops.interaction(cfg.p, cfg.e).nnz == 0
+    assert sparse_sum_interaction(ops, cfg.p, cfg.e).nnz == 0
     H = assemble_hamiltonian(cfg)
-    H0 = ops.free(cfg.p)
+    H0 = sp.diags(ops.free_diagonal(cfg.p), format="csr")
     assert (H - H0).nnz == 0
 
 
@@ -324,15 +329,36 @@ def test_splitting_identity_is_exact(desk_ms):
     basis = build_basis(cfg)
     ops = build_operators(cfg, basis)
     H = assemble_hamiltonian(cfg, basis)
-    H0 = ops.free(cfg.p)
-    HI = ops.interaction(cfg.p, cfg.e)
+    H0 = sp.diags(ops.free_diagonal(cfg.p), format="csr")
+    HI = sparse_sum_interaction(ops, cfg.p, cfg.e)
     diff = H0 + HI - H
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
+def _formation_models(shipped_configs):
+    tilted = axial_mode_set([0.0, 0.6, 1.2, 2.2], axis=TILTED_AXIS)
+    scattered = explicit_mode_set([((0.3, 0.1, 0.5), 0.4), ((-0.2, 0.6, 0.1), 0.3)])
+    desk = shipped_configs["desk_e010.json"]
+    return {**shipped_configs, "tilted": make_config(tilted, e=0.2),
+            "scattered": desk.at(mode_set=scattered)}
+
+
+@pytest.mark.parametrize("name", [*SHIPPED, "tilted", "scattered"])
+def test_hamiltonian_is_bitwise_the_sparse_sum(shipped_configs, name):
+    cfg = _formation_models(shipped_configs)[name]
+    ops = build_operators(cfg)
+    axis = np.asarray(cfg.mode_set.axis if cfg.mode_set.axial else (0.0, 0.0, 1.0))
+    for p in (0.4 * axis, (0.1, -0.2, 0.3), (0.0, 0.0, 0.0)):
+        for e in (0.0, 0.1, -0.2):
+            got, want = ops.hamiltonian(p, e), sparse_sum_hamiltonian(ops, p, e)
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got, part).dtype == getattr(want, part).dtype
+                assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
 def test_vacuum_interaction_expectation_hand_sum(desk_ms):
     cfg = make_config(desk_ms, e=0.3)
-    HI = build_operators(cfg).interaction(cfg.p, cfg.e)
+    HI = sparse_sum_interaction(build_operators(cfg), cfg.p, cfg.e)
     want = vacuum_interaction_expectation(cfg)
     assert want > 0.0
     assert HI[0, 0].real == pytest.approx(want, rel=1e-12)

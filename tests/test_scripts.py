@@ -80,3 +80,18 @@ def test_convergence_ladder_bound_ratio():
     dim, chk = ladder.bound_ratio(cfg, cache)
     assert dim == 90 and len(cache) == 1
     assert 0.0 < chk.nf_max and 0.0 < chk.ratio < 1.0 + chk.slack
+
+
+def test_term_digests_prints_one_line_per_term_and_matrix():
+    config = ROOT / "configs" / "desk_e010.json"
+    lines = python(str(ROOT / "scripts" / "term_digests.py"), str(config)).splitlines()
+    terms = ["free_diag", "pf", "A[0]", "A[1]", "A[2]", "C", "sigma_B", "A2"]
+    upper = ["free_diag", "pf", "A[0]", "C", "sigma_B", "A2", "pattern.indices",
+             "pattern.indptr", "pattern.diagonal",
+             *(f"pattern.positions[{k}]" for k in range(4))]
+    want = [*terms, "hamiltonian(config)", "hamiltonian(off-axis)",
+            *(f"sectors.upper.{name}" for name in upper),
+            "sectors.labels", "sectors.starts", "sectors.leak_max",
+            *(f"sectors.upper_blocks[{z}]" for z in ("+0.5", "+1.5", "+2.5"))]
+    assert [line.split()[:2] for line in lines] == [[str(config), name] for name in want]
+    assert all(len(line.split()[2]) == 64 for line in lines)

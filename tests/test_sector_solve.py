@@ -1,9 +1,9 @@
 """solve_model's sector path against the full-space dense oracle and the
 dense sector oracle, and the solver policy around it: choose_method, the
-diagonal path and the dense memory guard.  The blocks come from the sector
-split's stored pattern, bitwise equal to the sparse sum; the terms are
-checked to be exactly Hermitian once, when they are built, and no solve
-checks a matrix of its own."""
+diagonal path and the dense memory guard.  The blocks are slices of the
+in-place sum on the split's pattern, bitwise equal to the sparse sum; the
+terms are checked to be exactly Hermitian once, when they are built, and no
+solve checks a matrix of its own."""
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from pflab.spectra import (
 )
 
 from conftest import make_config
-from oracles import dense_pull_through_residuals, dense_sector_energies
+from oracles import dense_pull_through_residuals, dense_sector_energies, sparse_sum_hamiltonian
 
 N_EIG = 6
 TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
@@ -393,7 +393,7 @@ def test_upper_blocks_are_bitwise_slices_of_the_sparse_sum(shipped_configs, name
     assert (split.upper.C.dtype == np.complex128) == (name == "tilted")
     for t in (0.0, 0.4, -1.3, 3.9):
         for e in (0.0, 0.1, -0.2):
-            H = split.upper.hamiltonian(t, e)
+            H = sparse_sum_hamiltonian(split.upper, t, e)
             blocks = split.upper_blocks(t, e)
             assert len(blocks) == len(starts) - 1
             for a, b, block in zip(starts[:-1], starts[1:], blocks):
@@ -407,6 +407,30 @@ def test_upper_blocks_are_bitwise_slices_of_the_sparse_sum(shipped_configs, name
                 assert all(s.method == "diagonal" for s in got.sectors)
 
 
+def test_formed_matrices_share_no_array_with_the_pattern(shipped_configs):
+    ops = build_operators(shipped_configs["desk_e010.json"])
+    split = ops.sectors
+    formed = [ops.hamiltonian((0.1, -0.2, 0.3), 0.1), *split.upper_blocks(0.4, 0.1)]
+    want = [M.copy() for M in formed]
+    for M in formed:
+        M.data *= 3.0
+        M.data[::2] = 0.0
+        M.eliminate_zeros()
+    again = [ops.hamiltonian((0.1, -0.2, 0.3), 0.1), *split.upper_blocks(0.4, 0.1)]
+    for got, M in zip(again, want):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(M, part))
+
+
+def test_on_axis_solve_builds_no_full_space_pattern(shipped_configs):
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
+    solve_model(ops, cfg.p, cfg.e, N_EIG)
+    assert "pattern" in vars(ops.sectors.upper) and "pattern" not in vars(ops)
+    solve_model(ops, (0.3, 0.0, 0.4), cfg.e, N_EIG)
+    assert "pattern" in vars(ops)
+
+
 def test_corrupted_sector_term_is_refused_before_any_eigensolve(shipped_configs, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve of a non-Hermitian block")
@@ -415,17 +439,17 @@ def test_corrupted_sector_term_is_refused_before_any_eigensolve(shipped_configs,
         raise AssertionError("LAPACK called on a non-Hermitian block")
 
     def corrupted(*args):
-        # one off-diagonal entry of the stored A2 scaled by 1 + 1e-12
-        (A_z, C_z, sigma_B_z, A2_z), pattern = on_one_pattern(*args)
+        # one off-diagonal entry of the cut A2 scaled by 1 + 1e-12
+        (A_z, C_z, sigma_B_z, A2_z), leak_max = circular_blocks(*args)
         rows = np.repeat(np.arange(A2_z.shape[0]), np.diff(A2_z.indptr))
         off_diagonal = np.flatnonzero((A2_z.indices != rows) & (A2_z.data != 0.0))
         A2_z.data[off_diagonal[len(off_diagonal) // 2]] *= 1.0 + 1e-12
-        return (A_z, C_z, sigma_B_z, A2_z), pattern
+        return (A_z, C_z, sigma_B_z, A2_z), leak_max
 
-    on_one_pattern = model_mod._on_one_pattern
+    circular_blocks = model_mod.ModelOperators._circular_blocks
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
-    monkeypatch.setattr(model_mod, "_on_one_pattern", corrupted)
+    monkeypatch.setattr(model_mod.ModelOperators, "_circular_blocks", corrupted)
     monkeypatch.setattr(spectra_mod, "solve_lowest", no_solve)
     monkeypatch.setattr(spectra_mod.sla, "eigh", no_lapack)
     with pytest.raises(NonHermitianError, match="term A2 of H is not exactly Hermitian"):

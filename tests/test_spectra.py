@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +142,19 @@ def test_n_eig_bounds():
         solve_lowest(H, 0)
 
 
+@pytest.mark.parametrize("shape", [(12, 5), (11, 1)], ids=["too_many_columns", "wrong_rows"])
+def test_start_of_the_wrong_shape_is_refused_before_any_solve(monkeypatch, shape):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve with a start of the wrong shape")
+
+    monkeypatch.setattr(spectra_mod, "_davidson_lowest", no_solve)
+    H = np.diag(np.arange(12.0)) + np.diag(np.full(11, 0.1), 1) + np.diag(np.full(11, 0.1), -1)
+    start = np.linalg.qr(np.ones(shape) + np.eye(*shape))[0]
+    message = f"12 rows and at most 4 columns; got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_lowest(H, 2, method="davidson", start=start)
+
+
 # -- ground cluster detection -------------------------------------------------------
 
 
@@ -262,7 +277,7 @@ def test_sweep_curve_free_theory_exact(desk_ms):
     ops = build_operators(cfg)
     axis = np.asarray(desk_ms.axis)
     curve = sweep_energy_curve(cfg, q_max=3.0)
-    exact = [ops.free(q * axis).diagonal().real.min() for q in curve.q]
+    exact = [ops.free_diagonal(q * axis).min() for q in curve.q]
     assert np.allclose(curve.values, exact, atol=1e-12)
     low = curve.q < 1.9
     assert np.allclose(curve.values[low], 0.5 * curve.q[low] ** 2, atol=1e-12)
