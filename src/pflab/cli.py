@@ -3,8 +3,9 @@ and angular-momentum sector analysis, all driven by a JSON config.
 
 Exit status: 0 success, 1 scientific failure (a checked hypothesis held but
 the predicted conclusion failed), 2 usage or config error (including a
-dense solve too large for physical memory), 3 numerical
-failure (non-convergence, gap too small, indeterminate degeneracy).
+basis over the dimension cap and a dense solve too large for physical
+memory), 3 numerical failure (non-convergence, gap too small,
+indeterminate degeneracy).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .errors import (
     ConfigError,
+    DimensionCapError,
     DomainError,
     GapTooSmallError,
     IndeterminateDegeneracy,
@@ -474,7 +476,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotAxialError, ResourceError, FileNotFoundError) as err:
+    except (ConfigError, DimensionCapError, NotAxialError, ResourceError,
+            FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, GapTooSmallError, IndeterminateDegeneracy, DomainError) as err:

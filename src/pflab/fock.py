@@ -17,6 +17,7 @@ ladders share; the ladders have one form, the entries of every a_m
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -187,9 +188,9 @@ def _grade_counts(n_modes: int, N_max: int, n_max: int) -> list[list[int]]:
     to exactly s, for r = 0..n_modes and s = 0..N_max, in exact Python ints."""
     ways = [[1] + [0] * N_max]
     for _ in range(n_modes):
-        prev = ways[-1]
-        ways.append([sum(prev[s - n] for n in range(min(n_max, s) + 1))
-                     for s in range(N_max + 1)])
+        # the sum of ways[r - 1][s - n] over n <= n_max, from the prefix sums P
+        P = [0, *itertools.accumulate(ways[-1])]
+        ways.append([P[s + 1] - P[max(0, s - n_max)] for s in range(N_max + 1)])
     return ways
 
 

@@ -180,8 +180,7 @@ def config_from_dict(obj: dict, force_allow_massless: bool = False) -> ModelConf
         N_max=_count(obj["N_max"], "config.N_max", 0),
         n_max=_count(obj["n_max"], "config.n_max", 1),
         allow_massless=allow_massless or force_allow_massless,
-        dimension_cap=_integer(obj.get("dimension_cap", DIMENSION_CAP),
-                               "config.dimension_cap"),
+        dimension_cap=_count(obj.get("dimension_cap", DIMENSION_CAP), "config.dimension_cap", 1),
         quadrature=quad,
     )
 

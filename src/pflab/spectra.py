@@ -7,8 +7,11 @@ Phys. 17, 87, 1975; Crouzeix, Philippe and Sadkane, SIAM J. Sci. Comput.
 15, 62, 1994) preconditioned by (diag(H) - theta)^-1, which is close to an
 exact inverse where the free energy on the diagonal of H(p, e) dominates
 the O(e) field terms.  Its block holds one column per wanted pair and two
-more, so it resolves a degenerate cluster in one pass.  A dense
-eigensolver handles small problems and doubles as the cross-check oracle;
+more, so it resolves a degenerate cluster in one pass.  Its search space
+grows in place in preallocated arrays, by correction blocks projected off
+it and orthonormalized by a rank-checked QR, twice: one QR of nearly
+dependent columns loses orthogonality to the space.  A dense eigensolver
+handles small problems and doubles as the cross-check oracle;
 ``choose_method`` picks between the two.  A diagonal matrix is solved from
 its sorted diagonal.  All randomness comes from one seeded generator (the
 noise on Davidson's start block), so identical inputs give bit-identical
@@ -179,31 +182,16 @@ def _diagonal_lowest(H: sp.csr_matrix, n_eig: int) -> Optional[SpectralResult]:
     return SpectralResult(diag[order], vecs, np.zeros(n_eig), "diagonal")
 
 
-def _orthonormal_extension(V: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The columns of T made orthonormal to V and to each other, by two passes
-    of Gram-Schmidt; a column left with less than 1e-10 of its norm lies in
-    the span already and is dropped."""
-    kept: list[np.ndarray] = []
-    for t in T.T:
-        t = t / np.linalg.norm(t)
-        W = np.column_stack([V, *kept])
-        for _ in range(2):
-            t = t - W @ (W.conj().T @ t)
-        norm = np.linalg.norm(t)
-        if norm > 1e-10:
-            kept.append(t / norm)
-    return np.column_stack(kept) if kept else T[:, :0]
-
-
 def _davidson_lowest(H: sp.csr_matrix, n_eig: int, seed: int,
                      start: Optional[np.ndarray] = None) -> SpectralResult:
     """The lowest ``n_eig`` pairs of H by block Davidson, in H's dtype."""
-    # Rayleigh-Ritz on a search space V, extended each iteration by
-    # (diag(H) - theta_j)^-1 r_j for every unconverged pair j, and restarted
-    # from the Ritz block when it would outgrow DAVIDSON_BASIS columns.  The
-    # block of n_eig + 2 columns starts at the unit vectors of the lowest
-    # diagonal entries (after ``start``'s columns, when given) with seeded
-    # noise, so a degenerate cluster has one start column per copy.
+    # Rayleigh-Ritz on V[:, :m], extended each iteration by the corrections
+    # (diag(H) - theta_j)^-1 r_j of the unconverged pairs j (by the residuals
+    # r_j when theta on a diagonal entry puts every correction in V already),
+    # and restarted from the Ritz block when it would outgrow ``basis``
+    # columns.  The block of n_eig + 2 columns starts at the unit vectors of
+    # the lowest diagonal entries (after ``start``'s columns, when given)
+    # with seeded noise, so a degenerate cluster has one start column per copy.
     n = H.shape[0]
     k = min(n, n_eig + 2)
     diag = H.diagonal().real
@@ -213,13 +201,18 @@ def _davidson_lowest(H: sp.csr_matrix, n_eig: int, seed: int,
     if np.iscomplexobj(H):
         X = X + 1e-3j * rng.standard_normal((n, fresh))
     X[np.argsort(diag, kind="stable")[k - fresh:k], np.arange(fresh)] += 1.0
-    V = np.linalg.qr(X if start is None else np.column_stack([start, X]))[0]
-    AV = H @ V
-    matvecs = k
+    T = np.linalg.qr(X if start is None else np.column_stack([start, X]))[0]
     basis = max(DAVIDSON_BASIS, 3 * k)
+    # Fortran order keeps each column, and so each slice V[:, :m], contiguous
+    V = np.empty((n, basis), dtype=T.dtype, order="F")
+    AV = np.empty_like(V)
+    m = matvecs = 0
     for _ in range(MAX_ITERATIONS):
-        theta, S = np.linalg.eigh(V.conj().T @ AV)
-        X, AX, theta = V @ S[:, :k], AV @ S[:, :k], theta[:k]
+        V[:, m:m + T.shape[1]], AV[:, m:m + T.shape[1]] = T, H @ T
+        m += T.shape[1]
+        matvecs += T.shape[1]
+        theta, S = np.linalg.eigh(V[:, :m].conj().T @ AV[:, :m])
+        X, AX, theta = V[:, :m] @ S[:, :k], AV[:, :m] @ S[:, :k], theta[:k]
         R = AX - X * theta
         norms = np.linalg.norm(R, axis=0)
         todo = np.flatnonzero(norms[:n_eig] > DEFAULT_TOL * np.maximum(1.0, np.abs(theta[:n_eig])))
@@ -227,15 +220,17 @@ def _davidson_lowest(H: sp.csr_matrix, n_eig: int, seed: int,
             break
         shift = diag[:, None] - theta[None, todo]
         shift[np.abs(shift) < 1e-12] = 1e-12
-        if V.shape[1] + todo.size > basis:
-            V, AV = X, AX
-        T = _orthonormal_extension(V, R[:, todo] / shift)
-        if not T.shape[1]:
-            # theta on a diagonal entry turns the correction into a unit
-            # vector that V holds already; the residuals are orthogonal to V
-            T = _orthonormal_extension(V, R[:, todo])
-        V, AV = np.column_stack([V, T]), np.column_stack([AV, H @ T])
-        matvecs += T.shape[1]
+        if m + todo.size > basis:
+            V[:, :k], AV[:, :k], m = X, AX, k
+        for T in (R[:, todo] / shift, R[:, todo]):
+            T = T / np.linalg.norm(T, axis=0)
+            for _ in range(2):
+                T -= V[:, :m] @ (V[:, :m].conj().T @ T)
+                T, tri = np.linalg.qr(T)
+                # a column left with less than 1e-10 of its norm lies in V already
+                T = T[:, np.abs(tri.diagonal()) > 1e-10]
+            if T.shape[1]:
+                break
     else:
         raise SolverError(f"Davidson did not converge {n_eig} pairs within {MAX_ITERATIONS} "
                           f"iterations (largest residual {norms[:n_eig].max():.3e})",

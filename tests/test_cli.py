@@ -125,6 +125,26 @@ def test_spectrum_rejects_oversized_n_eig(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+def test_basis_over_the_dimension_cap_exits_usage(tmp_path, capsys):
+    cfg = write_config(tmp_path, dimension_cap=100)
+    assert run("spectrum", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("error: basis dimension 306 exceeds the cap 100 ")
+
+
+def test_huge_cutoffs_are_refused_within_seconds(tmp_path):
+    # the cap counts the basis in time linear in N_max and n_max; a sum of
+    # n_max + 1 counts per (mode, total) grows quadratically and would take
+    # hours at these cutoffs
+    cfg = write_config(tmp_path, N_max=10**5, n_max=10**5)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                                   os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pflab.cli", "spectrum", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the cap 500000 (16 modes, N_max=100000, n_max=100000)" in proc.stderr
+
+
 def test_spectrum_massless_requires_override(tmp_path, capsys):
     cfg = write_config(tmp_path, dispersion={"kind": "massless"})
     assert run("spectrum", "--config", cfg, "--out", tmp_path / "o") == 2
@@ -381,6 +401,7 @@ INVALID_INPUTS = {
     "n_radial": ({"quadrature": {"n_radial": 1}}, SPECTRUM, "config.quadrature: n_radial"),
     "N_max": ({"N_max": -1}, SPECTRUM, "config.N_max"),
     "n_max": ({"n_max": 0}, SPECTRUM, "config.n_max"),
+    "dimension_cap": ({"dimension_cap": -5}, SPECTRUM, "config.dimension_cap: must be >= 1"),
     "shell_edges": ({"mode_set": {"kind": "axial", "shell_edges": [0.0, 1.2, 1.2]}}, SPECTRUM,
                     "config.mode_set: shell_edges"),
     "duplicate_point": ({"mode_set": {"kind": "explicit", "points": [

@@ -119,6 +119,15 @@ def test_davidson_matches_dense_eigh(kind, n, pairs, complex_, seed):
     assert np.max(np.abs(gram - np.eye(pairs))) < 1e-10
 
 
+def test_davidson_converges_when_its_search_space_fills_the_space():
+    # 20 rows, 2 pairs: the last two corrections are nearly dependent, and
+    # one QR of that block alone leaves V 5e-10 from orthonormal, where the
+    # residual stalls above DEFAULT_TOL
+    H = _oracle_case("degenerate", 20, False, 0)
+    got = solve_lowest(H, 2, method="davidson", seed=0)
+    assert np.max(np.abs(got.eigenvalues - np.linalg.eigvalsh(H)[:2])) < 1e-10
+
+
 def test_davidson_gives_up_at_its_iteration_cap(desk_ms, monkeypatch):
     monkeypatch.setattr(spectra_mod, "MAX_ITERATIONS", 1)
     H = assemble_hamiltonian(make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4)))
