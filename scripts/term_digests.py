@@ -7,8 +7,10 @@ of ``build_operators(config)`` (``free_diag``, ``pf``, ``A[0..2]``, ``C``,
 (p, e) and at p = (0.1, -0.2, 0.3) off the axis.  Where the model has a
 J_axis sector split, it prints one line per term of ``ops.sectors.upper``
 and per array of its ``pattern`` (``indices``, ``indptr``, ``diagonal``,
-``positions[k]``), for ``labels``, ``starts`` and ``leak_max``, and per
-block of ``upper_blocks`` at the config's (t, e).  A sparse matrix's
+``positions[k]``), for ``labels``, ``starts`` and ``leak_max``, per
+sector's ``to_linear`` (the map back to the linear basis, through the
+mirror for a sector below 0), and per block of ``upper_blocks`` at the
+config's (t, e).  A sparse matrix's
 digest covers its dtype and the bytes of its ``data``, ``indices`` and
 ``indptr``; a dense array's its dtype, shape and bytes.  Two source trees
 build bitwise the same terms and matrices exactly when they print the
@@ -79,6 +81,8 @@ def main(argv=None) -> int:
             print(path, f"sectors.upper.pattern.positions[{k}]", digest(positions))
         for name in ("labels", "starts", "leak_max"):
             print(path, f"sectors.{name}", digest(getattr(split, name)))
+        for z, to_linear in zip(split.labels, split.to_linear):
+            print(path, f"sectors.to_linear[{z:+g}]", digest(to_linear))
         t = ops.axis_coordinate(config.p)
         if t is None:
             print(path, "sectors.upper_blocks", "none (p off the axis)")

@@ -243,7 +243,7 @@ class FockBasis:
 
     # -- indexing ---------------------------------------------------------
 
-    def _boson_index(self, occ: np.ndarray) -> np.ndarray:
+    def boson_index(self, occ: np.ndarray) -> np.ndarray:
         """Boson-factor index of each admissible occupation row of ``occ``."""
         remaining = occ.sum(axis=1, keepdims=True) - np.cumsum(occ, axis=1) + occ
         modes_after = np.arange(occ.shape[1] - 1, -1, -1)
@@ -257,7 +257,7 @@ class FockBasis:
         if (occ.shape != (len(self.mode_set),) or not np.issubdtype(occ.dtype, np.integer)
                 or occ.min() < 0 or occ.max() > self.n_max or occ.sum() > self.N_max):
             raise ValueError(f"state {state.occupations} is not admissible in this basis")
-        b = int(self._boson_index(occ[None, :])[0])
+        b = int(self.boson_index(occ[None, :])[0])
         if not self.with_spin:
             return b
         if state.spin not in (SPIN_UP, SPIN_DOWN):
@@ -284,7 +284,7 @@ class FockBasis:
             lowered = self._occupations[col]
             n = lowered[:, m].copy()
             lowered[:, m] -= 1
-            parts.append((np.full(col.size, m), self._boson_index(lowered), col, np.sqrt(n)))
+            parts.append((np.full(col.size, m), self.boson_index(lowered), col, np.sqrt(n)))
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

@@ -134,6 +134,8 @@ def _mode_set_from_dict(obj: dict, path: str) -> ModeSet:
         # canonical re-serialized form: explicit mode list with axial metadata
         _check_fields(obj, path, {"kind": None, "modes": None, "axial": None},
                       {"axis": None})
+        if not isinstance(obj["modes"], list) or not obj["modes"]:
+            raise ConfigError(f"{path}.modes: expected a nonempty list")
         modes = []
         for i, m in enumerate(obj["modes"]):
             _check_fields(m, f"{path}.modes[{i}]",

@@ -37,13 +37,13 @@ whose spectrum lies in the half integers (integers without spin).  The
 change to the circular combinations (|1> +/- i|2>)/sqrt(2) of the mode pair
 of each k-point (``ModeSet.polarization_pairs``) diagonalizes it: W =
 ``helicity_rotation``, labels ``circular_labels``; it is unitary on the
-truncated space only for n_max >= N_max.  ``ModelOperators.sectors`` builds
-the p-independent operators once more, by the same field builder, in that
-frame.  The reflection ``mirror_operator`` through a plane containing the
-axis commutes with H(t u, e) and reverses J_axis, so it maps sector z onto
--z: the split cuts each term once to its blocks on the labels >= 0, and
-``SectorSplit.upper_blocks`` slices the blocks of H(t u, e) out of the
-same in-place sum of the cut terms.
+truncated space only for n_max >= N_max.  ``sector_split`` builds the
+p-independent operators once more, by the same field builder, in that frame.
+The reflection through a plane containing the axis, in that frame a phased
+permutation P (``circular_mirror``), commutes with H(t u, e) and maps sector
+z onto -z: the split cuts each term once to its blocks on the labels >= 0,
+maps sector -z back by W P, and ``SectorSplit.upper_blocks`` slices the
+blocks of H(t u, e) out of the same in-place sum of the cut terms.
 On the z axis A_y and B_y are purely imaginary in that frame, so A_y A_y
 and sigma_y (x) B_y are real, the terms are stored as float64, and
 H(t u, e) and its blocks are real; on a tilted axis the spin frame carries
@@ -445,29 +445,6 @@ def _axis_direction(basis: FockBasis) -> np.ndarray:
     return np.asarray(basis.mode_set.axis, dtype=float)
 
 
-def mirror_operator(basis: FockBasis) -> sp.csr_matrix:
-    """The reflection through the plane of the mode axis u and the
-    polarization-1 vectors, in the linear basis: U = (n.sigma) (x) (-1)^N_2,
-    with N_2 the photon number in polarization-2 modes and n the line of
-    their polarization vectors, which the gauge of ``polarization_vectors``
-    makes common to every axial mode; U = (-1)^N_2 without spin.
-
-    The reflection fixes every on-axis k and e_1(k), and reverses e_2(k),
-    so it maps a_(k,2) to -a_(k,2).  sigma and B are axial vectors, so
-    sigma.B, A.A and u.A keep their form: U commutes with H(t u, e).  The
-    helicity changes sign, and so does u.sigma (u is orthogonal to n):
-    U J_axis U+ = -J_axis.
-    """
-    _axis_direction(basis)                  # refuses a mode set that is not axial
-    second = basis.mode_set.polarization_pairs[:, 1]
-    parity = (-1.0) ** basis.occupation_array()[:, second].sum(axis=1)
-    U = sp.diags(parity.astype(complex), format="csr")
-    if not basis.with_spin:
-        return U
-    n = polarization_frame(basis.mode_set)[second.min()]
-    return sum(n[mu] * spin_tensor(mu + 1, U, basis) for mu in range(3) if n[mu] != 0.0).tocsr()
-
-
 def _spin_frame(u: np.ndarray) -> np.ndarray:
     """Columns: spin-up and spin-down states along the unit vector u."""
     ux, uy, uz = u
@@ -564,25 +541,48 @@ def circular_labels(basis: FockBasis) -> np.ndarray:
     return np.concatenate([boson + 0.5, boson - 0.5])
 
 
+def circular_mirror(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The reflection through the plane of the axis u and the polarization-1
+    vectors: the phased permutation (P x)[i] = phase[i] x[index[i]] of the
+    circular frame, as (index, phase).  It reverses every e_2(k), so ``index``
+    swaps the occupations of the modes (+) and (-) of each k-point (Pi); with
+    spin P = F (x) Pi, and the phases are the entries of the spin flip
+    F = S+ (n.sigma) S (n the line of the polarization-2 vectors, S the spin
+    frame along u).  P commutes with H(t u, e) and maps J_axis sector z onto -z."""
+    u = _axis_direction(basis)
+    one, two = basis.mode_set.polarization_pairs.T
+    swapped = basis.occupation_array().copy()
+    swapped[:, one], swapped[:, two] = swapped[:, two], swapped[:, one]
+    index = basis.boson_index(swapped)
+    if not basis.with_spin:
+        return index, np.ones(index.size)
+    n = polarization_frame(basis.mode_set)[two.min()]
+    S = _spin_frame(u)
+    F = S.conj().T @ sum(n[mu] * PAULI[mu + 1] for mu in range(3) if n[mu] != 0.0) @ S
+    if np.abs(np.abs(F) - PAULI[1]).max() > SECTOR_LEAK_TOL:
+        raise PflabError(f"the mirror's spin factor {F.tolist()} is no spin flip along the axis")
+    return np.concatenate([index + index.size, index]), np.repeat([F[0, 1], F[1, 0]], index.size)
+
+
 @dataclass(frozen=True, eq=False)
 class SectorSplit:
     """The J_axis sectors of an axial model with mode axis u, in the
     circular-polarization frame: sector i has eigenvalue ``labels[i]``
     (ascending, symmetric about 0) and spans ``starts[i]`` to
-    ``starts[i + 1]`` of the states ordered by label, and ``to_linear[i]``'s
-    (complex) columns are its states in the linear basis.  ``mirror`` is the
-    reflection U of ``mirror_operator``, which maps sector z onto
-    -z.  ``upper`` holds the terms of H block diagonal on the sectors with
-    label >= 0, the ones ``spectra.solve_model`` solves, float64 or
-    complex128; p = t u has the one coordinate t: ``pf`` is the column u.P_f
-    and ``A`` is (u.A,).  ``leak_max`` is the largest entry the terms have
-    between two sectors, at most ``SECTOR_LEAK_TOL``: 0.0 on the z axis."""
+    ``starts[i + 1]`` of the states ordered by label.  ``to_linear[i]``'s
+    (complex) columns map a solved sector to the linear basis: W_z for z >= 0
+    and W_z P_-z (P of ``circular_mirror``) for z < 0, which takes a pair
+    (lambda, x) of sector -z to one of z.  ``upper`` holds the terms of H block
+    diagonal on the sectors with label >= 0, the ones ``spectra.solve_model``
+    solves, float64 or complex128; p = t u has the one coordinate t: ``pf`` is
+    the column u.P_f and ``A`` is (u.A,).  ``leak_max`` is the largest entry
+    the terms have between two sectors, at most ``SECTOR_LEAK_TOL``: 0.0 on
+    the z axis."""
 
     upper: HamiltonianTerms
     labels: tuple[float, ...]
     starts: tuple[int, ...]
     to_linear: tuple[sp.csr_matrix, ...]
-    mirror: sp.csr_matrix
     leak_max: float
 
     @property
@@ -602,20 +602,6 @@ class SectorSplit:
         return [sp.csr_matrix((data[ptr[a]:ptr[b]], pattern.indices[ptr[a]:ptr[b]] - a,
                                ptr[a:b + 1] - ptr[a]), shape=(b - a, b - a))
                 for a, b in zip(rows[:-1], rows[1:])]
-
-
-def _check_phased_permutation(M: sp.spmatrix, z: float) -> None:
-    """Refuse M unless, without its entries at or below ``SECTOR_LEAK_TOL``,
-    it is square with one entry of modulus 1 in each row and column."""
-    M = M.tocsr()
-    M.data[np.abs(M.data) <= SECTOR_LEAK_TOL] = 0.0
-    M.eliminate_zeros()
-    n = M.shape[0]
-    if (M.shape[1] != n or np.any(np.diff(M.indptr) != 1)
-            or np.unique(M.indices).size != n
-            or np.abs(np.abs(M.data) - 1.0).max(initial=0.0) > SECTOR_LEAK_TOL):
-        raise PflabError(f"the mirror does not map angular-momentum sector {z:+g} onto "
-                         f"{-z:+g} by a phased permutation")
 
 
 @dataclass(frozen=True, eq=False)
@@ -641,50 +627,22 @@ class ModelOperators(HamiltonianTerms):
 
     @cached_property
     def sectors(self) -> SectorSplit:
-        """The model's J_axis sectors, ascending in label, built at first use:
-        the blocks z >= 0 of ``_circular_blocks`` and the diagonals (the same
-        in both frames).  Sector -z, a unitary copy of z, is not kept; a term
-        the mirror U changes by more than ``SECTOR_LEAK_TOL``, or an M_z =
-        W_-z+ U W_z (W the helicity rotation) not a phased permutation, is refused."""
-        basis = self.basis
-        u = np.asarray(basis.mode_set.axis, dtype=float)
-        U = mirror_operator(basis)
-        linear = (sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0),
-                  self.C, self.sigma_B, self.A2)
-        pf = self.pf @ u
-        for op in (sp.diags(self.free_diag), sp.diags(pf), *linear):
-            change = abs(U @ op @ U.conj().T - op).max()
-            if change > SECTOR_LEAK_TOL:
-                raise PflabError(f"the mirror changes a term of H by up to {change:.3e}")
-        W = helicity_rotation(basis).tocsc()
-        labels = circular_labels(basis)
-        values = np.unique(labels)
-        if not np.array_equal(values, -values[::-1]):
-            raise PflabError(f"angular-momentum labels {values} are not symmetric about 0")
-        starts = np.cumsum([0, *(np.count_nonzero(labels == z) for z in values)])
-        upper = np.argsort(labels, kind="stable")[starts[np.sum(values < 0.0)]:]
-        (A_z, C_z, sigma_B_z, A2_z), leak_max = self._circular_blocks(u, linear, W, labels, upper)
-        to_linear = [W[:, np.flatnonzero(labels == z)].tocsr() for z in values]
-        for i in np.flatnonzero(values > 0.0):
-            _check_phased_permutation(to_linear[-1 - i].conj().T @ (U @ to_linear[i]), values[i])
-        return SectorSplit(
-            upper=HamiltonianTerms(free_diag=self.free_diag[upper], pf=pf[upper, None],
-                                   A=(A_z,), C=C_z, sigma_B=sigma_B_z, A2=A2_z),
-            labels=tuple(float(z) for z in values), starts=tuple(int(x) for x in starts),
-            to_linear=tuple(to_linear), mirror=U, leak_max=leak_max)
+        """The model's J_axis sectors (``sector_split``), built at first use."""
+        return sector_split(self)
 
-    def _circular_blocks(self, u: np.ndarray, linear, W: sp.spmatrix, labels: np.ndarray,
-                         upper: np.ndarray):
-        """u.A, C, sigma.B and A^2 (``linear`` in the linear frame) built in
-        the circular frame, where a k-point carries the modes b_+- with
-        b_+-+ = (a_1+ +- i a_2+)/sqrt(2): by ``_field_terms`` with amplitudes
-        (g_1 +- i g_2)/sqrt(2), (h_1 +- i h_2)/sqrt(2) and spin matrices
-        (M + M+)/2, M = S+ sigma_mu S for the spin frame S along u; float64
-        when every imaginary entry is exactly 0.0.  One pass over a term's
-        entries finds its largest entry between two ``labels`` (at most
-        ``SECTOR_LEAK_TOL``; returned, the most over the terms) and cuts it to
-        its entries inside a label >= 0, on the states ``upper``.  Each term
-        T_c must match T on two probe columns X, T (W X) = W (T_c X), to
+    def _circular_blocks(self, u: np.ndarray, W: sp.spmatrix, labels: np.ndarray,
+                         upper: np.ndarray, index: np.ndarray, phase: np.ndarray):
+        """u.A, C, sigma.B and A^2 built in the circular frame, where a
+        k-point carries the modes b_+- with b_+-+ = (a_1+ +- i a_2+)/sqrt(2):
+        by ``_field_terms`` with amplitudes (g_1 +- i g_2)/sqrt(2),
+        (h_1 +- i h_2)/sqrt(2) and spin matrices (M + M+)/2, M = S+ sigma_mu S
+        for the spin frame S along u; float64 when every imaginary entry is
+        exactly 0.0.  The mirror P = (``index``, ``phase``) must keep each, and
+        the diagonals, to ``SECTOR_LEAK_TOL``.  One pass over a term's entries
+        finds its largest entry between two ``labels`` (at most
+        ``SECTOR_LEAK_TOL``; returned, the most over the terms) and cuts it to its
+        entries inside a label >= 0, on the states ``upper``.  Each term T_c must
+        match its linear form T on two probe columns X, T (W X) = W (T_c X), to
         ``SECTOR_LEAK_TOL`` times the largest row sum of |T_c| (at least 1)."""
         basis = self.basis
         one, two = basis.mode_set.polarization_pairs.T
@@ -702,6 +660,16 @@ class ModelOperators(HamiltonianTerms):
             boson, sigma_B = tuple(op.real for op in boson), sigma_B.real
         A_axis, C, A2 = (spin_tensor(0, op.astype(sigma_B.dtype), basis) for op in boson)
         terms = (A_axis, C, sigma_B, A2)
+        # P = F (x) Pi keeps 1 (x) T iff Pi (index[-boson_dimension:]) keeps T, F being unitary
+        P, pi = (index, phase), (index[-basis.boson_dimension:], np.ones(basis.boson_dimension))
+        diagonals = [sp.diags(d, format="csr") for d in (self.free_diag, self.pf @ u)]
+        for name, op, (at, ph) in zip(("u.A", "C", "A^2", "sigma.B", "free diagonal", "u.P_f"),
+                                      (*boson, sigma_B, *diagonals), [pi] * 3 + [P] * 3):
+            mirrored = op[at][:, at].tocoo()  # entry (i, j): ph[i] T[at[i], at[j]] ph[j]*
+            mirrored.data = mirrored.data * ph[mirrored.row] * ph[mirrored.col].conj()
+            change = float(abs(mirrored - op).max())
+            if change > SECTOR_LEAK_TOL:
+                raise PflabError(f"the mirror changes the term {name} of H by up to {change:.3e}")
         position = np.full(basis.dimension, -1)
         position[upper] = np.arange(upper.size)
 
@@ -720,6 +688,8 @@ class ModelOperators(HamiltonianTerms):
             return sp.csr_matrix((op.data[keep], (row, col)), shape=(upper.size,) * 2), worst
 
         cuts = [cut(op) for op in terms]
+        linear = (sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0),
+                  self.C, self.sigma_B, self.A2)
         X = np.exp(2j * np.pi * np.random.default_rng(0).random((basis.dimension, 2)))
         WX = W @ X
         for name, T, T_c in zip(("u.A", "C", "sigma.B", "A^2"), linear, terms):
@@ -728,6 +698,33 @@ class ModelOperators(HamiltonianTerms):
                 raise PflabError(f"the circular-frame term {name} of H is not the helicity "
                                  f"rotation of its linear form (off by {gap:.3e} on a probe)")
         return [op for op, _ in cuts], max(leak for _, leak in cuts)
+
+
+def sector_split(ops: ModelOperators) -> SectorSplit:
+    """The J_axis sectors of ``ops``'s model, ascending in label: the blocks
+    z >= 0 of ``_circular_blocks`` and the diagonals (the same in both
+    frames); sector -z, the mirror image of z (``circular_mirror``), is not kept."""
+    basis = ops.basis
+    u = np.asarray(basis.mode_set.axis, dtype=float)
+    index, phase = circular_mirror(basis)
+    W = helicity_rotation(basis).tocsc()
+    labels = circular_labels(basis)
+    if not (np.array_equal(index[index], np.arange(index.size))
+            and np.array_equal(labels[index], -labels)):
+        raise PflabError("the mirror is no involution mapping angular-momentum sector z onto -z")
+    values = np.unique(labels)
+    starts = np.cumsum([0, *(np.count_nonzero(labels == z) for z in values)])
+    upper = np.argsort(labels, kind="stable")[starts[np.sum(values < 0.0)]:]
+    (A_z, C_z, sigma_B_z, A2_z), leak = ops._circular_blocks(u, W, labels, upper, index, phase)
+    states = [np.flatnonzero(labels == abs(z)) for z in values]
+    # column j of W_z P_-z, for z < 0 and j in sector -z, is phase[index[j]] W[:, index[j]]
+    to_linear = [(W[:, s] if z >= 0.0 else W[:, index[s]] @ sp.diags(phase[index[s]])).tocsr()
+                 for z, s in zip(values, states)]
+    return SectorSplit(
+        upper=HamiltonianTerms(free_diag=ops.free_diag[upper], pf=(ops.pf @ u)[upper, None],
+                               A=(A_z,), C=C_z, sigma_B=sigma_B_z, A2=A2_z),
+        labels=tuple(float(z) for z in values), starts=tuple(int(x) for x in starts),
+        to_linear=tuple(to_linear), leak_max=leak)
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:

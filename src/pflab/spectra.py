@@ -315,9 +315,10 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     read off its diagonal).  No matrix is checked to be Hermitian here: the
     terms were checked when they were built, and every H(p, e) formed from
     them is exactly Hermitian (``model.HamiltonianTerms``).  The
-    mirror U maps sector z onto -z, so the pairs of sector -z are
-    (lambda, U W_z x) for the pairs (lambda, x) of z, with z's residuals,
-    and each value of a sector z > 0 counts twice in the merge.  Each
+    mirror P maps sector z onto -z, so the pairs of sector -z are
+    (lambda, W_-z P_z x) for the pairs (lambda, x) of z, with z's residuals
+    (``SectorSplit.to_linear``), and each value of a sector z > 0 counts
+    twice in the merge.  Each
     solved sector starts at one pair (two when n_eig > 1) and is re-solved
     with twice as many, up to n_eig, until it is exhausted or its highest
     computed eigenvalue is at or above the n_eig-th lowest of all sectors'
@@ -374,8 +375,7 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     vecs = np.empty((ops.basis.dimension, len(order)), dtype=np.complex128)
     for i in np.unique(sector_of[order]):
         kept = np.flatnonzero(sector_of[order] == i)
-        v = split.to_linear[source[i]] @ solved[i].eigenvectors[:, column_of[order[kept]]]
-        vecs[:, kept] = split.mirror @ v if i < first else v
+        vecs[:, kept] = split.to_linear[i] @ solved[i].eigenvectors[:, column_of[order[kept]]]
     solves = tuple(SectorSolve(split.labels[i], blocks[j - first].shape[0],
                                len(r.eigenvalues), r.method, r.ground_energy,
                                split.labels[j] if i < first else None,

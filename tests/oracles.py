@@ -8,10 +8,11 @@ termwise expansion, a dense eigendecomposition of the angular momentum
 instead of the combinatorial circular-polarization frame, the linear-frame
 terms conjugated by the helicity rotation instead of the terms built in the
 circular frame, and closed-form second-order perturbation theory instead of
-eigensolves.  Two checks that no
-command runs live here too: the sparse J_axis built from the ladder
-operators (``total_jz``), against which the circular frame is tested, and
-E(p) against E(Rp) over the symmetries of a mode set
+eigensolves.  Three checks that no command runs live here too: the sparse
+J_axis built from the ladder operators (``total_jz``), against which the
+circular frame is tested; the mirror as a linear-frame operator
+(``mirror_operator``), against which the circular-frame mirror is tested;
+and E(p) against E(Rp) over the symmetries of a mode set
 (``rotation_invariance_check``).  So do the operators and helpers that only
 tests use: a_m and a_m+ as sparse matrices (``annihilation_matrix``,
 ``creation_matrix``), the fields by sparse arithmetic on them
@@ -30,7 +31,8 @@ import scipy.sparse as sp
 
 from pflab.errors import PflabError
 from pflab.fock import spin_tensor
-from pflab.model import _axis_direction, build_operators, circular_labels, helicity_rotation
+from pflab.model import (_axis_direction, build_operators, circular_labels, helicity_rotation,
+                         polarization_frame)
 from pflab.spectra import solve_model
 
 #: Relative tolerance on k-points and weights in ``is_symmetric_under``.
@@ -375,6 +377,25 @@ def helicity_operator(basis):
         a1, a2 = ladders[i1], ladders[i2]
         S = S + sign * 1j * (adjoint(a2) @ a1 - adjoint(a1) @ a2)
     return spin_tensor(0, S, basis)
+
+
+def mirror_operator(basis):
+    """The reflection through the plane of the mode axis u and the
+    polarization-1 vectors, in the linear basis: U = (n.sigma) (x) (-1)^N_2,
+    with N_2 the photon number in polarization-2 modes and n the line of
+    their polarization vectors, which the gauge of ``polarization_vectors``
+    makes common to every axial mode; U = (-1)^N_2 without spin.
+
+    The reference for the package's circular-frame mirror
+    (``model.circular_mirror``): U W = W P for the helicity rotation W."""
+    _axis_direction(basis)                  # refuses a mode set that is not axial
+    second = basis.mode_set.polarization_pairs[:, 1]
+    parity = (-1.0) ** basis.occupation_array()[:, second].sum(axis=1)
+    U = sp.diags(parity.astype(complex), format="csr")
+    if not basis.with_spin:
+        return U
+    n = polarization_frame(basis.mode_set)[second.min()]
+    return sum(n[mu] * spin_tensor(mu + 1, U, basis) for mu in range(3) if n[mu] != 0.0).tocsr()
 
 
 def total_jz(basis):

@@ -407,6 +407,8 @@ INVALID_INPUTS = {
     "duplicate_point": ({"mode_set": {"kind": "explicit", "points": [
         {"k": [0.0, 0.0, 1.0], "weight": 0.5}, {"k": [0.0, 0.0, 1.0], "weight": 0.5}]}},
         SPECTRUM, "config.mode_set: duplicate mode"),
+    "modes_not_a_list": ({"mode_set": {"kind": "modes", "modes": 5, "axial": False}}, SPECTRUM,
+                         "config.mode_set.modes: expected a nonempty list"),
     "negative_weight": ({"mode_set": {"kind": "explicit", "points": [
         {"k": [0.0, 0.0, 1.0], "weight": -0.5}]}}, SPECTRUM, "config.mode_set: mode weight"),
     "n_eig": ({}, ("spectrum", "--n-eig", "0"), "argument --n-eig: must be >= 2"),

@@ -1,6 +1,12 @@
-"""The mirror U = (n.sigma) (x) (-1)^N_2 that maps angular-momentum sector z
-onto -z, and the sector solve that uses it: only the sectors with label
->= 0 are kept and solved."""
+"""The mirror that maps angular-momentum sector z onto -z, and the sector
+solve that uses it: only the sectors with label >= 0 are kept and solved.
+
+The package applies the mirror in the circular frame, as the phased index
+permutation P of ``model.circular_mirror``; each sector -z maps its
+coordinates back through W_-z P_z (W the helicity rotation).  The reference
+is the linear-frame reflection U = (n.sigma) (x) (-1)^N_2 of
+``oracles.mirror_operator``: it is unitary, reverses J_axis and commutes
+with H, and U W_z is what W_-z P_z must equal."""
 
 import dataclasses
 
@@ -12,11 +18,11 @@ import pflab.model as model_mod
 import pflab.spectra as spectra_mod
 from pflab.errors import PflabError
 from pflab.fock import axial_mode_set, spin_tensor
-from pflab.model import build_operators, mirror_operator
+from pflab.model import build_operators, circular_mirror
 from pflab.spectra import solve_lowest, solve_model
 
 from conftest import make_config
-from oracles import adjoint, total_jz
+from oracles import adjoint, mirror_operator, total_jz
 
 TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
 
@@ -74,18 +80,40 @@ def test_mirror_commutes_with_the_hamiltonian(models, name):
     assert _max_entry(U @ H @ adjoint(U) - H) < 1e-12
 
 
+@pytest.mark.parametrize("name", [*MODELS, "rung3"])
+def test_negative_sectors_map_back_through_the_mirror(models, shipped_configs, name):
+    # W_-z P_z against U W_z: bitwise on the z axis, to rounding on the tilted one
+    if name == "rung3":
+        ops = build_operators(shipped_configs["desk_e010.json"].at(N_max=3, n_max=3))
+        U = mirror_operator(ops.basis)
+    else:
+        _, ops, U = models[name]
+    split = ops.sectors
+    for i in range(split.first_upper):
+        got, want = split.to_linear[i], U @ split.to_linear[-1 - i]
+        assert split.labels[i] == -split.labels[-1 - i] < 0.0
+        if name.startswith("tilted"):
+            assert _max_entry(got - want) <= 1e-15
+            continue
+        want.sort_indices()
+        for part in ("indices", "indptr", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got.data)), np.signbit(part(want.data)))
+
+
 def _wrong_mirrors():
     def identity(basis):
-        return sp.identity(basis.dimension, dtype=complex, format="csr")
+        return np.arange(basis.dimension), np.ones(basis.dimension)
 
-    def without_spin_flip(basis):
-        # (-1)^N_2 alone: sigma.B changes sign in its polarization-2 part
-        second = np.array([m.polarization_index == 2 for m in basis.mode_set.modes])
-        parity = (-1.0) ** basis.occupation_array()[:, second].sum(axis=1)
-        return spin_tensor(0, sp.diags(parity.astype(complex), format="csr"), basis)
+    def unphased_spin_flip(basis):
+        # the right index map, but the spin flip without F's phases: sigma.B
+        # changes sign in its spin-flipping part
+        index, _ = circular_mirror(basis)
+        return index, np.ones(basis.dimension)
 
-    return {"identity": (identity, "phased permutation"),
-            "without spin flip": (without_spin_flip, "changes a term")}
+    return {"identity": (identity, "mapping angular-momentum sector z onto -z"),
+            "unphased spin flip": (unphased_spin_flip, "changes the term sigma.B")}
 
 
 @pytest.mark.parametrize("wrong", _wrong_mirrors().values(), ids=_wrong_mirrors().keys())
@@ -97,7 +125,7 @@ def test_wrong_mirror_is_refused_before_any_solve(shipped_configs, monkeypatch, 
         solves.append(1)
         return solve_lowest(*args, **kwargs)
 
-    monkeypatch.setattr(model_mod, "mirror_operator", mirror)
+    monkeypatch.setattr(model_mod, "circular_mirror", mirror)
     monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
@@ -111,8 +139,8 @@ def test_wrong_mirror_is_refused_before_any_solve(shipped_configs, monkeypatch, 
 def test_sector_leak_is_refused_before_any_solve(shipped_configs, monkeypatch):
     # sigma_y (x) 1 commutes with U = sigma_y (x) (-1)^N_2, so the mirror keeps
     # every term, but it flips u.sigma and so couples sector z to z +- 1; the
-    # sector terms are built in the circular frame, so the probe that ties
-    # them to the linear terms is what sees it
+    # sector terms, and the mirror check on them, are in the circular frame,
+    # so the probe that ties them to the linear terms is what sees it
     solves = []
 
     def recorded(*args, **kwargs):
@@ -150,6 +178,18 @@ def test_spin_frame_off_the_axis_leaks_between_sectors(shipped_configs, monkeypa
     with pytest.raises(PflabError, match="couples angular-momentum sector"):
         solve_model(ops, cfg.p, cfg.e, 6)
     assert solves == []
+
+
+def test_spin_factor_that_flips_no_spin_is_refused(shipped_configs, monkeypatch):
+    # a spin frame along y, the line n of the polarization-2 vectors: n.sigma
+    # is then diagonal in it, so the mirror's spin factor F flips no spin
+    def along_y(u):
+        return np.array([[1.0, 1.0], [1j, -1j]], dtype=complex) / np.sqrt(2.0)
+
+    monkeypatch.setattr(model_mod, "_spin_frame", along_y)
+    ops = build_operators(shipped_configs["desk_e010.json"])
+    with pytest.raises(PflabError, match="is no spin flip along the axis"):
+        ops.sectors
 
 
 def test_one_solve_per_nonnegative_sector(shipped_configs, monkeypatch):

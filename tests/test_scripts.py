@@ -92,6 +92,7 @@ def test_term_digests_prints_one_line_per_term_and_matrix():
     want = [*terms, "hamiltonian(config)", "hamiltonian(off-axis)",
             *(f"sectors.upper.{name}" for name in upper),
             "sectors.labels", "sectors.starts", "sectors.leak_max",
+            *(f"sectors.to_linear[{z}]" for z in ("-2.5", "-1.5", "-0.5", "+0.5", "+1.5", "+2.5")),
             *(f"sectors.upper_blocks[{z}]" for z in ("+0.5", "+1.5", "+2.5"))]
     assert [line.split()[:2] for line in lines] == [[str(config), name] for name in want]
     assert all(len(line.split()[2]) == 64 for line in lines)
