@@ -68,7 +68,7 @@ def matrices():
                 seen.add(block.shape[0])
                 yield f"{name} sector {label:+.1f}", block
         if name in FULL:
-            yield f"{name} full", ops.hamiltonian(config.p, config.e)
+            yield f"{name} full", ops.linear.hamiltonian(config.p, config.e)
 
 
 def lost_time(rows, cutoff: int) -> float:

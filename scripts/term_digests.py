@@ -2,8 +2,8 @@
 """One sha256 digest per operator term of each config's model.
 
 For every config named on the command line this prints one line per term
-of ``build_operators(config)`` (``free_diag``, ``pf``, ``A[0..2]``, ``C``,
-``sigma_B``, ``A2``), and of H(p, e) formed from them at the config's
+of ``build_operators(config).linear`` (``free_diag``, ``pf``, ``A[0..2]``,
+``C``, ``sigma_B``, ``A2``), and of H(p, e) formed from them at the config's
 (p, e) and at p = (0.1, -0.2, 0.3) off the axis.  Where the model has a
 J_axis sector split, it prints one line per term of ``ops.sectors.upper``
 and per array of its ``pattern`` (``indices``, ``indptr``, ``diagonal``,
@@ -63,10 +63,10 @@ def main(argv=None) -> int:
     for path in args.configs:
         config = load_config(path, force_allow_massless=True)
         ops = build_operators(config)
-        for name, value in terms("", ops):
+        for name, value in terms("", ops.linear):
             print(path, name, digest(value))
-        print(path, "hamiltonian(config)", digest(ops.hamiltonian(config.p, config.e)))
-        print(path, "hamiltonian(off-axis)", digest(ops.hamiltonian(OFF_AXIS, config.e)))
+        print(path, "hamiltonian(config)", digest(ops.linear.hamiltonian(config.p, config.e)))
+        print(path, "hamiltonian(off-axis)", digest(ops.linear.hamiltonian(OFF_AXIS, config.e)))
         try:
             split = ops.sectors
         except PflabError as err:

@@ -18,7 +18,6 @@ from .fock import (
     FockBasis,
     Mode,
     ModeSet,
-    OccupationState,
     axial_mode_set,
     enumerate_basis,
     explicit_mode_set,

@@ -165,7 +165,8 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: 
 def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
                           ops: ModelOperators) -> np.ndarray:
     """|| a_m Psi - RHS_m || / ||Psi||, the truncation error of the pull-through
-    identity, at every mode m in mode order, from the operator set ``ops``.
+    identity, at every mode m in mode order, from the operator set ``ops``
+    and its linear-frame terms (``ModelOperators.linear``).
 
     RHS_m solves A_k x = e * { ... } Psi with A_k = H(p - k) + omega_k - E,
     built once per k-point for both polarizations.  Before any shifted
@@ -191,7 +192,9 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
                                    f"singular: E(p-k) + omega - E(p) = {delta:.3e}")
 
     g, h = ops.amplitudes
-    D = np.array([(p[mu] - ops.pf[:, mu]) * psi - config.e * (ops.A[mu] @ psi) for mu in range(3)])
+    linear = ops.linear                 # the pull-through stays in the linear frame
+    D = np.array([(p[mu] - ops.pf[:, mu]) * psi - config.e * (linear.A[mu] @ psi)
+                  for mu in range(3)])
     # sigma_mu (x) 1 in the spin-major ordering
     S = (np.array([(PAULI[mu + 1] @ psi.reshape(2, -1)).ravel() for mu in range(3)])
          if config.with_spin else np.zeros_like(D))
@@ -199,7 +202,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
     lowered = _annihilated(psi, ops.basis)
     residuals = np.empty(len(ms))
     for i, k in enumerate(K):
-        H, shift = ops.hamiltonian(p - k, config.e), omegas[i] - energy
+        H, shift = linear.hamiltonian(p - k, config.e), omegas[i] - energy
         A = spla.LinearOperator(H.shape, lambda x: H @ x + shift * x, dtype=complex)
         M = sp.diags(1.0 / (H.diagonal().real + shift))
         for m in np.flatnonzero(ms.k_point_index == i):

@@ -9,10 +9,12 @@ momentum) carry no weights.
 
 The boson factor is one int64 array of occupation rows, built in numpy and
 graded by total photon number, lexicographic within a grade.  A row's index
-comes from one exact counting table (``FockBasis``), which ``rank`` and the
-ladders share; the ladders have one form, the entries of every a_m
-(``FockBasis.lowering``).  The basis is spin-major: the full index is
-``spin * boson_dimension + boson_index`` with spin 0 = up, 1 = down.
+comes from one exact counting table (``FockBasis.boson_index``), which the
+ladders and the circular-frame mirror share; the ladders have one form, the
+entries of every a_m (``FockBasis.lowering``), and every field is written
+onto those entries and their mirror images (``FockBasis.field_pattern``).
+The basis is spin-major: the full index is ``spin * boson_dimension +
+boson_index`` with spin 0 = up, 1 = down.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,9 +37,6 @@ PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-
-SPIN_UP = 0
-SPIN_DOWN = 1
 
 
 @dataclass(frozen=True)
@@ -175,14 +174,6 @@ def explicit_mode_set(points: Sequence[tuple[Sequence[float], float]]) -> ModeSe
     return ModeSet(modes=tuple(modes), axial=False, axis=None)
 
 
-@dataclass(frozen=True)
-class OccupationState:
-    """Occupation numbers per mode plus the spin index (None in spinless bases)."""
-
-    occupations: tuple[int, ...]
-    spin: Optional[int] = None
-
-
 def _grade_counts(n_modes: int, N_max: int, n_max: int) -> list[list[int]]:
     """ways[r][s]: the number of r-mode vectors with entries <= n_max that sum
     to exactly s, for r = 0..n_modes and s = 0..N_max, in exact Python ints."""
@@ -208,6 +199,19 @@ def _occupation_rows(n_modes: int, N_max: int, n_max: int) -> np.ndarray:
     return rows[np.argsort(totals, kind="stable")]
 
 
+class FieldPattern(NamedTuple):
+    """Where a field sum_m (c_m a_m + h.c.) has its entries: ``mode`` and
+    ``root_n`` are those of ``FockBasis.lowering``'s entries, and entry k of
+    the field, at (``rows[k]``, ``cols[k]``) in CSR order, is entry
+    ``order[k]`` of the lowering entries followed by their mirror images."""
+
+    mode: np.ndarray
+    root_n: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    order: np.ndarray
+
+
 class FockBasis:
     """Enumerated truncated Fock basis: (spin factor) x (boson occupation vectors).
 
@@ -217,8 +221,8 @@ class FockBasis:
     row is computed, not looked up, by the combinatorial number system over
     the grade counts ``ways[r][s]`` (r-mode vectors of sum s): the rows of
     lower total, plus, for each mode j, the rows of the same total that agree
-    with it before j and hold less at j.  ``rank`` and ``lowering`` both go
-    through that one map.
+    with it before j and hold less at j.  ``boson_index`` is that one map;
+    ``lowering`` and the circular-frame mirror go through it.
     """
 
     def __init__(self, mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
@@ -250,20 +254,6 @@ class FockBasis:
         return (self._grade_start[remaining[:, 0]]
                 + self._below[modes_after, remaining, occ].sum(axis=1))
 
-    def rank(self, state: OccupationState) -> int:
-        if (state.spin is not None) != self.with_spin:
-            raise ValueError("spin index presence must match the basis")
-        occ = np.asarray(state.occupations)
-        if (occ.shape != (len(self.mode_set),) or not np.issubdtype(occ.dtype, np.integer)
-                or occ.min() < 0 or occ.max() > self.n_max or occ.sum() > self.N_max):
-            raise ValueError(f"state {state.occupations} is not admissible in this basis")
-        b = int(self.boson_index(occ[None, :])[0])
-        if not self.with_spin:
-            return b
-        if state.spin not in (SPIN_UP, SPIN_DOWN):
-            raise ValueError(f"spin index must be 0 (up) or 1 (down), got {state.spin}")
-        return state.spin * self.boson_dimension + b
-
     def occupation_array(self) -> np.ndarray:
         """(boson_dimension, n_modes) integer array of occupation vectors (shared, read-only)."""
         return self._occupations
@@ -286,6 +276,18 @@ class FockBasis:
             lowered[:, m] -= 1
             parts.append((np.full(col.size, m), self.boson_index(lowered), col, np.sqrt(n)))
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+    @cached_property
+    def field_pattern(self) -> FieldPattern:
+        """The entries of ``lowering()`` and their mirror images in CSR order,
+        built at first use and shared by every field on this basis."""
+        mode, row, col, root_n = self.lowering()
+        rows, cols = np.concatenate([row, col]), np.concatenate([col, row])
+        order = np.argsort(rows * self.boson_dimension + cols)
+        pattern = FieldPattern(mode, root_n, rows[order], cols[order], order)
+        for array in pattern:
+            array.setflags(write=False)
+        return pattern
 
 
 def enumerate_basis(mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,

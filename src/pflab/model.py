@@ -15,15 +15,20 @@ cross term symmetrized (equal to the unsymmetrized one, as k.e_j(k) = 0) gives
               + e (-p.A + C - sigma.B/2) + (e^2/2) A^2,
     C = (1/2) sum_mu (P_f^mu A^mu + A^mu P_f^mu).
 
-Only the coefficients depend on p and e, so ``build_operators`` builds the
-operators of one truncated model once, each checked to be exactly
-Hermitian (``HamiltonianTerms``).  H(p, e) is formed one way, in place on
-one stored pattern (``HamiltonianTerms.pattern_data``): the sum of the
-terms with the real coefficients of one list
-(``HamiltonianTerms.coefficients``), then the diagonal of H0(p) (first
-line), exactly Hermitian again and bitwise the sparse sum H0(p) + H_int.
-A, B and C are linear in the ladders: each is written onto the ladder
-entries (``FockBasis.lowering``) and their mirror images.
+Only the coefficients depend on p and e, so ``build_operators`` gathers
+what one truncated model's operators are built from once: the basis, the
+diagonals and the field amplitudes (``ModelOperators``).  Each path builds
+the terms it needs from them at first use, and only those, each checked to
+be exactly Hermitian (``HamiltonianTerms``): the linear-frame terms on the
+full basis (``ModelOperators.linear``) for a momentum off the axis and the
+pull-through, the sector terms (below) for a momentum on it.  H(p, e) is
+formed one way, in place on one stored pattern
+(``HamiltonianTerms.pattern_data``): the sum of the terms with the real
+coefficients of one list (``HamiltonianTerms.coefficients``), then the
+diagonal of H0(p) (first line), exactly Hermitian again and bitwise the
+sparse sum H0(p) + H_int.  A, B and C are linear in the ladders: each is
+written onto the ladder entries (``FockBasis.lowering``) and their mirror
+images, one pattern per basis (``FockBasis.field_pattern``) for both frames.
 
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
 angular momentum about the axis.  On-axis photon modes carry no orbital
@@ -38,7 +43,9 @@ change to the circular combinations (|1> +/- i|2>)/sqrt(2) of the mode pair
 of each k-point (``ModeSet.polarization_pairs``) diagonalizes it: W =
 ``helicity_rotation``, labels ``circular_labels``; it is unitary on the
 truncated space only for n_max >= N_max.  ``sector_split`` builds the
-p-independent operators once more, by the same field builder, in that frame.
+p-independent operators by the same field builder in that frame, and ties
+each to its linear form on two probe columns, applied on the boson factor,
+so an on-axis run builds no linear-frame term of the full basis.
 The reflection through a plane containing the axis, in that frame a phased
 permutation P (``circular_mirror``), commutes with H(t u, e) and maps sector
 z onto -z: the split cuts each term once to its blocks on the labels >= 0,
@@ -289,14 +296,12 @@ def _boson_fields(basis: FockBasis, g: np.ndarray, h: np.ndarray):
     B^mu = -i sum_m h[m, mu] a_m + h.c. (3-tuples of CSR) for amplitudes g, h
     of shape (n_modes, 3), real (``field_amplitudes``) in the linear frame,
     and C = (1/2) sum_mu {P_f^mu, A^mu}, written onto the entries of
-    ``basis.lowering()`` and their mirror images.  No two modes share an
-    entry, so a field is exactly Hermitian; each value is bitwise the one
-    scipy's sparse arithmetic on the ladders gives (``plus``)."""
-    mode, row, col, root_n = basis.lowering()
+    ``basis.lowering()`` and their mirror images (``basis.field_pattern``,
+    shared by both frames).  No two modes share an entry, so a field is
+    exactly Hermitian; each value is bitwise the one scipy's sparse
+    arithmetic on the ladders gives (``plus``)."""
+    mode, root_n, rows, cols, order = basis.field_pattern
     n = basis.boson_dimension
-    rows, cols = np.concatenate([row, col]), np.concatenate([col, row])
-    order = np.argsort(rows * n + cols)
-    rows, cols = rows[order], cols[order]
     pf = basis.occupation_array() @ basis.mode_set.k_array()
 
     def plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -343,6 +348,27 @@ def _field_terms(basis: FockBasis, g: np.ndarray, h: np.ndarray, spin):
     if basis.with_spin:
         sigma_B = sum(sp.kron(sp.csr_matrix(s), op, format="csr") for s, op in zip(spin, B))
     return A, C, A2, sigma_B
+
+
+def _linear_products(basis: FockBasis, g: np.ndarray, h: np.ndarray, u: np.ndarray,
+                     X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u.A) X, C X, (sigma.B) X and A^2 X for the linear-frame terms of the
+    real amplitudes g, h, on the columns X of the full basis, with no term of
+    the full basis built: from the fields of ``_boson_fields``, u.A, C and
+    A^2 X = sum_mu A^mu (A^mu X) act as 1 (x) T on each spin half, and
+    sigma.B X = sum_mu sigma_mu (x) (B^mu X)."""
+    A, B, C = _boson_fields(basis, g, h)
+    halves = X.reshape(2 if basis.with_spin else 1, basis.boson_dimension, -1)
+
+    def boson(T: sp.csr_matrix, Y: np.ndarray) -> np.ndarray:
+        return np.stack([T @ y for y in Y])
+
+    AX = [boson(op, halves) for op in A]
+    sigma_B = (sum(np.einsum("rs,s...->r...", PAULI[mu + 1], boson(B[mu], halves))
+                   for mu in range(3)) if basis.with_spin else np.zeros(halves.shape))
+    products = (sum(u[mu] * AX[mu] for mu in range(3) if u[mu] != 0.0), boson(C, halves),
+                sigma_B, sum(boson(A[mu], AX[mu]) for mu in range(3)))
+    return tuple(P.reshape(X.shape) for P in products)
 
 
 class Pattern(NamedTuple):
@@ -605,11 +631,30 @@ class SectorSplit:
 
 
 @dataclass(frozen=True, eq=False)
-class ModelOperators(HamiltonianTerms):
-    """The terms of H(p, e) of one model on the full basis, and their amplitudes (g, h)."""
+class ModelOperators:
+    """What H(p, e) of one model is built from: the ``basis``, the diagonals
+    ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f on it, and the field
+    amplitudes (g, h) of ``field_amplitudes``.  The terms are built at first
+    use, in the frame a path solves in: ``linear`` on the full basis (a
+    momentum off the axis, the pull-through), ``sectors`` on the J_axis
+    sectors in the circular frame (a momentum on the axis)."""
 
     basis: FockBasis
+    free_diag: np.ndarray
+    pf: np.ndarray
     amplitudes: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def linear(self) -> HamiltonianTerms:
+        """The terms of H(p, e) in the linear frame on the full basis, built
+        at first use by ``_field_terms``: A, C and A^2 spin-tensored as
+        1 (x) T, and sigma.B."""
+        basis = self.basis
+        A, C, A2, sigma_B = _field_terms(basis, *self.amplitudes, PAULI[1:])
+        return HamiltonianTerms(free_diag=self.free_diag, pf=self.pf,
+                                A=tuple(spin_tensor(0, op, basis) for op in A),
+                                C=spin_tensor(0, C, basis), sigma_B=sigma_B,
+                                A2=spin_tensor(0, A2.astype(complex), basis))
 
     def axis_coordinate(self, p) -> Optional[float]:
         """t with p = t u on the mode axis u, or None when H(p) has no sector
@@ -643,7 +688,9 @@ class ModelOperators(HamiltonianTerms):
         ``SECTOR_LEAK_TOL``; returned, the most over the terms) and cuts it to its
         entries inside a label >= 0, on the states ``upper``.  Each term T_c must
         match its linear form T on two probe columns X, T (W X) = W (T_c X), to
-        ``SECTOR_LEAK_TOL`` times the largest row sum of |T_c| (at least 1)."""
+        ``SECTOR_LEAK_TOL`` times the largest row sum of |T_c| (at least 1);
+        ``_linear_products`` applies T to W X on the boson factor, so the
+        linear terms of the full basis are not built."""
         basis = self.basis
         one, two = basis.mode_set.polarization_pairs.T
 
@@ -688,12 +735,10 @@ class ModelOperators(HamiltonianTerms):
             return sp.csr_matrix((op.data[keep], (row, col)), shape=(upper.size,) * 2), worst
 
         cuts = [cut(op) for op in terms]
-        linear = (sum(u[mu] * self.A[mu] for mu in range(3) if u[mu] != 0.0),
-                  self.C, self.sigma_B, self.A2)
         X = np.exp(2j * np.pi * np.random.default_rng(0).random((basis.dimension, 2)))
-        WX = W @ X
-        for name, T, T_c in zip(("u.A", "C", "sigma.B", "A^2"), linear, terms):
-            gap = float(np.abs(T @ WX - W @ (T_c @ X)).max())
+        linear = _linear_products(basis, *self.amplitudes, u, W @ X)
+        for name, TWX, T_c in zip(("u.A", "C", "sigma.B", "A^2"), linear, terms):
+            gap = float(np.abs(TWX - W @ (T_c @ X)).max())
             if gap > SECTOR_LEAK_TOL * max(1.0, float(abs(T_c).sum(axis=1).max())):
                 raise PflabError(f"the circular-frame term {name} of H is not the helicity "
                                  f"rotation of its linear form (off by {gap:.3e} on a probe)")
@@ -728,27 +773,26 @@ def sector_split(ops: ModelOperators) -> SectorSplit:
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:
-    """The operator set of ``config``'s truncated model; ``config.p`` and
-    ``config.e`` are not used, so one set serves every momentum and coupling."""
+    """The operator set of ``config``'s truncated model: the basis, the
+    diagonals and the field amplitudes, from which each path builds the terms
+    it needs at first use (``ModelOperators.linear``, ``.sectors``).
+    ``config.p`` and ``config.e`` are not used, so one set serves every
+    momentum and coupling."""
     basis = _check_basis(config, basis)
-    g, h = field_amplitudes(config)
-    A_b, C, A2, sigma_B = _field_terms(basis, g, h, PAULI[1:])
+    amplitudes = field_amplitudes(config)
     karr = config.mode_set.k_array()
     occ = np.tile(basis.occupation_array(), (2 if basis.with_spin else 1, 1))
     omega = np.asarray(config.dispersion.omega(np.linalg.norm(karr, axis=1)), dtype=float)
     pf = occ @ karr
-    return ModelOperators(free_diag=occ @ omega + 0.5 * np.sum(pf * pf, axis=1), pf=pf,
-                          A=tuple(spin_tensor(0, op, basis) for op in A_b),
-                          C=spin_tensor(0, C, basis), sigma_B=sigma_B,
-                          A2=spin_tensor(0, A2.astype(complex), basis), basis=basis,
-                          amplitudes=(g, h))
+    return ModelOperators(basis=basis, free_diag=occ @ omega + 0.5 * np.sum(pf * pf, axis=1),
+                          pf=pf, amplitudes=amplitudes)
 
 
 def assemble_hamiltonian(config: ModelConfig, basis: Optional[FockBasis] = None) -> sp.csr_matrix:
     """Full fibered Hamiltonian H(p) = H0(p) + H_int on the truncated basis,
     exactly Hermitian.  A loop over p or e should call ``build_operators``
-    once and ``ModelOperators.hamiltonian`` per point instead."""
-    return build_operators(config, basis).hamiltonian(config.p, config.e)
+    once and ``ModelOperators.linear.hamiltonian`` per point instead."""
+    return build_operators(config, basis).linear.hamiltonian(config.p, config.e)
 
 
 # -- scalar diagnostics ------------------------------------------------------

@@ -330,11 +330,13 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     (``SectorSplit``), and so are their eigenvectors; only the n_eig kept
     ones are mapped back to the linear basis, where they become complex.
     The residuals are those of the sector blocks.  Any other model or
-    momentum is solved in the full space by ``solve_lowest``.
+    momentum is solved in the full space by ``solve_lowest``, on the
+    linear-frame terms (``ModelOperators.linear``), built at its first such
+    solve.
     """
     t = ops.axis_coordinate(p)
     if t is None:
-        return solve_lowest(ops.hamiltonian(p, e), n_eig, seed=seed, _checked=True)
+        return solve_lowest(ops.linear.hamiltonian(p, e), n_eig, seed=seed, _checked=True)
     _check_n_eig(n_eig, ops.basis.dimension)
     split = ops.sectors
     first = split.first_upper

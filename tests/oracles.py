@@ -17,7 +17,8 @@ and E(p) against E(Rp) over the symmetries of a mode set
 tests use: a_m and a_m+ as sparse matrices (``annihilation_matrix``,
 ``creation_matrix``), the fields by sparse arithmetic on them
 (``ladder_fields``), the field energy and the field momentum, the mode-set
-symmetry tests and the free energy curve.  H(p, e) by scipy's sparse sum
+symmetry tests and the free energy curve, and the index of one occupation
+state (``rank`` of an ``OccupationState``).  H(p, e) by scipy's sparse sum
 of the terms (``sparse_sum_hamiltonian``) is the reference for the one
 in-place formation of ``HamiltonianTerms``.
 """
@@ -25,6 +26,7 @@ in-place formation of ``HamiltonianTerms``.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +54,32 @@ def adjoint(op):
     out.sum_duplicates()
     out.sort_indices()
     return out
+
+
+@dataclass(frozen=True)
+class OccupationState:
+    """Occupation numbers per mode plus the spin index (None in spinless bases)."""
+
+    occupations: tuple[int, ...]
+    spin: Optional[int] = None
+
+
+def rank(basis, state):
+    """Full-basis index of ``state``: the basis's counting map
+    (``FockBasis.boson_index``) on its occupations, in the block of its spin
+    (0 = up, 1 = down); an inadmissible state is refused with ValueError."""
+    if (state.spin is not None) != basis.with_spin:
+        raise ValueError("spin index presence must match the basis")
+    occ = np.asarray(state.occupations)
+    if (occ.shape != (len(basis.mode_set),) or not np.issubdtype(occ.dtype, np.integer)
+            or occ.min() < 0 or occ.max() > basis.n_max or occ.sum() > basis.N_max):
+        raise ValueError(f"state {state.occupations} is not admissible in this basis")
+    b = int(basis.boson_index(occ[None, :])[0])
+    if not basis.with_spin:
+        return b
+    if state.spin not in (0, 1):
+        raise ValueError(f"spin index must be 0 (up) or 1 (down), got {state.spin}")
+    return state.spin * basis.boson_dimension + b
 
 
 def brute_force_occupations(n_modes, N_max, n_max):
@@ -496,12 +524,12 @@ def rotated_sector_terms(ops):
     W = helicity_rotation(ops.basis).tocsc()
     W_adj = adjoint(W)
     labels = circular_labels(ops.basis)
-    A_axis = sum(u[mu] * ops.A[mu] for mu in range(3) if u[mu] != 0.0)
+    A_axis = sum(u[mu] * ops.linear.A[mu] for mu in range(3) if u[mu] != 0.0)
     sectors, leak_max = [], 0.0
     for z in np.unique(labels[labels >= 0.0]):
         idx = np.flatnonzero(labels == z)
         blocks = []
-        for op in (A_axis, ops.C, ops.sigma_B, ops.A2):
+        for op in (A_axis, ops.linear.C, ops.linear.sigma_B, ops.linear.A2):
             columns = (W_adj @ (op @ W[:, idx])).toarray()
             outside = np.delete(columns, idx, axis=0)
             leak_max = max(leak_max, float(np.abs(outside).max(initial=0.0)))

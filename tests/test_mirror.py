@@ -8,8 +8,6 @@ is the linear-frame reflection U = (n.sigma) (x) (-1)^N_2 of
 ``oracles.mirror_operator``: it is unitary, reverses J_axis and commutes
 with H, and U W_z is what W_-z P_z must equal."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -76,7 +74,7 @@ def test_mirror_reverses_the_angular_momentum(models, name):
 @pytest.mark.parametrize("name", MODELS)
 def test_mirror_commutes_with_the_hamiltonian(models, name):
     cfg, ops, U = models[name]
-    H = ops.hamiltonian(cfg.p, cfg.e)
+    H = ops.linear.hamiltonian(cfg.p, cfg.e)
     assert _max_entry(U @ H @ adjoint(U) - H) < 1e-12
 
 
@@ -140,23 +138,30 @@ def test_sector_leak_is_refused_before_any_solve(shipped_configs, monkeypatch):
     # sigma_y (x) 1 commutes with U = sigma_y (x) (-1)^N_2, so the mirror keeps
     # every term, but it flips u.sigma and so couples sector z to z +- 1; the
     # sector terms, and the mirror check on them, are in the circular frame,
-    # so the probe that ties them to the linear terms is what sees it
+    # so the probe that ties them to the linear terms is what sees it: the
+    # defect is added to the linear sigma.B where the probe applies it
     solves = []
 
     def recorded(*args, **kwargs):
         solves.append(1)
         return solve_lowest(*args, **kwargs)
 
+    linear_products = model_mod._linear_products
+
+    def with_defect(basis, g, h, u, X):
+        A_u, C, sigma_B, A2 = linear_products(basis, g, h, u, X)
+        eye_b = sp.identity(basis.boson_dimension, dtype=complex, format="csr")
+        return A_u, C, sigma_B + 0.05 * (spin_tensor(2, eye_b, basis) @ X), A2
+
     monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
+    monkeypatch.setattr(model_mod, "_linear_products", with_defect)
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
-    eye_b = sp.identity(ops.basis.boson_dimension, dtype=complex, format="csr")
-    bad = dataclasses.replace(ops, sigma_B=ops.sigma_B + 0.05 * spin_tensor(2, eye_b, ops.basis))
     with pytest.raises(PflabError, match="not the helicity rotation of its linear form"):
-        solve_model(bad, cfg.p, cfg.e, 6)
+        solve_model(ops, cfg.p, cfg.e, 6)
     assert solves == []
     with pytest.raises(PflabError, match="not the helicity rotation of its linear form"):
-        bad.sectors
+        ops.sectors
 
 
 def test_spin_frame_off_the_axis_leaks_between_sectors(shipped_configs, monkeypatch):
@@ -211,7 +216,7 @@ def test_one_solve_per_nonnegative_sector(shipped_configs, monkeypatch):
 
 def test_mirrored_pairs_are_eigenpairs_of_their_sector(models):
     cfg, ops, U = models["desk_e010"]
-    H = ops.hamiltonian(cfg.p, cfg.e)
+    H = ops.linear.hamiltonian(cfg.p, cfg.e)
     got = solve_model(ops, cfg.p, cfg.e, 6)
     split = ops.sectors
     resid = np.linalg.norm(H @ got.eigenvectors - got.eigenvectors * got.eigenvalues, axis=0)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pflab.errors import BasisMismatchError, ConfigError, NonHermitianError
-from pflab.fock import Mode, ModeSet, axial_mode_set, enumerate_basis, explicit_mode_set
+from pflab.fock import (FockBasis, Mode, ModeSet, axial_mode_set, enumerate_basis,
+                        explicit_mode_set)
 from pflab.model import (
     PHI_HAT_ZERO,
     Dispersion,
@@ -25,8 +26,9 @@ from pflab.model import (
 from pflab.fock import hermiticity_defect
 
 from conftest import CONFIG_DIR, DESK_EDGES, make_config
-from oracles import (dense_hamiltonian, ladder_fields, sparse_sum_hamiltonian,
-                     sparse_sum_interaction, vacuum_interaction_expectation)
+from oracles import (OccupationState, dense_hamiltonian, ladder_fields, rank,
+                     sparse_sum_hamiltonian, sparse_sum_interaction,
+                     vacuum_interaction_expectation)
 
 SHIPPED = sorted(path.name for path in CONFIG_DIR.glob("*.json"))
 TILTED_AXIS = np.array([1.0, 1.0, 0.5]) / 1.5
@@ -154,9 +156,7 @@ def test_one_mode_amplitude_hand_value(tiny_ms):
     basis = build_basis(cfg)
     A, _, _ = _fields(cfg, basis)
     # |1 photon, j=1> (x) spin up against the vacuum (x) spin up
-    from pflab.fock import OccupationState
-
-    i = basis.rank(OccupationState((1, 0), 0))
+    i = rank(basis, OccupationState((1, 0), 0))
     omega = np.sqrt(2.0)                       # |k| = 1, m_ph = 1
     phi = PHI_HAT_ZERO * np.exp(-0.5)
     want = phi * np.sqrt(0.5 / (2.0 * omega))  # V_m = 0.5, e1 = x
@@ -174,10 +174,8 @@ def test_magnetic_field_geometry(tiny_ms):
     cfg = make_config(tiny_ms, e=0.3, N_max=1, n_max=1)
     basis = build_basis(cfg)
     _, B, _ = _fields(cfg, basis)
-    from pflab.fock import OccupationState
-
-    j1 = basis.rank(OccupationState((1, 0), 0))
-    j2 = basis.rank(OccupationState((0, 1), 0))
+    j1 = rank(basis, OccupationState((1, 0), 0))
+    j2 = rank(basis, OccupationState((0, 1), 0))
     # k x e1 = y for k = +z: only B_y couples the j=1 photon
     assert B[1][j1, 0] != 0.0 and B[0][j1, 0] == 0.0 and B[2][j1, 0] == 0.0
     # k x e2 = -x: only B_x couples the j=2 photon
@@ -288,9 +286,26 @@ def test_spectrum_invariant_under_charge_reversal(pair_ms):
     assert np.max(np.abs(evs - np.linalg.eigvalsh(H_rev))) < 1e-12
 
 
+def test_both_frames_share_one_field_pattern(shipped_configs, monkeypatch):
+    # the ladder entries and their sort are made once per basis, for the
+    # circular terms, the split's probe and the linear terms alike
+    calls = []
+    lowering = FockBasis.lowering
+
+    def counted(basis):
+        calls.append(basis)
+        return lowering(basis)
+
+    monkeypatch.setattr(FockBasis, "lowering", counted)
+    ops = build_operators(shipped_configs["desk_e010.json"])
+    ops.sectors
+    ops.linear
+    assert calls == [ops.basis]
+
+
 def test_operator_set_is_exactly_hermitian(desk_ms):
     ops = build_operators(make_config(desk_ms, e=0.2))
-    for op in (*ops.A, ops.C, ops.sigma_B, ops.A2):
+    for op in (*ops.linear.A, ops.linear.C, ops.linear.sigma_B, ops.linear.A2):
         assert hermiticity_defect(op) == 0.0
 
 
@@ -298,12 +313,12 @@ def test_operator_set_is_exactly_hermitian(desk_ms):
 def test_term_off_hermitian_is_refused_at_construction(desk_ms, name):
     # one off-diagonal entry scaled by 1 + 1e-12; C is empty on the z axis
     ops = build_operators(make_config(desk_ms, e=0.2))
-    op = (ops.A[0] if name == "A" else getattr(ops, name)).copy()
+    op = (ops.linear.A[0] if name == "A" else getattr(ops.linear, name)).copy()
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     op.data[np.flatnonzero((op.indices != rows) & (op.data != 0.0))[0]] *= 1.0 + 1e-12
-    term = (op, *ops.A[1:]) if name == "A" else op
+    term = (op, *ops.linear.A[1:]) if name == "A" else op
     with pytest.raises(NonHermitianError, match=f"term {name}.* of H is not exactly Hermitian"):
-        dataclasses.replace(ops, **{name: term})
+        dataclasses.replace(ops.linear, **{name: term})
 
 
 def test_one_operator_set_serves_every_point(pair_ms):
@@ -311,16 +326,16 @@ def test_one_operator_set_serves_every_point(pair_ms):
     ops = build_operators(cfg)
     for p, e in (((0.1, -0.2, 0.3), 0.3), ((0.0, 0.0, -0.5), 0.15), ((0.4, 0.0, 0.0), 0.0)):
         direct = assemble_hamiltonian(cfg.at(p=p, e=e), ops.basis)
-        diff = ops.hamiltonian(p, e) - direct
+        diff = ops.linear.hamiltonian(p, e) - direct
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 def test_interaction_zero_at_e_zero(desk_ms):
     cfg = make_config(desk_ms, e=0.0)
     ops = build_operators(cfg)
-    assert sparse_sum_interaction(ops, cfg.p, cfg.e).nnz == 0
+    assert sparse_sum_interaction(ops.linear, cfg.p, cfg.e).nnz == 0
     H = assemble_hamiltonian(cfg)
-    H0 = sp.diags(ops.free_diagonal(cfg.p), format="csr")
+    H0 = sp.diags(ops.linear.free_diagonal(cfg.p), format="csr")
     assert (H - H0).nnz == 0
 
 
@@ -329,8 +344,8 @@ def test_splitting_identity_is_exact(desk_ms):
     basis = build_basis(cfg)
     ops = build_operators(cfg, basis)
     H = assemble_hamiltonian(cfg, basis)
-    H0 = sp.diags(ops.free_diagonal(cfg.p), format="csr")
-    HI = sparse_sum_interaction(ops, cfg.p, cfg.e)
+    H0 = sp.diags(ops.linear.free_diagonal(cfg.p), format="csr")
+    HI = sparse_sum_interaction(ops.linear, cfg.p, cfg.e)
     diff = H0 + HI - H
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -350,7 +365,7 @@ def test_hamiltonian_is_bitwise_the_sparse_sum(shipped_configs, name):
     axis = np.asarray(cfg.mode_set.axis if cfg.mode_set.axial else (0.0, 0.0, 1.0))
     for p in (0.4 * axis, (0.1, -0.2, 0.3), (0.0, 0.0, 0.0)):
         for e in (0.0, 0.1, -0.2):
-            got, want = ops.hamiltonian(p, e), sparse_sum_hamiltonian(ops, p, e)
+            got, want = ops.linear.hamiltonian(p, e), sparse_sum_hamiltonian(ops.linear, p, e)
             for part in ("data", "indices", "indptr"):
                 assert getattr(got, part).dtype == getattr(want, part).dtype
                 assert np.array_equal(getattr(got, part), getattr(want, part))
@@ -358,7 +373,7 @@ def test_hamiltonian_is_bitwise_the_sparse_sum(shipped_configs, name):
 
 def test_vacuum_interaction_expectation_hand_sum(desk_ms):
     cfg = make_config(desk_ms, e=0.3)
-    HI = sparse_sum_interaction(build_operators(cfg), cfg.p, cfg.e)
+    HI = sparse_sum_interaction(build_operators(cfg).linear, cfg.p, cfg.e)
     want = vacuum_interaction_expectation(cfg)
     assert want > 0.0
     assert HI[0, 0].real == pytest.approx(want, rel=1e-12)

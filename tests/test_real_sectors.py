@@ -71,9 +71,9 @@ def test_theta_commutes_with_the_on_axis_terms(operator_sets, name):
     P = theta_parity(ops.basis)
     # A_z and C vanish here (transverse polarizations, P_f along z); sigma.B
     # (with spin) and A^2 do not
-    terms = (ops.A[2], ops.C, ops.sigma_B, ops.A2)
-    assert _max_entry(ops.A2) > 0.0
-    assert (_max_entry(ops.sigma_B) > 0.0) == ops.basis.with_spin
+    terms = (ops.linear.A[2], ops.linear.C, ops.linear.sigma_B, ops.linear.A2)
+    assert _max_entry(ops.linear.A2) > 0.0
+    assert (_max_entry(ops.linear.sigma_B) > 0.0) == ops.basis.with_spin
     for op in terms:
         assert _max_entry(theta_conjugate(P, op) - op) == 0.0
     # the diagonals are real, so Theta keeps them too
@@ -85,7 +85,7 @@ def test_theta_flips_the_off_axis_potential(operator_sets):
     # H(t z) does not contain it, but a momentum off the axis would
     _, ops = operator_sets["desk_e010.json"]
     P = theta_parity(ops.basis)
-    A_y = ops.A[1]
+    A_y = ops.linear.A[1]
     assert _max_entry(A_y) > 0.0
     assert _max_entry(theta_conjugate(P, A_y) + A_y) == 0.0
 
@@ -120,7 +120,7 @@ def test_real_blocks_are_the_rotated_hamiltonian(operator_sets):
     cfg, ops = operator_sets["desk_e010.json"]
     split = ops.sectors
     t = ops.axis_coordinate(cfg.p)
-    H = ops.hamiltonian(cfg.p, cfg.e)
+    H = ops.linear.hamiltonian(cfg.p, cfg.e)
     for z, block in zip(split.labels[split.first_upper:], split.upper_blocks(t, cfg.e)):
         W_z = split.to_linear[split.labels.index(z)]
         rotated = (W_z.conj().T @ H @ W_z).toarray()

@@ -5,6 +5,8 @@ in-place sum on the split's pattern, bitwise equal to the sparse sum; the
 terms are checked to be exactly Hermitian once, when they are built, and no
 solve checks a matrix of its own."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,6 +14,7 @@ import scipy.sparse as sp
 import pflab.model as model_mod
 import pflab.spectra as spectra_mod
 from pflab import bounds
+from pflab.cli import main
 from pflab.errors import NonHermitianError, ResourceError, SolverError
 from pflab.fock import Mode, ModeSet, axial_mode_set
 from pflab.model import HamiltonianTerms, assemble_hamiltonian, build_operators
@@ -25,7 +28,7 @@ from pflab.spectra import (
     sweep_energy_curve,
 )
 
-from conftest import make_config
+from conftest import CONFIG_DIR, make_config
 from oracles import dense_pull_through_residuals, dense_sector_energies, sparse_sum_hamiltonian
 
 N_EIG = 6
@@ -292,8 +295,8 @@ def test_pull_through_residual_solves_once_per_k_point(case, shipped_configs, mo
         return wrapper
 
     monkeypatch.setattr(bounds, "solve_model", counted("solve_model", bounds.solve_model))
-    monkeypatch.setattr(model_mod.ModelOperators, "hamiltonian",
-                        counted("hamiltonian", model_mod.ModelOperators.hamiltonian))
+    monkeypatch.setattr(model_mod.HamiltonianTerms, "hamiltonian",
+                        counted("hamiltonian", model_mod.HamiltonianTerms.hamiltonian))
     monkeypatch.setattr(bounds.spla, "cg", counted("cg", bounds.spla.cg))
     got = bounds.pull_through_residual(psi, cfg, cluster.energy, ops)
     assert (len(cfg.mode_set), len(cfg.mode_set.k_points)) == (16, 8)
@@ -410,25 +413,49 @@ def test_upper_blocks_are_bitwise_slices_of_the_sparse_sum(shipped_configs, name
 def test_formed_matrices_share_no_array_with_the_pattern(shipped_configs):
     ops = build_operators(shipped_configs["desk_e010.json"])
     split = ops.sectors
-    formed = [ops.hamiltonian((0.1, -0.2, 0.3), 0.1), *split.upper_blocks(0.4, 0.1)]
+    formed = [ops.linear.hamiltonian((0.1, -0.2, 0.3), 0.1), *split.upper_blocks(0.4, 0.1)]
     want = [M.copy() for M in formed]
     for M in formed:
         M.data *= 3.0
         M.data[::2] = 0.0
         M.eliminate_zeros()
-    again = [ops.hamiltonian((0.1, -0.2, 0.3), 0.1), *split.upper_blocks(0.4, 0.1)]
+    again = [ops.linear.hamiltonian((0.1, -0.2, 0.3), 0.1), *split.upper_blocks(0.4, 0.1)]
     for got, M in zip(again, want):
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(M, part))
 
 
-def test_on_axis_solve_builds_no_full_space_pattern(shipped_configs):
+def _count_linear_builds(monkeypatch):
+    """The operator sets whose linear-frame terms get built, one entry a build."""
+    built = []
+    build = model_mod.ModelOperators.linear.func
+
+    def counted(ops):
+        built.append(ops)
+        return build(ops)
+
+    linear = functools.cached_property(counted)
+    linear.__set_name__(model_mod.ModelOperators, "linear")
+    monkeypatch.setattr(model_mod.ModelOperators, "linear", linear)
+    return built
+
+
+def test_on_axis_solve_builds_no_full_space_pattern(shipped_configs, monkeypatch, tmp_path):
+    # on the axis only the sector terms are built, by a solve and by the
+    # spectrum and sectors commands; the linear-frame terms, and their
+    # pattern, are built once, at the first solve off the axis
+    built = _count_linear_builds(monkeypatch)
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
     solve_model(ops, cfg.p, cfg.e, N_EIG)
-    assert "pattern" in vars(ops.sectors.upper) and "pattern" not in vars(ops)
+    assert "pattern" in vars(ops.sectors.upper) and "linear" not in vars(ops)
+    for command in ("spectrum", "sectors"):
+        assert main([command, "--config", str(CONFIG_DIR / "desk_e010.json"),
+                     "--out", str(tmp_path / command)]) == 0
+    assert built == []
     solve_model(ops, (0.3, 0.0, 0.4), cfg.e, N_EIG)
-    assert "pattern" in vars(ops)
+    solve_model(ops, (0.3, 0.0, -0.4), cfg.e, N_EIG)
+    assert built == [ops] and "pattern" in vars(ops.linear)
 
 
 def test_corrupted_sector_term_is_refused_before_any_eigensolve(shipped_configs, monkeypatch):
@@ -494,6 +521,7 @@ def test_off_axis_solve_makes_no_hermitian_check(shipped_configs, monkeypatch):
     ops = build_operators(cfg)
     assert ops.axis_coordinate(cfg.p) is None
     H = assemble_hamiltonian(cfg)
+    ops.linear                      # the terms are checked where they are built
     counts = {"hermiticity_defect": 0}
     _count_hermitian_checks(monkeypatch, counts)
     got = solve_model(ops, cfg.p, cfg.e, N_EIG)

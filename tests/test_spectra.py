@@ -286,7 +286,7 @@ def test_sweep_curve_free_theory_exact(desk_ms):
     ops = build_operators(cfg)
     axis = np.asarray(desk_ms.axis)
     curve = sweep_energy_curve(cfg, q_max=3.0)
-    exact = [ops.free_diagonal(q * axis).min() for q in curve.q]
+    exact = [ops.linear.free_diagonal(q * axis).min() for q in curve.q]
     assert np.allclose(curve.values, exact, atol=1e-12)
     low = curve.q < 1.9
     assert np.allclose(curve.values[low], 0.5 * curve.q[low] ** 2, atol=1e-12)

@@ -5,7 +5,6 @@ from pflab.errors import NotAxialError, PflabError
 from pflab.fock import (
     Mode,
     ModeSet,
-    OccupationState,
     enumerate_basis,
     hermiticity_defect,
 )
@@ -21,9 +20,11 @@ from pflab.spectra import detect_ground_cluster, ground_sector_labels, solve_low
 
 from conftest import make_config
 from oracles import (
+    OccupationState,
     adjoint,
     dense_sector_energies,
     helicity_operator,
+    rank,
     rotation_invariance_check,
     total_jz,
 )
@@ -54,15 +55,15 @@ def test_helicity_annihilates_vacuum(pair_ms):
 def test_circular_photon_is_helicity_eigenstate(pair_ms):
     basis = enumerate_basis(pair_ms, 2, 2, False)
     S = helicity_operator(basis)
-    j1 = basis.rank(OccupationState((1, 0, 0, 0), None))   # +z, linear 1
-    j2 = basis.rank(OccupationState((0, 1, 0, 0), None))   # +z, linear 2
+    j1 = rank(basis, OccupationState((1, 0, 0, 0), None))   # +z, linear 1
+    j2 = rank(basis, OccupationState((0, 1, 0, 0), None))   # +z, linear 2
     state = np.zeros(basis.dimension, dtype=complex)
     state[j1] = 1.0 / np.sqrt(2.0)
     state[j2] = 1.0j / np.sqrt(2.0)
     assert np.linalg.norm(S @ state - state) < 1e-14
     # at the -z point the same combination has the opposite helicity
-    m1 = basis.rank(OccupationState((0, 0, 1, 0), None))
-    m2 = basis.rank(OccupationState((0, 0, 0, 1), None))
+    m1 = rank(basis, OccupationState((0, 0, 1, 0), None))
+    m2 = rank(basis, OccupationState((0, 0, 0, 1), None))
     state_m = np.zeros(basis.dimension, dtype=complex)
     state_m[m1] = 1.0 / np.sqrt(2.0)
     state_m[m2] = 1.0j / np.sqrt(2.0)
@@ -100,8 +101,8 @@ def test_vacuum_spin_labels(pair_ms):
 def test_helicity_plus_spin_additivity(pair_ms):
     basis = enumerate_basis(pair_ms, 2, 2, True)
     J = total_jz(basis)
-    j1 = basis.rank(OccupationState((1, 0, 0, 0), 1))   # +helicity photon, spin down
-    j2 = basis.rank(OccupationState((0, 1, 0, 0), 1))
+    j1 = rank(basis, OccupationState((1, 0, 0, 0), 1))   # +helicity photon, spin down
+    j2 = rank(basis, OccupationState((0, 1, 0, 0), 1))
     state = np.zeros(basis.dimension, dtype=complex)
     state[j1] = 1.0 / np.sqrt(2.0)
     state[j2] = 1.0j / np.sqrt(2.0)
