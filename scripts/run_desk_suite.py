@@ -4,10 +4,16 @@
 For every config in configs/: model checks, the lowest spectrum with
 degeneracy, a momentum sweep with gap estimates, the bound report, and the
 sector decomposition (axial spin configs only).  Outputs land in
-out/desk_suite/<config-stem>/<command>/.
+out/desk_suite/<config-stem>/<command>/.  The run ends with one line per
+output file but the manifests, its sha256 and its path under ``--out``, so
+two source trees write the same files exactly when one ``diff`` of their
+printouts is empty:
+
+    PYTHONPATH=src python scripts/run_desk_suite.py --configs configs --out OUT
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -55,6 +61,9 @@ def main():
                     "--seed", args.seed]):
                 failures.append((stem, "sectors"))
 
+    for path in sorted(args.out.rglob("*")):
+        if path.is_file() and path.name != "manifest.json":
+            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(args.out))
     if failures:
         print("nonzero exits:", failures)
         return 1

@@ -188,7 +188,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
     for i, k in enumerate(K):
         delta = solve_model(ops, p - k, config.e, 1).ground_energy + omegas[i] - energy
         if delta < DENOMINATOR_FLOOR:
-            raise GapTooSmallError(f"shifted resolvent at k-point {i} {tuple(k)} is nearly "
+            raise GapTooSmallError(f"shifted resolvent at k-point {i} {k.tolist()} is nearly "
                                    f"singular: E(p-k) + omega - E(p) = {delta:.3e}")
 
     g, h = ops.amplitudes
@@ -209,14 +209,14 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
             x, info = spla.cg(A, rhs[m], rtol=CG_RTOL, atol=0.0, M=M)
             if info != 0:
                 raise SolverError(f"CG did not converge for mode {m} at k-point {i} "
-                                  f"{tuple(k)} (info {info})")
+                                  f"{k.tolist()} (info {info})")
             residuals[m] = np.linalg.norm(lowered[m] - x) / norm
     return residuals
 
 
 def _annihilated(psi: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """a_m psi, one row per mode m, from ``basis.lowering()``, one spin block at a time."""
-    mode, row, col, root_n = basis.lowering()
+    """a_m psi, one row per mode m, from the ladders of ``basis.field_pattern``, per spin block."""
+    mode, row, col, root_n = basis.field_pattern[:4]
     out = np.zeros((len(basis.mode_set), psi.size), dtype=complex)
     for start in range(0, psi.size, basis.boson_dimension):
         out[mode, start + row] = root_n * psi[start + col]

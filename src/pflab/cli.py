@@ -365,15 +365,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_sectors(args) -> int:
     config = load_config(args.config, force_allow_massless=args.override_massless)
-    if not config.mode_set.axial:
-        raise NotAxialError(
-            "sector analysis is restricted to axial mode sets: on-axis modes "
-            "carry no orbital angular momentum, which is what makes the "
-            "truncated rotation symmetry exact"
-        )
     cache: dict = {}
     ops = model_operators(config, cache)
-    split = ops.sectors                 # refuses n_max < N_max before any solve
+    split = ops.sectors                 # refuses a scattered mode set and n_max < N_max
     if ops.axis_coordinate(config.p) is None:
         raise PflabError(
             f"momentum {config.p} is not collinear with the mode axis "

@@ -158,10 +158,10 @@ def axial_mode_set(
             raise ValueError("shell midpoint at k=0 is not allowed (polarization undefined)")
         vol = (4.0 * np.pi / 3.0) * (b**3 - a**3)
         for sign in (+1.0, -1.0):
-            k = tuple(sign * mid * ax)
+            k = tuple((sign * mid * ax).tolist())
             for j in (1, 2):
                 modes.append(Mode(k=k, weight=vol / 2.0, polarization_index=j))
-    return ModeSet(modes=tuple(modes), axial=True, axis=tuple(ax))
+    return ModeSet(modes=tuple(modes), axial=True, axis=tuple(ax.tolist()))
 
 
 def explicit_mode_set(points: Sequence[tuple[Sequence[float], float]]) -> ModeSet:
@@ -200,15 +200,19 @@ def _occupation_rows(n_modes: int, N_max: int, n_max: int) -> np.ndarray:
 
 
 class FieldPattern(NamedTuple):
-    """Where a field sum_m (c_m a_m + h.c.) has its entries: ``mode`` and
-    ``root_n`` are those of ``FockBasis.lowering``'s entries, and entry k of
-    the field, at (``rows[k]``, ``cols[k]``) in CSR order, is entry
-    ``order[k]`` of the lowering entries followed by their mirror images."""
+    """The entries (``mode``, ``row``, ``col``, ``root_n``) of
+    ``FockBasis.lowering``, and where a field sum_m (c_m a_m + h.c.) has its
+    entries: entry k of the field, at (``rows[k]``, ``cols[k]``) in CSR order
+    with row pointer ``indptr``, is entry ``order[k]`` of the lowering
+    entries followed by their mirror images."""
 
     mode: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
     root_n: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    indptr: np.ndarray
     order: np.ndarray
 
 
@@ -279,12 +283,15 @@ class FockBasis:
 
     @cached_property
     def field_pattern(self) -> FieldPattern:
-        """The entries of ``lowering()`` and their mirror images in CSR order,
-        built at first use and shared by every field on this basis."""
+        """The entries of ``lowering()``, and those and their mirror images
+        in CSR order, built at first use and shared by every field and every
+        ladder product on this basis."""
         mode, row, col, root_n = self.lowering()
         rows, cols = np.concatenate([row, col]), np.concatenate([col, row])
         order = np.argsort(rows * self.boson_dimension + cols)
-        pattern = FieldPattern(mode, root_n, rows[order], cols[order], order)
+        counts = np.bincount(rows, minlength=self.boson_dimension)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        pattern = FieldPattern(mode, row, col, root_n, rows[order], cols[order], indptr, order)
         for array in pattern:
             array.setflags(write=False)
         return pattern

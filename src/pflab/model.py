@@ -42,15 +42,16 @@ whose spectrum lies in the half integers (integers without spin).  The
 change to the circular combinations (|1> +/- i|2>)/sqrt(2) of the mode pair
 of each k-point (``ModeSet.polarization_pairs``) diagonalizes it: W =
 ``helicity_rotation``, labels ``circular_labels``; it is unitary on the
-truncated space only for n_max >= N_max.  ``sector_split`` builds the
-p-independent operators by the same field builder in that frame, and ties
-each to its linear form on two probe columns, applied on the boson factor,
-so an on-axis run builds no linear-frame term of the full basis.
-The reflection through a plane containing the axis, in that frame a phased
-permutation P (``circular_mirror``), commutes with H(t u, e) and maps sector
-z onto -z: the split cuts each term once to its blocks on the labels >= 0,
-maps sector -z back by W P, and ``SectorSplit.upper_blocks`` slices the
-blocks of H(t u, e) out of the same in-place sum of the cut terms.
+truncated space only for n_max >= N_max.  ``sector_split`` alone builds
+the split: the p-independent operators by the same field builder in that
+frame, each tied to its linear form on two probe columns, applied on the
+boson factor, so an on-axis run builds no linear-frame term of the full
+basis.  The reflection through a plane containing the axis, in that frame a
+phased permutation P (``circular_mirror``), commutes with H(t u, e) and maps
+sector z onto -z: the split cuts each term once to its blocks on the labels
+>= 0, maps sector -z back by W P and names the block behind each sector
+(``SectorSplit.source``); ``SectorSplit.upper_blocks`` slices the blocks of
+H(t u, e) out of the same in-place sum of the cut terms.
 On the z axis A_y and B_y are purely imaginary in that frame, so A_y A_y
 and sigma_y (x) B_y are real, the terms are stored as float64, and
 H(t u, e) and its blocks are real; on a tilted axis the spin frame carries
@@ -300,7 +301,7 @@ def _boson_fields(basis: FockBasis, g: np.ndarray, h: np.ndarray):
     shared by both frames).  No two modes share an entry, so a field is
     exactly Hermitian; each value is bitwise the one scipy's sparse
     arithmetic on the ladders gives (``plus``)."""
-    mode, root_n, rows, cols, order = basis.field_pattern
+    mode, _, _, root_n, rows, cols, indptr, order = basis.field_pattern
     n = basis.boson_dimension
     pf = basis.occupation_array() @ basis.mode_set.k_array()
 
@@ -315,9 +316,10 @@ def _boson_fields(basis: FockBasis, g: np.ndarray, h: np.ndarray):
         return plus(np.concatenate([lowering, lowering.conj()])[order], 0.0)
 
     def csr(data: np.ndarray) -> sp.csr_matrix:
-        keep = data != 0.0
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
-        return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
+        # scipy copies the index arrays to int32: the shared pattern is not written
+        out = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+        out.eliminate_zeros()
+        return out
 
     A = [field(g[:, mu], 1.0) for mu in range(3)]
     M = [plus(a * x[rows], a * x[cols]) for a, x in zip(A, pf.T)]   # A^mu P_f^mu + P_f^mu A^mu
@@ -592,24 +594,26 @@ def circular_mirror(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SectorSplit:
-    """The J_axis sectors of an axial model with mode axis u, in the
-    circular-polarization frame: sector i has eigenvalue ``labels[i]``
+    """The J_axis sectors of an axial model with mode axis u in the circular
+    frame, built by ``sector_split``: sector i has eigenvalue ``labels[i]``
     (ascending, symmetric about 0) and spans ``starts[i]`` to
-    ``starts[i + 1]`` of the states ordered by label.  ``to_linear[i]``'s
-    (complex) columns map a solved sector to the linear basis: W_z for z >= 0
-    and W_z P_-z (P of ``circular_mirror``) for z < 0, which takes a pair
-    (lambda, x) of sector -z to one of z.  ``upper`` holds the terms of H block
-    diagonal on the sectors with label >= 0, the ones ``spectra.solve_model``
-    solves, float64 or complex128; p = t u has the one coordinate t: ``pf`` is
-    the column u.P_f and ``A`` is (u.A,).  ``leak_max`` is the largest entry
-    the terms have between two sectors, at most ``SECTOR_LEAK_TOL``: 0.0 on
-    the z axis."""
+    ``starts[i + 1]`` of the states ordered by label.  ``upper`` holds the
+    terms of H block diagonal on the sectors z >= 0, float64 or complex128;
+    p = t u has the one coordinate t: ``pf`` is the column u.P_f and ``A`` is
+    (u.A,).  ``source[i]`` indexes the block of ``upper_blocks`` that carries
+    sector i's pairs: its own for z >= 0, that of -z for z < 0.
+    ``to_linear[i]``'s (complex) columns map them to the linear basis: W_z
+    for z >= 0 and W_z P_-z (P of ``circular_mirror``) for z < 0, which takes
+    a pair (lambda, x) of sector -z to one of z.  ``leak_max`` is the largest
+    entry the terms have between two sectors, at most ``SECTOR_LEAK_TOL``:
+    0.0 on the z axis."""
 
     upper: HamiltonianTerms
     labels: tuple[float, ...]
     starts: tuple[int, ...]
     to_linear: tuple[sp.csr_matrix, ...]
     leak_max: float
+    source: tuple[int, ...]
 
     @property
     def first_upper(self) -> int:
@@ -675,82 +679,27 @@ class ModelOperators:
         """The model's J_axis sectors (``sector_split``), built at first use."""
         return sector_split(self)
 
-    def _circular_blocks(self, u: np.ndarray, W: sp.spmatrix, labels: np.ndarray,
-                         upper: np.ndarray, index: np.ndarray, phase: np.ndarray):
-        """u.A, C, sigma.B and A^2 built in the circular frame, where a
-        k-point carries the modes b_+- with b_+-+ = (a_1+ +- i a_2+)/sqrt(2):
-        by ``_field_terms`` with amplitudes (g_1 +- i g_2)/sqrt(2),
-        (h_1 +- i h_2)/sqrt(2) and spin matrices (M + M+)/2, M = S+ sigma_mu S
-        for the spin frame S along u; float64 when every imaginary entry is
-        exactly 0.0.  The mirror P = (``index``, ``phase``) must keep each, and
-        the diagonals, to ``SECTOR_LEAK_TOL``.  One pass over a term's entries
-        finds its largest entry between two ``labels`` (at most
-        ``SECTOR_LEAK_TOL``; returned, the most over the terms) and cuts it to its
-        entries inside a label >= 0, on the states ``upper``.  Each term T_c must
-        match its linear form T on two probe columns X, T (W X) = W (T_c X), to
-        ``SECTOR_LEAK_TOL`` times the largest row sum of |T_c| (at least 1);
-        ``_linear_products`` applies T to W X on the boson factor, so the
-        linear terms of the full basis are not built."""
-        basis = self.basis
-        one, two = basis.mode_set.polarization_pairs.T
-
-        def circular(x: np.ndarray) -> np.ndarray:
-            out = np.empty(x.shape, dtype=complex)
-            out[one], out[two] = ((x[one] + s * 1j * x[two]) / math.sqrt(2.0) for s in (1, -1))
-            return out
-
-        S = _spin_frame(u)
-        spin = [(M + M.conj().T) / 2 for M in (S.conj().T @ sigma @ S for sigma in PAULI[1:])]
-        A, C, A2, sigma_B = _field_terms(basis, *map(circular, self.amplitudes), spin)
-        boson = (sum(u[mu] * A[mu] for mu in range(3) if u[mu] != 0.0), C, A2)
-        if not any(np.any(op.data.imag) for op in (*boson, sigma_B)):
-            boson, sigma_B = tuple(op.real for op in boson), sigma_B.real
-        A_axis, C, A2 = (spin_tensor(0, op.astype(sigma_B.dtype), basis) for op in boson)
-        terms = (A_axis, C, sigma_B, A2)
-        # P = F (x) Pi keeps 1 (x) T iff Pi (index[-boson_dimension:]) keeps T, F being unitary
-        P, pi = (index, phase), (index[-basis.boson_dimension:], np.ones(basis.boson_dimension))
-        diagonals = [sp.diags(d, format="csr") for d in (self.free_diag, self.pf @ u)]
-        for name, op, (at, ph) in zip(("u.A", "C", "A^2", "sigma.B", "free diagonal", "u.P_f"),
-                                      (*boson, sigma_B, *diagonals), [pi] * 3 + [P] * 3):
-            mirrored = op[at][:, at].tocoo()  # entry (i, j): ph[i] T[at[i], at[j]] ph[j]*
-            mirrored.data = mirrored.data * ph[mirrored.row] * ph[mirrored.col].conj()
-            change = float(abs(mirrored - op).max())
-            if change > SECTOR_LEAK_TOL:
-                raise PflabError(f"the mirror changes the term {name} of H by up to {change:.3e}")
-        position = np.full(basis.dimension, -1)
-        position[upper] = np.arange(upper.size)
-
-        def cut(op: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
-            row = np.repeat(np.arange(basis.dimension), np.diff(op.indptr))
-            inside = labels[row] == labels[op.indices]
-            leak = np.where(inside, 0.0, np.abs(op.data))
-            worst = float(leak.max(initial=0.0))
-            if worst > SECTOR_LEAK_TOL:
-                raise PflabError(f"a term of H couples angular-momentum sector "
-                                 f"{labels[row[leak.argmax()]]:+g} to others "
-                                 f"(max entry {worst:.3e})")
-            keep = inside & (position[row] >= 0)
-            row, col = position[row[keep]], position[op.indices[keep]]
-            # scipy's counting sort on the rows keeps each row's ascending order
-            return sp.csr_matrix((op.data[keep], (row, col)), shape=(upper.size,) * 2), worst
-
-        cuts = [cut(op) for op in terms]
-        X = np.exp(2j * np.pi * np.random.default_rng(0).random((basis.dimension, 2)))
-        linear = _linear_products(basis, *self.amplitudes, u, W @ X)
-        for name, TWX, T_c in zip(("u.A", "C", "sigma.B", "A^2"), linear, terms):
-            gap = float(np.abs(TWX - W @ (T_c @ X)).max())
-            if gap > SECTOR_LEAK_TOL * max(1.0, float(abs(T_c).sum(axis=1).max())):
-                raise PflabError(f"the circular-frame term {name} of H is not the helicity "
-                                 f"rotation of its linear form (off by {gap:.3e} on a probe)")
-        return [op for op, _ in cuts], max(leak for _, leak in cuts)
-
 
 def sector_split(ops: ModelOperators) -> SectorSplit:
-    """The J_axis sectors of ``ops``'s model, ascending in label: the blocks
-    z >= 0 of ``_circular_blocks`` and the diagonals (the same in both
-    frames); sector -z, the mirror image of z (``circular_mirror``), is not kept."""
+    """The J_axis sectors of ``ops``'s model, ascending in label; the one
+    builder of a ``SectorSplit``, which ``ModelOperators.sectors`` caches.
+
+    In the circular frame a k-point carries the modes b_+- with b_+-+ =
+    (a_1+ +- i a_2+)/sqrt(2): u.A, C, sigma.B and A^2 are built by
+    ``_field_terms`` with amplitudes (g_1 +- i g_2)/sqrt(2), (h_1 +- i
+    h_2)/sqrt(2) and spin matrices (M + M+)/2, M = S+ sigma_mu S for the spin
+    frame S along u, as float64 when every imaginary entry is exactly 0.0.
+    The mirror P (``circular_mirror``) must be an involution mapping sector z
+    onto -z and keep each term and the diagonals (the same in both frames) to
+    ``SECTOR_LEAK_TOL``.  One pass cuts each term to its entries inside a
+    sector z >= 0; its entries between two sectors may reach
+    ``SECTOR_LEAK_TOL`` (``leak_max``).  Each term T_c must match its linear
+    form T on two probe columns X, T (W X) = W (T_c X), to ``SECTOR_LEAK_TOL``
+    times the largest row sum of |T_c| (at least 1); ``_linear_products``
+    applies T to W X on the boson factor, so no linear term of the full basis
+    is built."""
     basis = ops.basis
-    u = np.asarray(basis.mode_set.axis, dtype=float)
+    u = _axis_direction(basis)
     index, phase = circular_mirror(basis)
     W = helicity_rotation(basis).tocsc()
     labels = circular_labels(basis)
@@ -760,7 +709,58 @@ def sector_split(ops: ModelOperators) -> SectorSplit:
     values = np.unique(labels)
     starts = np.cumsum([0, *(np.count_nonzero(labels == z) for z in values)])
     upper = np.argsort(labels, kind="stable")[starts[np.sum(values < 0.0)]:]
-    (A_z, C_z, sigma_B_z, A2_z), leak = ops._circular_blocks(u, W, labels, upper, index, phase)
+
+    one, two = basis.mode_set.polarization_pairs.T
+
+    def circular(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape, dtype=complex)
+        out[one], out[two] = ((x[one] + s * 1j * x[two]) / math.sqrt(2.0) for s in (1, -1))
+        return out
+
+    S = _spin_frame(u)
+    spin = [(M + M.conj().T) / 2 for M in (S.conj().T @ sigma @ S for sigma in PAULI[1:])]
+    A, C, A2, sigma_B = _field_terms(basis, *map(circular, ops.amplitudes), spin)
+    boson = (sum(u[mu] * A[mu] for mu in range(3) if u[mu] != 0.0), C, A2)
+    if not any(np.any(op.data.imag) for op in (*boson, sigma_B)):
+        boson, sigma_B = tuple(op.real for op in boson), sigma_B.real
+    # P T P+ has entry (i, j) phase[i] T[index[i], index[j]] phase[j]*: P = F (x) Pi
+    # keeps 1 (x) T iff Pi (index[-boson_dimension:]) keeps T, F being unitary, and
+    # on a diagonal d the phases cancel, P diag(d) P+ = diag(d[index])
+    pi, F = index[-basis.boson_dimension:], sp.diags(phase)
+    changes = [*(op[pi][:, pi] - op for op in boson),
+               F @ sigma_B[index][:, index] @ F.conj() - sigma_B,
+               *(d[index] - d for d in (ops.free_diag, ops.pf @ u))]
+    for name, change in zip(("u.A", "C", "A^2", "sigma.B", "free diagonal", "u.P_f"), changes):
+        change = float(abs(change).max())
+        if change > SECTOR_LEAK_TOL:
+            raise PflabError(f"the mirror changes the term {name} of H by up to {change:.3e}")
+    A_axis, C, A2 = (spin_tensor(0, op.astype(sigma_B.dtype), basis) for op in boson)
+    terms = (A_axis, C, sigma_B, A2)
+    position = np.full(basis.dimension, -1)
+    position[upper] = np.arange(upper.size)
+
+    def cut(op: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
+        row = np.repeat(np.arange(basis.dimension), np.diff(op.indptr))
+        inside = labels[row] == labels[op.indices]
+        leak = np.where(inside, 0.0, np.abs(op.data))
+        worst = float(leak.max(initial=0.0))
+        if worst > SECTOR_LEAK_TOL:
+            raise PflabError(f"a term of H couples angular-momentum sector "
+                             f"{labels[row[leak.argmax()]]:+g} to others "
+                             f"(max entry {worst:.3e})")
+        keep = inside & (position[row] >= 0)
+        row, col = position[row[keep]], position[op.indices[keep]]
+        # scipy's counting sort on the rows keeps each row's ascending order
+        return sp.csr_matrix((op.data[keep], (row, col)), shape=(upper.size,) * 2), worst
+
+    (A_z, C_z, sigma_B_z, A2_z), leaks = zip(*map(cut, terms))
+    X = np.exp(2j * np.pi * np.random.default_rng(0).random((basis.dimension, 2)))
+    linear = _linear_products(basis, *ops.amplitudes, u, W @ X)
+    for name, TWX, T_c in zip(("u.A", "C", "sigma.B", "A^2"), linear, terms):
+        gap = float(np.abs(TWX - W @ (T_c @ X)).max())
+        if gap > SECTOR_LEAK_TOL * max(1.0, float(abs(T_c).sum(axis=1).max())):
+            raise PflabError(f"the circular-frame term {name} of H is not the helicity "
+                             f"rotation of its linear form (off by {gap:.3e} on a probe)")
     states = [np.flatnonzero(labels == abs(z)) for z in values]
     # column j of W_z P_-z, for z < 0 and j in sector -z, is phase[index[j]] W[:, index[j]]
     to_linear = [(W[:, s] if z >= 0.0 else W[:, index[s]] @ sp.diags(phase[index[s]])).tocsr()
@@ -769,7 +769,8 @@ def sector_split(ops: ModelOperators) -> SectorSplit:
         upper=HamiltonianTerms(free_diag=ops.free_diag[upper], pf=(ops.pf @ u)[upper, None],
                                A=(A_z,), C=C_z, sigma_B=sigma_B_z, A2=A2_z),
         labels=tuple(float(z) for z in values), starts=tuple(int(x) for x in starts),
-        to_linear=tuple(to_linear), leak_max=leak)
+        to_linear=tuple(to_linear), leak_max=max(leaks),
+        source=tuple(int(j) for j in np.searchsorted(values[values >= 0.0], np.abs(values))))
 
 
 def build_operators(config: ModelConfig, basis: Optional[FockBasis] = None) -> ModelOperators:

@@ -314,34 +314,33 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     to ``solve_lowest`` on its own (at e = 0 each block is diagonal and is
     read off its diagonal).  No matrix is checked to be Hermitian here: the
     terms were checked when they were built, and every H(p, e) formed from
-    them is exactly Hermitian (``model.HamiltonianTerms``).  The
-    mirror P maps sector z onto -z, so the pairs of sector -z are
-    (lambda, W_-z P_z x) for the pairs (lambda, x) of z, with z's residuals
-    (``SectorSplit.to_linear``), and each value of a sector z > 0 counts
-    twice in the merge.  Each
-    solved sector starts at one pair (two when n_eig > 1) and is re-solved
-    with twice as many, up to n_eig, until it is exhausted or its highest
-    computed eigenvalue is at or above the n_eig-th lowest of all sectors'
-    values; no sector can then hold one of the n_eig lowest eigenvalues that
-    was not computed.  A grown sector's solve starts from the eigenvectors
-    of its last one.  A sector needing all of its pairs (never more than
-    n_eig) is solved dense, as only a dense solve returns a whole spectrum;
-    any other block by method "auto".  The blocks are real when the sector terms are
-    (``SectorSplit``), and so are their eigenvectors; only the n_eig kept
-    ones are mapped back to the linear basis, where they become complex.
-    The residuals are those of the sector blocks.  Any other model or
-    momentum is solved in the full space by ``solve_lowest``, on the
-    linear-frame terms (``ModelOperators.linear``), built at its first such
-    solve.
+    them is exactly Hermitian (``model.HamiltonianTerms``).  The mirror P
+    maps sector z onto -z, so the pairs of sector -z are (lambda, W_-z P_z x)
+    for the pairs (lambda, x) of z, with z's residuals
+    (``SectorSplit.to_linear``): ``SectorSplit.source`` names the block that
+    carries each sector's pairs, and a block's values count in the merge once
+    per sector it carries.  Each solved sector starts at one pair (two when
+    n_eig > 1) and is re-solved with twice as many, up to n_eig, until it is
+    exhausted or its highest computed eigenvalue is at or above the n_eig-th
+    lowest of all sectors' values; no sector can then hold one of the n_eig
+    lowest eigenvalues that was not computed.  A grown sector's solve starts
+    from the eigenvectors of its last one.  A sector needing all of its pairs
+    (never more than n_eig) is solved dense, as only a dense solve returns a
+    whole spectrum; any other block by method "auto".  The blocks are real
+    when the sector terms are (``SectorSplit``), and so are their
+    eigenvectors; only the n_eig kept ones are mapped back to the linear
+    basis, where they become complex.  The residuals are those of the sector
+    blocks.  Any other model or momentum is solved in the full space by
+    ``solve_lowest``, on the linear-frame terms (``ModelOperators.linear``),
+    built at its first such solve.
     """
     t = ops.axis_coordinate(p)
     if t is None:
         return solve_lowest(ops.linear.hamiltonian(p, e), n_eig, seed=seed, _checked=True)
     _check_n_eig(n_eig, ops.basis.dimension)
     split = ops.sectors
-    first = split.first_upper
     blocks = split.upper_blocks(t, e)
-    copies = [1 if z == 0.0 else 2 for z in split.labels[first:]]
+    copies = np.bincount(split.source)
     pairs = [min(2 if n_eig > 1 else 1, block.shape[0]) for block in blocks]
     results: list[Optional[SpectralResult]] = [None] * len(blocks)
     starts: list[Optional[np.ndarray]] = [None] * len(blocks)
@@ -364,25 +363,22 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
         for i in grow:
             pairs[i] = min(blocks[i].shape[0], n_eig, 2 * pairs[i])
             starts[i], results[i] = results[i].eigenvectors, None
-    # sector i < first is the mirror image of sector len(labels) - 1 - i
-    n_sectors = len(split.labels)
-    source = [n_sectors - 1 - i if i < first else i for i in range(n_sectors)]
-    solved = [results[j - first] for j in source]
+    solved = [results[j] for j in split.source]
     vals = np.concatenate([r.eigenvalues for r in solved])
     order = np.argsort(vals, kind="stable")[:n_eig]
     resid = np.concatenate([r.residual_norms for r in solved])
     # map back the kept columns only, sector by sector
-    sector_of = np.repeat(np.arange(n_sectors), [len(r.eigenvalues) for r in solved])
+    sector_of = np.repeat(np.arange(len(solved)), [len(r.eigenvalues) for r in solved])
     column_of = np.concatenate([np.arange(len(r.eigenvalues)) for r in solved])
     vecs = np.empty((ops.basis.dimension, len(order)), dtype=np.complex128)
     for i in np.unique(sector_of[order]):
         kept = np.flatnonzero(sector_of[order] == i)
         vecs[:, kept] = split.to_linear[i] @ solved[i].eigenvectors[:, column_of[order[kept]]]
-    solves = tuple(SectorSolve(split.labels[i], blocks[j - first].shape[0],
-                               len(r.eigenvalues), r.method, r.ground_energy,
-                               split.labels[j] if i < first else None,
-                               0 if i < first else matvecs[j - first])
-                   for i, (j, r) in enumerate(zip(source, solved)))
+    own = split.labels[split.first_upper:]          # the label of each block's own sector
+    solves = tuple(SectorSolve(z, blocks[j].shape[0], len(r.eigenvalues), r.method,
+                               r.ground_energy, None if own[j] == z else own[j],
+                               matvecs[j] if own[j] == z else 0)
+                   for z, j, r in zip(split.labels, split.source, solved))
     return SpectralResult(vals[order], vecs, resid[order], "sectors", sum(matvecs), solves)
 
 

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from pflab import bounds
 from pflab.errors import BasisMismatchError, ConfigError, NonHermitianError
 from pflab.fock import (FockBasis, Mode, ModeSet, axial_mode_set, enumerate_basis,
                         explicit_mode_set)
@@ -24,6 +25,7 @@ from pflab.model import (
     polarization_vectors,
 )
 from pflab.fock import hermiticity_defect
+from pflab.spectra import solve_model
 
 from conftest import CONFIG_DIR, DESK_EDGES, make_config
 from oracles import (OccupationState, dense_hamiltonian, ladder_fields, rank,
@@ -288,7 +290,8 @@ def test_spectrum_invariant_under_charge_reversal(pair_ms):
 
 def test_both_frames_share_one_field_pattern(shipped_configs, monkeypatch):
     # the ladder entries and their sort are made once per basis, for the
-    # circular terms, the split's probe and the linear terms alike
+    # circular terms, the split's probe, the linear terms and the
+    # pull-through's a_m psi alike
     calls = []
     lowering = FockBasis.lowering
 
@@ -297,9 +300,12 @@ def test_both_frames_share_one_field_pattern(shipped_configs, monkeypatch):
         return lowering(basis)
 
     monkeypatch.setattr(FockBasis, "lowering", counted)
-    ops = build_operators(shipped_configs["desk_e010.json"])
+    cfg = shipped_configs["desk_e010.json"]
+    ops = build_operators(cfg)
     ops.sectors
     ops.linear
+    ground = solve_model(ops, cfg.p, cfg.e, 1)
+    bounds.pull_through_residual(ground.eigenvectors[:, 0], cfg, ground.ground_energy, ops)
     assert calls == [ops.basis]
 
 

@@ -465,18 +465,19 @@ def test_corrupted_sector_term_is_refused_before_any_eigensolve(shipped_configs,
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK called on a non-Hermitian block")
 
-    def corrupted(*args):
-        # one off-diagonal entry of the cut A2 scaled by 1 + 1e-12
-        (A_z, C_z, sigma_B_z, A2_z), leak_max = circular_blocks(*args)
+    def corrupted(**terms):
+        # one off-diagonal entry of the cut A2 scaled by 1 + 1e-12, as
+        # sector_split hands the terms over
+        A2_z = terms["A2"]
         rows = np.repeat(np.arange(A2_z.shape[0]), np.diff(A2_z.indptr))
         off_diagonal = np.flatnonzero((A2_z.indices != rows) & (A2_z.data != 0.0))
         A2_z.data[off_diagonal[len(off_diagonal) // 2]] *= 1.0 + 1e-12
-        return (A_z, C_z, sigma_B_z, A2_z), leak_max
+        return hamiltonian_terms(**terms)
 
-    circular_blocks = model_mod.ModelOperators._circular_blocks
+    hamiltonian_terms = model_mod.HamiltonianTerms
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
-    monkeypatch.setattr(model_mod.ModelOperators, "_circular_blocks", corrupted)
+    monkeypatch.setattr(model_mod, "HamiltonianTerms", corrupted)
     monkeypatch.setattr(spectra_mod, "solve_lowest", no_solve)
     monkeypatch.setattr(spectra_mod.sla, "eigh", no_lapack)
     with pytest.raises(NonHermitianError, match="term A2 of H is not exactly Hermitian"):
