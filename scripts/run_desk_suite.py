@@ -2,12 +2,13 @@
 """Run the full desk-model pipeline over the shipped configs.
 
 For every config in configs/: model checks, the lowest spectrum with
-degeneracy, a momentum sweep with gap estimates, the bound report, and the
-sector decomposition (axial spin configs only).  Outputs land in
-out/desk_suite/<config-stem>/<command>/.  The run ends with one line per
-output file but the manifests, its sha256 and its path under ``--out``, so
-two source trees write the same files exactly when one ``diff`` of their
-printouts is empty:
+degeneracy, two momentum sweeps with gap estimates (one along z, one along
+x, which is off the axis of every shipped axial mode set and so is solved in
+the full space), the bound report, and the sector decomposition (axial spin
+configs only).  Outputs land in out/desk_suite/<config-stem>/<command>/.
+The run ends with one line per output file but the manifests, its sha256
+and its path under ``--out``, so two source trees write the same files
+exactly when one ``diff`` of their printouts is empty:
 
     PYTHONPATH=src python scripts/run_desk_suite.py --configs configs --out OUT
 """
@@ -53,6 +54,9 @@ def main():
         if run(["sweep", "--config", cfg_path, "--out", base / "sweep",
                 "--seed", args.seed, "--p-grid", "axis=z;from=-0.5;to=0.5;steps=11"]):
             failures.append((stem, "sweep"))
+        if run(["sweep", "--config", cfg_path, "--out", base / "sweep_x",
+                "--seed", args.seed, "--p-grid", "axis=x;from=0;to=0.3;steps=4"]):
+            failures.append((stem, "sweep_x"))
         if run(["bounds", "--config", cfg_path, "--out", base / "bounds",
                 "--seed", args.seed]):
             failures.append((stem, "bounds"))

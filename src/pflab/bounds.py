@@ -22,7 +22,8 @@ threshold, and the spinless uniqueness condition.
 
 All integrals run on the dedicated radial-angular grid, independent of the
 Hamiltonian's mode set; interpolated E enters through a radial energy
-curve, solved at every coupling (e = 0 included), whose grid spacing is the
+curve (``spectra.sweep_energy_curve``), solved at every coupling (e = 0
+included) from the model's one operator set; its grid spacing is the
 quoted uncertainty proxy.  At finite truncation the pull-through identity
 is only approximate, so every check reports its numbers rather than
 asserting blindly; ``pull_through_residual`` measures how far the identity
@@ -52,7 +53,6 @@ from .spectra import (
     GroundCluster,
     RadialEnergyCurve,
     detect_ground_cluster,
-    model_operators,
     solve_model,
     sweep_energy_curve,
 )
@@ -62,13 +62,6 @@ DENOMINATOR_FLOOR = 1e-6
 CG_RTOL = 1e-14
 #: Relative excess of <N_f> over e^2 Theta(p) that the number check tolerates.
 PHOTON_NUMBER_SLACK = 0.10
-
-
-def default_energy_curve(config: ModelConfig, cache: Optional[dict] = None,
-                         seed: int = DEFAULT_SEED) -> RadialEnergyCurve:
-    """Energy curve covering every |p - k| reachable by the shared quadrature."""
-    q_max = config.p_norm + config.quadrature.r_max
-    return sweep_energy_curve(config, q_max=q_max, cache=cache, seed=seed)
 
 
 @dataclass
@@ -323,21 +316,22 @@ class CouplingThreshold:
     grid_max: float
 
 
-def coupling_threshold(config: ModelConfig, e_values=None, refine_steps: int = 8,
-                       cache: Optional[dict] = None,
+def coupling_threshold(ops: ModelOperators, config: ModelConfig, curve: RadialEnergyCurve,
+                       e_values=None, refine_steps: int = 8,
                        seed: int = DEFAULT_SEED) -> CouplingThreshold:
     """Largest e with e < 1/sqrt(3 Theta(p, e)) and c0(e) < 1.
 
-    Theta depends on e through the interpolated energy curve of the model at
-    that coupling, so each probe re-solves the sweep from the one operator
-    set of the model kept in ``cache``.  The relative-bound condition
-    c0(e) < 1 stands in for the implicit self-adjointness threshold.
-    Returns 0 with a warning when no grid point is admissible.
+    Theta depends on e through the energy curve of the model at that
+    coupling: a probe at e == config.e reads ``curve``, the curve of
+    ``config`` itself, and any other probe at e > 0 solves its own
+    (``sweep_energy_curve``) from the model's operator set ``ops``.  The
+    relative-bound condition c0(e) < 1 stands in for the implicit
+    self-adjointness threshold.  Returns 0 with a warning when no grid
+    point is admissible.
     """
     if e_values is None:
         e_values = np.linspace(0.0, 0.5, 11)
     e_values = np.asarray(sorted(set(float(abs(e)) for e in e_values)))
-    cache = {} if cache is None else cache
 
     def admissible(e: float) -> tuple[bool, str]:
         probe = config.at(e=e)
@@ -345,9 +339,9 @@ def coupling_threshold(config: ModelConfig, e_values=None, refine_steps: int = 8
             return False, "relative-bound"
         if e == 0.0:
             return True, ""
-        curve = default_energy_curve(probe, cache=cache, seed=seed)
+        probe_curve = curve if e == config.e else sweep_energy_curve(ops, probe, seed=seed)
         try:
-            theta = photon_number_integral(probe, curve).value
+            theta = photon_number_integral(probe, probe_curve).value
         except GapTooSmallError:
             return False, "gap-collapse"
         if theta > 0.0 and e >= 1.0 / math.sqrt(3.0 * theta):
@@ -395,25 +389,24 @@ class SpinlessUniqueness:
     passed: bool
 
 
-def spinless_uniqueness_check(config: ModelConfig, energy_curve=None,
-                              cache: Optional[dict] = None,
+def spinless_uniqueness_check(ops: ModelOperators, config: ModelConfig, energy_curve=None,
                               seed: int = DEFAULT_SEED) -> SpinlessUniqueness:
     """Spinless models: e^2 <= 1 / (2 J(p)) forces a unique ground state,
     with J(p) = int E(p) / (E(p-k)+omega(k)-E(p))^2 * phi_hat^2/omega dk.
 
     E(p) = 0 makes the condition vacuous (limit +inf); that is handled, not
-    an error.  The observed degeneracy and gap come from an eigensolve.
+    an error.  ``energy_curve`` defaults to the model's curve
+    (``sweep_energy_curve``), and the observed degeneracy and gap come from
+    an eigensolve, both from the model's operator set ``ops``.
     """
     if config.with_spin:
         raise PflabError("spinless uniqueness check requires with_spin = false")
-    cache = {} if cache is None else cache
     if energy_curve is None:
-        energy_curve = default_energy_curve(config, cache=cache, seed=seed)
+        energy_curve = sweep_energy_curve(ops, config, seed=seed)
     J, _, _ = _resolvent_integral(config, energy_curve, lambda R, Ep: Ep,
                                   "uniqueness integral")
     limit = math.inf if J <= 0.0 else 1.0 / (2.0 * J)
     holds = config.e**2 <= limit
-    ops = model_operators(config, cache)
     result = solve_model(ops, config.p, config.e, n_eig=min(6, ops.basis.dimension - 1), seed=seed)
     try:
         cluster = detect_ground_cluster(result)

@@ -182,7 +182,7 @@ def cmd_model_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = load_config(args.config, force_allow_massless=args.override_massless)
-    ops = model_operators(config, {})
+    ops = model_operators(config)
     basis = ops.basis
     if args.n_eig >= basis.dimension:
         raise ConfigError(
@@ -224,10 +224,10 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     p_values = _parse_p_grid(args.p_grid)
     config = load_config(args.config, force_allow_massless=args.override_massless)
-    cache: dict = {}
-    rows = energy_sweep(config, p_values, n_eig=args.n_eig, seed=args.seed, cache=cache)
+    ops = model_operators(config)
+    rows = energy_sweep(ops, p_values, config.e, n_eig=args.n_eig, seed=args.seed)
     p_max = max(float(np.linalg.norm(p)) for p in p_values)
-    curve = sweep_energy_curve(config, q_max=p_max + args.k_max, cache=cache, seed=args.seed)
+    curve = sweep_energy_curve(ops, config, q_max=p_max + args.k_max, seed=args.seed)
     table = []
     for row in rows:
         entry = {
@@ -256,10 +256,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     config = load_config(args.config, force_allow_massless=args.override_massless)
-    cache: dict = {}
     out = _out_dir(args)
+    ops = model_operators(config)
     if not config.with_spin:
-        rep = bounds_mod.spinless_uniqueness_check(config, cache=cache, seed=args.seed)
+        rep = bounds_mod.spinless_uniqueness_check(ops, config, seed=args.seed)
         print(f"spinless uniqueness : integral = {rep.integral:.6g}, "
               f"e^2 limit = {rep.e_squared_limit:.6g}, hypothesis "
               f"{'holds' if rep.hypothesis_holds else 'fails'}")
@@ -278,11 +278,10 @@ def cmd_bounds(args) -> int:
             return EXIT_SCIENTIFIC
         return EXIT_OK
 
-    ops = model_operators(config, cache)
     basis = ops.basis
     result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1), seed=args.seed)
     cluster = detect_ground_cluster(result)
-    curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed)
+    curve = sweep_energy_curve(ops, config, seed=args.seed)
     integral = bounds_mod.photon_number_integral(config, curve)
     nf_check = bounds_mod.photon_number_check(cluster, config,
                                               number_operator(basis), integral)
@@ -291,8 +290,9 @@ def cmd_bounds(args) -> int:
     residual = float(bounds_mod.pull_through_residual(cluster.basis[:, 0], config,
                                                       cluster.energy, ops).max())
     gram = bounds_mod.vacuum_gram(cluster, basis) if cluster.count == 2 else None
-    threshold = bounds_mod.coupling_threshold(config, np.linspace(0.0, args.e_grid_max, 6),
-                                              refine_steps=5, cache=cache, seed=args.seed)
+    threshold = bounds_mod.coupling_threshold(ops, config, curve,
+                                              np.linspace(0.0, args.e_grid_max, 6),
+                                              refine_steps=5, seed=args.seed)
 
     hypothesis = upper.hypothesis_holds and coupling_bound(config) < 1.0
     gap_positive = cluster.gap_above > 0.0
@@ -365,20 +365,22 @@ def cmd_bounds(args) -> int:
 
 def cmd_sectors(args) -> int:
     config = load_config(args.config, force_allow_massless=args.override_massless)
-    cache: dict = {}
-    ops = model_operators(config, cache)
-    split = ops.sectors                 # refuses a scattered mode set and n_max < N_max
-    if ops.axis_coordinate(config.p) is None:
+    ops = model_operators(config)
+    # an off-axis momentum is refused before the split is built; the split
+    # refuses a scattered mode set and n_max < N_max
+    if (config.mode_set.axial and config.n_max >= config.N_max
+            and ops.axis_coordinate(config.p) is None):
         raise PflabError(
             f"momentum {config.p} is not collinear with the mode axis "
             f"{config.mode_set.axis}; the axial reduction does not apply"
         )
+    split = ops.sectors
     result = solve_model(ops, config.p, config.e, min(6, ops.basis.dimension - 1), seed=args.seed)
     cluster = detect_ground_cluster(result)
 
     gate = False
     if config.with_spin and config.e != 0.0:
-        curve = bounds_mod.default_energy_curve(config, cache=cache, seed=args.seed)
+        curve = sweep_energy_curve(ops, config, seed=args.seed)
         integral = bounds_mod.photon_number_integral(config, curve)
         upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
         gate = upper.hypothesis_holds and coupling_bound(config) < 1.0

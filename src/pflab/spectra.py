@@ -23,7 +23,10 @@ merges the sectors' lowest pairs (see ``ModelOperators.sectors`` and the
 J_axis paragraph of ``model``); its ``SpectralResult.sectors`` then records
 each sector's ground energy.  ``ground_sector_labels`` reads those off and
 names the sectors that hold the ground energy; it solves nothing itself.
-``model_operators`` keeps one operator set per model in a caller's cache.
+A command builds its model's operator set once (``model_operators``) and
+passes it to every solve: ``energy_sweep`` solves a list of momenta and
+clusters each point's spectrum, ``sweep_energy_curve`` solves one pair per
+point of the E(q) curve that the gap formula and the bounds interpolate.
 """
 
 from __future__ import annotations
@@ -466,57 +469,44 @@ class SweepRow:
     note: str = ""
 
 
-def _cached_model(config: ModelConfig, cache: dict) -> tuple[ModelOperators, dict]:
-    # one entry per model, its operator set and the sweep rows solved from it:
-    # the set depends on neither p nor e
-    key = config.at(p=(0.0, 0.0, 0.0), e=0.0)
-    if key not in cache:
-        ops = build_operators(config)
-        if ops.basis.dimension < 3:     # a cluster needs two eigenvalues below the top
-            raise ConfigError(f"the basis dimension {ops.basis.dimension} is too small to "
-                              "certify a ground cluster; enlarge the cutoffs")
-        cache[key] = (ops, {})
-    return cache[key]
+def model_operators(config: ModelConfig) -> ModelOperators:
+    """The operator set of ``config``'s model, which serves every p and e;
+    a command builds it once and passes it to each solve.  Refuses a basis
+    of dimension 1 or 2 with ``ConfigError``."""
+    ops = build_operators(config)
+    if ops.basis.dimension < 3:         # a cluster needs two eigenvalues below the top
+        raise ConfigError(f"the basis dimension {ops.basis.dimension} is too small to "
+                          "certify a ground cluster; enlarge the cutoffs")
+    return ops
 
 
-def model_operators(config: ModelConfig, cache: dict) -> ModelOperators:
-    """The operator set of ``config``'s model, built at the first call with
-    this ``cache`` and shared through it, at any p and e, with every later
-    call and with ``energy_sweep``.  Refuses a basis of dimension 1 or 2
-    with ``ConfigError``."""
-    return _cached_model(config, cache)[0]
+def _solve_at(ops: ModelOperators, p: tuple[float, float, float], e: float, n_eig: int,
+              seed: int) -> SpectralResult:
+    # a sweep's solve, its failure annotated with the point
+    try:
+        return solve_model(ops, p, e, n_eig=n_eig, seed=seed)
+    except SolverError as err:
+        raise SolverError(f"solve failed at p={p}: {err}", residuals=err.residuals) from err
 
 
-def energy_sweep(config: ModelConfig, p_values: Sequence[Sequence[float]], n_eig: int = 6,
-                 seed: int = DEFAULT_SEED, cache: Optional[dict] = None) -> list[SweepRow]:
-    """E(p) and ground degeneracy across a list of momenta on a shared basis.
-
-    Each point is solved by ``solve_model`` from the model's operator set
-    (``model_operators``).  The set and the rows are kept in ``cache``, one
-    entry per model; pass the same dict across calls to reuse both.  Solver
-    failures propagate annotated with their p; indeterminate clustering is
-    recorded per row instead.
+def energy_sweep(ops: ModelOperators, p_values: Sequence[Sequence[float]], e: float,
+                 n_eig: int = 6, seed: int = DEFAULT_SEED) -> list[SweepRow]:
+    """E(p) and ground degeneracy of H(p, e) across a list of momenta, each
+    point solved by ``solve_model`` from the model's operator set ``ops``.
+    Solver failures propagate annotated with their p; indeterminate
+    clustering is recorded per row instead.
     """
-    ops, solved = _cached_model(config, {} if cache is None else cache)
     rows = []
     for p in p_values:
         pt = tuple(float(x) for x in p)
-        key = (pt, config.e, n_eig, seed)
-        if key not in solved:
-            try:
-                result = solve_model(ops, pt, config.e, n_eig=min(n_eig, ops.basis.dimension - 1),
-                                     seed=seed)
-            except SolverError as err:
-                raise SolverError(f"solve failed at p={pt}: {err}",
-                                  residuals=err.residuals) from err
-            try:
-                cluster = detect_ground_cluster(result)
-                solved[key] = SweepRow(pt, result.ground_energy, cluster.count,
-                                       cluster.cluster_width, cluster.gap_above)
-            except IndeterminateDegeneracy as err:
-                solved[key] = SweepRow(pt, result.ground_energy, None, None, None,
-                                       note=f"indeterminate degeneracy: {err}")
-        rows.append(solved[key])
+        result = _solve_at(ops, pt, e, min(n_eig, ops.basis.dimension - 1), seed)
+        try:
+            cluster = detect_ground_cluster(result)
+            rows.append(SweepRow(pt, result.ground_energy, cluster.count,
+                                 cluster.cluster_width, cluster.gap_above))
+        except IndeterminateDegeneracy as err:
+            rows.append(SweepRow(pt, result.ground_energy, None, None, None,
+                                 note=f"indeterminate degeneracy: {err}"))
     return rows
 
 
@@ -556,21 +546,26 @@ def _search_axis(config: ModelConfig) -> np.ndarray:
     return np.asarray(ms.axis if ms.axial else (0.0, 0.0, 1.0))
 
 
-def sweep_energy_curve(config: ModelConfig, q_max: float, cache: Optional[dict] = None,
+def sweep_energy_curve(ops: ModelOperators, config: ModelConfig, q_max: Optional[float] = None,
                        seed: int = DEFAULT_SEED) -> RadialEnergyCurve:
-    """Tabulate the ground energy E(q) at ``config.quadrature.sweep_points``
-    points along the search axis and wrap it as a radial curve.
+    """Tabulate the ground energy E(q) of H(q, config.e) at
+    ``config.quadrature.sweep_points`` points q from 0 to ``q_max`` along
+    the search axis, one pair per point from the model's operator set
+    ``ops``, and wrap it as a radial curve.  ``q_max`` defaults to
+    |p| + r_max, which covers every |p - k| the bounds' quadrature reaches.
 
     Each grid point is an eigensolve of the configured model, so the curve
     reflects the truncation being studied; at e = 0 too, where the vacuum
     (E = q^2/2) stops being the ground state once a photon's momentum
     lowers the kinetic energy by more than its omega.
     """
+    if q_max is None:
+        q_max = config.p_norm + config.quadrature.r_max
     q = np.linspace(0.0, q_max, config.quadrature.sweep_points)
     axis = _search_axis(config)
-    rows = energy_sweep(config, [tuple(qi * axis) for qi in q], n_eig=1, seed=seed, cache=cache)
-    return RadialEnergyCurve(q=q, values=np.array([r.energy for r in rows]),
-                             spacing=float(q[1] - q[0]))
+    values = [_solve_at(ops, tuple(float(x) for x in qi * axis), config.e, 1, seed).ground_energy
+              for qi in q]
+    return RadialEnergyCurve(q=q, values=np.array(values), spacing=float(q[1] - q[0]))
 
 
 @dataclass

@@ -21,8 +21,10 @@ from pflab.spectra import (
     detect_ground_cluster,
     gap_estimate,
     ground_sector_labels,
+    model_operators,
     solve_lowest,
     solve_model,
+    sweep_energy_curve,
 )
 
 from conftest import DESK_EDGES, make_config
@@ -43,13 +45,12 @@ def report(num, ok, text):
 def desk_artifacts(desk_ms):
     """Cluster, energy curve, and photon integral per desk coupling."""
     out = {}
-    cache = {}
     for e in COUPLINGS:
         cfg = make_config(desk_ms, e=e, p=DESK_P)
         basis = build_basis(cfg)
         H = assemble_hamiltonian(cfg, basis)
         cluster = detect_ground_cluster(solve_lowest(H, 6))
-        curve = bounds_mod.default_energy_curve(cfg, cache=cache)
+        curve = sweep_energy_curve(model_operators(cfg), cfg)
         integral = bounds_mod.photon_number_integral(cfg, curve)
         out[e] = dict(cfg=cfg, basis=basis, H=H, cluster=cluster, curve=curve,
                       integral=integral)
@@ -127,14 +128,13 @@ def test_c04_vacuum_gram_proportionality(desk_artifacts):
 def test_c05_photon_number_bound_trend(desk_ms):
     # mode-resolution ladder: 2, 3, 4 radial shells covering the same ball
     ladders = ([0.0, 1.7, 3.4], [0.0, 1.1, 2.2, 3.4], DESK_EDGES)
-    cache = {}
     ratios = []
     for edges in ladders:
         cfg = make_config(axial_mode_set(edges), e=0.1, p=DESK_P)
         basis = build_basis(cfg)
         cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, basis), 6))
         integral = bounds_mod.photon_number_integral(
-            cfg, bounds_mod.default_energy_curve(cfg, cache=cache))
+            cfg, sweep_energy_curve(model_operators(cfg), cfg))
         chk = bounds_mod.photon_number_check(cluster, cfg, number_operator(basis),
                                              integral)
         ratios.append(chk.ratio)
@@ -147,7 +147,7 @@ def test_c05_photon_number_bound_trend(desk_ms):
         basis = build_basis(cfg)
         cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, basis), 6))
         integral = bounds_mod.photon_number_integral(
-            cfg, bounds_mod.default_energy_curve(cfg, cache=cache))
+            cfg, sweep_energy_curve(model_operators(cfg), cfg))
         nf[e] = bounds_mod.photon_number_check(cluster, cfg, number_operator(basis),
                                                integral).nf_max
     scaled = [nf[e] / e**2 for e in (0.025, 0.05, 0.1)]
@@ -184,7 +184,7 @@ def test_c07_spinless_uniqueness(desk_ms):
     details = []
     for e in (0.1, 0.2):
         cfg = make_config(desk_ms, e=e, p=DESK_P, with_spin=False)
-        rep = bounds_mod.spinless_uniqueness_check(cfg)
+        rep = bounds_mod.spinless_uniqueness_check(model_operators(cfg), cfg)
         ok &= rep.hypothesis_holds
         ok &= rep.count == 1 and rep.gap_above is not None and rep.gap_above > 0.0
         details.append(f"e={e}: count={rep.count} gap={rep.gap_above:.3f}")

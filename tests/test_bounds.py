@@ -12,8 +12,10 @@ from pflab.model import PHI_HAT_ZERO, assemble_hamiltonian, build_basis, build_o
 from pflab.quadrature import gauss_legendre
 from pflab.spectra import (
     detect_ground_cluster,
+    model_operators,
     solve_lowest,
     solve_model,
+    sweep_energy_curve,
 )
 
 from conftest import make_config
@@ -33,8 +35,7 @@ def desk_cluster(desk_ms):
     basis = build_basis(cfg)
     H = assemble_hamiltonian(cfg, basis)
     cluster = detect_ground_cluster(solve_lowest(H, 6))
-    cache = {}
-    curve = bounds.default_energy_curve(cfg, cache=cache)
+    curve = sweep_energy_curve(model_operators(cfg), cfg)
     integral = bounds.photon_number_integral(cfg, curve)
     return cfg, basis, cluster, curve, integral
 
@@ -180,13 +181,12 @@ def test_number_bound_holds_on_desk_model(desk_cluster):
 
 def test_number_expectation_scales_as_coupling_squared(desk_ms):
     vals = {}
-    cache = {}
     for e in (0.025, 0.05, 0.1):
         cfg = make_config(desk_ms, e=e, p=(0.0, 0.0, 0.4))
         basis = build_basis(cfg)
         cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, basis), 6))
         integ = bounds.photon_number_integral(
-            cfg, bounds.default_energy_curve(cfg, cache=cache))
+            cfg, sweep_energy_curve(model_operators(cfg), cfg))
         vals[e] = bounds.photon_number_check(cluster, cfg, number_operator(basis),
                                              integ).nf_max
     assert vals[0.05] / vals[0.025] == pytest.approx(4.0, rel=0.05)
@@ -355,7 +355,9 @@ def test_bound_chain_arithmetic(desk_cluster):
 
 def test_coupling_threshold_grid_bound(tiny_ms):
     cfg = make_config(tiny_ms, e=0.1, p=(0.0, 0.0, 0.0), N_max=1, n_max=1)
-    th = bounds.coupling_threshold(cfg, e_values=np.linspace(0.0, 0.3, 4))
+    ops = model_operators(cfg)
+    th = bounds.coupling_threshold(ops, cfg, sweep_energy_curve(ops, cfg),
+                                   e_values=np.linspace(0.0, 0.3, 4))
     assert th.value == pytest.approx(0.3)
     assert th.binding == "grid"
 
@@ -367,8 +369,9 @@ def test_coupling_threshold_relative_bound_binds(tiny_ms):
 
     cfg = make_config(tiny_ms, e=0.1, p=(0.0, 0.0, 0.0), N_max=1, n_max=1).at(
         form_factor=FormFactor(kind="sharp", lam=4.0))
-    th = bounds.coupling_threshold(cfg, e_values=np.array([0.0, 0.3, 0.6]),
-                                   refine_steps=12)
+    ops = model_operators(cfg)
+    th = bounds.coupling_threshold(ops, cfg, sweep_energy_curve(ops, cfg),
+                                   e_values=np.array([0.0, 0.3, 0.6]), refine_steps=12)
     assert th.binding == "relative-bound"
     assert coupling_bound(cfg.at(e=th.value)) < 1.0
     assert coupling_bound(cfg.at(e=th.value + 0.01)) >= 1.0
@@ -376,8 +379,10 @@ def test_coupling_threshold_relative_bound_binds(tiny_ms):
 
 def test_coupling_threshold_empty_grid_warns(tiny_ms):
     cfg = make_config(tiny_ms, e=0.1, p=(0.0, 0.0, 0.0), N_max=1, n_max=1)
+    ops = model_operators(cfg)
+    curve = sweep_energy_curve(ops, cfg)
     with pytest.warns(UserWarning, match="no admissible coupling"):
-        th = bounds.coupling_threshold(cfg, e_values=np.array([5.0, 6.0]))
+        th = bounds.coupling_threshold(ops, cfg, curve, e_values=np.array([5.0, 6.0]))
     assert th.value == 0.0
 
 
@@ -386,7 +391,8 @@ def test_coupling_threshold_empty_grid_warns(tiny_ms):
 
 def test_spinless_uniqueness_at_zero_coupling(desk_ms):
     cfg = make_config(desk_ms, e=0.0, p=(0.0, 0.0, 0.0), with_spin=False)
-    rep = bounds.spinless_uniqueness_check(cfg, energy_curve=FreeEnergyCurve())
+    rep = bounds.spinless_uniqueness_check(model_operators(cfg), cfg,
+                                           energy_curve=FreeEnergyCurve())
     assert rep.hypothesis_holds
     assert rep.e_squared_limit == np.inf   # E(0) = 0 makes the condition vacuous
     assert rep.count == 1 and rep.passed
@@ -394,7 +400,7 @@ def test_spinless_uniqueness_at_zero_coupling(desk_ms):
 
 def test_spinless_uniqueness_desk_model(desk_ms):
     cfg = make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4), with_spin=False)
-    rep = bounds.spinless_uniqueness_check(cfg)
+    rep = bounds.spinless_uniqueness_check(model_operators(cfg), cfg)
     assert rep.integral > 0.0
     assert rep.hypothesis_holds
     assert rep.count == 1
@@ -405,7 +411,7 @@ def test_spinless_uniqueness_desk_model(desk_ms):
 def test_spinless_uniqueness_refuses_spin(desk_ms):
     cfg = make_config(desk_ms, e=0.1, with_spin=True)
     with pytest.raises(PflabError):
-        bounds.spinless_uniqueness_check(cfg)
+        bounds.spinless_uniqueness_check(model_operators(cfg), cfg)
 
 
 def test_gauss_legendre_computes_each_order_once_and_returns_new_arrays(monkeypatch):

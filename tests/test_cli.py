@@ -590,19 +590,25 @@ def test_sectors_refuse_non_axial(tmp_path, capsys):
 
 
 SECTOR_REFUSALS = {
-    "off_axis_p": ({"p": [0.1, 0.0, 0.4]}, "collinear"),
-    "n_max_below_N_max": ({"N_max": 2, "n_max": 1}, "n_max >= N_max"),
+    # the config overrides, the message, and whether the split itself refuses
+    "off_axis_p": ({"p": [0.1, 0.0, 0.4]}, "collinear", False),
+    "n_max_below_N_max": ({"N_max": 2, "n_max": 1}, "n_max >= N_max", True),
 }
 
 
-@pytest.mark.parametrize("overrides, message", SECTOR_REFUSALS.values(),
+@pytest.mark.parametrize("overrides, message, by_split", SECTOR_REFUSALS.values(),
                          ids=SECTOR_REFUSALS.keys())
 def test_sectors_refuse_without_a_sector_split(tmp_path, monkeypatch, capsys, overrides,
-                                               message):
+                                               message, by_split):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the refusal")
 
+    def no_split(*args, **kwargs):
+        raise AssertionError("sector split built before the refusal")
+
     monkeypatch.setattr(spectra, "solve_lowest", no_solve)
+    if not by_split:
+        monkeypatch.setattr(model, "sector_split", no_split)
     cfg = write_config(tmp_path, quadrature=fast_quadrature(), **overrides)
     assert run("sectors", "--config", cfg, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err

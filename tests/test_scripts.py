@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from pflab.spectra import model_operators
+
 ROOT = Path(__file__).parent.parent
 SRC_DIR = ROOT / "src"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -76,9 +78,8 @@ def test_convergence_ladder_bound_ratio():
     spec.loader.exec_module(ladder)
     # the 2-shell rung at N_max = n_max = 2
     cfg = ladder.desk_config(ladder.SHELL_LADDER[0], 0.1, (0.0, 0.0, 0.4))
-    cache = {}
-    dim, chk = ladder.bound_ratio(cfg, cache)
-    assert dim == 90 and len(cache) == 1
+    dim, chk = ladder.bound_ratio(model_operators(cfg), cfg)
+    assert dim == 90
     assert 0.0 < chk.nf_max and 0.0 < chk.ratio < 1.0 + chk.slack
 
 

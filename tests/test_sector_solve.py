@@ -505,13 +505,13 @@ def _count_hermitian_checks(monkeypatch, counts):
 def test_energy_curve_costs_no_hermitian_check_and_its_eigensolves_per_point(shipped_configs,
                                                                              monkeypatch):
     cfg = shipped_configs["desk_e010.json"]
-    cache = {}
-    model_operators(cfg, cache).sectors           # the split is built outside the count
+    ops = model_operators(cfg)
+    ops.sectors                                   # the split is built outside the count
     counts = {"hamiltonian": 0, "hermiticity_defect": 0, "eigh": 0}
     _count_calls(monkeypatch, counts, HamiltonianTerms, "hamiltonian")
     _count_hermitian_checks(monkeypatch, counts)
     _count_calls(monkeypatch, counts, spectra_mod.sla, "eigh")
-    curve = sweep_energy_curve(cfg, cfg.p_norm + cfg.quadrature.r_max, cache=cache)
+    curve = sweep_energy_curve(ops, cfg, cfg.p_norm + cfg.quadrature.r_max)
     assert len(curve.q) == 25
     # three sector blocks of at most 73 states per point, one dense solve each
     assert counts == {"hamiltonian": 0, "hermiticity_defect": 0, "eigh": 75}

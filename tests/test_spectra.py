@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pflab.bounds as bounds_mod
+import pflab.cli as cli_mod
 import pflab.spectra as spectra_mod
 from pflab.errors import DomainError, IndeterminateDegeneracy, NonHermitianError, SolverError
 from pflab.model import assemble_hamiltonian, build_operators
@@ -20,7 +22,7 @@ from pflab.spectra import (
     sweep_energy_curve,
 )
 
-from conftest import make_config
+from conftest import CONFIG_DIR, make_config
 from oracles import FreeEnergyCurve
 from oracles import perturbative_energy_and_number
 
@@ -249,7 +251,7 @@ def test_cluster_detection_properties(values):
 def test_free_sweep_is_exact_parabola(desk_ms):
     cfg = make_config(desk_ms, e=0.0)
     ps = [(0.0, 0.0, z) for z in np.linspace(-0.5, 0.5, 5)]
-    rows = energy_sweep(cfg, ps)
+    rows = energy_sweep(build_operators(cfg), ps, cfg.e)
     for row in rows:
         assert row.energy == pytest.approx(0.5 * row.p[2] ** 2, abs=1e-12)
         assert row.count == 2
@@ -257,17 +259,32 @@ def test_free_sweep_is_exact_parabola(desk_ms):
 
 def test_sweep_parity_symmetry(desk_ms):
     cfg = make_config(desk_ms, e=0.2)
-    rows = energy_sweep(cfg, [(0, 0, 0.3), (0, 0, -0.3)])
+    rows = energy_sweep(build_operators(cfg), [(0, 0, 0.3), (0, 0, -0.3)], cfg.e)
     assert abs(rows[0].energy - rows[1].energy) < 1e-10
 
 
-def test_sweep_cache_reused(desk_ms):
-    cfg = make_config(desk_ms, e=0.1)
-    cache = {}
-    rows1 = energy_sweep(cfg, [(0, 0, 0.2)], cache=cache)
-    assert len(cache) == 1
-    rows2 = energy_sweep(cfg, [(0, 0, 0.2)], cache=cache)
-    assert rows2[0] is rows1[0]
+# one-pair solves of ``pflab bounds``: 25 per energy curve, one per k-point of
+# the pull-through (8 on the desk mode set); the curve at the config's own
+# coupling is solved once, and the threshold's probe at e = 0 solves none
+BOUNDS_ONE_PAIR_SOLVES = {"desk_e010.json": 5 * 25 + 8, "desk_e000.json": 6 * 25 + 8,
+                          "desk_spinless_e020.json": 25}
+
+
+@pytest.mark.parametrize("name, want", BOUNDS_ONE_PAIR_SOLVES.items(),
+                         ids=BOUNDS_ONE_PAIR_SOLVES.keys())
+def test_bounds_solves_each_energy_curve_once(tmp_path, monkeypatch, name, want):
+    calls = []
+    solve = spectra_mod.solve_model
+
+    def counted(ops, p, e, n_eig, *args, **kwargs):
+        calls.append(n_eig)
+        return solve(ops, p, e, n_eig, *args, **kwargs)
+
+    for module in (spectra_mod, bounds_mod, cli_mod):
+        monkeypatch.setattr(module, "solve_model", counted)
+    assert cli_mod.main(["bounds", "--config", str(CONFIG_DIR / name),
+                         "--out", str(tmp_path)]) == 0
+    assert calls.count(1) == want
 
 
 def test_interacting_curvature_against_perturbation_oracle(desk_ms):
@@ -276,7 +293,8 @@ def test_interacting_curvature_against_perturbation_oracle(desk_ms):
     e = 0.2
     delta = 0.2
     cfg = make_config(desk_ms, e=e)
-    rows = energy_sweep(cfg, [(0, 0, -delta), (0, 0, 0.0), (0, 0, delta)])
+    rows = energy_sweep(build_operators(cfg), [(0, 0, -delta), (0, 0, 0.0), (0, 0, delta)],
+                        cfg.e)
     d2_model = (rows[0].energy - 2 * rows[1].energy + rows[2].energy) / delta**2
     assert d2_model < 1.0 - 2e-5
     pt = [perturbative_energy_and_number(cfg.at(p=(0, 0, z)))[0]
@@ -300,7 +318,7 @@ def test_sweep_curve_free_theory_exact(desk_ms):
     cfg = make_config(desk_ms, e=0.0)
     ops = build_operators(cfg)
     axis = np.asarray(desk_ms.axis)
-    curve = sweep_energy_curve(cfg, q_max=3.0)
+    curve = sweep_energy_curve(ops, cfg, q_max=3.0)
     exact = [ops.linear.free_diagonal(q * axis).min() for q in curve.q]
     assert np.allclose(curve.values, exact, atol=1e-12)
     low = curve.q < 1.9
@@ -338,7 +356,7 @@ def test_gap_domain_rejection(desk_ms):
 def test_gap_crosschecks_cluster_gap(desk_ms):
     cfg = make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4))
     cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg), 6))
-    curve = sweep_energy_curve(cfg, q_max=3.5)
+    curve = sweep_energy_curve(build_operators(cfg), cfg, q_max=3.5)
     rep = gap_estimate(cfg, curve, 3.0, 61)
     assert rep.delta_p > 0
     assert abs(cluster.gap_above - rep.delta_p) <= 0.2 * rep.delta_p
