@@ -62,6 +62,9 @@ DENOMINATOR_FLOOR = 1e-6
 CG_RTOL = 1e-14
 #: Relative excess of <N_f> over e^2 Theta(p) that the number check tolerates.
 PHOTON_NUMBER_SLACK = 0.10
+#: Bisection steps of ``coupling_threshold`` between its last admissible and
+#: first inadmissible grid point.
+THRESHOLD_REFINE_STEPS = 5
 
 
 @dataclass
@@ -70,14 +73,12 @@ class PhotonIntegral:
 
     value: float
     min_denominator: float
-    energy_at_p: float
-    grid_spacing: float
 
 
 def _resolvent_integral(config: ModelConfig, energy_curve, numerator,
-                        what: str) -> tuple[float, float, float]:
+                        what: str) -> tuple[float, float]:
     """int numerator(|k|, E(p)) / (E(p-k) + omega(k) - E(p))^2 * phi_hat^2/omega dk
-    on the dedicated polar grid; returns (integral, E(p), minimum denominator).
+    on the dedicated polar grid; returns (integral, minimum denominator).
 
     Raises when the denominator dips below ``DENOMINATOR_FLOOR`` anywhere on
     the grid: the gap hypothesis has no numerical room left.
@@ -99,7 +100,7 @@ def _resolvent_integral(config: ModelConfig, energy_curve, numerator,
         )
     phi2 = np.asarray(config.form_factor.phi_hat(grid.r))[:, None] ** 2
     integrand = numerator(R, Ep) / (denom * denom) * phi2 / omega
-    return grid.integrate(lambda r, u: integrand), Ep, min_denom
+    return grid.integrate(lambda r, u: integrand), min_denom
 
 
 def photon_number_integral(config: ModelConfig, energy_curve) -> PhotonIntegral:
@@ -110,15 +111,10 @@ def photon_number_integral(config: ModelConfig, energy_curve) -> PhotonIntegral:
     denominator E(p-k) + omega(k) - E(p) dips below ``DENOMINATOR_FLOOR``
     anywhere on the grid.
     """
-    integral, Ep, min_denom = _resolvent_integral(
+    integral, min_denom = _resolvent_integral(
         config, energy_curve, lambda R, Ep: 0.25 * R * R + 6.0 * Ep,
         "photon-number integral")
-    return PhotonIntegral(
-        value=2.0 * integral,
-        min_denominator=min_denom,
-        energy_at_p=Ep,
-        grid_spacing=float(getattr(energy_curve, "spacing", 0.0)),
-    )
+    return PhotonIntegral(value=2.0 * integral, min_denominator=min_denom)
 
 
 @dataclass
@@ -246,9 +242,8 @@ def degeneracy_upper_bound(cluster: GroundCluster, config: ModelConfig,
 
 @dataclass
 class VacuumOverlap:
-    """Per-state vacuum-sector overlaps and the lower bound 1 - e^2 Theta."""
+    """The least and summed vacuum-sector overlaps and the lower bound 1 - e^2 Theta."""
 
-    overlaps: np.ndarray
     minimum: float
     trace: float
     lower_bound: float
@@ -267,7 +262,6 @@ def vacuum_overlap(cluster: GroundCluster, basis: FockBasis, e: float,
     overlaps = np.sum(np.abs(amps) ** 2, axis=0)
     lower = 1.0 - e**2 * integral.value
     return VacuumOverlap(
-        overlaps=overlaps,
         minimum=float(overlaps.min()),
         trace=float(overlaps.sum()),
         lower_bound=lower,
@@ -313,12 +307,10 @@ class CouplingThreshold:
 
     value: float
     binding: str
-    grid_max: float
 
 
 def coupling_threshold(ops: ModelOperators, config: ModelConfig, curve: RadialEnergyCurve,
-                       e_values=None, refine_steps: int = 8,
-                       seed: int = DEFAULT_SEED) -> CouplingThreshold:
+                       e_values, seed: int = DEFAULT_SEED) -> CouplingThreshold:
     """Largest e with e < 1/sqrt(3 Theta(p, e)) and c0(e) < 1.
 
     Theta depends on e through the energy curve of the model at that
@@ -326,11 +318,11 @@ def coupling_threshold(ops: ModelOperators, config: ModelConfig, curve: RadialEn
     ``config`` itself, and any other probe at e > 0 solves its own
     (``sweep_energy_curve``) from the model's operator set ``ops``.  The
     relative-bound condition c0(e) < 1 stands in for the implicit
-    self-adjointness threshold.  Returns 0 with a warning when no grid
-    point is admissible.
+    self-adjointness threshold.  Between the last admissible and the first
+    inadmissible point of the grid ``e_values`` the threshold is refined by
+    ``THRESHOLD_REFINE_STEPS`` bisection steps.  Returns 0 with a warning
+    when no grid point is admissible.
     """
-    if e_values is None:
-        e_values = np.linspace(0.0, 0.5, 11)
     e_values = np.asarray(sorted(set(float(abs(e)) for e in e_values)))
 
     def admissible(e: float) -> tuple[bool, str]:
@@ -361,12 +353,11 @@ def coupling_threshold(ops: ModelOperators, config: ModelConfig, curve: RadialEn
             break
     if last_ok is None:
         warnings.warn("no admissible coupling on the grid; threshold reported as 0")
-        return CouplingThreshold(value=0.0, binding=binding, grid_max=float(e_values[-1]))
+        return CouplingThreshold(value=0.0, binding=binding)
     if first_bad is None:
-        return CouplingThreshold(value=float(last_ok), binding="grid",
-                                 grid_max=float(e_values[-1]))
+        return CouplingThreshold(value=float(last_ok), binding="grid")
     lo, hi = float(last_ok), float(first_bad)
-    for _ in range(refine_steps):
+    for _ in range(THRESHOLD_REFINE_STEPS):
         mid = 0.5 * (lo + hi)
         ok, why = admissible(mid)
         if ok:
@@ -374,7 +365,7 @@ def coupling_threshold(ops: ModelOperators, config: ModelConfig, curve: RadialEn
         else:
             hi = mid
             binding = why
-    return CouplingThreshold(value=lo, binding=binding, grid_max=float(e_values[-1]))
+    return CouplingThreshold(value=lo, binding=binding)
 
 
 @dataclass
@@ -403,8 +394,8 @@ def spinless_uniqueness_check(ops: ModelOperators, config: ModelConfig, energy_c
         raise PflabError("spinless uniqueness check requires with_spin = false")
     if energy_curve is None:
         energy_curve = sweep_energy_curve(ops, config, seed=seed)
-    J, _, _ = _resolvent_integral(config, energy_curve, lambda R, Ep: Ep,
-                                  "uniqueness integral")
+    J, _ = _resolvent_integral(config, energy_curve, lambda R, Ep: Ep,
+                               "uniqueness integral")
     limit = math.inf if J <= 0.0 else 1.0 / (2.0 * J)
     holds = config.e**2 <= limit
     result = solve_model(ops, config.p, config.e, n_eig=min(6, ops.basis.dimension - 1), seed=seed)

@@ -3,9 +3,9 @@ and angular-momentum sector analysis, all driven by a JSON config.
 
 Exit status: 0 success, 1 scientific failure (a checked hypothesis held but
 the predicted conclusion failed), 2 usage or config error (including a
-basis over the dimension cap and a dense solve too large for physical
-memory), 3 numerical failure (non-convergence, gap too small,
-indeterminate degeneracy).
+basis over the dimension cap, a count or a dense solve too large for
+physical memory, and an input at which H(p, e) overflows), 3 numerical
+failure (non-convergence, gap too small, indeterminate degeneracy).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .fock import number_operator
 from .io import (
-    RunManifest,
     TOOL_VERSION,
     config_from_dict,
     config_hash,
@@ -41,6 +40,7 @@ from .io import (
     read_config_document,
     write_eigenvectors,
     write_json,
+    write_manifest,
     write_sweep_csv,
 )
 from .model import (
@@ -56,6 +56,7 @@ from .spectra import (
     gap_estimate,
     ground_sector_labels,
     model_operators,
+    require_memory,
     solve_model,
     sweep_energy_curve,
 )
@@ -95,6 +96,9 @@ def _parse_p_grid(spec: str) -> list[tuple[float, float, float]]:
         raise ConfigError(f"p-grid: from and to must be finite, got {lo} and {hi}")
     if steps < 1:
         raise ConfigError("p-grid: steps must be >= 1")
+    # per step: its linspace entry, a list slot, and a tuple of three numpy
+    # floats (8 + 8 + 64 + 3 x 32 bytes)
+    require_memory(176 * steps, f"p-grid: steps = {steps}", "lower it")
     ts = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
     return [tuple(t * np.asarray(axis)) for t in ts]
 
@@ -139,8 +143,7 @@ def _out_dir(args) -> Path:
 def cmd_model_check(args) -> int:
     document = read_config_document(args.config)
     config = config_from_dict(document, force_allow_massless=True)
-    axioms = check_dispersion_axioms(config.dispersion, sample_count=400,
-                                     rng_seed=args.seed)
+    axioms = check_dispersion_axioms(config.dispersion, rng_seed=args.seed)
     print(f"config hash: {config_hash(config)}")
     print(f"dispersion gap      : inf omega = {axioms.omega_min:.6g} "
           f"{'ok' if axioms.gap_holds else 'VIOLATED (no photon mass gap)'}")
@@ -175,8 +178,8 @@ def cmd_model_check(args) -> int:
             "c0": c0,
         }
         write_json(out / "model_check.json", jsonable(report))
-        RunManifest.create(config, "model-check", ["model_check.json"],
-                           args.seed).write(out / "manifest.json")
+        write_manifest(out / "manifest.json", config, "model-check", ["model_check.json"],
+                       args.seed)
     return EXIT_OK if normalized and finite else EXIT_SCIENTIFIC
 
 
@@ -217,12 +220,14 @@ def cmd_spectrum(args) -> int:
     if args.dump_vectors:
         write_eigenvectors(out / "eigenvectors.bin", result.eigenvectors)
         outputs.append("eigenvectors.bin")
-    RunManifest.create(config, "spectrum", outputs, args.seed).write(out / "manifest.json")
+    write_manifest(out / "manifest.json", config, "spectrum", outputs, args.seed)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     p_values = _parse_p_grid(args.p_grid)
+    # per step, gap_estimate's t, k = t u, p - k and |p - k| (8 x 8 bytes)
+    require_memory(64 * args.k_steps, f"--k-steps {args.k_steps}", "lower it")
     config = load_config(args.config, force_allow_massless=args.override_massless)
     ops = model_operators(config)
     rows = energy_sweep(ops, p_values, config.e, n_eig=args.n_eig, seed=args.seed)
@@ -249,8 +254,8 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(out / "sweep.csv", table)
     write_json(out / "sweep.json", jsonable({"rows": table,
                                              "curve_spacing": curve.spacing}))
-    RunManifest.create(config, "sweep", ["sweep.csv", "sweep.json"],
-                       args.seed).write(out / "manifest.json")
+    write_manifest(out / "manifest.json", config, "sweep", ["sweep.csv", "sweep.json"],
+                   args.seed)
     return EXIT_OK
 
 
@@ -271,8 +276,7 @@ def cmd_bounds(args) -> int:
             "degeneracy": rep.count, "gap_above": rep.gap_above,
             "passed": rep.passed,
         }))
-        RunManifest.create(config, "bounds", ["bound_report.json"],
-                           args.seed).write(out / "manifest.json")
+        write_manifest(out / "manifest.json", config, "bounds", ["bound_report.json"], args.seed)
         if rep.hypothesis_holds and not rep.passed:
             print("FAIL: uniqueness hypothesis holds but ground state is not unique")
             return EXIT_SCIENTIFIC
@@ -292,7 +296,7 @@ def cmd_bounds(args) -> int:
     gram = bounds_mod.vacuum_gram(cluster, basis) if cluster.count == 2 else None
     threshold = bounds_mod.coupling_threshold(ops, config, curve,
                                               np.linspace(0.0, args.e_grid_max, 6),
-                                              refine_steps=5, seed=args.seed)
+                                              seed=args.seed)
 
     hypothesis = upper.hypothesis_holds and coupling_bound(config) < 1.0
     gap_positive = cluster.gap_above > 0.0
@@ -346,8 +350,8 @@ def cmd_bounds(args) -> int:
     summary_lines = [f"{k}: {v if isinstance(v, float) and not math.isfinite(v) else jsonable(v)}"
                      for k, v in report.items()]
     (out / "bound_summary.txt").write_text("\n".join(summary_lines) + "\n")
-    RunManifest.create(config, "bounds", ["bound_report.json", "bound_summary.txt"],
-                       args.seed).write(out / "manifest.json")
+    write_manifest(out / "manifest.json", config, "bounds",
+                   ["bound_report.json", "bound_summary.txt"], args.seed)
 
     if hypothesis and gap_positive:
         failures = []
@@ -409,8 +413,7 @@ def cmd_sectors(args) -> int:
         "ok": analysis.ok,
         "degeneracy": cluster.count,
     }))
-    RunManifest.create(config, "sectors", ["sector_report.json"],
-                       args.seed).write(out / "manifest.json")
+    write_manifest(out / "manifest.json", config, "sectors", ["sector_report.json"], args.seed)
     return EXIT_OK if analysis.ok else EXIT_SCIENTIFIC
 
 

@@ -15,7 +15,6 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -26,6 +25,7 @@ from .errors import ConfigError
 from .fock import DIMENSION_CAP, Mode, ModeSet, axial_mode_set, explicit_mode_set
 from .model import Dispersion, FormFactor, ModelConfig, PHI_HAT_ZERO
 from .quadrature import QuadratureSpec
+from .spectra import require_memory
 
 TOOL_VERSION = "0.1.0"
 FLOAT_MAX = sys.float_info.max
@@ -167,6 +167,14 @@ def config_from_dict(obj: dict, force_allow_massless: bool = False) -> ModelConf
                 value, f"config.quadrature.{name}") for name, value in q.items()})
         except ValueError as err:
             raise ConfigError(f"config.quadrature: {err}") from err
+        # the bytes each count allocates at the least: leggauss's n x n companion
+        # matrix and LAPACK's copy of it, and per energy-curve point its q, its
+        # E and the list entry of E (8 + 8 + 32 bytes)
+        for name, need in (("n_radial", 16 * quad.n_radial**2),
+                           ("n_angular", 16 * quad.n_angular**2),
+                           ("sweep_points", 48 * quad.sweep_points)):
+            require_memory(need, f"config.quadrature.{name} = {getattr(quad, name)}",
+                           "lower it")
     allow_massless = _boolean(obj.get("allow_massless", False), "config.allow_massless")
     try:
         mode_set = _mode_set_from_dict(obj["mode_set"], "config.mode_set")
@@ -320,35 +328,15 @@ def read_eigenvectors(path) -> np.ndarray:
     return np.frombuffer(data, dtype="<c16").reshape(count, dim).T.astype(complex, order="C")
 
 
-@dataclass
-class RunManifest:
-    """Provenance record; the only output carrying timestamps."""
-
-    config_hash: str
-    command: str
-    tool_version: str
-    created_utc: str
-    outputs: list[str]
-    seed: Optional[int]
-
-    @classmethod
-    def create(cls, config: ModelConfig, command: str, outputs: list[str],
-               seed: Optional[int]) -> "RunManifest":
-        return cls(
-            config_hash=config_hash(config),
-            command=command,
-            tool_version=TOOL_VERSION,
-            created_utc=datetime.now(timezone.utc).isoformat(),
-            outputs=sorted(outputs),
-            seed=seed,
-        )
-
-    def write(self, path) -> None:
-        write_json(path, {
-            "config_hash": self.config_hash,
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "created_utc": self.created_utc,
-            "outputs": self.outputs,
-            "seed": self.seed,
-        })
+def write_manifest(path, config: ModelConfig, command: str, outputs: list[str],
+                   seed: Optional[int]) -> None:
+    """Write the run's provenance record to ``path``; it is the only output
+    that carries a timestamp."""
+    write_json(path, {
+        "config_hash": config_hash(config),
+        "command": command,
+        "tool_version": TOOL_VERSION,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "outputs": sorted(outputs),
+        "seed": seed,
+    })

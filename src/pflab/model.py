@@ -88,6 +88,8 @@ PHI_HAT_ZERO = (2.0 * math.pi) ** (-1.5)
 SECTOR_LEAK_TOL = 1e-10
 #: Largest |k| at which ``check_dispersion_axioms`` samples the dispersion.
 AXIOM_K_MAX = 6.0
+#: Number of random k at which ``check_dispersion_axioms`` samples the dispersion.
+AXIOM_SAMPLES = 400
 
 
 @dataclass(frozen=True)
@@ -442,13 +444,18 @@ class HamiltonianTerms:
         """The entries of H(p, e) on ``pattern``: ``coefficients`` summed in
         order from +0.0, then the free diagonal.  Where scipy's sparse sum
         meets a missing entry or drops a zero, this sum meets a stored zero,
-        so each nonzero entry is bitwise the sparse sum's."""
+        so each nonzero entry is bitwise the sparse sum's.  Refuses, with
+        ``ConfigError``, a p or e so large that an entry is not finite."""
         pattern = self.pattern
         data = np.zeros(pattern.indices.size, dtype=self.C.dtype)
-        for (c, op), at in zip(self.coefficients(p, e), pattern.positions):
-            if c != 0.0 and op.nnz:
-                data[at] += op.data * c
-        data[pattern.diagonal] += self.free_diagonal(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (c, op), at in zip(self.coefficients(p, e), pattern.positions):
+                if c != 0.0 and op.nnz:
+                    data[at] += op.data * c
+            data[pattern.diagonal] += self.free_diagonal(p)
+        if not np.isfinite(data).all():
+            raise ConfigError(f"H(p, e) overflows float64 at p = {np.atleast_1d(p).tolist()}, "
+                              f"e = {e}; lower |p| or e")
         return data
 
     def hamiltonian(self, p, e: float) -> sp.csr_matrix:
@@ -669,10 +676,10 @@ class ModelOperators:
             return None
         u = np.asarray(basis.mode_set.axis, dtype=float)
         p = np.asarray(p, dtype=float)
-        t = float(p @ u)
-        if np.linalg.norm(p - t * u) > 1e-14 * max(1.0, abs(t)):
-            return None
-        return t
+        with np.errstate(over="ignore"):    # H refuses an overflowing p when formed
+            t = float(p @ u)
+            off = np.linalg.norm(p - t * u)
+        return None if off > 1e-14 * max(1.0, abs(t)) else t
 
     @cached_property
     def sectors(self) -> SectorSplit:
@@ -887,28 +894,25 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
-def check_dispersion_axioms(dispersion: Dispersion, sample_count: int = 200,
-                            rng_seed: int = 0) -> DispersionAxioms:
-    """Sample the gap, subadditivity, and isotropy requirements on random k
-    with |k| up to ``AXIOM_K_MAX``.
+def check_dispersion_axioms(dispersion: Dispersion, rng_seed: int = 0) -> DispersionAxioms:
+    """Sample the gap, subadditivity, and isotropy requirements on
+    ``AXIOM_SAMPLES`` random k with |k| up to ``AXIOM_K_MAX``.
 
     Violations are reported through the margins, never raised.  The custom
     dispersion is sampled inside its table only.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(rng_seed)
     k_max = AXIOM_K_MAX
     if dispersion.kind == "custom":
         k_max = min(k_max, dispersion.samples[-1][0] / 2.0)
-    ks = rng.uniform(-k_max / math.sqrt(3.0), k_max / math.sqrt(3.0), size=(sample_count, 3))
+    ks = rng.uniform(-k_max / math.sqrt(3.0), k_max / math.sqrt(3.0), size=(AXIOM_SAMPLES, 3))
     radii = np.linalg.norm(ks, axis=1)
     # the infimum is usually approached at k -> 0; probe that limit explicitly
     r_floor = dispersion.samples[0][0] if dispersion.kind == "custom" else 0.0
     omega_min = float(min(np.min(dispersion.omega(radii)),
                           dispersion.omega(r_floor)))
     k1 = ks
-    k2 = ks[rng.permutation(sample_count)]
+    k2 = ks[rng.permutation(AXIOM_SAMPLES)]
     margin = (np.asarray(dispersion.omega(np.linalg.norm(k1, axis=1)))
               + np.asarray(dispersion.omega(np.linalg.norm(k2, axis=1)))
               - np.asarray(dispersion.omega(np.linalg.norm(k1 + k2, axis=1))))

@@ -121,9 +121,6 @@ class GroundCluster:
     def energy(self) -> float:
         return float(self.eigenvalues[0])
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
 
 def _as_operator(H) -> sp.csr_matrix:
     """H as CSR in float64 or complex128, whichever holds its entries; the
@@ -144,19 +141,23 @@ def choose_method(dim: int) -> str:
     return "dense" if dim <= DENSE_MAX_DIM else "davidson"
 
 
+def require_memory(need: int, what: str, remedy: str) -> None:
+    """Refuse ``what``, with ``ResourceError`` and before it allocates, when
+    the ``need`` bytes it would allocate exceed the machine's physical
+    memory; the message ends with ``remedy``."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ResourceError(f"{what} needs about {need / 2**30:.3g} GiB, more than the "
+                            f"{have / 2**30:.3g} GiB of physical memory; {remedy}")
+
+
 def _dense(H: sp.csr_matrix) -> np.ndarray:
     """``H.toarray()``, refused before allocating when a dense solve of H (the
     array and LAPACK's copy of it, 2 x itemsize x n^2 bytes: 2 x 8 n^2 real,
     2 x 16 n^2 complex) would not fit in the machine's physical memory."""
     n = H.shape[0]
-    need = 2 * H.dtype.itemsize * n * n
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ResourceError(
-            f"a dense solve at dimension {n} needs about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory; "
-            "lower --n-eig or the cutoffs N_max/n_max"
-        )
+    require_memory(2 * H.dtype.itemsize * n * n, f"a dense solve at dimension {n}",
+                   "lower --n-eig or the cutoffs N_max/n_max")
     return H.toarray()
 
 
@@ -576,7 +577,6 @@ class GapReport:
     E_c_p: float
     delta_p: float
     argmin_k: tuple[float, float, float]
-    grid_resolution: float
 
 
 def gap_estimate(config: ModelConfig, energy_curve, k_max: float, k_steps: int) -> GapReport:
@@ -593,7 +593,7 @@ def gap_estimate(config: ModelConfig, energy_curve, k_max: float, k_steps: int) 
     k_grid = ts[:, None] * u[None, :]
     p = np.asarray(config.p, dtype=float)
     shifted = np.linalg.norm(p[None, :] - k_grid, axis=1)
-    if np.any(shifted > getattr(energy_curve, "q_max", np.inf) + 1e-12):
+    if np.any(shifted > energy_curve.q_max + 1e-12):
         raise DomainError(
             "search grid leaves the energy interpolation domain: "
             f"max |p-k| = {shifted.max():.4g} > q_max = {energy_curve.q_max:.4g}"
@@ -622,5 +622,4 @@ def gap_estimate(config: ModelConfig, energy_curve, k_max: float, k_steps: int) 
         E_c_p=best_val,
         delta_p=best_val - E_p,
         argmin_k=tuple(best_k),
-        grid_resolution=abs(float(hi - lo)) / 40.0,
     )

@@ -259,10 +259,8 @@ def test_upper_bound_arithmetic():
     cluster = GroundCluster(count=2, eigenvalues=np.zeros(2),
                             basis=np.eye(4, 2, dtype=complex),
                             cluster_width=0.0, gap_above=1.0)
-    integ5 = PhotonIntegral(value=5.0, min_denominator=1.0, energy_at_p=0.0,
-                            grid_spacing=0.0)
-    integ12 = PhotonIntegral(value=12.0, min_denominator=1.0, energy_at_p=0.0,
-                             grid_spacing=0.0)
+    integ5 = PhotonIntegral(value=5.0, min_denominator=1.0)
+    integ12 = PhotonIntegral(value=12.0, min_denominator=1.0)
 
     class E:
         e = 0.1
@@ -371,7 +369,7 @@ def test_coupling_threshold_relative_bound_binds(tiny_ms):
         form_factor=FormFactor(kind="sharp", lam=4.0))
     ops = model_operators(cfg)
     th = bounds.coupling_threshold(ops, cfg, sweep_energy_curve(ops, cfg),
-                                   e_values=np.array([0.0, 0.3, 0.6]), refine_steps=12)
+                                   e_values=np.array([0.0, 0.3, 0.6]))
     assert th.binding == "relative-bound"
     assert coupling_bound(cfg.at(e=th.value)) < 1.0
     assert coupling_bound(cfg.at(e=th.value + 0.01)) >= 1.0

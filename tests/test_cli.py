@@ -443,6 +443,60 @@ def test_invalid_input_exits_usage(tmp_path, capsys, overrides, command, message
     assert message in capsys.readouterr().err
 
 
+SWEEP = ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2")
+# finite inputs at which H(p, e) has an entry past float64's range: on the
+# axis, through the energy curve's reach (k_max, r_max), and off the axis
+OVERFLOWS = {
+    "p": ({"p": [0.0, 0.0, 1e200]}, SPECTRUM, "p = [1e+200], e = 0.1"),
+    "e": ({"e": 1e200}, ("bounds",), "e = 1e+200"),
+    "k_max": ({}, (*SWEEP, "--k-max", "1e300"), "e = 0.1"),
+    "r_max": ({"quadrature": {**fast_quadrature(), "r_max": 1e300}}, ("bounds",), "e = 0.1"),
+    "p_off_axis": ({"p": [1e200, 0.0, 0.0]}, SPECTRUM, "p = [1e+200, 0.0, 0.0], e = 0.1"),
+}
+
+
+@pytest.mark.parametrize("overrides, command, message", OVERFLOWS.values(),
+                         ids=OVERFLOWS.keys())
+def test_overflowing_input_exits_usage(tmp_path, capsys, overrides, command, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert exit_status(command[0], "--config", cfg, "--out", tmp_path / "o",
+                       *command[1:]) == 2
+    err = capsys.readouterr().err
+    assert "H(p, e) overflows float64 at" in err and message in err
+
+
+# counts whose arrays would not fit in physical memory; numpy refuses 10**12
+# outright, so a regression shows as a MemoryError, not as a full machine
+HUGE = 10**12
+OVERSIZE_COUNTS = {
+    "p_grid_steps": ({}, ("sweep", "--p-grid", f"axis=z;from=0;to=1;steps={HUGE}"),
+                     f"p-grid: steps = {HUGE}"),
+    "k_steps": ({}, (*SWEEP, "--k-steps", str(HUGE)), f"--k-steps {HUGE}"),
+    "n_radial": ({"quadrature": {"n_radial": HUGE}}, SPECTRUM,
+                 f"config.quadrature.n_radial = {HUGE}"),
+    "n_angular": ({"quadrature": {"n_angular": HUGE}}, SPECTRUM,
+                  f"config.quadrature.n_angular = {HUGE}"),
+    "sweep_points": ({"quadrature": {"sweep_points": HUGE}}, SPECTRUM,
+                     f"config.quadrature.sweep_points = {HUGE}"),
+}
+
+
+@pytest.mark.parametrize("overrides, command, message", OVERSIZE_COUNTS.values(),
+                         ids=OVERSIZE_COUNTS.keys())
+def test_oversize_count_exits_usage_before_any_solve(tmp_path, monkeypatch, capsys, overrides,
+                                                     command, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("operators built before the refusal")
+
+    monkeypatch.setattr(spectra, "build_operators", no_build)
+    cfg = write_config(tmp_path, **overrides)
+    assert exit_status(command[0], "--config", cfg, "--out", tmp_path / "o",
+                       *command[1:]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "physical memory" in err
+    assert not (tmp_path / "o").exists()
+
+
 # json reads Infinity and NaN (and json.dumps writes them); no number of a
 # model may be either
 INF, NAN = float("inf"), float("nan")

@@ -74,13 +74,13 @@ def test_form_factor_normalization_constant():
 
 
 def test_dispersion_axioms_massive_pass():
-    rep = check_dispersion_axioms(Dispersion(kind="massive", m_ph=1.0), 300, rng_seed=1)
+    rep = check_dispersion_axioms(Dispersion(kind="massive", m_ph=1.0), rng_seed=1)
     assert rep.gap_holds and rep.omega_min >= 1.0
     assert rep.subadditive and rep.isotropic
 
 
 def test_dispersion_axioms_massless_gap_fails():
-    rep = check_dispersion_axioms(Dispersion(kind="massless"), 300, rng_seed=1)
+    rep = check_dispersion_axioms(Dispersion(kind="massless"), rng_seed=1)
     assert not rep.gap_holds
     assert rep.subadditive and rep.isotropic
 
@@ -94,7 +94,7 @@ def test_dispersion_axioms_quadratic_subadditivity_fails():
     lhs = custom.omega(np.linalg.norm(k)) * 2
     rhs = custom.omega(np.linalg.norm(2 * k))
     assert lhs < rhs
-    rep = check_dispersion_axioms(custom, 400, rng_seed=3)
+    rep = check_dispersion_axioms(custom, rng_seed=3)
     assert rep.subadditivity_margin < 0.0
 
 

@@ -76,7 +76,9 @@ def test_sector_solve_matches_full_dense(sector_cases, name):
     assert np.max(np.abs(gram - np.eye(N_EIG))) < 1e-12
     c_got, c_want = detect_ground_cluster(got), detect_ground_cluster(want)
     assert c_got.count == c_want.count == (2 if cfg.with_spin else 1)
-    assert np.max(np.abs(c_got.projector() - c_want.projector())) < 1e-10
+    P_got = c_got.basis @ c_got.basis.conj().T
+    P_want = c_want.basis @ c_want.basis.conj().T
+    assert np.max(np.abs(P_got - P_want)) < 1e-10
 
 
 @pytest.mark.parametrize("with_spin", [True, False])

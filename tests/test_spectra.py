@@ -217,7 +217,7 @@ def test_cluster_projector_algebra(desk_ms):
     H = assemble_hamiltonian(cfg)
     res = solve_lowest(H, 6)
     cluster = detect_ground_cluster(res)
-    P = cluster.projector()
+    P = cluster.basis @ cluster.basis.conj().T
     assert np.max(np.abs(P @ P - P)) < 1e-10
     assert np.max(np.abs(P - P.conj().T)) < 1e-10
     assert np.trace(P).real == pytest.approx(cluster.count, abs=1e-10)
