@@ -28,9 +28,10 @@ quoted uncertainty proxy.  At finite truncation the pull-through identity
 is only approximate, so every check reports its numbers rather than
 asserting blindly; ``pull_through_residual`` measures how far the identity
 misses at every mode, with a_m Psi read off the basis's one list of ladder
-entries.  Its resolvent depends on a mode only through the
-mode's k-point, so it is gap-checked and built once per k-point, serves
-both polarizations there, and is solved by Jacobi-preconditioned CG.
+entries.  Its resolvent depends on a mode only through the mode's k-point,
+so it is gap-checked and split once per k-point (``ModelOperators.blocks``,
+into the J_axis blocks on the axis), serves both polarizations there, and
+is solved by Jacobi-preconditioned CG.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import GapTooSmallError, PflabError, SolverError
 from .fock import PAULI, FockBasis
-from .model import ModelConfig, ModelOperators, coupling_bound
+from .model import ModelConfig, ModelOperators, coupling_bound, linear_products
 from .quadrature import PolarGrid
 from .spectra import (
     DEFAULT_SEED,
@@ -124,7 +125,6 @@ class PhotonNumberCheck:
     nf_max: float
     bound: float
     ratio: float
-    slack: float
     passed: bool
 
 
@@ -146,7 +146,7 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: 
     bound = config.e**2 * integral.value
     ratio = nf_max / bound if bound > 0.0 else (0.0 if nf_max == 0.0 else math.inf)
     return PhotonNumberCheck(
-        nf_max=nf_max, bound=bound, ratio=ratio, slack=PHOTON_NUMBER_SLACK,
+        nf_max=nf_max, bound=bound, ratio=ratio,
         passed=nf_max <= bound * (1.0 + PHOTON_NUMBER_SLACK),
     )
 
@@ -154,17 +154,18 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: 
 def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
                           ops: ModelOperators) -> np.ndarray:
     """|| a_m Psi - RHS_m || / ||Psi||, the truncation error of the pull-through
-    identity, at every mode m in mode order, from the operator set ``ops``
-    and its linear-frame terms (``ModelOperators.linear``).
+    identity, at every mode m in mode order, from the operator set ``ops``.
 
-    RHS_m solves A_k x = e * { ... } Psi with A_k = H(p - k) + omega_k - E,
-    built once per k-point for both polarizations.  Before any shifted
-    solve, every k-point is checked and the first with
-    delta_k = E(p - k) + omega_k - E < ``DENOMINATOR_FLOOR`` is named in a
-    ``GapTooSmallError``.  A_k is then positive definite, and CG
-    preconditioned by diag(A_k)^-1 stops at ||rhs - A_k x|| <= ``CG_RTOL``
-    ||rhs||, so ||x - x*|| <= CG_RTOL ||rhs|| / delta_k; ``SolverError``
-    names the mode and k-point of a system that does not converge.
+    RHS_m solves A_k x = e * { ... } Psi = b with A_k = H(p - k) + omega_k - E,
+    split once per k-point, for both polarizations, into the pairs (B, T) of
+    ``ModelOperators.blocks``: x = sum T (B + omega_k - E)^-1 T+ b, with Psi,
+    a_m Psi and b in the linear basis.  Before any shifted solve, every
+    k-point is checked and the first with delta_k = E(p - k) + omega_k - E <
+    ``DENOMINATOR_FLOOR`` is named in a ``GapTooSmallError``.  Each
+    B + omega_k - E is then positive definite, and CG preconditioned by its
+    diagonal inverse stops at ||T+ b - (B + omega_k - E) y|| <= ``CG_RTOL``
+    ||T+ b||, a zero T+ b skipped; ``SolverError`` names the mode and k-point
+    of a system that does not converge.
     """
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi)
@@ -181,26 +182,29 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
                                    f"singular: E(p-k) + omega - E(p) = {delta:.3e}")
 
     g, h = ops.amplitudes
-    linear = ops.linear                 # the pull-through stays in the linear frame
-    D = np.array([(p[mu] - ops.pf[:, mu]) * psi - config.e * (linear.A[mu] @ psi)
-                  for mu in range(3)])
+    A_psi = linear_products(ops.basis, g, h, psi)[:3]
+    D = np.array([(p[mu] - ops.pf[:, mu]) * psi - config.e * A_psi[mu] for mu in range(3)])
     # sigma_mu (x) 1 in the spin-major ordering
     S = (np.array([(PAULI[mu + 1] @ psi.reshape(2, -1)).ravel() for mu in range(3)])
          if config.with_spin else np.zeros_like(D))
     rhs = config.e * (g @ D + 0.5j * (h @ S))
     lowered = _annihilated(psi, ops.basis)
-    residuals = np.empty(len(ms))
+    x = np.zeros_like(lowered)
     for i, k in enumerate(K):
-        H, shift = linear.hamiltonian(p - k, config.e), omegas[i] - energy
-        A = spla.LinearOperator(H.shape, lambda x: H @ x + shift * x, dtype=complex)
-        M = sp.diags(1.0 / (H.diagonal().real + shift))
-        for m in np.flatnonzero(ms.k_point_index == i):
-            x, info = spla.cg(A, rhs[m], rtol=CG_RTOL, atol=0.0, M=M)
-            if info != 0:
-                raise SolverError(f"CG did not converge for mode {m} at k-point {i} "
-                                  f"{k.tolist()} (info {info})")
-            residuals[m] = np.linalg.norm(lowered[m] - x) / norm
-    return residuals
+        shift = omegas[i] - energy
+        for B, T in ops.blocks(p - k, config.e):
+            A = spla.LinearOperator(B.shape, lambda y: B @ y + shift * y, dtype=complex)
+            M = sp.diags(1.0 / (B.diagonal().real + shift))
+            for m in np.flatnonzero(ms.k_point_index == i):
+                projected = (T.T @ rhs[m].conj()).conj()      # T+ rhs, with no adjoint stored
+                if not projected.any():
+                    continue
+                y, info = spla.cg(A, projected, rtol=CG_RTOL, atol=0.0, M=M)
+                if info != 0:
+                    raise SolverError(f"CG did not converge for mode {m} at k-point {i} "
+                                      f"{k.tolist()} (info {info})")
+                x[m] += T @ y
+    return np.linalg.norm(lowered - x, axis=1) / norm
 
 
 def _annihilated(psi: np.ndarray, basis: FockBasis) -> np.ndarray:

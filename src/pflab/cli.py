@@ -228,11 +228,15 @@ def cmd_sweep(args) -> int:
     p_values = _parse_p_grid(args.p_grid)
     # per step, gap_estimate's t, k = t u, p - k and |p - k| (8 x 8 bytes)
     require_memory(64 * args.k_steps, f"--k-steps {args.k_steps}", "lower it")
+    p_max = max(float(np.linalg.norm(p)) for p in p_values)
+    q_max = p_max + args.k_max
+    if not math.isfinite(0.5 * q_max * q_max):
+        raise ConfigError(f"--k-max {args.k_max} with the p-grid's largest |p| = {p_max:g}: "
+                          "the energy curve's reach q has q^2/2 past float64's range; lower it")
     config = load_config(args.config, force_allow_massless=args.override_massless)
     ops = model_operators(config)
     rows = energy_sweep(ops, p_values, config.e, n_eig=args.n_eig, seed=args.seed)
-    p_max = max(float(np.linalg.norm(p)) for p in p_values)
-    curve = sweep_energy_curve(ops, config, q_max=p_max + args.k_max, seed=args.seed)
+    curve = sweep_energy_curve(ops, config, q_max=q_max, seed=args.seed)
     table = []
     for row in rows:
         entry = {

@@ -330,30 +330,21 @@ def enumerate_basis(mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
 def number_operator(basis: FockBasis) -> sp.csr_matrix:
     """Total photon number (diagonal, no quadrature weights)."""
     diag = basis.occupation_array().sum(axis=1).astype(float)
-    return spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis)
+    return spin_tensor(sp.diags(diag.astype(complex), format="csr"), basis)
 
 
-def spin_tensor(pauli_index: int, fock_op: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
-    """Kronecker product sigma_i x (boson operator) in the spin-major ordering.
-
-    pauli_index 0 is the identity, in the dtype of ``fock_op`` (boson factor).
-    """
-    if pauli_index not in (0, 1, 2, 3):
-        raise ValueError(f"pauli index must be in 0..3, got {pauli_index}")
-    if not sp.issparse(fock_op):
-        fock_op = sp.csr_matrix(np.asarray(fock_op, dtype=complex))
+def spin_tensor(fock_op: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
+    """1 (x) T of the boson-factor operator T in the spin-major ordering, in
+    the dtype of T; T itself on a spinless basis."""
     if fock_op.shape != (basis.boson_dimension, basis.boson_dimension):
         raise BasisMismatchError(
             f"operator shape {fock_op.shape} does not match the boson factor "
             f"dimension {basis.boson_dimension}"
         )
     if not basis.with_spin:
-        if pauli_index != 0:
-            raise ValueError("spin operators are unavailable on a spinless basis")
         return fock_op.tocsr()
-    spin = sp.csr_matrix(PAULI[pauli_index]) if pauli_index else sp.identity(2, fock_op.dtype)
-    out = sp.kron(spin, fock_op, format="csr")      # float64 when fock_op has no entries
-    return out.astype(np.result_type(spin.dtype, fock_op.dtype), copy=False)
+    out = sp.kron(sp.identity(2, fock_op.dtype), fock_op, format="csr")
+    return out.astype(fock_op.dtype, copy=False)      # float64 when fock_op has no entries
 
 
 # -- Hermiticity helpers -----------------------------------------------------

@@ -175,6 +175,9 @@ def config_from_dict(obj: dict, force_allow_massless: bool = False) -> ModelConf
                            ("sweep_points", 48 * quad.sweep_points)):
             require_memory(need, f"config.quadrature.{name} = {getattr(quad, name)}",
                            "lower it")
+        if not math.isfinite(0.5 * quad.r_max * quad.r_max):
+            raise ConfigError(f"config.quadrature.r_max = {quad.r_max}: the energy curve's "
+                              "reach q has q^2/2 past float64's range; lower it")
     allow_massless = _boolean(obj.get("allow_massless", False), "config.allow_massless")
     try:
         mode_set = _mode_set_from_dict(obj["mode_set"], "config.mode_set")

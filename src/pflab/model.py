@@ -20,15 +20,15 @@ what one truncated model's operators are built from once: the basis, the
 diagonals and the field amplitudes (``ModelOperators``).  Each path builds
 the terms it needs from them at first use, and only those, each checked to
 be exactly Hermitian (``HamiltonianTerms``): the linear-frame terms on the
-full basis (``ModelOperators.linear``) for a momentum off the axis and the
-pull-through, the sector terms (below) for a momentum on it.  H(p, e) is
-formed one way, in place on one stored pattern
-(``HamiltonianTerms.pattern_data``): the sum of the terms with the real
-coefficients of one list (``HamiltonianTerms.coefficients``), then the
-diagonal of H0(p) (first line), exactly Hermitian again and bitwise the
-sparse sum H0(p) + H_int.  A, B and C are linear in the ladders: each is
-written onto the ladder entries (``FockBasis.lowering``) and their mirror
-images, one pattern per basis (``FockBasis.field_pattern``) for both frames.
+full basis (``ModelOperators.linear``) for a momentum off the axis, the
+sector terms (below) for a momentum on it.  H(p, e) is formed one way, in
+place on one stored pattern (``HamiltonianTerms.pattern_data``): the sum of
+the terms with the real coefficients of one list
+(``HamiltonianTerms.coefficients``), then the diagonal of H0(p) (first
+line), exactly Hermitian again and bitwise the sparse sum H0(p) + H_int.
+A, B and C are linear in the ladders: each is written onto the ladder
+entries (``FockBasis.lowering``) and their mirror images, one pattern per
+basis (``FockBasis.field_pattern``) for both frames.
 
 For p = t u on the axis u of an axial mode set, H(p) commutes with the
 angular momentum about the axis.  On-axis photon modes carry no orbital
@@ -51,7 +51,8 @@ phased permutation P (``circular_mirror``), commutes with H(t u, e) and maps
 sector z onto -z: the split cuts each term once to its blocks on the labels
 >= 0, maps sector -z back by W P and names the block behind each sector
 (``SectorSplit.source``); ``SectorSplit.upper_blocks`` slices the blocks of
-H(t u, e) out of the same in-place sum of the cut terms.
+H(t u, e) out of the same in-place sum of the cut terms, which
+``ModelOperators.blocks`` pairs with their maps to the linear basis.
 On the z axis A_y and B_y are purely imaginary in that frame, so A_y A_y
 and sigma_y (x) B_y are real, the terms are stored as float64, and
 H(t u, e) and its blocks are real; on a tilted axis the spin frame carries
@@ -354,13 +355,13 @@ def _field_terms(basis: FockBasis, g: np.ndarray, h: np.ndarray, spin):
     return A, C, A2, sigma_B
 
 
-def _linear_products(basis: FockBasis, g: np.ndarray, h: np.ndarray, u: np.ndarray,
-                     X: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(u.A) X, C X, (sigma.B) X and A^2 X for the linear-frame terms of the
-    real amplitudes g, h, on the columns X of the full basis, with no term of
-    the full basis built: from the fields of ``_boson_fields``, u.A, C and
-    A^2 X = sum_mu A^mu (A^mu X) act as 1 (x) T on each spin half, and
-    sigma.B X = sum_mu sigma_mu (x) (B^mu X)."""
+def linear_products(basis: FockBasis, g: np.ndarray, h: np.ndarray,
+                    X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A^x X, A^y X, A^z X, C X, (sigma.B) X and A^2 X for the linear-frame
+    terms of the real amplitudes g, h, on the columns X of the full basis,
+    with no term of the full basis built: from the fields of
+    ``_boson_fields``, A^mu, C and A^2 X = sum_mu A^mu (A^mu X) act as
+    1 (x) T on each spin half, and sigma.B X = sum_mu sigma_mu (x) (B^mu X)."""
     A, B, C = _boson_fields(basis, g, h)
     halves = X.reshape(2 if basis.with_spin else 1, basis.boson_dimension, -1)
 
@@ -370,8 +371,7 @@ def _linear_products(basis: FockBasis, g: np.ndarray, h: np.ndarray, u: np.ndarr
     AX = [boson(op, halves) for op in A]
     sigma_B = (sum(np.einsum("rs,s...->r...", PAULI[mu + 1], boson(B[mu], halves))
                    for mu in range(3)) if basis.with_spin else np.zeros(halves.shape))
-    products = (sum(u[mu] * AX[mu] for mu in range(3) if u[mu] != 0.0), boson(C, halves),
-                sigma_B, sum(boson(A[mu], AX[mu]) for mu in range(3)))
+    products = (*AX, boson(C, halves), sigma_B, sum(boson(A[mu], AX[mu]) for mu in range(3)))
     return tuple(P.reshape(X.shape) for P in products)
 
 
@@ -647,8 +647,8 @@ class ModelOperators:
     ``free_diag`` = H_f + P_f^2/2 and ``pf`` = P_f on it, and the field
     amplitudes (g, h) of ``field_amplitudes``.  The terms are built at first
     use, in the frame a path solves in: ``linear`` on the full basis (a
-    momentum off the axis, the pull-through), ``sectors`` on the J_axis
-    sectors in the circular frame (a momentum on the axis)."""
+    momentum off the axis), ``sectors`` on the J_axis sectors in the
+    circular frame (a momentum on the axis)."""
 
     basis: FockBasis
     free_diag: np.ndarray
@@ -663,9 +663,9 @@ class ModelOperators:
         basis = self.basis
         A, C, A2, sigma_B = _field_terms(basis, *self.amplitudes, PAULI[1:])
         return HamiltonianTerms(free_diag=self.free_diag, pf=self.pf,
-                                A=tuple(spin_tensor(0, op, basis) for op in A),
-                                C=spin_tensor(0, C, basis), sigma_B=sigma_B,
-                                A2=spin_tensor(0, A2.astype(complex), basis))
+                                A=tuple(spin_tensor(op, basis) for op in A),
+                                C=spin_tensor(C, basis), sigma_B=sigma_B,
+                                A2=spin_tensor(A2.astype(complex), basis))
 
     def axis_coordinate(self, p) -> Optional[float]:
         """t with p = t u on the mode axis u, or None when H(p) has no sector
@@ -686,6 +686,17 @@ class ModelOperators:
         """The model's J_axis sectors (``sector_split``), built at first use."""
         return sector_split(self)
 
+    def blocks(self, p, e: float) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
+        """H(p, e) as pairs (B, T) with H(p, e) = sum T B T+: on the axis
+        (``axis_coordinate``) each sector's block of ``upper_blocks`` and its
+        map ``to_linear``, off it the single pair (``linear``'s H, identity)."""
+        t = self.axis_coordinate(p)
+        if t is None:
+            return [(self.linear.hamiltonian(p, e), sp.identity(self.basis.dimension))]
+        split = self.sectors
+        blocks = split.upper_blocks(t, e)
+        return [(blocks[j], T) for j, T in zip(split.source, split.to_linear)]
+
 
 def sector_split(ops: ModelOperators) -> SectorSplit:
     """The J_axis sectors of ``ops``'s model, ascending in label; the one
@@ -702,7 +713,7 @@ def sector_split(ops: ModelOperators) -> SectorSplit:
     sector z >= 0; its entries between two sectors may reach
     ``SECTOR_LEAK_TOL`` (``leak_max``).  Each term T_c must match its linear
     form T on two probe columns X, T (W X) = W (T_c X), to ``SECTOR_LEAK_TOL``
-    times the largest row sum of |T_c| (at least 1); ``_linear_products``
+    times the largest row sum of |T_c| (at least 1); ``linear_products``
     applies T to W X on the boson factor, so no linear term of the full basis
     is built."""
     basis = ops.basis
@@ -741,7 +752,7 @@ def sector_split(ops: ModelOperators) -> SectorSplit:
         change = float(abs(change).max())
         if change > SECTOR_LEAK_TOL:
             raise PflabError(f"the mirror changes the term {name} of H by up to {change:.3e}")
-    A_axis, C, A2 = (spin_tensor(0, op.astype(sigma_B.dtype), basis) for op in boson)
+    A_axis, C, A2 = (spin_tensor(op.astype(sigma_B.dtype), basis) for op in boson)
     terms = (A_axis, C, sigma_B, A2)
     position = np.full(basis.dimension, -1)
     position[upper] = np.arange(upper.size)
@@ -762,7 +773,8 @@ def sector_split(ops: ModelOperators) -> SectorSplit:
 
     (A_z, C_z, sigma_B_z, A2_z), leaks = zip(*map(cut, terms))
     X = np.exp(2j * np.pi * np.random.default_rng(0).random((basis.dimension, 2)))
-    linear = _linear_products(basis, *ops.amplitudes, u, W @ X)
+    *AWX, CWX, sigma_BWX, A2WX = linear_products(basis, *ops.amplitudes, W @ X)
+    linear = (sum(u[mu] * AWX[mu] for mu in range(3) if u[mu] != 0.0), CWX, sigma_BWX, A2WX)
     for name, TWX, T_c in zip(("u.A", "C", "sigma.B", "A^2"), linear, terms):
         gap = float(np.abs(TWX - W @ (T_c @ X)).max())
         if gap > SECTOR_LEAK_TOL * max(1.0, float(abs(T_c).sum(axis=1).max())):

@@ -168,7 +168,7 @@ def basis_ladders(basis):
 
 def annihilation_matrix(mode_index, basis):
     """a_m on the full basis (tensored with the spin identity when present)."""
-    return spin_tensor(0, basis_ladders(basis)[mode_index], basis)
+    return spin_tensor(basis_ladders(basis)[mode_index], basis)
 
 
 def creation_matrix(mode_index, basis):
@@ -210,14 +210,14 @@ def field_energy(basis, omega_by_kpoint):
         )
     omega_per_mode = omega_by_kpoint[basis.mode_set.k_point_index]
     diag = basis.occupation_array() @ omega_per_mode
-    return spin_tensor(0, sp.diags(diag.astype(complex), format="csr"), basis)
+    return spin_tensor(sp.diags(diag.astype(complex), format="csr"), basis)
 
 
 def field_momentum(basis):
     """The three components of sum_m k_m n_m (diagonal, no quadrature weights)."""
     occ = basis.occupation_array()
     karr = basis.mode_set.k_array()
-    return tuple(spin_tensor(0, sp.diags((occ @ karr[:, mu]).astype(complex), format="csr"),
+    return tuple(spin_tensor(sp.diags((occ @ karr[:, mu]).astype(complex), format="csr"),
                              basis) for mu in range(3))
 
 
@@ -404,7 +404,7 @@ def helicity_operator(basis):
         sign = 1.0 if float(k @ u) > 0.0 else -1.0
         a1, a2 = ladders[i1], ladders[i2]
         S = S + sign * 1j * (adjoint(a2) @ a1 - adjoint(a1) @ a2)
-    return spin_tensor(0, S, basis)
+    return spin_tensor(S, basis)
 
 
 def mirror_operator(basis):
@@ -423,7 +423,7 @@ def mirror_operator(basis):
     if not basis.with_spin:
         return U
     n = polarization_frame(basis.mode_set)[second.min()]
-    return sum(n[mu] * spin_tensor(mu + 1, U, basis) for mu in range(3) if n[mu] != 0.0).tocsr()
+    return sum(n[mu] * sp.kron(SIGMA[mu + 1], U) for mu in range(3) if n[mu] != 0.0).tocsr()
 
 
 def total_jz(basis):
@@ -438,7 +438,7 @@ def total_jz(basis):
         eye_b = sp.identity(basis.boson_dimension, dtype=complex, format="csr")
         for mu in range(3):
             if u[mu] != 0.0:
-                J = J + 0.5 * u[mu] * spin_tensor(mu + 1, eye_b, basis)
+                J = J + 0.5 * u[mu] * sp.kron(SIGMA[mu + 1], eye_b)
     return J.tocsr()
 
 

@@ -445,24 +445,34 @@ def test_invalid_input_exits_usage(tmp_path, capsys, overrides, command, message
 
 SWEEP = ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2")
 # finite inputs at which H(p, e) has an entry past float64's range: on the
-# axis, through the energy curve's reach (k_max, r_max), and off the axis
+# axis and off it, at the momentum or coupling named in the refusal; the
+# energy curve's reach (k_max, r_max) is refused where it is set, before any
+# operator is built
 OVERFLOWS = {
-    "p": ({"p": [0.0, 0.0, 1e200]}, SPECTRUM, "p = [1e+200], e = 0.1"),
-    "e": ({"e": 1e200}, ("bounds",), "e = 1e+200"),
-    "k_max": ({}, (*SWEEP, "--k-max", "1e300"), "e = 0.1"),
-    "r_max": ({"quadrature": {**fast_quadrature(), "r_max": 1e300}}, ("bounds",), "e = 0.1"),
-    "p_off_axis": ({"p": [1e200, 0.0, 0.0]}, SPECTRUM, "p = [1e+200, 0.0, 0.0], e = 0.1"),
+    "p": ({"p": [0.0, 0.0, 1e200]}, SPECTRUM,
+          "H(p, e) overflows float64 at p = [1e+200], e = 0.1"),
+    "e": ({"e": 1e200}, ("bounds",), "H(p, e) overflows float64 at p = [0.4], e = 1e+200"),
+    "k_max": ({}, (*SWEEP, "--k-max", "1e300"), "--k-max 1e+300 with the p-grid's largest"),
+    "r_max": ({"quadrature": {**fast_quadrature(), "r_max": 1e300}}, ("bounds",),
+              "config.quadrature.r_max = 1e+300: the energy curve's reach"),
+    "p_off_axis": ({"p": [1e200, 0.0, 0.0]}, SPECTRUM,
+                   "H(p, e) overflows float64 at p = [1e+200, 0.0, 0.0], e = 0.1"),
 }
+REACH = ("k_max", "r_max")
 
 
-@pytest.mark.parametrize("overrides, command, message", OVERFLOWS.values(),
-                         ids=OVERFLOWS.keys())
-def test_overflowing_input_exits_usage(tmp_path, capsys, overrides, command, message):
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_overflowing_input_exits_usage(tmp_path, monkeypatch, capsys, name):
+    overrides, command, message = OVERFLOWS[name]
+    if name in REACH:
+        def no_build(*args, **kwargs):
+            raise AssertionError("operators built before the refusal")
+
+        monkeypatch.setattr(spectra, "build_operators", no_build)
     cfg = write_config(tmp_path, **overrides)
     assert exit_status(command[0], "--config", cfg, "--out", tmp_path / "o",
                        *command[1:]) == 2
-    err = capsys.readouterr().err
-    assert "H(p, e) overflows float64 at" in err and message in err
+    assert message in capsys.readouterr().err
 
 
 # counts whose arrays would not fit in physical memory; numpy refuses 10**12

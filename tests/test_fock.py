@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pflab.errors import BasisMismatchError, DimensionCapError
 from pflab.fock import (
+    PAULI,
     Mode,
     ModeSet,
     axial_mode_set,
@@ -376,14 +377,16 @@ def test_field_energy_needs_one_omega_per_kpoint(pair_ms):
 
 
 def test_sigma3_on_vacuum_pair(tiny_ms):
+    # spin-major ordering: the spin-up vacuum comes first
     basis = enumerate_basis(tiny_ms, N_max=0, n_max=1, with_spin=True)
-    s3 = spin_tensor(3, np.eye(1), basis)
-    assert s3[0, 0] == 1.0 and s3[1, 1] == -1.0
+    up, down = basis.vacuum_indices()
+    s3 = sp.kron(PAULI[3], sp.identity(basis.boson_dimension), format="csr")
+    assert s3[up, up] == 1.0 and s3[down, down] == -1.0
 
 
 def test_sigma1_squares_to_identity(tiny_ms):
     basis = enumerate_basis(tiny_ms, N_max=1, n_max=1, with_spin=True)
-    s1 = spin_tensor(1, np.eye(basis.boson_dimension), basis)
+    s1 = sp.kron(PAULI[1], np.eye(basis.boson_dimension), format="csr")
     assert np.allclose((s1 @ s1).toarray(), np.eye(basis.dimension), atol=1e-15)
 
 
@@ -391,7 +394,7 @@ def test_sigma_dot_v_squared_is_v_squared(tiny_ms):
     basis = enumerate_basis(tiny_ms, N_max=1, n_max=1, with_spin=True)
     v = np.array([0.3, -0.2, 0.5])
     eye_b = np.eye(basis.boson_dimension)
-    sv = sum((v[mu] * spin_tensor(mu + 1, eye_b, basis) for mu in range(3)))
+    sv = sum((v[mu] * sp.kron(PAULI[mu + 1], eye_b, format="csr") for mu in range(3)))
     dense = (sv @ sv).toarray()
     assert np.allclose(dense, (v @ v) * np.eye(basis.dimension), atol=1e-15)
 
@@ -399,10 +402,12 @@ def test_sigma_dot_v_squared_is_v_squared(tiny_ms):
 def test_spin_tensor_dimension_mismatch(tiny_ms):
     basis = enumerate_basis(tiny_ms, N_max=1, n_max=1, with_spin=True)
     with pytest.raises(BasisMismatchError):
-        spin_tensor(3, np.eye(basis.dimension), basis)
+        spin_tensor(sp.identity(basis.dimension, format="csr"), basis)
 
 
-def test_spin_tensor_refused_on_spinless(tiny_ms):
+def test_spin_tensor_on_spinless_is_the_boson_operator(tiny_ms):
     basis = enumerate_basis(tiny_ms, N_max=1, n_max=1, with_spin=False)
-    with pytest.raises(ValueError):
-        spin_tensor(2, np.eye(basis.boson_dimension), basis)
+    T = sp.random(basis.boson_dimension, basis.boson_dimension, density=0.5, format="csr",
+                  random_state=0)
+    out = spin_tensor(T, basis)
+    assert out.format == "csr" and out.dtype == T.dtype and (out != T).nnz == 0

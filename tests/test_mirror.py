@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import pflab.model as model_mod
 import pflab.spectra as spectra_mod
 from pflab.errors import PflabError
-from pflab.fock import axial_mode_set, spin_tensor
+from pflab.fock import PAULI, axial_mode_set
 from pflab.model import build_operators, circular_mirror
 from pflab.spectra import solve_lowest, solve_model
 
@@ -146,15 +146,15 @@ def test_sector_leak_is_refused_before_any_solve(shipped_configs, monkeypatch):
         solves.append(1)
         return solve_lowest(*args, **kwargs)
 
-    linear_products = model_mod._linear_products
+    linear_products = model_mod.linear_products
 
-    def with_defect(basis, g, h, u, X):
-        A_u, C, sigma_B, A2 = linear_products(basis, g, h, u, X)
+    def with_defect(basis, g, h, X):
+        *A, C, sigma_B, A2 = linear_products(basis, g, h, X)
         eye_b = sp.identity(basis.boson_dimension, dtype=complex, format="csr")
-        return A_u, C, sigma_B + 0.05 * (spin_tensor(2, eye_b, basis) @ X), A2
+        return *A, C, sigma_B + 0.05 * (sp.kron(PAULI[2], eye_b, format="csr") @ X), A2
 
     monkeypatch.setattr(spectra_mod, "solve_lowest", recorded)
-    monkeypatch.setattr(model_mod, "_linear_products", with_defect)
+    monkeypatch.setattr(model_mod, "linear_products", with_defect)
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
     with pytest.raises(PflabError, match="not the helicity rotation of its linear form"):

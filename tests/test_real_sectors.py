@@ -46,7 +46,7 @@ def theta_parity(basis) -> sp.csr_matrix:
     """1 (x) (-1)^N_2: Theta = theta_parity K."""
     second = np.array([m.polarization_index == 2 for m in basis.mode_set.modes])
     parity = (-1.0) ** basis.occupation_array()[:, second].sum(axis=1)
-    return spin_tensor(0, sp.diags(parity.astype(complex), format="csr"), basis)
+    return spin_tensor(sp.diags(parity.astype(complex), format="csr"), basis)
 
 
 def theta_conjugate(P: sp.csr_matrix, op: sp.spmatrix) -> sp.csr_matrix:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pflab.bounds import PHOTON_NUMBER_SLACK
 from pflab.spectra import model_operators
 
 ROOT = Path(__file__).parent.parent
@@ -80,7 +81,7 @@ def test_convergence_ladder_bound_ratio():
     cfg = ladder.desk_config(ladder.SHELL_LADDER[0], 0.1, (0.0, 0.0, 0.4))
     dim, chk = ladder.bound_ratio(model_operators(cfg), cfg)
     assert dim == 90
-    assert 0.0 < chk.nf_max and 0.0 < chk.ratio < 1.0 + chk.slack
+    assert 0.0 < chk.nf_max and 0.0 < chk.ratio < 1.0 + PHOTON_NUMBER_SLACK
 
 
 def test_term_digests_prints_one_line_per_term_and_matrix():

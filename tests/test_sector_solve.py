@@ -28,7 +28,7 @@ from pflab.spectra import (
     sweep_energy_curve,
 )
 
-from conftest import CONFIG_DIR, make_config
+from conftest import CONFIG_DIR, DESK_EDGES, make_config
 from oracles import dense_pull_through_residuals, dense_sector_energies, sparse_sum_hamiltonian
 
 N_EIG = 6
@@ -268,27 +268,33 @@ def test_free_model_takes_the_diagonal_path(desk_ms):
 
 
 PULL_THROUGH_CASES = {
-    "desk_e005": ("desk_e005.json", None),
-    "desk_e010": ("desk_e010.json", None),
-    "desk_e020": ("desk_e020.json", None),
-    "desk_p0_e010": ("desk_p0_e010.json", None),
-    "massless_e010": ("massless_e010.json", None),
-    "desk_e010_off_axis": ("desk_e010.json", (0.1, 0.0, 0.3)),   # complex A_k
+    "desk_e005": lambda shipped: shipped["desk_e005.json"],
+    "desk_e010": lambda shipped: shipped["desk_e010.json"],
+    "desk_e020": lambda shipped: shipped["desk_e020.json"],
+    "desk_p0_e010": lambda shipped: shipped["desk_p0_e010.json"],
+    "massless_e010": lambda shipped: shipped["massless_e010.json"],
+    # complex A_k on the full space
+    "desk_e010_off_axis": lambda shipped: shipped["desk_e010.json"].at(p=(0.1, 0.0, 0.3)),
+    # the spin frame along a tilted axis carries phases: complex blocks
+    "tilted": lambda shipped: make_config(axial_mode_set(DESK_EDGES, axis=TILTED_AXIS), e=0.2,
+                                          p=tuple(0.3 * TILTED_AXIS)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PULL_THROUGH_CASES))
 def test_pull_through_residual_solves_once_per_k_point(case, shipped_configs, monkeypatch):
     # the shifted resolvent depends on a mode only through its k-point: one
-    # gap solve and one shifted operator per k-point serve both polarizations,
-    # with one CG solve per mode; the residuals match the dense oracle's
-    name, p = PULL_THROUGH_CASES[case]
-    cfg = shipped_configs[name]
-    cfg = cfg if p is None else cfg.at(p=p)
+    # gap solve and one decomposition into (block, map) pairs per k-point
+    # serve both polarizations; on the axis no H is formed on the full space,
+    # and CG runs once per mode and pair whose right side is nonzero; the
+    # residuals match the dense oracle's
+    cfg = PULL_THROUGH_CASES[case](shipped_configs)
     ops = build_operators(cfg)
+    on_axis = ops.axis_coordinate(cfg.p) is not None
     cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, N_EIG))
     psi = cluster.basis[:, 0]
-    calls = {"solve_model": 0, "hamiltonian": 0, "cg": 0}
+    calls = {"solve_model": 0, "hamiltonian": 0}
+    right_sides = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -296,14 +302,32 @@ def test_pull_through_residual_solves_once_per_k_point(case, shipped_configs, mo
             return fn(*args, **kwargs)
         return wrapper
 
+    def recorded(A, b, **kwargs):
+        right_sides.append(b)
+        return cg(A, b, **kwargs)
+
     monkeypatch.setattr(bounds, "solve_model", counted("solve_model", bounds.solve_model))
     monkeypatch.setattr(model_mod.HamiltonianTerms, "hamiltonian",
                         counted("hamiltonian", model_mod.HamiltonianTerms.hamiltonian))
-    monkeypatch.setattr(bounds.spla, "cg", counted("cg", bounds.spla.cg))
+    cg = bounds.spla.cg
+    monkeypatch.setattr(bounds.spla, "cg", recorded)
     got = bounds.pull_through_residual(psi, cfg, cluster.energy, ops)
     assert (len(cfg.mode_set), len(cfg.mode_set.k_points)) == (16, 8)
     # off the axis each gap solve forms H(p - k) on the full space as well
-    assert calls == {"solve_model": 8, "hamiltonian": 8 if p is None else 16, "cg": 16}
+    assert calls == {"solve_model": 8, "hamiltonian": 0 if on_axis else 16}
+    assert all(b.any() for b in right_sides)
+    K = np.asarray(cfg.mode_set.k_points)
+    pairs = [ops.blocks(np.asarray(cfg.p) - k, cfg.e) for k in K]
+    solved = len(right_sides)
+    # the full-space right side of each mode, as CG receives it with no split
+    right_sides.clear()
+    monkeypatch.setattr(model_mod.ModelOperators, "blocks", lambda self, p, e: [
+        (self.linear.hamiltonian(p, e), sp.identity(self.basis.dimension, format="csr"))])
+    bounds.pull_through_residual(psi, cfg, cluster.energy, ops)
+    assert len(right_sides) == 16
+    assert solved == sum(bool((T.T @ right_sides[m].conj()).any())
+                         for i in range(len(K)) for _, T in pairs[i]
+                         for m in np.flatnonzero(cfg.mode_set.k_point_index == i))
     oracle = dense_pull_through_residuals(cfg, psi, cluster.energy)
     assert np.max(np.abs(got - oracle)) < 1e-12
 
@@ -444,14 +468,14 @@ def _count_linear_builds(monkeypatch):
 
 def test_on_axis_solve_builds_no_full_space_pattern(shipped_configs, monkeypatch, tmp_path):
     # on the axis only the sector terms are built, by a solve and by the
-    # spectrum and sectors commands; the linear-frame terms, and their
-    # pattern, are built once, at the first solve off the axis
+    # spectrum, sectors and bounds commands; the linear-frame terms, and
+    # their pattern, are built once, at the first solve off the axis
     built = _count_linear_builds(monkeypatch)
     cfg = shipped_configs["desk_e010.json"]
     ops = build_operators(cfg)
     solve_model(ops, cfg.p, cfg.e, N_EIG)
     assert "pattern" in vars(ops.sectors.upper) and "linear" not in vars(ops)
-    for command in ("spectrum", "sectors"):
+    for command in ("spectrum", "sectors", "bounds"):
         assert main([command, "--config", str(CONFIG_DIR / "desk_e010.json"),
                      "--out", str(tmp_path / command)]) == 0
     assert built == []
