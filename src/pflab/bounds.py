@@ -29,9 +29,12 @@ is only approximate, so every check reports its numbers rather than
 asserting blindly; ``pull_through_residual`` measures how far the identity
 misses at every mode, with a_m Psi read off the basis's one list of ladder
 entries.  Its resolvent depends on a mode only through the mode's k-point,
-so it is gap-checked and split once per k-point (``ModelOperators.blocks``,
-into the J_axis blocks on the axis), serves both polarizations there, and
-is solved by Jacobi-preconditioned CG.
+so it is gap-checked (by the energy-only ``spectra.ground_energy``) and split
+once per k-point (``ModelOperators.blocks``, into the J_axis blocks on the
+axis), serves both polarizations there, and is solved by
+Jacobi-preconditioned CG.  Every energy curve and gap check reads only the
+lowest eigenvalue, so on the axis each of its solves skips the blocks whose
+Gershgorin bound lies above the lowest value already found.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .spectra import (
     GroundCluster,
     RadialEnergyCurve,
     detect_ground_cluster,
+    ground_energy,
     solve_model,
     sweep_energy_curve,
 )
@@ -152,7 +156,7 @@ def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: 
 
 
 def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
-                          ops: ModelOperators) -> np.ndarray:
+                          ops: ModelOperators, seed: int = DEFAULT_SEED) -> np.ndarray:
     """|| a_m Psi - RHS_m || / ||Psi||, the truncation error of the pull-through
     identity, at every mode m in mode order, from the operator set ``ops``.
 
@@ -160,10 +164,10 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
     split once per k-point, for both polarizations, into the pairs (B, T) of
     ``ModelOperators.blocks``: x = sum T (B + omega_k - E)^-1 T+ b, with Psi,
     a_m Psi and b in the linear basis.  Before any shifted solve, every
-    k-point is checked and the first with delta_k = E(p - k) + omega_k - E <
-    ``DENOMINATOR_FLOOR`` is named in a ``GapTooSmallError``.  Each
-    B + omega_k - E is then positive definite, and CG preconditioned by its
-    diagonal inverse stops at ||T+ b - (B + omega_k - E) y|| <= ``CG_RTOL``
+    k-point is checked, E(p - k) by ``ground_energy`` with ``seed``, and the
+    first with delta_k = E(p - k) + omega_k - E < ``DENOMINATOR_FLOOR`` is
+    named in a ``GapTooSmallError``.  Each B + omega_k - E is then positive
+    definite, and CG preconditioned by its diagonal inverse stops at ||T+ b - (B + omega_k - E) y|| <= ``CG_RTOL``
     ||T+ b||, a zero T+ b skipped; ``SolverError`` names the mode and k-point
     of a system that does not converge.
     """
@@ -176,7 +180,7 @@ def pull_through_residual(psi: np.ndarray, config: ModelConfig, energy: float,
     K = np.asarray(ms.k_points)
     omegas = np.asarray(config.dispersion.omega(np.linalg.norm(K, axis=1)))
     for i, k in enumerate(K):
-        delta = solve_model(ops, p - k, config.e, 1).ground_energy + omegas[i] - energy
+        delta = ground_energy(ops, p - k, config.e, seed) + omegas[i] - energy
         if delta < DENOMINATOR_FLOOR:
             raise GapTooSmallError(f"shifted resolvent at k-point {i} {k.tolist()} is nearly "
                                    f"singular: E(p-k) + omega - E(p) = {delta:.3e}")
@@ -318,8 +322,9 @@ def coupling_threshold(ops: ModelOperators, config: ModelConfig, curve: RadialEn
     """Largest e with e < 1/sqrt(3 Theta(p, e)) and c0(e) < 1.
 
     Theta depends on e through the energy curve of the model at that
-    coupling: a probe at e == config.e reads ``curve``, the curve of
-    ``config`` itself, and any other probe at e > 0 solves its own
+    coupling: a probe at e == |config.e| reads ``curve``, the curve of
+    ``config`` itself (E does not change with the sign of e), and any other
+    probe at e > 0 solves its own
     (``sweep_energy_curve``) from the model's operator set ``ops``.  The
     relative-bound condition c0(e) < 1 stands in for the implicit
     self-adjointness threshold.  Between the last admissible and the first
@@ -335,7 +340,7 @@ def coupling_threshold(ops: ModelOperators, config: ModelConfig, curve: RadialEn
             return False, "relative-bound"
         if e == 0.0:
             return True, ""
-        probe_curve = curve if e == config.e else sweep_energy_curve(ops, probe, seed=seed)
+        probe_curve = curve if e == abs(config.e) else sweep_energy_curve(ops, probe, seed=seed)
         try:
             theta = photon_number_integral(probe, probe_curve).value
         except GapTooSmallError:

@@ -296,7 +296,7 @@ def cmd_bounds(args) -> int:
     overlap = bounds_mod.vacuum_overlap(cluster, basis, config.e, integral)
     upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
     residual = float(bounds_mod.pull_through_residual(cluster.basis[:, 0], config,
-                                                      cluster.energy, ops).max())
+                                                      cluster.energy, ops, args.seed).max())
     gram = bounds_mod.vacuum_gram(cluster, basis) if cluster.count == 2 else None
     threshold = bounds_mod.coupling_threshold(ops, config, curve,
                                               np.linspace(0.0, args.e_grid_max, 6),

@@ -52,7 +52,8 @@ sector z onto -z: the split cuts each term once to its blocks on the labels
 >= 0, maps sector -z back by W P and names the block behind each sector
 (``SectorSplit.source``); ``SectorSplit.upper_blocks`` slices the blocks of
 H(t u, e) out of the same in-place sum of the cut terms, which
-``ModelOperators.blocks`` pairs with their maps to the linear basis.
+``ModelOperators.blocks`` pairs with their maps to the linear basis, and
+``SectorSplit.lower_bounds`` reads the blocks' Gershgorin bounds off it.
 On the z axis A_y and B_y are purely imaginary in that frame, so A_y A_y
 and sigma_y (x) B_y are real, the terms are stored as float64, and
 H(t u, e) and its blocks are real; on a tilted axis the spin frame carries
@@ -627,18 +628,42 @@ class SectorSplit:
         """Index of the first sector with label >= 0."""
         return sum(z < 0.0 for z in self.labels)
 
+    @cached_property
+    def _upper_rows(self) -> tuple[int, ...]:
+        """The first row of each block of ``upper`` and, last, its dimension."""
+        return tuple(a - self.starts[self.first_upper] for a in self.starts[self.first_upper:])
+
+    def block(self, data: np.ndarray, j: int) -> sp.csr_matrix:
+        """Block j of the sectors with label >= 0 of the matrix with entries
+        ``data`` on ``upper.pattern``: a view of that sector's range of
+        ``data``."""
+        ptr = self.upper.pattern.indptr
+        a, b = self._upper_rows[j:j + 2]
+        return sp.csr_matrix((data[ptr[a]:ptr[b]], self.upper.pattern.indices[ptr[a]:ptr[b]] - a,
+                              ptr[a:b + 1] - ptr[a]), shape=(b - a, b - a))
+
     def upper_blocks(self, t: float, e: float) -> list[sp.csr_matrix]:
         """The blocks of H(t u, e) on the sectors with label >= 0, ascending
         in label: each a view of one sector's range of ``upper.pattern_data``,
         exactly Hermitian, and its ``toarray()`` bitwise that block of the
         sparse sum of ``upper``'s terms."""
-        pattern = self.upper.pattern
         data = self.upper.pattern_data(t, e)
-        ptr = pattern.indptr
-        rows = [a - self.starts[self.first_upper] for a in self.starts[self.first_upper:]]
-        return [sp.csr_matrix((data[ptr[a]:ptr[b]], pattern.indices[ptr[a]:ptr[b]] - a,
-                               ptr[a:b + 1] - ptr[a]), shape=(b - a, b - a))
-                for a, b in zip(rows[:-1], rows[1:])]
+        return [self.block(data, j) for j in range(len(self._upper_rows) - 1)]
+
+    def lower_bounds(self, data: np.ndarray) -> tuple[np.ndarray, float]:
+        """Gershgorin's lower bound min_i (d_i - sum_{j != i} |B_ij|) on the
+        eigenvalues of each block B of the matrix with entries ``data`` on
+        ``upper.pattern``, in block order, and the rounding slack n eps
+        max_i sum_j |B_ij| (n the dimension of ``upper``) that a bound and a
+        computed eigenvalue may each be off by."""
+        pattern = self.upper.pattern
+        size = np.abs(data)
+        rows = pattern.indptr[:-1]           # every row holds its diagonal entry
+        total = np.add.reduceat(size, rows)
+        size[pattern.diagonal] = 0.0
+        discs = data[pattern.diagonal].real - np.add.reduceat(size, rows)
+        slack = rows.size * np.finfo(float).eps * float(total.max())
+        return np.minimum.reduceat(discs, self._upper_rows[:-1]), slack
 
 
 @dataclass(frozen=True, eq=False)

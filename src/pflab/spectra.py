@@ -23,10 +23,13 @@ merges the sectors' lowest pairs (see ``ModelOperators.sectors`` and the
 J_axis paragraph of ``model``); its ``SpectralResult.sectors`` then records
 each sector's ground energy.  ``ground_sector_labels`` reads those off and
 names the sectors that hold the ground energy; it solves nothing itself.
-A command builds its model's operator set once (``model_operators``) and
-passes it to every solve: ``energy_sweep`` solves a list of momenta and
-clusters each point's spectrum, ``sweep_energy_curve`` solves one pair per
-point of the E(q) curve that the gap formula and the bounds interpolate.
+``ground_energy`` returns solve_model's lowest value alone; on the axis it
+solves the blocks in ascending order of their Gershgorin lower bounds and
+skips those that cannot hold it, so it records no sector.  A command builds
+its model's operator set once (``model_operators``) and passes it to every
+solve: ``energy_sweep`` solves a list of momenta and clusters each point's
+spectrum, ``sweep_energy_curve`` takes one ``ground_energy`` per point of
+the E(q) curve that the gap formula and the bounds interpolate.
 """
 
 from __future__ import annotations
@@ -386,6 +389,39 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     return SpectralResult(vals[order], vecs, resid[order], "sectors", sum(matvecs), solves)
 
 
+def ground_energy(ops: ModelOperators, p, e: float, seed: int = DEFAULT_SEED) -> float:
+    """The lowest eigenvalue of H(p, e) built from ``ops``, bitwise
+    ``solve_model(ops, p, e, 1, seed).ground_energy``, with no eigenvector.
+
+    On the axis each block of ``SectorSplit.upper_blocks`` is formed from
+    one ``upper.pattern_data`` and solved as ``solve_model`` solves it, but
+    only while it can still hold the lowest value: the blocks are visited in
+    stable ascending order of their Gershgorin lower bound
+    (``SectorSplit.lower_bounds``), and the visit stops at the first whose
+    bound, less the rounding slack, lies above the lowest value so far;
+    Gershgorin's disc theorem puts every eigenvalue of that block and of the
+    ones after it above the bound.  Any other model or momentum goes to
+    ``solve_model``.
+    """
+    t = ops.axis_coordinate(p)
+    if t is None:
+        return solve_model(ops, p, e, 1, seed).ground_energy
+    _check_n_eig(1, ops.basis.dimension)
+    split = ops.sectors
+    data = split.upper.pattern_data(t, e)
+    bounds, slack = split.lower_bounds(data)
+    best = np.inf
+    for j in np.argsort(bounds, kind="stable"):
+        if bounds[j] - slack > best:
+            break
+        block = split.block(data, j)
+        # one pair exhausts a one-state block, which solve_model solves dense
+        result = solve_lowest(block, 1, seed=seed, _checked=True,
+                              method="dense" if block.shape[0] == 1 else "auto")
+        best = min(best, result.ground_energy)
+    return best
+
+
 def detect_ground_cluster(result: SpectralResult) -> GroundCluster:
     """Greedy bottom-up clustering of eigenvalues into a ground multiplet.
 
@@ -481,11 +517,10 @@ def model_operators(config: ModelConfig) -> ModelOperators:
     return ops
 
 
-def _solve_at(ops: ModelOperators, p: tuple[float, float, float], e: float, n_eig: int,
-              seed: int) -> SpectralResult:
-    # a sweep's solve, its failure annotated with the point
+def _solve_at(solve, ops: ModelOperators, p: tuple[float, float, float], e: float, *args):
+    # a sweep's solve (solve_model or ground_energy), its failure annotated with the point
     try:
-        return solve_model(ops, p, e, n_eig=n_eig, seed=seed)
+        return solve(ops, p, e, *args)
     except SolverError as err:
         raise SolverError(f"solve failed at p={p}: {err}", residuals=err.residuals) from err
 
@@ -500,7 +535,7 @@ def energy_sweep(ops: ModelOperators, p_values: Sequence[Sequence[float]], e: fl
     rows = []
     for p in p_values:
         pt = tuple(float(x) for x in p)
-        result = _solve_at(ops, pt, e, min(n_eig, ops.basis.dimension - 1), seed)
+        result = _solve_at(solve_model, ops, pt, e, min(n_eig, ops.basis.dimension - 1), seed)
         try:
             cluster = detect_ground_cluster(result)
             rows.append(SweepRow(pt, result.ground_energy, cluster.count,
@@ -551,9 +586,10 @@ def sweep_energy_curve(ops: ModelOperators, config: ModelConfig, q_max: Optional
                        seed: int = DEFAULT_SEED) -> RadialEnergyCurve:
     """Tabulate the ground energy E(q) of H(q, config.e) at
     ``config.quadrature.sweep_points`` points q from 0 to ``q_max`` along
-    the search axis, one pair per point from the model's operator set
-    ``ops``, and wrap it as a radial curve.  ``q_max`` defaults to
-    |p| + r_max, which covers every |p - k| the bounds' quadrature reaches.
+    the search axis, one ``ground_energy`` per point from the model's
+    operator set ``ops``, and wrap it as a radial curve.  ``q_max`` defaults
+    to |p| + r_max, which covers every |p - k| the bounds' quadrature
+    reaches.
 
     Each grid point is an eigensolve of the configured model, so the curve
     reflects the truncation being studied; at e = 0 too, where the vacuum
@@ -564,7 +600,7 @@ def sweep_energy_curve(ops: ModelOperators, config: ModelConfig, q_max: Optional
         q_max = config.p_norm + config.quadrature.r_max
     q = np.linspace(0.0, q_max, config.quadrature.sweep_points)
     axis = _search_axis(config)
-    values = [_solve_at(ops, tuple(float(x) for x in qi * axis), config.e, 1, seed).ground_energy
+    values = [_solve_at(ground_energy, ops, tuple(float(x) for x in qi * axis), config.e, seed)
               for qi in q]
     return RadialEnergyCurve(q=q, values=np.array(values), spacing=float(q[1] - q[0]))
 

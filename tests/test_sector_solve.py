@@ -21,6 +21,7 @@ from pflab.model import HamiltonianTerms, assemble_hamiltonian, build_operators
 from pflab.spectra import (
     choose_method,
     detect_ground_cluster,
+    ground_energy,
     ground_sector_labels,
     model_operators,
     solve_lowest,
@@ -284,16 +285,16 @@ PULL_THROUGH_CASES = {
 @pytest.mark.parametrize("case", sorted(PULL_THROUGH_CASES))
 def test_pull_through_residual_solves_once_per_k_point(case, shipped_configs, monkeypatch):
     # the shifted resolvent depends on a mode only through its k-point: one
-    # gap solve and one decomposition into (block, map) pairs per k-point
-    # serve both polarizations; on the axis no H is formed on the full space,
-    # and CG runs once per mode and pair whose right side is nonzero; the
-    # residuals match the dense oracle's
+    # energy-only gap solve (``ground_energy``) and one decomposition into
+    # (block, map) pairs per k-point serve both polarizations; on the axis no
+    # H is formed on the full space, and CG runs once per mode and pair whose
+    # right side is nonzero; the residuals match the dense oracle's
     cfg = PULL_THROUGH_CASES[case](shipped_configs)
     ops = build_operators(cfg)
     on_axis = ops.axis_coordinate(cfg.p) is not None
     cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, N_EIG))
     psi = cluster.basis[:, 0]
-    calls = {"solve_model": 0, "hamiltonian": 0}
+    calls = {"ground_energy": 0, "hamiltonian": 0}
     right_sides = []
 
     def counted(name, fn):
@@ -306,7 +307,7 @@ def test_pull_through_residual_solves_once_per_k_point(case, shipped_configs, mo
         right_sides.append(b)
         return cg(A, b, **kwargs)
 
-    monkeypatch.setattr(bounds, "solve_model", counted("solve_model", bounds.solve_model))
+    monkeypatch.setattr(bounds, "ground_energy", counted("ground_energy", bounds.ground_energy))
     monkeypatch.setattr(model_mod.HamiltonianTerms, "hamiltonian",
                         counted("hamiltonian", model_mod.HamiltonianTerms.hamiltonian))
     cg = bounds.spla.cg
@@ -314,7 +315,7 @@ def test_pull_through_residual_solves_once_per_k_point(case, shipped_configs, mo
     got = bounds.pull_through_residual(psi, cfg, cluster.energy, ops)
     assert (len(cfg.mode_set), len(cfg.mode_set.k_points)) == (16, 8)
     # off the axis each gap solve forms H(p - k) on the full space as well
-    assert calls == {"solve_model": 8, "hamiltonian": 0 if on_axis else 16}
+    assert calls == {"ground_energy": 8, "hamiltonian": 0 if on_axis else 16}
     assert all(b.any() for b in right_sides)
     K = np.asarray(cfg.mode_set.k_points)
     pairs = [ops.blocks(np.asarray(cfg.p) - k, cfg.e) for k in K]
@@ -451,6 +452,52 @@ def test_formed_matrices_share_no_array_with_the_pattern(shipped_configs):
             assert np.array_equal(getattr(got, part), getattr(M, part))
 
 
+def _ground_energy_cases(shipped_configs):
+    return {**{name.removesuffix(".json"): cfg for name, cfg in shipped_configs.items()},
+            "tilted": PULL_THROUGH_CASES["tilted"](shipped_configs)}
+
+
+@pytest.mark.parametrize("name", ["desk_e000", "desk_e005", "desk_e010", "desk_e020",
+                                  "desk_p0_e010", "desk_spinless_e020", "massless_e010",
+                                  "tilted"])
+def test_ground_energy_is_the_lowest_value_of_solve_model(shipped_configs, name):
+    # bitwise, at nodes on both sides of the one-photon crossing near q = 2,
+    # where the sector holding the ground energy changes
+    cfg = _ground_energy_cases(shipped_configs)[name]
+    ops = build_operators(cfg)
+    u = np.asarray(cfg.mode_set.axis)
+    for e in (0.0, 0.1, 0.5):
+        winners = set()
+        for q in np.linspace(0.0, 3.0, 13):
+            p = tuple(q * u)
+            want = solve_model(ops, p, e, 1)
+            assert ground_energy(ops, p, e) == want.eigenvalues[0]
+            winners.add(abs(min(want.sectors, key=lambda s: s.ground_energy).label))
+        assert len(winners) > 1
+
+
+@pytest.mark.parametrize("name", ["desk_e010", "desk_spinless_e020", "massless_e010", "tilted"])
+def test_gershgorin_bounds_lie_below_each_block(shipped_configs, name):
+    cfg = _ground_energy_cases(shipped_configs)[name]
+    split = build_operators(cfg).sectors
+    for t in (0.0, 0.4, 2.0):
+        for e in (0.0, 0.1, 0.5):
+            data = split.upper.pattern_data(t, e)
+            bounds_, slack = split.lower_bounds(data)
+            H = abs(sparse_sum_hamiltonian(split.upper, t, e))
+            assert slack == H.shape[0] * np.finfo(float).eps * H.sum(axis=1).max()
+            blocks = split.upper_blocks(t, e)
+            assert len(bounds_) == len(blocks)
+            for bound, block in zip(bounds_, blocks):
+                B = block.toarray()
+                d = np.diag(B)
+                radii = np.abs(B).sum(axis=1) - np.abs(d)
+                assert bound == pytest.approx(np.min(d.real - radii), rel=0.0, abs=slack)
+                assert bound <= np.linalg.eigvalsh(B)[0]
+                if e == 0.0:                 # a diagonal block's bound is its least entry
+                    assert bound == block.diagonal().real.min()
+
+
 def _count_linear_builds(monkeypatch):
     """The operator sets whose linear-frame terms get built, one entry a build."""
     built = []
@@ -539,8 +586,9 @@ def test_energy_curve_costs_no_hermitian_check_and_its_eigensolves_per_point(shi
     _count_calls(monkeypatch, counts, spectra_mod.sla, "eigh")
     curve = sweep_energy_curve(ops, cfg, cfg.p_norm + cfg.quadrature.r_max)
     assert len(curve.q) == 25
-    # three sector blocks of at most 73 states per point, one dense solve each
-    assert counts == {"hamiltonian": 0, "hermiticity_defect": 0, "eigh": 75}
+    # three sector blocks of at most 73 states per point, one dense solve for
+    # each block whose Gershgorin bound does not rule it out: 48 of the 75
+    assert counts == {"hamiltonian": 0, "hermiticity_defect": 0, "eigh": 48}
 
 
 def test_off_axis_solve_makes_no_hermitian_check(shipped_configs, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -263,28 +264,51 @@ def test_sweep_parity_symmetry(desk_ms):
     assert abs(rows[0].energy - rows[1].energy) < 1e-10
 
 
-# one-pair solves of ``pflab bounds``: 25 per energy curve, one per k-point of
-# the pull-through (8 on the desk mode set); the curve at the config's own
+# energy-only solves of ``pflab bounds``: 25 per energy curve, one per k-point
+# of the pull-through (8 on the desk mode set); the curve at the config's own
 # coupling is solved once, and the threshold's probe at e = 0 solves none
-BOUNDS_ONE_PAIR_SOLVES = {"desk_e010.json": 5 * 25 + 8, "desk_e000.json": 6 * 25 + 8,
-                          "desk_spinless_e020.json": 25}
+BOUNDS_ENERGY_SOLVES = {"desk_e010.json": 5 * 25 + 8, "desk_e000.json": 6 * 25 + 8,
+                        "desk_spinless_e020.json": 25}
 
 
-@pytest.mark.parametrize("name, want", BOUNDS_ONE_PAIR_SOLVES.items(),
-                         ids=BOUNDS_ONE_PAIR_SOLVES.keys())
-def test_bounds_solves_each_energy_curve_once(tmp_path, monkeypatch, name, want):
+def _bounds_energy_solves(monkeypatch, config_path, out, *options) -> list[tuple]:
+    """The positional arguments of each ``ground_energy`` call of one ``pflab bounds``."""
     calls = []
-    solve = spectra_mod.solve_model
+    solve = spectra_mod.ground_energy
 
-    def counted(ops, p, e, n_eig, *args, **kwargs):
-        calls.append(n_eig)
-        return solve(ops, p, e, n_eig, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
 
-    for module in (spectra_mod, bounds_mod, cli_mod):
-        monkeypatch.setattr(module, "solve_model", counted)
-    assert cli_mod.main(["bounds", "--config", str(CONFIG_DIR / name),
-                         "--out", str(tmp_path)]) == 0
-    assert calls.count(1) == want
+    for module in (spectra_mod, bounds_mod):
+        monkeypatch.setattr(module, "ground_energy", counted)
+    assert cli_mod.main(["bounds", "--config", str(config_path), "--out", str(out),
+                         *options]) == 0
+    return calls
+
+
+@pytest.mark.parametrize("name, want", BOUNDS_ENERGY_SOLVES.items(),
+                         ids=BOUNDS_ENERGY_SOLVES.keys())
+def test_bounds_solves_each_energy_curve_once(tmp_path, monkeypatch, name, want):
+    assert len(_bounds_energy_solves(monkeypatch, CONFIG_DIR / name, tmp_path)) == want
+
+
+def test_bounds_at_negative_coupling_solves_each_energy_curve_once(tmp_path, monkeypatch):
+    # the threshold's probes run at |e|: the config's own curve serves the
+    # probe at |config.e| whatever the sign of config.e
+    config = json.loads((CONFIG_DIR / "desk_e010.json").read_text())
+    config["e"] = -config["e"]
+    path = tmp_path / "desk_e-010.json"
+    path.write_text(json.dumps(config))
+    want = BOUNDS_ENERGY_SOLVES["desk_e010.json"]
+    assert len(_bounds_energy_solves(monkeypatch, path, tmp_path / "out")) == want
+
+
+def test_bounds_passes_its_seed_to_every_energy_solve(tmp_path, monkeypatch):
+    # the pull-through's gap gate included
+    calls = _bounds_energy_solves(monkeypatch, CONFIG_DIR / "desk_e010.json", tmp_path,
+                                  "--seed", "11")
+    assert [args[3] for args in calls] == [11] * BOUNDS_ENERGY_SOLVES["desk_e010.json"]
 
 
 def test_interacting_curvature_against_perturbation_oracle(desk_ms):
