@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from pflab import bounds
-from pflab.fock import axial_mode_set, number_operator
+from pflab.fock import axial_mode_set
 from pflab.model import Dispersion, FormFactor, ModelConfig
 from pflab.spectra import (detect_ground_cluster, model_operators, solve_model,
                            sweep_energy_curve)
@@ -41,7 +41,7 @@ def bound_ratio(ops, cfg):
     from ``ops``, the operator set of its model."""
     cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, 6))
     integral = bounds.photon_number_integral(cfg, sweep_energy_curve(ops, cfg))
-    chk = bounds.photon_number_check(cluster, cfg, number_operator(ops.basis), integral)
+    chk = bounds.photon_number_check(cluster, ops.basis, cfg, integral)
     return ops.basis.dimension, chk
 
 

@@ -22,7 +22,6 @@ from .fock import (
     enumerate_basis,
     explicit_mode_set,
     hermiticity_defect,
-    number_operator,
     spin_tensor,
 )
 from .model import (

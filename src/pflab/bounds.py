@@ -24,11 +24,15 @@ All integrals run on the dedicated radial-angular grid, independent of the
 Hamiltonian's mode set; interpolated E enters through a radial energy
 curve (``spectra.sweep_energy_curve``), solved at every coupling (e = 0
 included) from the model's one operator set; its grid spacing is the
-quoted uncertainty proxy.  At finite truncation the pull-through identity
-is only approximate, so every check reports its numbers rather than
-asserting blindly; ``pull_through_residual`` measures how far the identity
-misses at every mode, with a_m Psi read off the basis's one list of ladder
-entries.  Its resolvent depends on a mode only through the mode's k-point,
+quoted uncertainty proxy.  The checks at the config's own (p, e) solve
+nothing: they read the ground spectrum (or its cluster) and the energy
+curve that the caller solved once, and the number bound reads N_f as the
+photon count of each basis state.  Only ``coupling_threshold`` (at other
+couplings) and ``pull_through_residual`` (at the momenta p - k) solve.
+At finite truncation the pull-through identity is only approximate, so
+every check reports its numbers rather than asserting blindly;
+``pull_through_residual`` measures how far the identity misses at every
+mode, with a_m Psi read off the basis's one list of ladder entries.  Its resolvent depends on a mode only through the mode's k-point,
 so it is gap-checked (by the energy-only ``spectra.ground_energy``) and split
 once per k-point (``ModelOperators.blocks``, into the J_axis blocks on the
 axis), serves both polarizations there, and is solved by
@@ -56,9 +60,9 @@ from .spectra import (
     DEFAULT_SEED,
     GroundCluster,
     RadialEnergyCurve,
+    SpectralResult,
     detect_ground_cluster,
     ground_energy,
-    solve_model,
     sweep_energy_curve,
 )
 
@@ -132,19 +136,21 @@ class PhotonNumberCheck:
     passed: bool
 
 
-def photon_number_check(cluster: GroundCluster, config: ModelConfig, number_op: sp.csr_matrix,
+def photon_number_check(cluster: GroundCluster, basis: FockBasis, config: ModelConfig,
                         integral: PhotonIntegral) -> PhotonNumberCheck:
     """Check <N_f> <= e^2 Theta(p) (1 + PHOTON_NUMBER_SLACK) over the whole
     ground subspace.
 
     The left side maximizes the number expectation over all unit vectors in
-    the cluster (largest eigenvalue of the projected number operator), so it
-    does not depend on the arbitrary cluster basis.  Truncation can violate
-    the continuum bound, hence the slack band; the numbers are always
-    recorded.
+    the cluster: the largest eigenvalue of V+ (n V), with V the cluster
+    basis and n the photon count of each state of ``basis`` (N_f is
+    diagonal), so it does not depend on the arbitrary cluster basis.
+    Truncation can violate the continuum bound, hence the slack band; the
+    numbers are always recorded.
     """
+    n = np.tile(basis.occupation_array().sum(axis=1), 2 if basis.with_spin else 1)
     V = cluster.basis
-    M = V.conj().T @ (number_op @ V)
+    M = V.conj().T @ (n[:, None] * V)
     nf_max = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T)).max())
     nf_max = max(nf_max, 0.0)
     bound = config.e**2 * integral.value
@@ -389,25 +395,22 @@ class SpinlessUniqueness:
     passed: bool
 
 
-def spinless_uniqueness_check(ops: ModelOperators, config: ModelConfig, energy_curve=None,
-                              seed: int = DEFAULT_SEED) -> SpinlessUniqueness:
+def spinless_uniqueness_check(config: ModelConfig, energy_curve: RadialEnergyCurve,
+                              result: SpectralResult) -> SpinlessUniqueness:
     """Spinless models: e^2 <= 1 / (2 J(p)) forces a unique ground state,
     with J(p) = int E(p) / (E(p-k)+omega(k)-E(p))^2 * phi_hat^2/omega dk.
 
     E(p) = 0 makes the condition vacuous (limit +inf); that is handled, not
-    an error.  ``energy_curve`` defaults to the model's curve
-    (``sweep_energy_curve``), and the observed degeneracy and gap come from
-    an eigensolve, both from the model's operator set ``ops``.
+    an error.  E is read off ``energy_curve`` and the observed degeneracy
+    and gap off ``result``, the model's curve and its ground spectrum at
+    (p, e); nothing is solved here.
     """
     if config.with_spin:
         raise PflabError("spinless uniqueness check requires with_spin = false")
-    if energy_curve is None:
-        energy_curve = sweep_energy_curve(ops, config, seed=seed)
     J, _ = _resolvent_integral(config, energy_curve, lambda R, Ep: Ep,
                                "uniqueness integral")
     limit = math.inf if J <= 0.0 else 1.0 / (2.0 * J)
     holds = config.e**2 <= limit
-    result = solve_model(ops, config.p, config.e, n_eig=min(6, ops.basis.dimension - 1), seed=seed)
     try:
         cluster = detect_ground_cluster(result)
         count: Optional[int] = cluster.count

@@ -29,8 +29,8 @@ from .errors import (
     PflabError,
     ResourceError,
     SolverError,
+    require_memory,
 )
-from .fock import number_operator
 from .io import (
     TOOL_VERSION,
     config_from_dict,
@@ -56,7 +56,6 @@ from .spectra import (
     gap_estimate,
     ground_sector_labels,
     model_operators,
-    require_memory,
     solve_model,
     sweep_energy_curve,
 )
@@ -267,8 +266,11 @@ def cmd_bounds(args) -> int:
     config = load_config(args.config, force_allow_massless=args.override_massless)
     out = _out_dir(args)
     ops = model_operators(config)
+    basis = ops.basis
+    result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1), seed=args.seed)
+    curve = sweep_energy_curve(ops, config, seed=args.seed)
     if not config.with_spin:
-        rep = bounds_mod.spinless_uniqueness_check(ops, config, seed=args.seed)
+        rep = bounds_mod.spinless_uniqueness_check(config, curve, result)
         print(f"spinless uniqueness : integral = {rep.integral:.6g}, "
               f"e^2 limit = {rep.e_squared_limit:.6g}, hypothesis "
               f"{'holds' if rep.hypothesis_holds else 'fails'}")
@@ -286,13 +288,9 @@ def cmd_bounds(args) -> int:
             return EXIT_SCIENTIFIC
         return EXIT_OK
 
-    basis = ops.basis
-    result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1), seed=args.seed)
     cluster = detect_ground_cluster(result)
-    curve = sweep_energy_curve(ops, config, seed=args.seed)
     integral = bounds_mod.photon_number_integral(config, curve)
-    nf_check = bounds_mod.photon_number_check(cluster, config,
-                                              number_operator(basis), integral)
+    nf_check = bounds_mod.photon_number_check(cluster, basis, config, integral)
     overlap = bounds_mod.vacuum_overlap(cluster, basis, config.e, integral)
     upper = bounds_mod.degeneracy_upper_bound(cluster, config, integral)
     residual = float(bounds_mod.pull_through_residual(cluster.basis[:, 0], config,

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory guard that
+raises ``ResourceError``."""
+
+import os
 
 
 class PflabError(Exception):
@@ -16,6 +19,16 @@ class DimensionCapError(PflabError):
 class ResourceError(PflabError):
     """A computation would need more memory than the machine has; refused
     before allocating."""
+
+
+def require_memory(need: int, what: str, remedy: str) -> None:
+    """Refuse ``what``, with ``ResourceError`` and before it allocates, when
+    the ``need`` bytes it would allocate exceed the machine's physical
+    memory; the message ends with ``remedy``."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ResourceError(f"{what} needs about {need / 2**30:.3g} GiB, more than the "
+                            f"{have / 2**30:.3g} GiB of physical memory; {remedy}")
 
 
 class BasisMismatchError(PflabError):
@@ -53,9 +66,5 @@ class IndeterminateDegeneracy(PflabError):
     """Ground-cluster detection could not certify a separation gap.
 
     Distinct from any degeneracy count: the clustering was ambiguous at the
-    requested tolerances.  Carries the eigenvalues that were examined.
+    requested tolerances.
     """
-
-    def __init__(self, message, eigenvalues=None):
-        super().__init__(message)
-        self.eigenvalues = eigenvalues

@@ -327,12 +327,6 @@ def enumerate_basis(mode_set: ModeSet, N_max: int, n_max: int, with_spin: bool,
 # -- operator assembly -----------------------------------------------------
 
 
-def number_operator(basis: FockBasis) -> sp.csr_matrix:
-    """Total photon number (diagonal, no quadrature weights)."""
-    diag = basis.occupation_array().sum(axis=1).astype(float)
-    return spin_tensor(sp.diags(diag.astype(complex), format="csr"), basis)
-
-
 def spin_tensor(fock_op: sp.spmatrix, basis: FockBasis) -> sp.csr_matrix:
     """1 (x) T of the boson-factor operator T in the spin-major ordering, in
     the dtype of T; T itself on a spinless basis."""

@@ -21,11 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_memory
 from .fock import DIMENSION_CAP, Mode, ModeSet, axial_mode_set, explicit_mode_set
 from .model import Dispersion, FormFactor, ModelConfig, PHI_HAT_ZERO
 from .quadrature import QuadratureSpec
-from .spectra import require_memory
 
 TOOL_VERSION = "0.1.0"
 FLOAT_MAX = sys.float_info.max
@@ -322,13 +321,17 @@ def write_eigenvectors(path, vectors: np.ndarray) -> None:
 
 def read_eigenvectors(path) -> np.ndarray:
     """The (dimension, count) complex array of ``write_eigenvectors``, bit for bit."""
-    with open(path, "rb") as fh:
-        dim, count = EIGENVECTOR_HEADER.unpack(fh.read(EIGENVECTOR_HEADER.size))
-        data = fh.read()
-    if len(data) != 16 * dim * count:
-        raise ValueError(f"eigenvector file truncated: expected {2*dim*count} doubles, "
-                         f"got {len(data) // 8}")
-    return np.frombuffer(data, dtype="<c16").reshape(count, dim).T.astype(complex, order="C")
+    raw = Path(path).read_bytes()
+    head = EIGENVECTOR_HEADER.size
+    if len(raw) < head:
+        raise ValueError(f"eigenvector file has {len(raw)} bytes, expected at least the "
+                         f"{head} of its header")
+    dim, count = EIGENVECTOR_HEADER.unpack_from(raw)
+    if len(raw) != head + 16 * dim * count:
+        raise ValueError(f"eigenvector file has {len(raw)} bytes, expected "
+                         f"{head + 16 * dim * count} for {count} vectors of dimension {dim}")
+    return (np.frombuffer(raw, dtype="<c16", offset=head).reshape(count, dim).T
+            .astype(complex, order="C"))
 
 
 def write_manifest(path, config: ModelConfig, command: str, outputs: list[str],

@@ -34,7 +34,6 @@ the E(q) curve that the gap formula and the bounds interpolate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,8 +47,8 @@ from .errors import (
     IndeterminateDegeneracy,
     NonHermitianError,
     PflabError,
-    ResourceError,
     SolverError,
+    require_memory,
 )
 from .fock import hermiticity_defect
 from .model import ModelConfig, ModelOperators, build_operators
@@ -142,16 +141,6 @@ def choose_method(dim: int) -> str:
     fits the one cutoff that loses the least time over its rows.
     """
     return "dense" if dim <= DENSE_MAX_DIM else "davidson"
-
-
-def require_memory(need: int, what: str, remedy: str) -> None:
-    """Refuse ``what``, with ``ResourceError`` and before it allocates, when
-    the ``need`` bytes it would allocate exceed the machine's physical
-    memory; the message ends with ``remedy``."""
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ResourceError(f"{what} needs about {need / 2**30:.3g} GiB, more than the "
-                            f"{have / 2**30:.3g} GiB of physical memory; {remedy}")
 
 
 def _dense(H: sp.csr_matrix) -> np.ndarray:
@@ -433,18 +422,18 @@ def detect_ground_cluster(result: SpectralResult) -> GroundCluster:
     evs = np.asarray(result.eigenvalues, dtype=float)
     if len(evs) < 2:
         raise IndeterminateDegeneracy(
-            "need at least two eigenvalues to certify a cluster", eigenvalues=evs)
+            "need at least two eigenvalues to certify a cluster")
     scale = max(1.0, abs(evs[0]))
     count = int(np.searchsorted(evs - evs[0], EPS_DEG * scale, side="right"))
     if count >= len(evs):
         raise IndeterminateDegeneracy(
             f"cluster of width <= {EPS_DEG * scale:.3e} includes every computed "
-            "eigenvalue; request more eigenpairs", eigenvalues=evs)
+            "eigenvalue; request more eigenpairs")
     gap_above = float(evs[count] - evs[count - 1])
     if gap_above <= EPS_SEP * scale:
         raise IndeterminateDegeneracy(
             f"next eigenvalue is only {gap_above:.3e} above the cluster "
-            f"(separation tolerance {EPS_SEP * scale:.3e})", eigenvalues=evs)
+            f"(separation tolerance {EPS_SEP * scale:.3e})")
     return GroundCluster(
         count=count,
         eigenvalues=evs[:count].copy(),
@@ -607,9 +596,9 @@ def sweep_energy_curve(ops: ModelOperators, config: ModelConfig, q_max: Optional
 
 @dataclass
 class GapReport:
-    """Ground energy, continuum onset, and their difference."""
+    """Continuum onset E_c(p), its distance delta_p = E_c(p) - E(p) from the
+    ground energy, and the photon momentum where the onset is reached."""
 
-    E_p: float
     E_c_p: float
     delta_p: float
     argmin_k: tuple[float, float, float]
@@ -652,10 +641,8 @@ def gap_estimate(config: ModelConfig, energy_curve, k_max: float, k_steps: int) 
     if fine_vals[j] < best_val:
         best_val = float(fine_vals[j])
         best_k = fine_k[j]
-    E_p = float(energy_curve(np.linalg.norm(p)))
     return GapReport(
-        E_p=E_p,
         E_c_p=best_val,
-        delta_p=best_val - E_p,
+        delta_p=best_val - float(energy_curve(np.linalg.norm(p))),
         argmin_k=tuple(best_k),
     )

@@ -16,9 +16,9 @@ and E(p) against E(Rp) over the symmetries of a mode set
 (``rotation_invariance_check``).  So do the operators and helpers that only
 tests use: a_m and a_m+ as sparse matrices (``annihilation_matrix``,
 ``creation_matrix``), the fields by sparse arithmetic on them
-(``ladder_fields``), the field energy and the field momentum, the mode-set
-symmetry tests and the free energy curve, and the index of one occupation
-state (``rank`` of an ``OccupationState``).  H(p, e) by scipy's sparse sum
+(``ladder_fields``), the photon number, the field energy and the field
+momentum, the mode-set symmetry tests and the free energy curve, and the
+index of one occupation state (``rank`` of an ``OccupationState``).  H(p, e) by scipy's sparse sum
 of the terms (``sparse_sum_hamiltonian``) is the reference for the one
 in-place formation of ``HamiltonianTerms``.
 """
@@ -198,6 +198,14 @@ def ladder_fields(basis, g, h):
     pf = basis.occupation_array() @ basis.mode_set.k_array()
     C = 0.5 * sum(op.multiply(x[:, None]) + op.multiply(x[None, :]) for op, x in zip(A, pf.T))
     return A, B, C
+
+
+def number_operator(basis):
+    """Total photon number N_f as a complex sparse matrix (diagonal, no
+    quadrature weights): the reference for ``bounds.photon_number_check``,
+    which reads N_f as the photon count of each basis state."""
+    diag = basis.occupation_array().sum(axis=1).astype(float)
+    return spin_tensor(sp.diags(diag.astype(complex), format="csr"), basis)
 
 
 def field_energy(basis, omega_by_kpoint):

@@ -15,7 +15,7 @@ import pytest
 
 from pflab import bounds as bounds_mod
 from pflab.cli import main as cli_main
-from pflab.fock import axial_mode_set, number_operator
+from pflab.fock import axial_mode_set
 from pflab.model import assemble_hamiltonian, build_basis, build_operators
 from pflab.spectra import (
     detect_ground_cluster,
@@ -29,7 +29,7 @@ from pflab.spectra import (
 
 from conftest import DESK_EDGES, make_config
 from oracles import (FreeEnergyCurve, dense_sector_energies, field_energy, field_momentum,
-                     rotation_invariance_check)
+                     number_operator, rotation_invariance_check)
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 COUPLINGS = (0.05, 0.1, 0.2)
@@ -135,8 +135,7 @@ def test_c05_photon_number_bound_trend(desk_ms):
         cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, basis), 6))
         integral = bounds_mod.photon_number_integral(
             cfg, sweep_energy_curve(model_operators(cfg), cfg))
-        chk = bounds_mod.photon_number_check(cluster, cfg, number_operator(basis),
-                                             integral)
+        chk = bounds_mod.photon_number_check(cluster, basis, cfg, integral)
         ratios.append(chk.ratio)
     monotone = all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
     final_ok = ratios[-1] <= 1.10
@@ -148,8 +147,7 @@ def test_c05_photon_number_bound_trend(desk_ms):
         cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, basis), 6))
         integral = bounds_mod.photon_number_integral(
             cfg, sweep_energy_curve(model_operators(cfg), cfg))
-        nf[e] = bounds_mod.photon_number_check(cluster, cfg, number_operator(basis),
-                                               integral).nf_max
+        nf[e] = bounds_mod.photon_number_check(cluster, basis, cfg, integral).nf_max
     scaled = [nf[e] / e**2 for e in (0.025, 0.05, 0.1)]
     scaling_ok = max(scaled) / min(scaled) <= 1.05
     report(5, monotone and final_ok and scaling_ok,
@@ -184,7 +182,9 @@ def test_c07_spinless_uniqueness(desk_ms):
     details = []
     for e in (0.1, 0.2):
         cfg = make_config(desk_ms, e=e, p=DESK_P, with_spin=False)
-        rep = bounds_mod.spinless_uniqueness_check(model_operators(cfg), cfg)
+        ops = model_operators(cfg)
+        rep = bounds_mod.spinless_uniqueness_check(cfg, sweep_energy_curve(ops, cfg),
+                                                   solve_model(ops, cfg.p, cfg.e, 6))
         ok &= rep.hypothesis_holds
         ok &= rep.count == 1 and rep.gap_above is not None and rep.gap_above > 0.0
         details.append(f"e={e}: count={rep.count} gap={rep.gap_above:.3f}")

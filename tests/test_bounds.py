@@ -5,9 +5,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from pflab import bounds, quadrature
+from pflab import bounds, quadrature, spectra
 from pflab.errors import GapTooSmallError, PflabError, SolverError
-from pflab.fock import number_operator
+from pflab.io import load_config
 from pflab.model import PHI_HAT_ZERO, assemble_hamiltonian, build_basis, build_operators
 from pflab.quadrature import gauss_legendre
 from pflab.spectra import (
@@ -18,8 +18,8 @@ from pflab.spectra import (
     sweep_energy_curve,
 )
 
-from conftest import make_config
-from oracles import FreeEnergyCurve, annihilation_matrix
+from conftest import CONFIG_DIR, make_config
+from oracles import FreeEnergyCurve, annihilation_matrix, number_operator
 
 # Refined-quadrature oracle for the photon-number integral at e = 0, p = 0,
 # gaussian cutoff lambda = 1, photon mass 1:
@@ -27,6 +27,7 @@ from oracles import FreeEnergyCurve, annihilation_matrix
 # computed with adaptive scipy quadrature to ~1e-14 (see the derivation in
 # this test module's history); frozen here as the reference value.
 THETA0_FREE_ORACLE = 0.0017925809604928697
+PERF_CONFIG_DIR = CONFIG_DIR.parent / "perfbench" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +167,7 @@ def test_number_bound_trivial_at_zero_coupling(desk_ms):
     basis = build_basis(cfg)
     cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, basis), 6))
     integ = bounds.photon_number_integral(cfg, FreeEnergyCurve())
-    chk = bounds.photon_number_check(cluster, cfg, number_operator(basis), integ)
+    chk = bounds.photon_number_check(cluster, basis, cfg, integ)
     assert chk.nf_max == pytest.approx(0.0, abs=1e-20)
     assert chk.bound == 0.0
     assert chk.passed
@@ -174,9 +175,27 @@ def test_number_bound_trivial_at_zero_coupling(desk_ms):
 
 def test_number_bound_holds_on_desk_model(desk_cluster):
     cfg, basis, cluster, curve, integral = desk_cluster
-    chk = bounds.photon_number_check(cluster, cfg, number_operator(basis), integral)
+    chk = bounds.photon_number_check(cluster, basis, cfg, integral)
     assert chk.passed
     assert 0.0 < chk.ratio < 1.0
+
+
+@pytest.mark.parametrize("path", [*(CONFIG_DIR / f"{stem}.json" for stem in (
+    "desk_e000", "desk_e005", "desk_e010", "desk_e020", "desk_p0_e010", "massless_e010")),
+    PERF_CONFIG_DIR / "rung3.json"], ids=lambda path: path.stem)
+def test_number_check_equals_the_number_operator_path(path):
+    # n (.) V against the oracle's sparse N_f V, bit for bit
+    cfg = load_config(path)
+    ops = model_operators(cfg)
+    cluster = detect_ground_cluster(solve_model(ops, cfg.p, cfg.e, 6))
+    integral = bounds.PhotonIntegral(value=0.25, min_denominator=1.0)
+    chk = bounds.photon_number_check(cluster, ops.basis, cfg, integral)
+    V = cluster.basis
+    M = V.conj().T @ (number_operator(ops.basis) @ V)
+    nf_max = max(float(np.linalg.eigvalsh(0.5 * (M + M.conj().T)).max()), 0.0)
+    bound = cfg.e**2 * integral.value
+    ratio = nf_max / bound if bound > 0.0 else (0.0 if nf_max == 0.0 else math.inf)
+    assert (chk.nf_max, chk.bound, chk.ratio) == (nf_max, bound, ratio)
 
 
 def test_number_expectation_scales_as_coupling_squared(desk_ms):
@@ -187,8 +206,7 @@ def test_number_expectation_scales_as_coupling_squared(desk_ms):
         cluster = detect_ground_cluster(solve_lowest(assemble_hamiltonian(cfg, basis), 6))
         integ = bounds.photon_number_integral(
             cfg, sweep_energy_curve(model_operators(cfg), cfg))
-        vals[e] = bounds.photon_number_check(cluster, cfg, number_operator(basis),
-                                             integ).nf_max
+        vals[e] = bounds.photon_number_check(cluster, basis, cfg, integ).nf_max
     assert vals[0.05] / vals[0.025] == pytest.approx(4.0, rel=0.05)
     assert vals[0.1] / vals[0.05] == pytest.approx(4.0, rel=0.05)
 
@@ -387,10 +405,16 @@ def test_coupling_threshold_empty_grid_warns(tiny_ms):
 # -- spinless uniqueness ---------------------------------------------------------------
 
 
+def _spinless_check(cfg, curve=None):
+    # the model's ground spectrum and, unless given, its energy curve
+    ops = model_operators(cfg)
+    curve = sweep_energy_curve(ops, cfg) if curve is None else curve
+    return bounds.spinless_uniqueness_check(cfg, curve, solve_model(ops, cfg.p, cfg.e, 6))
+
+
 def test_spinless_uniqueness_at_zero_coupling(desk_ms):
     cfg = make_config(desk_ms, e=0.0, p=(0.0, 0.0, 0.0), with_spin=False)
-    rep = bounds.spinless_uniqueness_check(model_operators(cfg), cfg,
-                                           energy_curve=FreeEnergyCurve())
+    rep = _spinless_check(cfg, FreeEnergyCurve())
     assert rep.hypothesis_holds
     assert rep.e_squared_limit == np.inf   # E(0) = 0 makes the condition vacuous
     assert rep.count == 1 and rep.passed
@@ -398,7 +422,7 @@ def test_spinless_uniqueness_at_zero_coupling(desk_ms):
 
 def test_spinless_uniqueness_desk_model(desk_ms):
     cfg = make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4), with_spin=False)
-    rep = bounds.spinless_uniqueness_check(model_operators(cfg), cfg)
+    rep = _spinless_check(cfg)
     assert rep.integral > 0.0
     assert rep.hypothesis_holds
     assert rep.count == 1
@@ -406,10 +430,25 @@ def test_spinless_uniqueness_desk_model(desk_ms):
     assert rep.passed
 
 
+def test_spinless_uniqueness_solves_nothing(desk_ms, monkeypatch):
+    cfg = make_config(desk_ms, e=0.2, p=(0.0, 0.0, 0.4), with_spin=False)
+    ops = model_operators(cfg)
+    curve = sweep_energy_curve(ops, cfg)
+    result = solve_model(ops, cfg.p, cfg.e, 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check solved")
+
+    monkeypatch.setattr(spectra, "solve_lowest", refuse)
+    monkeypatch.setattr(bounds, "sweep_energy_curve", refuse)
+    rep = bounds.spinless_uniqueness_check(cfg, curve, result)
+    assert rep.count == 1 and rep.passed
+
+
 def test_spinless_uniqueness_refuses_spin(desk_ms):
     cfg = make_config(desk_ms, e=0.1, with_spin=True)
     with pytest.raises(PflabError):
-        bounds.spinless_uniqueness_check(model_operators(cfg), cfg)
+        _spinless_check(cfg, FreeEnergyCurve())
 
 
 def test_gauss_legendre_computes_each_order_once_and_returns_new_arrays(monkeypatch):

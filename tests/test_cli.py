@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pflab import bounds, model, spectra
+from pflab import bounds, cli, model, spectra
 from pflab.cli import main
 from pflab.io import load_config, read_eigenvectors, write_eigenvectors
 from pflab.model import ModelOperators
@@ -185,6 +185,18 @@ def test_eigenvector_files_round_trip_bit_for_bit(tmp_path):
     assert back.tobytes() == v.tobytes()
 
 
+@pytest.mark.parametrize("size", [7, 16 + 16 * 5, 16 + 16 * 7],
+                         ids=["short-header", "short-body", "long-body"])
+def test_eigenvector_file_of_the_wrong_size_is_refused(tmp_path, size):
+    # a header for two vectors of dimension 3 (16 + 96 bytes), cut or padded
+    write_eigenvectors(tmp_path / "v.bin", np.ones((3, 2)))
+    raw = (tmp_path / "v.bin").read_bytes()
+    (tmp_path / "v.bin").write_bytes((raw + bytes(16))[:size])
+    expected = 16 if size < 16 else 16 + 96
+    with pytest.raises(ValueError, match=rf"{size} bytes, expected .*{expected}"):
+        read_eigenvectors(tmp_path / "v.bin")
+
+
 # -- sweep ------------------------------------------------------------------------
 
 
@@ -271,7 +283,7 @@ def test_spectrum_records_sector_solves(tmp_path):
 
 
 def test_oversize_dense_solve_exits_usage(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(spectra.os, "sysconf", lambda name: 1)   # one byte
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)   # one byte
     assert run("spectrum", "--config", CONFIG_DIR / "desk_e010.json",
                "--out", tmp_path) == 2
     assert "GiB" in capsys.readouterr().err
@@ -311,6 +323,26 @@ def test_bounds_spinless_path(tmp_path, capsys):
     assert report["spinless"] is True
     assert report["degeneracy"] == 1
     assert report["gap_above"] > 0.0
+
+
+def test_bounds_spinless_solves_the_spectrum_and_the_curve_once(tmp_path, monkeypatch):
+    # the uniqueness check reads the command's one ground spectrum and one curve
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve_model", "sweep_energy_curve"):
+        wrapper = counted(name, getattr(spectra, name))
+        for module in (cli, bounds, spectra):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    assert run("bounds", "--config", CONFIG_DIR / "desk_spinless_e020.json",
+               "--out", tmp_path) == 0
+    assert sorted(calls) == ["solve_model", "sweep_energy_curve"]
 
 
 def test_bounds_unconverged_pull_through_exits_numerical(tmp_path, monkeypatch, capsys):

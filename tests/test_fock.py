@@ -13,13 +13,12 @@ from pflab.fock import (
     axial_mode_set,
     enumerate_basis,
     hermiticity_defect,
-    number_operator,
     spin_tensor,
 )
 
 from oracles import (OccupationState, adjoint, annihilation_matrix, brute_force_occupations,
                      creation_matrix, field_energy, field_momentum, is_reflection_symmetric,
-                     photon_occupations, rank, sparse_ladders, subtraction_hermiticity_defect,
+                     number_operator, photon_occupations, rank, sparse_ladders, subtraction_hermiticity_defect,
                      total_weight)
 
 

@@ -6,6 +6,7 @@ terms are checked to be exactly Hermitian once, when they are built, and no
 solve checks a matrix of its own."""
 
 import functools
+import os
 
 import numpy as np
 import pytest
@@ -383,7 +384,7 @@ def test_dense_memory_guard_is_sized_by_dtype(monkeypatch):
     # patched physical memory of 3 x 8 n^2
     n, page = 200, 4096
     memory = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 3 * 8 * n * n // page}
-    monkeypatch.setattr(spectra_mod.os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     real = sp.diags([np.ones(n - 1), np.arange(n, dtype=float), np.ones(n - 1)], [-1, 0, 1],
                     format="csr")
     assert solve_lowest(real, 1, method="dense").method == "dense"
