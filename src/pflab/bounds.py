@@ -109,7 +109,7 @@ def _resolvent_integral(config: ModelConfig, energy_curve, numerator,
         )
     phi2 = np.asarray(config.form_factor.phi_hat(grid.r))[:, None] ** 2
     integrand = numerator(R, Ep) / (denom * denom) * phi2 / omega
-    return grid.integrate(lambda r, u: integrand), min_denom
+    return grid.integrate(integrand), min_denom
 
 
 def photon_number_integral(config: ModelConfig, energy_curve) -> PhotonIntegral:
@@ -417,7 +417,7 @@ def spinless_uniqueness_check(config: ModelConfig, energy_curve: RadialEnergyCur
         gap: Optional[float] = cluster.gap_above
     except PflabError:
         count, gap = None, None
-    passed = (not holds) or (count == 1 and gap is not None and gap > 0.0)
+    passed = (not holds) or count == 1
     return SpinlessUniqueness(
         integral=float(J), e_squared_limit=limit, hypothesis_holds=holds,
         count=count, gap_above=gap, passed=passed,

@@ -4,8 +4,9 @@ and angular-momentum sector analysis, all driven by a JSON config.
 Exit status: 0 success, 1 scientific failure (a checked hypothesis held but
 the predicted conclusion failed), 2 usage or config error (including a
 basis over the dimension cap, a count or a dense solve too large for
-physical memory, and an input at which H(p, e) overflows), 3 numerical
-failure (non-convergence, gap too small, indeterminate degeneracy).
+physical memory, an input at which H(p, e) overflows, and an ``--out`` that
+cannot be created, refused before any solve), 3 numerical failure
+(non-convergence, gap too small, indeterminate degeneracy).
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .io import (
 )
 from .model import (
     PHI_HAT_ZERO,
+    ModelConfig,
+    ModelOperators,
     check_dispersion_axioms,
     coupling_bound,
     form_factor_decay_integrals,
@@ -135,13 +138,24 @@ def _pair_count(text: str) -> int:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {args.out}: cannot create the output directory "
+                          f"({err.strerror or err})") from err
     return out
+
+
+def _prologue(args) -> tuple[ModelConfig, ModelOperators, Path]:
+    """The config, its operator set and the output directory, before any solve."""
+    config = load_config(args.config, force_allow_massless=args.override_massless)
+    return config, model_operators(config), _out_dir(args)
 
 
 def cmd_model_check(args) -> int:
     document = read_config_document(args.config)
     config = config_from_dict(document, force_allow_massless=True)
+    out = _out_dir(args) if args.out else None
     axioms = check_dispersion_axioms(config.dispersion, rng_seed=args.seed)
     print(f"config hash: {config_hash(config)}")
     print(f"dispersion gap      : inf omega = {axioms.omega_min:.6g} "
@@ -165,8 +179,7 @@ def cmd_model_check(args) -> int:
     c0 = coupling_bound(config)
     tag = "ok" if c0 < 1.0 else "warning: relative bound >= 1"
     print(f"coupling diagnostic : c0({config.e}) = {c0:.6g}  {tag}")
-    if args.out:
-        out = _out_dir(args)
+    if out is not None:
         report = {
             "omega_min": axioms.omega_min,
             "subadditivity_margin": axioms.subadditivity_margin,
@@ -183,8 +196,7 @@ def cmd_model_check(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    config = load_config(args.config, force_allow_massless=args.override_massless)
-    ops = model_operators(config)
+    config, ops, out = _prologue(args)
     basis = ops.basis
     if args.n_eig >= basis.dimension:
         raise ConfigError(
@@ -198,7 +210,6 @@ def cmd_spectrum(args) -> int:
     print(f"degeneracy  : {cluster.count}")
     print(f"cluster_width: {cluster.cluster_width!r}")
     print(f"gap_above   : {cluster.gap_above!r}")
-    out = _out_dir(args)
     row = {
         "px": config.p[0], "py": config.p[1], "pz": config.p[2],
         "E": result.ground_energy, "degeneracy": cluster.count,
@@ -232,8 +243,7 @@ def cmd_sweep(args) -> int:
     if not math.isfinite(0.5 * q_max * q_max):
         raise ConfigError(f"--k-max {args.k_max} with the p-grid's largest |p| = {p_max:g}: "
                           "the energy curve's reach q has q^2/2 past float64's range; lower it")
-    config = load_config(args.config, force_allow_massless=args.override_massless)
-    ops = model_operators(config)
+    config, ops, out = _prologue(args)
     rows = energy_sweep(ops, p_values, config.e, n_eig=args.n_eig, seed=args.seed)
     curve = sweep_energy_curve(ops, config, q_max=q_max, seed=args.seed)
     table = []
@@ -253,7 +263,6 @@ def cmd_sweep(args) -> int:
         table.append(entry)
         print(f"p={row.p}  E={row.energy!r}  degeneracy={row.count}  "
               f"delta={entry.get('delta')!r}")
-    out = _out_dir(args)
     write_sweep_csv(out / "sweep.csv", table)
     write_json(out / "sweep.json", jsonable({"rows": table,
                                              "curve_spacing": curve.spacing}))
@@ -263,9 +272,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    config = load_config(args.config, force_allow_massless=args.override_massless)
-    out = _out_dir(args)
-    ops = model_operators(config)
+    config, ops, out = _prologue(args)
     basis = ops.basis
     result = solve_model(ops, config.p, config.e, min(6, basis.dimension - 1), seed=args.seed)
     curve = sweep_energy_curve(ops, config, seed=args.seed)
@@ -301,7 +308,6 @@ def cmd_bounds(args) -> int:
                                               seed=args.seed)
 
     hypothesis = upper.hypothesis_holds and coupling_bound(config) < 1.0
-    gap_positive = cluster.gap_above > 0.0
     print(f"E(p) = {cluster.energy!r}   degeneracy = {cluster.count}   "
           f"gap_above = {cluster.gap_above!r}")
     print(f"photon integral     : Theta(p) = {integral.value:.8g} "
@@ -321,7 +327,7 @@ def cmd_bounds(args) -> int:
     print(f"coupling threshold  : e0 ~= {threshold.value:.4g} "
           f"(binding: {threshold.binding})")
     print(f"summary             : hypotheses (|e| < e0, gap > 0) "
-          f"{'hold' if hypothesis and gap_positive else 'do not both hold'}; "
+          f"{'hold' if hypothesis else 'do not both hold'}; "
           f"observed degeneracy {cluster.count}")
 
     report = {
@@ -355,7 +361,7 @@ def cmd_bounds(args) -> int:
     write_manifest(out / "manifest.json", config, "bounds",
                    ["bound_report.json", "bound_summary.txt"], args.seed)
 
-    if hypothesis and gap_positive:
+    if hypothesis:
         failures = []
         if cluster.count != 2:
             failures.append(f"degeneracy {cluster.count} != 2")
@@ -370,8 +376,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sectors(args) -> int:
-    config = load_config(args.config, force_allow_massless=args.override_massless)
-    ops = model_operators(config)
+    config, ops, out = _prologue(args)
     # an off-axis momentum is refused before the split is built; the split
     # refuses a scattered mode set and n_max < N_max
     if (config.mode_set.axial and config.n_max >= config.N_max
@@ -392,8 +397,7 @@ def cmd_sectors(args) -> int:
         gate = upper.hypothesis_holds and coupling_bound(config) < 1.0
     elif config.with_spin:
         gate = True
-    analysis = ground_sector_labels(
-        result, require_half_pair=gate and config.with_spin)
+    analysis = ground_sector_labels(result, require_half_pair=gate)
 
     print(f"sector leak         : {split.leak_max:.3g}")
     print("sector       dim   ground energy")
@@ -404,7 +408,6 @@ def cmd_sectors(args) -> int:
     if not analysis.ok:
         print(f"sector check        : FAILED ({analysis.message})")
 
-    out = _out_dir(args)
     write_json(out / "sector_report.json", jsonable({
         "sector_leak_max": split.leak_max,
         "labels": list(split.labels),
@@ -477,8 +480,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DimensionCapError, NotAxialError, ResourceError,
-            FileNotFoundError) as err:
+    except (ConfigError, DimensionCapError, NotAxialError, ResourceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, GapTooSmallError, IndeterminateDegeneracy, DomainError) as err:

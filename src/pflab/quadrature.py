@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -68,10 +67,8 @@ class PolarGrid:
         u, wu = gauss_legendre(-1.0, 1.0, n_angular)
         return cls(r=r, wr=wr, u=u, wu=wu)
 
-    def integrate(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-        """2*pi * int r^2 dr int du f(r, u) with (r, u) broadcast as a meshgrid."""
-        R = self.r[:, None]
-        U = self.u[None, :]
-        vals = np.asarray(f(R, U), dtype=float)
-        inner = vals @ self.wu
+    def integrate(self, values: np.ndarray) -> float:
+        """2*pi * int r^2 dr int du f(r, u), given the values f(r_i, u_j) as
+        an (n_radial, n_angular) array."""
+        inner = np.asarray(values, dtype=float) @ self.wu
         return float(2.0 * np.pi * np.sum(self.wr * self.r * self.r * inner))

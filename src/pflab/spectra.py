@@ -155,11 +155,7 @@ def _dense(H: sp.csr_matrix) -> np.ndarray:
 
 def _dense_lowest(H: sp.csr_matrix, n_eig: int) -> SpectralResult:
     # LAPACK computes only the lowest n_eig pairs, not the full spectrum
-    try:
-        vals, vecs = sla.eigh(_dense(H), subset_by_index=[0, n_eig - 1])
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"LAPACK failed on the dimension-{H.shape[0]} problem: "
-                          f"{err}") from err
+    vals, vecs = sla.eigh(_dense(H), subset_by_index=[0, n_eig - 1])
     resid = np.linalg.norm(H @ vecs - vecs * vals[None, :], axis=0)
     return SpectralResult(vals, vecs, resid, "dense")
 
@@ -290,12 +286,20 @@ def solve_lowest(H, n_eig: int, seed: int = DEFAULT_SEED, method: str = "auto", 
         if diagonal is not None:
             return diagonal
         method = choose_method(n)
-    if method == "dense":
-        return _dense_lowest(H, n_eig)
     try:
+        if method == "dense":
+            return _dense_lowest(H, n_eig)
         return _davidson_lowest(H, n_eig, seed, start)
     except np.linalg.LinAlgError as err:
         raise SolverError(f"LAPACK failed on the dimension-{n} problem: {err}") from err
+
+
+def _solve_block(block: sp.csr_matrix, pairs: int, seed: int,
+                 start: Optional[np.ndarray] = None) -> SpectralResult:
+    """The lowest ``pairs`` pairs of one sector block of H(p, e)."""
+    # only a dense solve returns a whole spectrum
+    return solve_lowest(block, pairs, seed=seed, _checked=True, start=start,
+                        method="dense" if pairs == block.shape[0] else "auto")
 
 
 def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
@@ -321,12 +325,12 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     lowest of all sectors' values; no sector can then hold one of the n_eig
     lowest eigenvalues that was not computed.  A grown sector's solve starts
     from the eigenvectors of its last one.  A sector needing all of its pairs
-    (never more than n_eig) is solved dense, as only a dense solve returns a
-    whole spectrum; any other block by method "auto".  The blocks are real
-    when the sector terms are (``SectorSplit``), and so are their
-    eigenvectors; only the n_eig kept ones are mapped back to the linear
-    basis, where they become complex.  The residuals are those of the sector
-    blocks.  Any other model or momentum is solved in the full space by
+    (never more than n_eig) is solved dense, any other block by method
+    "auto" (``_solve_block``).  The blocks are real when the sector terms
+    are (``SectorSplit``), and so are their eigenvectors; only the n_eig
+    kept ones are mapped back to the linear basis, where they become
+    complex.  The residuals are those of the sector blocks.  Any other
+    model or momentum is solved in the full space by
     ``solve_lowest``, on the linear-frame terms (``ModelOperators.linear``),
     built at its first such solve.
     """
@@ -344,10 +348,7 @@ def solve_model(ops: ModelOperators, p, e: float, n_eig: int,
     while True:
         for i, block in enumerate(blocks):
             if results[i] is None:
-                exhausted = pairs[i] == block.shape[0]
-                results[i] = solve_lowest(block, pairs[i], seed=seed, _checked=True,
-                                          method="dense" if exhausted else "auto",
-                                          start=starts[i])
+                results[i] = _solve_block(block, pairs[i], seed, starts[i])
                 matvecs[i] += results[i].matvecs
         values = np.sort(np.concatenate([np.tile(r.eigenvalues, c)
                                          for r, c in zip(results, copies)]))
@@ -383,8 +384,9 @@ def ground_energy(ops: ModelOperators, p, e: float, seed: int = DEFAULT_SEED) ->
     ``solve_model(ops, p, e, 1, seed).ground_energy``, with no eigenvector.
 
     On the axis each block of ``SectorSplit.upper_blocks`` is formed from
-    one ``upper.pattern_data`` and solved as ``solve_model`` solves it, but
-    only while it can still hold the lowest value: the blocks are visited in
+    one ``upper.pattern_data`` and solved as ``solve_model`` solves it
+    (``_solve_block``), but only while it can still hold the lowest value:
+    the blocks are visited in
     stable ascending order of their Gershgorin lower bound
     (``SectorSplit.lower_bounds``), and the visit stops at the first whose
     bound, less the rounding slack, lies above the lowest value so far;
@@ -403,11 +405,7 @@ def ground_energy(ops: ModelOperators, p, e: float, seed: int = DEFAULT_SEED) ->
     for j in np.argsort(bounds, kind="stable"):
         if bounds[j] - slack > best:
             break
-        block = split.block(data, j)
-        # one pair exhausts a one-state block, which solve_model solves dense
-        result = solve_lowest(block, 1, seed=seed, _checked=True,
-                              method="dense" if block.shape[0] == 1 else "auto")
-        best = min(best, result.ground_energy)
+        best = min(best, _solve_block(split.block(data, j), 1, seed).ground_energy)
     return best
 
 

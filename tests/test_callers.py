@@ -70,3 +70,11 @@ def test_every_dataclass_field_is_read():
               if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
               and field.target.id not in read]
     assert unread == []
+
+
+def test_cli_reads_each_config_and_builds_its_operators_in_one_place():
+    # one prologue serves every command that solves
+    tree = ast.parse((SRC / "cli.py").read_text())
+    called = [node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert (called.count("load_config"), called.count("model_operators")) == (1, 1)

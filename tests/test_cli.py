@@ -315,6 +315,18 @@ def test_bounds_desk_report(tmp_path, capsys):
     assert "hypotheses" in out and "degeneracy 2" in out
 
 
+def test_strong_coupling_gates_nothing(tmp_path, capsys):
+    # at e = 12 the relative bound c0 is >= 1: bounds reports that the
+    # hypotheses fail, and sectors does not require the J = +-1/2 pair
+    cfg = write_config(tmp_path, e=12.0, quadrature=fast_quadrature())
+    assert model.coupling_bound(load_config(cfg)) >= 1.0
+    assert run("bounds", "--config", cfg, "--out", tmp_path / "b") == 0
+    assert "hypotheses (|e| < e0, gap > 0) do not both hold" in capsys.readouterr().out
+    assert run("sectors", "--config", cfg, "--out", tmp_path / "s") == 0
+    report = json.loads((tmp_path / "s" / "sector_report.json").read_text())
+    assert report["hypothesis_gated"] is False
+
+
 def test_bounds_spinless_path(tmp_path, capsys):
     cfg = write_config(tmp_path, with_spin=False, e=0.2,
                        quadrature=fast_quadrature())
@@ -537,6 +549,26 @@ def test_oversize_count_exits_usage_before_any_solve(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert message in err and "physical memory" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [("model-check",), ("spectrum",),
+                                     ("sweep", "--p-grid", "axis=z;from=0;to=0.2;steps=2"),
+                                     ("bounds",), ("sectors",)], ids=lambda c: c[0])
+@pytest.mark.parametrize("under", [False, True], ids=["existing_file", "path_under_a_file"])
+def test_unusable_out_exits_usage_before_any_solve(tmp_path, monkeypatch, capsys, command,
+                                                   under):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the --out refusal")
+
+    monkeypatch.setattr(spectra, "solve_lowest", no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "o" if under else blocker
+    assert run(command[0], "--config", CONFIG_DIR / "desk_e010.json", "--out", out,
+               *command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --out {out}: cannot create the output directory" in captured.err
 
 
 # json reads Infinity and NaN (and json.dumps writes them); no number of a

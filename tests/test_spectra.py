@@ -155,6 +155,18 @@ def test_davidson_gives_up_at_its_iteration_cap(desk_ms, monkeypatch):
     assert max(err.value.residuals) > DEFAULT_TOL
 
 
+def test_lapack_failure_in_davidson_is_a_solver_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    H = _oracle_case("random", 20, False, 0)
+    # Davidson's Rayleigh-Ritz step diagonalizes with numpy's eigh
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(SolverError, match="LAPACK failed on the dimension-20 problem: "
+                                          "Eigenvalues did not converge"):
+        solve_lowest(H, 2, method="davidson")
+
+
 def test_non_hermitian_rejected():
     H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NonHermitianError):
